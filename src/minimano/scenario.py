@@ -55,6 +55,17 @@ def load_scenario(path: str) -> dict:
     return scenario
 
 
+def _fields(entry, section, *keys):
+    """The values of `keys` in one entry of `section`, in order."""
+    if not isinstance(entry, dict):
+        raise TemplateError(f"scenario {section!r} entries must be objects")
+    try:
+        return [entry[key] for key in keys]
+    except KeyError as exc:
+        raise TemplateError(f"scenario {section!r} entry {entry.get('name', entry)!r} "
+                            f"lacks {exc}") from None
+
+
 def build_world(scenario: dict, seed=None) -> World:
     """World with the scenario's inventory, groups, alarms, and schedules
     loaded but the clock not yet advanced."""
@@ -67,19 +78,20 @@ def build_world(scenario: dict, seed=None) -> World:
 
     setup = scenario.get("setup", {})
     for image in setup.get("images", []):
+        name, = _fields(image, "images", "name")
         world.provider.register_image(
-            tenant_id, image["name"], image.get("payload", image["name"]).encode(),
+            tenant_id, name, image.get("payload", name).encode(),
             generic=image.get("generic", True), cloud_init=image.get("cloud_init", True),
         )
     for flavor in setup.get("flavors", []):
         world.provider.create_flavor(
-            tenant_id, flavor["name"], flavor["vcpus"], flavor["ram_mib"], flavor["disk_gib"]
+            tenant_id, *_fields(flavor, "flavors", "name", "vcpus", "ram_mib", "disk_gib")
         )
     for keypair in setup.get("keypairs", []):
-        world.provider.create_keypair(tenant_id, keypair["name"])
+        world.provider.create_keypair(tenant_id, *_fields(keypair, "keypairs", "name"))
     for network in setup.get("networks", []):
         world.provider.create_network(
-            tenant_id, network["name"], network["cidr"], network.get("gateway")
+            tenant_id, *_fields(network, "networks", "name", "cidr"), network.get("gateway")
         )
 
     healer = scenario.get("healer")
@@ -94,30 +106,40 @@ def build_world(scenario: dict, seed=None) -> World:
         world.telemetry.healer = config
 
     for group in scenario.get("groups", []):
-        world.telemetry.create_group(
-            group["name"], tenant_id, group["member"],
-            group["min"], group["max"], group["desired"],
-        )
+        name, member, low, high, desired = _fields(
+            group, "groups", "name", "member", "min", "max", "desired")
+        world.telemetry.create_group(name, tenant_id, member, low, high, desired)
     for alarm in scenario.get("alarms", []):
-        world.telemetry.create_alarm(
-            alarm["name"], alarm["metric"], alarm["aggregate"], alarm["comparison"],
-            alarm["threshold"], alarm["window"], alarm["target"], alarm["action"],
-        )
+        world.telemetry.create_alarm(*_fields(
+            alarm, "alarms", "name", "metric", "aggregate", "comparison",
+            "threshold", "window", "target", "action",
+        ))
     for gen in scenario.get("generators", []):
         world.telemetry.add_generator(LoadGenerator(
-            group_name=gen["group"], metric=gen.get("metric", "cpu_util"),
+            group_name=_fields(gen, "generators", "group")[0],
+            metric=gen.get("metric", "cpu_util"),
             base=gen.get("base", 0.5), amplitude=gen.get("amplitude", 0.3),
             period=gen.get("period", 20), noise=gen.get("noise", 0.05),
             seed=gen.get("seed", 0),
         ))
     world.telemetry.scheduled_metrics = list(scenario.get("metrics", []))
     world.telemetry.scheduled_faults = list(scenario.get("faults", []))
+    for section, keys in (("metrics", ("tick", "metric", "value")), ("faults", ("tick",))):
+        for entry in scenario.get(section, []):
+            _fields(entry, section, *keys)
+            if "group" not in entry and "resource" not in entry:
+                raise TemplateError(f"scenario {section!r} entry {entry!r} "
+                                    "names neither a 'group' nor a 'resource'")
     return world
 
 
 def run_scenario(scenario: dict, seed=None) -> World:
+    try:
+        ticks = int(scenario["ticks"])
+    except (TypeError, ValueError):
+        raise TemplateError(f"scenario 'ticks' is not an integer: {scenario['ticks']!r}") from None
     world = build_world(scenario, seed=seed)
-    world.advance_clock(int(scenario["ticks"]))
+    world.advance_clock(ticks)
     return world
 
 

@@ -12,6 +12,8 @@ when capacity is short.
 
 import hashlib
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ConflictError, NotFoundError
@@ -24,6 +26,9 @@ ACTIONS = ("scale_out", "scale_in", "notify")
 
 @dataclass
 class MetricSample:
+    """One recorded value. Never mutated once recorded: snapshots share
+    its `__dict__` instead of copying it."""
+
     resource_id: str
     metric: str
     value: float
@@ -83,7 +88,10 @@ class TelemetryService:
     def __init__(self, core, provider):
         self.core = core
         self.provider = provider
-        self.samples = []  # MetricSample, tick-ordered
+        self.samples = []  # MetricSample, in record order; kept for the world's lifetime
+        # metric -> (ticks, positions): indexes into `samples`, sorted by
+        # (tick, position), so a window is two bisections
+        self._series = {}
         self.alarms = {}  # name -> AlarmDef
         self.groups = {}  # name -> ScalingGroup
         self.healer = HealerConfig()
@@ -99,13 +107,32 @@ class TelemetryService:
             raise NotFoundError(f"unknown resource {resource_id!r}")
         sample = MetricSample(resource_id, metric, float(value), self.core.tick if tick is None else tick)
         self.samples.append(sample)
+        self._index(sample, len(self.samples) - 1)
         return sample
 
+    def _index(self, sample, position):
+        series = self._series.get(sample.metric)
+        if series is None:
+            series = self._series[sample.metric] = (array("q"), array("q"))
+        ticks, positions = series
+        # `position` is the largest so far, so it goes after every equal tick
+        at = bisect_right(ticks, sample.tick)
+        ticks.insert(at, sample.tick)
+        positions.insert(at, position)
+
     def window_samples(self, resource_ids, metric, tick, window):
-        lo = tick - window + 1
+        """Samples of `metric` from `resource_ids` in ticks
+        [tick - window + 1, tick], in record order."""
+        series = self._series.get(metric)
+        if series is None:
+            return []
+        ticks, positions = series
+        lo = bisect_left(ticks, tick - window + 1)
+        hi = bisect_right(ticks, tick)
+        samples = self.samples
         return [
-            s for s in self.samples
-            if s.metric == metric and lo <= s.tick <= tick and s.resource_id in resource_ids
+            s for s in map(samples.__getitem__, sorted(positions[lo:hi]))
+            if s.resource_id in resource_ids
         ]
 
     # -- alarms ----------------------------------------------------------------
@@ -329,7 +356,7 @@ class TelemetryService:
 
     def to_dict(self):
         return {
-            "samples": [vars(s).copy() for s in self.samples],
+            "samples": [vars(s) for s in self.samples],
             "alarms": [vars(a).copy() for a in self.alarms.values()],
             "groups": [vars(g).copy() for g in self.groups.values()],
             "healer": vars(self.healer).copy(),
@@ -340,6 +367,9 @@ class TelemetryService:
 
     def load_dict(self, data):
         self.samples = [MetricSample(**s) for s in data["samples"]]
+        self._series = {}
+        for position, sample in enumerate(self.samples):
+            self._index(sample, position)
         self.alarms = {a["name"]: AlarmDef(**a) for a in data["alarms"]}
         self.groups = {g["name"]: ScalingGroup(**g) for g in data["groups"]}
         self.healer = HealerConfig(**data["healer"])

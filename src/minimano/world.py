@@ -6,10 +6,15 @@ this order: wait-condition deadlines, scheduled scenario injections,
 alarm evaluation, healer scan. With a fixed seed the whole world is
 bit-reproducible: UUIDs, addresses, random strings, tokens, and the event
 log all come from one seeded stream.
+
+Subsystems refer back to their World through a `weakref.proxy`, so a
+World holds no reference cycle through them: dropping the last
+reference frees it at once, without waiting for the cycle collector.
 """
 
 import random
 import uuid as uuidlib
+import weakref
 
 from .engine import StackEngine
 from .errors import ConflictError
@@ -27,10 +32,11 @@ class World:
         self.rng = random.Random(self.seed)
         self.tick = 0
         self.events = []
-        self.identity = IdentityService(self, policy)
-        self.provider = CloudProvider(self, hosts)
-        self.engine = StackEngine(self, self.identity, self.provider, template_dir)
-        self.telemetry = TelemetryService(self, self.provider)
+        core = weakref.proxy(self)
+        self.identity = IdentityService(core, policy)
+        self.provider = CloudProvider(core, hosts)
+        self.engine = StackEngine(core, self.identity, self.provider, template_dir)
+        self.telemetry = TelemetryService(core, self.provider)
         if _bootstrap:
             self.identity.bootstrap(admin_credential)
 

@@ -242,3 +242,24 @@ def test_connectivity_check_verb(runner):
                           "--protocol", "tcp", "--port", "22", "--format", "machine")
     assert code == 0
     assert json.loads(out)["allowed"] is True
+
+
+def _without(section, key):
+    data = TEMPLATES.parent / "tests" / "data"
+    scenario = json.loads((data / "autonomic_scenario.json").read_text())
+    del scenario[section][0][key]
+    return scenario
+
+
+@pytest.mark.parametrize("scenario", [
+    _without("groups", "member"),
+    _without("alarms", "metric"),
+    {"ticks": "x"},
+], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer"])
+def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["scenario-run", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: scenario ") and "Traceback" not in err

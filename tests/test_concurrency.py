@@ -5,7 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import minimano
 from conftest import TEMPLATES
+
+# the package's parent directory, so children import this checkout's
+# minimano whether or not it is installed
+SRC = str(Path(minimano.__file__).resolve().parent.parent)
 
 SCRIPT = """
 import sys
@@ -15,7 +20,7 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def run_cli(args, env_state, env_token=None):
-    env = {"PATH": "/usr/bin:/bin", "MINIMANO_STATE": str(env_state)}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "MINIMANO_STATE": str(env_state)}
     if env_token:
         env["MINIMANO_TOKEN"] = env_token
     return subprocess.run(
@@ -46,7 +51,7 @@ def test_parallel_clock_advances_serialize(tmp_path):
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", SCRIPT, "clock-advance", "10"],
-            env={"PATH": "/usr/bin:/bin", "MINIMANO_STATE": str(state),
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "MINIMANO_STATE": str(state),
                  "MINIMANO_TOKEN": token},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )

@@ -1,5 +1,6 @@
 """Metrics windows, alarm edge-triggering, scaling, and the healing loop."""
 
+import json
 import random
 
 import pytest
@@ -44,6 +45,58 @@ def test_window_query_matches_replay_oracle():
             got = world.telemetry.window_samples({instance.id}, "cpu_util", tick, window)
             expected = [v for (t, v) in samples if tick - window + 1 <= t <= tick]
             assert [s.value for s in got] == expected
+
+
+def brute_force_window(samples, resource_ids, metric, tick, window):
+    """The oracle: every sample ever recorded, filtered in record order."""
+    return [
+        (s.resource_id, s.metric, s.value, s.tick) for s in samples
+        if s.metric == metric and tick - window + 1 <= s.tick <= tick
+        and s.resource_id in resource_ids
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_window_index_matches_brute_force_scan(seed):
+    world, tenant = autoscale_world(seed=seed)
+    resources = [world.provider.launch_instance(tenant, MEMBER).id for _ in range(4)]
+    rng = random.Random(seed)
+    for _ in range(300):
+        if rng.random() < 0.2:
+            world.advance_clock(1)
+        # mostly at the current tick, sometimes at a past or future one
+        tick = None if rng.random() < 0.7 else world.tick + rng.randrange(-10, 6)
+        world.telemetry.record_metric(rng.choice(resources), rng.choice(("cpu_util", "mem_util")),
+                                      round(rng.random(), 3), tick)
+    ticks = [s.tick for s in world.telemetry.samples]
+    history = max(ticks) - min(ticks)
+    restored = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
+    queries = [
+        (set(rng.sample(resources, k)), metric)
+        for k in (1, 3, 4) for metric in ("cpu_util", "mem_util", "disk_util")
+    ]
+    samples = world.telemetry.samples
+    for w in (world, restored):
+        for tick in range(-12, world.tick + 8):
+            for window in (1, 3, history + 5):
+                for ids, metric in queries:
+                    got = w.telemetry.window_samples(ids, metric, tick, window)
+                    assert [(s.resource_id, s.metric, s.value, s.tick) for s in got] == \
+                        brute_force_window(samples, ids, metric, tick, window)
+
+
+def test_late_alarm_with_long_window_sees_full_history():
+    world, tenant = autoscale_world()
+    group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 1)
+    member = group.members[0]
+    for tick in range(1, 201):
+        world.telemetry.record_metric(member, "cpu_util", 0.9 if tick <= 10 else 0.1, tick)
+    # created at tick 200, its window reaches back to tick 1
+    world.telemetry.create_alarm("cpu-max", "cpu_util", "max", "gt", 0.5, 200, "web", "notify")
+    fired = world.telemetry.evaluate_alarms(200)
+    assert [a.name for a in fired] == ["cpu-max"]
+    values = [s.value for s in world.telemetry.window_samples({member}, "cpu_util", 200, 200)]
+    assert len(values) == 200 and values[:10] == [0.9] * 10
 
 
 def test_alarm_fires_on_hand_computed_aggregate():

@@ -538,7 +538,8 @@ def cmd_init(args, out):
         detect_interval=args.healer_interval,
         heal_window=args.healer_window,
     )
-    save_world(world, args.state)
+    with locked_state(args.state):  # `--force` must not race a locked writer
+        save_world(world, args.state)
     out.obj({"state": args.state, "seed": world.seed,
              "hosts": sorted(world.provider.hosts)})
     return 0

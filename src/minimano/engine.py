@@ -17,6 +17,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
+from .codec import DERIVED, dump_attrs, keyed, load_attrs
 from .errors import (
     ConflictError,
     DeployError,
@@ -72,16 +73,16 @@ class Stack:
     name: str
     tenant_id: str
     status: str
-    doc: TemplateDoc
     source: str  # canonical template text (what gets persisted)
     bound: dict
     waves: list
-    records: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict, metadata={"codec": keyed(ResourceRecord, "name")})
     outputs: dict = field(default_factory=dict)
-    parent: tuple | None = None  # (stack_id, resource_name)
+    parent: list | None = None  # [stack_id, resource_name]
     depth: int = 0
     created_at: int = 0
     failure_reason: str | None = None
+    doc: TemplateDoc = field(default=None, metadata=DERIVED)  # parsed from `source`
 
 
 @dataclass
@@ -110,6 +111,15 @@ class WaitCondition:
     required: int
     deadline: int
     outcome: str = "PENDING"  # PENDING | SUCCESS | TIMEOUT | FAILURE_SIGNALED
+
+
+# the persisted layout, in snapshot order
+_SCHEMA = {
+    "stacks": keyed(Stack, "id"),
+    "runs": keyed(StackRun, "stack_id"),
+    "handles": keyed(WaitHandle, "id"),
+    "conditions": keyed(WaitCondition, "handle_id"),
+}
 
 
 def handle_url(handle_id: str) -> str:
@@ -320,7 +330,7 @@ class StackEngine:
             stack.tenant_id,
             spec,
             name=f"{stack.name}-{rdef.name}",
-            signal_sink=self._internal_signal_sink,
+            signal_sink=self.deliver_signal,
         )
         record.physical_id = instance.id
         first_address = next(iter(instance.fixed_ips.values()), None)
@@ -401,7 +411,7 @@ class StackEngine:
             provided=provided,
             token=run.token_id,
             template_dir=os.path.dirname(path),
-            parent=(stack.id, rdef.name),
+            parent=[stack.id, rdef.name],
             depth=stack.depth + 1,
         )
         record.physical_id = child.id
@@ -429,9 +439,6 @@ class StackEngine:
         raise DeployError(f"nested template {type_path!r} not found in the search path")
 
     # -- wait conditions and signals ---------------------------------------------------------
-
-    def _internal_signal_sink(self, url, payload):
-        self.deliver_signal(url, payload)
 
     def signal(self, handle_ref, payload, token=None) -> str:
         self.identity.require(token, "stacks:signal")
@@ -637,59 +644,9 @@ class StackEngine:
     # -- persistence ------------------------------------------------------------------------------------
 
     def to_dict(self):
-        return {
-            "stacks": [
-                {
-                    "id": s.id,
-                    "name": s.name,
-                    "tenant_id": s.tenant_id,
-                    "status": s.status,
-                    "source": s.source,
-                    "bound": s.bound,
-                    "waves": s.waves,
-                    "records": [vars(r).copy() for r in s.records.values()],
-                    "outputs": s.outputs,
-                    "parent": list(s.parent) if s.parent else None,
-                    "depth": s.depth,
-                    "created_at": s.created_at,
-                    "failure_reason": s.failure_reason,
-                }
-                for s in self.stacks.values()
-            ],
-            "runs": [vars(r).copy() for r in self.runs.values()],
-            "handles": [
-                {"id": h.id, "stack_id": h.stack_id, "resource_name": h.resource_name,
-                 "signals": h.signals}
-                for h in self.handles.values()
-            ],
-            "conditions": [vars(c).copy() for c in self.conditions.values()],
-        }
+        return dump_attrs(self, _SCHEMA)
 
     def load_dict(self, data):
-        self.stacks = {}
-        for s in data["stacks"]:
-            doc = parse_template(s["source"])
-            stack = Stack(
-                id=s["id"],
-                name=s["name"],
-                tenant_id=s["tenant_id"],
-                status=s["status"],
-                doc=doc,
-                source=s["source"],
-                bound=s["bound"],
-                waves=s["waves"],
-                outputs=s["outputs"],
-                parent=tuple(s["parent"]) if s["parent"] else None,
-                depth=s["depth"],
-                created_at=s["created_at"],
-                failure_reason=s["failure_reason"],
-            )
-            for r in s["records"]:
-                stack.records[r["name"]] = ResourceRecord(**r)
-            self.stacks[stack.id] = stack
-        self.runs = {}
-        for r in data["runs"]:
-            run = StackRun(**r)
-            self.runs[run.stack_id] = run
-        self.handles = {h["id"]: WaitHandle(**h) for h in data["handles"]}
-        self.conditions = {c["handle_id"]: WaitCondition(**c) for c in data["conditions"]}
+        load_attrs(self, _SCHEMA, data)
+        for stack in self.stacks.values():
+            stack.doc = parse_template(stack.source)

@@ -10,6 +10,7 @@ valid token). Unknown actions are denied.
 import hashlib
 from dataclasses import dataclass, field
 
+from .codec import keyed, named, one
 from .errors import AuthError, ConflictError, NotFoundError
 
 DEFAULT_TOKEN_TTL = 3600  # ticks
@@ -94,12 +95,16 @@ class Endpoint:
 
 @dataclass
 class IdentityState:
-    tenants: dict = field(default_factory=dict)  # id -> Tenant
-    users: dict = field(default_factory=dict)  # id -> User
-    assignments: list = field(default_factory=list)  # (user_id, tenant_id, role)
-    tokens: dict = field(default_factory=dict)  # id -> Token
-    catalog: dict = field(default_factory=dict)  # service name -> Endpoint
+    tenants: dict = field(default_factory=dict, metadata={"codec": keyed(Tenant, "id")})
+    users: dict = field(default_factory=dict, metadata={"codec": keyed(User, "id")})
+    assignments: list = field(default_factory=list)  # [user_id, tenant_id, role]
+    tokens: dict = field(default_factory=dict, metadata={"codec": keyed(Token, "id")})
+    # service name -> Endpoint
+    catalog: dict = field(default_factory=dict, metadata={"codec": named(Endpoint)})
     policy: dict = field(default_factory=dict)  # action -> required role
+
+
+_STATE = one(IdentityState)
 
 
 def _digest(salt: str, credential: str) -> str:
@@ -117,8 +122,8 @@ class IdentityService:
         """Create the initial admin tenant/user and the default services."""
         tenant = self._add_tenant("admin")
         user = self._add_user("admin", admin_credential)
-        self.state.assignments.append((user.id, tenant.id, "admin"))
-        self.state.assignments.append((user.id, tenant.id, "member"))
+        self.state.assignments.append([user.id, tenant.id, "admin"])
+        self.state.assignments.append([user.id, tenant.id, "member"])
         for service in ("identity", "image", "compute", "network", "volume",
                         "object-store", "telemetry", "orchestration"):
             self.state.catalog[service] = Endpoint(
@@ -178,7 +183,7 @@ class IdentityService:
         tenant = self.tenant_by_name(tenant_name)
         if tenant is None:
             raise NotFoundError(f"tenant {tenant_name!r} not found")
-        entry = (user.id, tenant.id, role)
+        entry = [user.id, tenant.id, role]
         if entry in self.state.assignments:
             raise ConflictError(f"role {role!r} already assigned")
         self.state.assignments.append(entry)
@@ -245,38 +250,7 @@ class IdentityService:
     # -- persistence -------------------------------------------------------------
 
     def to_dict(self):
-        return {
-            "tenants": [{"id": t.id, "name": t.name} for t in self.state.tenants.values()],
-            "users": [
-                {"id": u.id, "name": u.name, "salt": u.salt, "digest": u.digest}
-                for u in self.state.users.values()
-            ],
-            "assignments": [list(a) for a in self.state.assignments],
-            "tokens": [
-                {
-                    "id": t.id,
-                    "user_id": t.user_id,
-                    "tenant_id": t.tenant_id,
-                    "roles": t.roles,
-                    "expires_at": t.expires_at,
-                }
-                for t in self.state.tokens.values()
-            ],
-            "catalog": {
-                name: {"url": e.url, "registered_at": e.registered_at}
-                for name, e in self.state.catalog.items()
-            },
-            "policy": dict(self.state.policy),
-        }
+        return _STATE.dump(self.state)
 
     def load_dict(self, data):
-        self.state = IdentityState(policy=dict(data["policy"]))
-        for t in data["tenants"]:
-            self.state.tenants[t["id"]] = Tenant(**t)
-        for u in data["users"]:
-            self.state.users[u["id"]] = User(**u)
-        self.state.assignments = [tuple(a) for a in data["assignments"]]
-        for t in data["tokens"]:
-            self.state.tokens[t["id"]] = Token(**t)
-        for name, e in data["catalog"].items():
-            self.state.catalog[name] = Endpoint(**e)
+        self.state = _STATE.load(data)

@@ -26,6 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs
 from .errors import CapacityError, ConflictError, NotFoundError
 
 EXTERNAL_LOCUS = "external"
@@ -92,7 +93,7 @@ class SecurityGroup:
     id: str
     tenant_id: str
     name: str
-    rules: list = field(default_factory=list)
+    rules: list = field(default_factory=list, metadata={"codec": listed(SecurityGroupRule)})
 
 
 @dataclass
@@ -158,7 +159,7 @@ class Volume:
     size_gib: int
     payload_b64: str = ""
     attached_to: str | None = None
-    snapshots: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list, metadata={"codec": listed(VolumeSnapshot)})
 
 
 @dataclass
@@ -177,6 +178,22 @@ def _b64(data: bytes) -> str:
 
 def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
+
+
+# the persisted layout, in snapshot order
+_SCHEMA = {
+    "hosts": keyed(Host, "id"),
+    "images": keyed(Image, "id"),
+    "flavors": keyed(Flavor, "id"),
+    "keypairs": keyed(KeyPair, "id"),
+    "secgroups": keyed(SecurityGroup, "id"),
+    "instances": keyed(Instance, "id"),
+    "networks": keyed(Network, "id"),
+    "routers": keyed(Router, "id"),
+    "fips": keyed(FloatingIp, "id"),
+    "volumes": keyed(Volume, "id"),
+    "objects": PLAIN,
+}
 
 
 class CloudProvider:
@@ -778,54 +795,7 @@ class CloudProvider:
     # -- persistence --------------------------------------------------------------------------------
 
     def to_dict(self):
-        def rows(registry):
-            return [vars(obj).copy() for obj in registry.values()]
-
-        data = {
-            "hosts": [
-                {"id": h.id, "vcpus": h.vcpus, "ram_mib": h.ram_mib,
-                 "disk_gib": h.disk_gib, "image_cache": list(h.image_cache)}
-                for h in self.hosts.values()
-            ],
-            "images": rows(self.images),
-            "flavors": rows(self.flavors),
-            "keypairs": rows(self.keypairs),
-            "secgroups": [
-                {"id": g.id, "tenant_id": g.tenant_id, "name": g.name,
-                 "rules": [vars(r).copy() for r in g.rules]}
-                for g in self.secgroups.values()
-            ],
-            "instances": rows(self.instances),
-            "networks": rows(self.networks),
-            "routers": rows(self.routers),
-            "fips": rows(self.fips),
-            "volumes": [
-                {"id": v.id, "tenant_id": v.tenant_id, "size_gib": v.size_gib,
-                 "payload_b64": v.payload_b64, "attached_to": v.attached_to,
-                 "snapshots": [vars(s).copy() for s in v.snapshots]}
-                for v in self.volumes.values()
-            ],
-            "objects": dict(self.objects),
-        }
-        return data
+        return dump_attrs(self, _SCHEMA)
 
     def load_dict(self, data):
-        self.hosts = {h["id"]: Host(**h) for h in data["hosts"]}
-        self.images = {i["id"]: Image(**i) for i in data["images"]}
-        self.flavors = {f["id"]: Flavor(**f) for f in data["flavors"]}
-        self.keypairs = {k["id"]: KeyPair(**k) for k in data["keypairs"]}
-        self.secgroups = {}
-        for g in data["secgroups"]:
-            group = SecurityGroup(g["id"], g["tenant_id"], g["name"],
-                                  [SecurityGroupRule(**r) for r in g["rules"]])
-            self.secgroups[group.id] = group
-        self.instances = {i["id"]: Instance(**i) for i in data["instances"]}
-        self.networks = {n["id"]: Network(**n) for n in data["networks"]}
-        self.routers = {r["id"]: Router(**r) for r in data["routers"]}
-        self.fips = {f["id"]: FloatingIp(**f) for f in data["fips"]}
-        self.volumes = {}
-        for v in data["volumes"]:
-            volume = Volume(v["id"], v["tenant_id"], v["size_gib"], v["payload_b64"],
-                            v["attached_to"], [VolumeSnapshot(**s) for s in v["snapshots"]])
-            self.volumes[volume.id] = volume
-        self.objects = dict(data["objects"])
+        load_attrs(self, _SCHEMA, data)

@@ -2,14 +2,16 @@
 
 The whole world serializes to one JSON file (schema version field "v").
 Writers take an exclusive flock on a sibling ``.lock`` file, write to a
-temp file, and rename into place, so concurrent CLI invocations serialize
-cleanly and readers never observe a torn snapshot.
+temp file named for their process, fsync it, rename it into place and
+fsync the directory, so concurrent CLI invocations serialize cleanly,
+readers never observe a torn snapshot, and a crash leaves either the old
+state or the new one (a rename alone is not durable).
 """
 
 import fcntl
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .errors import StateIOError
 from .world import World
@@ -19,12 +21,21 @@ DEFAULT_STATE_PATH = "./minimano-state.json"
 
 def save_world(world: World, path: str):
     data = json.dumps(world.to_snapshot(), separators=(",", ":"))
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except OSError as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
         raise StateIOError(f"cannot write state file {path!r}: {exc}") from None
 
 
@@ -38,7 +49,11 @@ def load_world(path: str) -> World:
         ) from None
     except (OSError, ValueError) as exc:
         raise StateIOError(f"cannot read state file {path!r}: {exc}") from None
-    return World.from_snapshot(data)
+    try:
+        return World.from_snapshot(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise StateIOError(f"state file {path!r} is malformed: {detail}") from None
 
 
 @contextmanager

@@ -16,6 +16,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs, one
 from .errors import CapacityError, ConflictError, NotFoundError
 
 AGGREGATES = ("avg", "max", "min")
@@ -82,6 +83,18 @@ class LoadGenerator:
     period: int = 20
     noise: float = 0.05
     seed: int = 0
+
+
+# the persisted layout, in snapshot order
+_SCHEMA = {
+    "samples": listed(MetricSample),
+    "alarms": keyed(AlarmDef, "name"),
+    "groups": keyed(ScalingGroup, "name"),
+    "healer": one(HealerConfig),
+    "generators": listed(LoadGenerator),
+    "scheduled_metrics": PLAIN,
+    "scheduled_faults": PLAIN,
+}
 
 
 class TelemetryService:
@@ -355,24 +368,10 @@ class TelemetryService:
     # -- persistence -------------------------------------------------------------------------
 
     def to_dict(self):
-        return {
-            "samples": [vars(s) for s in self.samples],
-            "alarms": [vars(a).copy() for a in self.alarms.values()],
-            "groups": [vars(g).copy() for g in self.groups.values()],
-            "healer": vars(self.healer).copy(),
-            "generators": [vars(g).copy() for g in self.generators],
-            "scheduled_metrics": list(self.scheduled_metrics),
-            "scheduled_faults": list(self.scheduled_faults),
-        }
+        return dump_attrs(self, _SCHEMA)
 
     def load_dict(self, data):
-        self.samples = [MetricSample(**s) for s in data["samples"]]
+        load_attrs(self, _SCHEMA, data)
         self._series = {}
         for position, sample in enumerate(self.samples):
             self._index(sample, position)
-        self.alarms = {a["name"]: AlarmDef(**a) for a in data["alarms"]}
-        self.groups = {g["name"]: ScalingGroup(**g) for g in data["groups"]}
-        self.healer = HealerConfig(**data["healer"])
-        self.generators = [LoadGenerator(**g) for g in data["generators"]]
-        self.scheduled_metrics = list(data["scheduled_metrics"])
-        self.scheduled_faults = list(data["scheduled_faults"])

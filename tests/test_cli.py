@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, machine output fidelity, statelessness."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
@@ -263,3 +264,57 @@ def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: scenario ") and "Traceback" not in err
+
+
+def _state_v1(edit):
+    state = json.loads((TEMPLATES.parent / "tests" / "data" / "state_v1.json").read_text())
+    edit(state)
+    return state
+
+
+@pytest.mark.parametrize("state", [
+    {"v": 1, "seed": 1},
+    [1, 2],
+    _state_v1(lambda s: s.update(rng_state=[3, [1, 2, 3], None])),
+    _state_v1(lambda s: s["provider"]["instances"].append(1)),
+    _state_v1(lambda s: s["provider"]["secgroups"][0]["rules"].append("rule")),
+    _state_v1(lambda s: s["identity"]["users"][0].pop("salt")),
+    _state_v1(lambda s: s["engine"]["stacks"][0].pop("records")),
+    _state_v1(lambda s: s["telemetry"]["samples"][0].update(unit="%")),
+    _state_v1(lambda s: s["identity"].pop("catalog")),
+], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
+        "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
+        "row-unknown-field", "registry-missing"])
+def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    monkeypatch.setenv(cli.STATE_ENV, str(path))
+    monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+    code = cli.main(["stack-list"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: state file {str(path)!r} is malformed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_init_force_saves_under_the_lock(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "state.json")
+    locked = []
+    real_lock, real_save = cli.locked_state, cli.save_world
+
+    @contextmanager
+    def recording_lock(p):
+        with real_lock(p):
+            locked.append(p)
+            yield
+            locked.remove(p)
+
+    def checked_save(world, p):
+        assert locked == [p]
+        real_save(world, p)
+
+    monkeypatch.setattr(cli, "locked_state", recording_lock)
+    monkeypatch.setattr(cli, "save_world", checked_save)
+    for argv in (["init", "--state", path], ["init", "--state", path, "--force"]):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    assert load_world(path).tick == 0

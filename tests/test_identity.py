@@ -6,6 +6,7 @@ import pytest
 
 from minimano.errors import AuthError, ConflictError, NotFoundError
 from minimano.identity import DEFAULT_TOKEN_TTL, default_policy
+from minimano.statefile import load_world, save_world
 from minimano.world import World
 
 
@@ -150,3 +151,20 @@ def test_catalog_freshness_against_replay_log(world, admin_token):
     for name in names:
         if name in expected:
             assert world.identity.lookup_endpoint(admin_token, name) == expected[name]
+
+
+def test_duplicate_role_rejected_after_reload(tmp_path):
+    world = World(seed=1)
+    token = world.identity.authenticate("admin", "admin", "admin").id
+    world.identity.create_tenant("demo", token)
+    world.identity.create_user("alice", "pw", token)
+    world.identity.assign_role("alice", "demo", "member", token)
+    path = str(tmp_path / "state.json")
+    save_world(world, path)
+    world = load_world(path)
+    for user, tenant in (("alice", "demo"), ("admin", "admin")):
+        with pytest.raises(ConflictError, match="already assigned"):
+            world.identity.assign_role(user, tenant, "member", token)
+    world.identity.assign_role("alice", "demo", "admin", token)
+    with pytest.raises(ConflictError, match="already assigned"):
+        world.identity.assign_role("alice", "demo", "admin", token)

@@ -1,6 +1,7 @@
 """Snapshot round-trips, write-through semantics, and RNG continuity."""
 
 import json
+import os
 
 import pytest
 
@@ -96,3 +97,26 @@ def test_corrupt_state_file(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(StateIOError, match="cannot read state file"):
         load_world(str(path))
+
+
+def test_failed_rename_keeps_the_old_state(tmp_path, monkeypatch):
+    path = str(tmp_path / "state.json")
+    world = World(seed=5)
+    save_world(world, path)
+    before = snapshot_text(load_world(path))
+
+    world.advance_clock(3)
+    renamed = []
+
+    def failing_replace(src, dst):
+        renamed.append(src)
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(StateIOError, match="cannot write state file"):
+        save_world(world, path)
+    monkeypatch.undo()
+
+    assert renamed == [f"{path}.{os.getpid()}.tmp"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+    assert snapshot_text(load_world(path)) == before

@@ -1,0 +1,163 @@
+"""The committed v1 state fixture: a snapshot that holds every kind of
+persisted row, written by the package before the snapshot codec existed.
+
+Loading it and dumping it again must give the file back byte for byte,
+and every registry value and nested row must load as its dataclass (a
+decoder that left rows as dicts would still round-trip the bytes).
+
+Regenerate (only on a deliberate format change) with
+``PYTHONPATH=src python tests/test_state_v1.py``.
+"""
+
+import json
+from dataclasses import is_dataclass
+from pathlib import Path
+
+from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
+from minimano.hot import Literal, parse_template
+from minimano.identity import Endpoint, Tenant, Token, User
+from minimano.nfvi import (
+    FloatingIp,
+    Flavor,
+    Host,
+    Image,
+    Instance,
+    KeyPair,
+    Network,
+    Router,
+    SecurityGroup,
+    SecurityGroupRule,
+    Volume,
+    VolumeSnapshot,
+)
+from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
+from minimano.world import World
+
+TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
+FIXTURE = Path(__file__).resolve().parent / "data" / "state_v1.json"
+
+
+def dump(world) -> str:
+    return json.dumps(world.to_snapshot(), separators=(",", ":"))
+
+
+def build_fixture_world() -> World:
+    world = World(seed=2021, template_dir=str(TEMPLATES))
+    identity, provider, engine, telemetry = (
+        world.identity, world.provider, world.engine, world.telemetry)
+    admin = identity.tenant_by_name("admin")
+    token = identity.authenticate("admin", "admin", "admin").id
+    identity.create_tenant("demo", token)
+    identity.create_user("alice", "s3cret", token)
+    identity.assign_role("alice", "demo", "member", token)
+    identity.register_service("dns", "local:///dns", token)
+
+    provider.register_image(admin.id, "ubuntu_cloud14", b"ubuntu cloud image")
+    provider.create_flavor(admin.id, "m1.small", 1, 2048, 20)
+    provider.create_keypair(admin.id, "my_key1")
+    provider.create_network(admin.id, "my_net1", "10.0.0.0/24")
+    provider.create_router(admin.id, "edge", external=True)
+    provider.attach_subnet(admin.id, "edge", "my_net1")
+    provider.add_security_group_rule(admin.id, "default", "tcp", 22, 22)
+    provider.add_security_group_rule(admin.id, "default", "icmp", remote="default")
+
+    # a nested stack that completes: its child records carry `parent`
+    wp = engine.create_stack("wp", parse_template((TEMPLATES / "example4.yaml").read_text()),
+                             {}, token=token)
+    assert wp.status == "CREATE_COMPLETE", wp.failure_reason
+    # a stack parked on its wait condition: a run, a handle and a condition
+    mysql = parse_template((TEMPLATES / "mysql.yaml").read_text())
+    mysql.resources["mysql_server"].properties["user_data"] = Literal("#!/bin/sh\n")
+    db = engine.create_stack("db", mysql, {}, token=token)
+    assert db.status == "CREATE_IN_PROGRESS"
+
+    server = next(i for i in provider.instances.values() if i.name.startswith("wp-wordpress"))
+    volume = provider.create_volume(admin.id, 1)
+    provider.write_volume(volume.id, b"volume payload")
+    provider.snapshot_volume(volume.id)
+    provider.attach_volume(volume.id, server.id)
+    fip = provider.allocate_floating_ip(admin.id)
+    provider.associate_floating_ip(fip.id, server.id)
+    provider.put_object(admin.id, "bucket", "hello.txt", b"hello")
+
+    member = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
+    telemetry.create_group("web", admin.id, member, 1, 3, 2)
+    telemetry.create_alarm("web-high", "cpu_util", "avg", "gt", 0.7, 3, "web", "scale_out")
+    telemetry.healer = HealerConfig(enabled=True, detect_interval=2, heal_window=4)
+    telemetry.add_generator(LoadGenerator("web", seed=5))
+    telemetry.scheduled_metrics.append(
+        {"tick": 50, "group": "web", "metric": "cpu_util", "value": 0.9})
+    telemetry.scheduled_faults.append({"tick": 60, "group": "web", "member_index": 0})
+    world.advance_clock(3)
+
+    # the fixture names no checkout path
+    engine.template_dir = None
+    return world
+
+
+def test_fixture_roundtrips_byte_for_byte():
+    text = FIXTURE.read_text(encoding="utf-8")
+    assert dump(World.from_snapshot(json.loads(text))) == text
+
+
+def test_fixture_is_what_the_builder_writes():
+    assert dump(build_fixture_world()) == FIXTURE.read_text(encoding="utf-8")
+
+
+def _assert_rows(registry, cls, key):
+    assert registry, f"fixture holds no {cls.__name__}"
+    for k, row in registry.items():
+        assert type(row) is cls
+        assert getattr(row, key) == k
+
+
+def test_fixture_rows_load_as_dataclasses():
+    world = World.from_snapshot(json.loads(FIXTURE.read_text(encoding="utf-8")))
+    assert world.engine.template_dir is None
+
+    ident = world.identity.state
+    _assert_rows(ident.tenants, Tenant, "id")
+    _assert_rows(ident.users, User, "id")
+    _assert_rows(ident.tokens, Token, "id")
+    assert ident.catalog and all(type(e) is Endpoint for e in ident.catalog.values())
+    assert "dns" in ident.catalog
+    assert len(ident.assignments) == 3
+
+    p = world.provider
+    for registry, cls in ((p.hosts, Host), (p.images, Image), (p.flavors, Flavor),
+                          (p.keypairs, KeyPair), (p.secgroups, SecurityGroup),
+                          (p.instances, Instance), (p.networks, Network),
+                          (p.routers, Router), (p.fips, FloatingIp), (p.volumes, Volume)):
+        _assert_rows(registry, cls, "id")
+    rules = [r for g in p.secgroups.values() for r in g.rules]
+    assert len(rules) == 2 and all(type(r) is SecurityGroupRule for r in rules)
+    snaps = [s for v in p.volumes.values() for s in v.snapshots]
+    assert len(snaps) == 1 and type(snaps[0]) is VolumeSnapshot
+    assert p.objects
+
+    e = world.engine
+    _assert_rows(e.stacks, Stack, "id")
+    _assert_rows(e.runs, StackRun, "stack_id")
+    _assert_rows(e.handles, WaitHandle, "id")
+    _assert_rows(e.conditions, WaitCondition, "handle_id")
+    for stack in e.stacks.values():
+        _assert_rows(stack.records, ResourceRecord, "name")
+        assert is_dataclass(stack.doc)
+    children = [s for s in e.stacks.values() if s.parent is not None]
+    assert len(children) == 2
+    for child in children:
+        parent_id, rname = child.parent
+        assert e.stacks[parent_id].records[rname].physical_id == child.id
+
+    t = world.telemetry
+    assert t.samples and all(type(s) is MetricSample for s in t.samples)
+    _assert_rows(t.alarms, AlarmDef, "name")
+    _assert_rows(t.groups, ScalingGroup, "name")
+    assert type(t.healer) is HealerConfig and t.healer.enabled
+    assert t.generators and all(type(g) is LoadGenerator for g in t.generators)
+    assert t.scheduled_metrics and t.scheduled_faults
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(dump(build_fixture_world()), encoding="utf-8")
+    print(f"wrote {FIXTURE}")

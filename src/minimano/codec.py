@@ -9,10 +9,9 @@ once, in field metadata (``field(metadata={"codec": ...})``). The kinds:
   insertion order and rebuilt keyed by the row field `key`;
 - `listed(cls)`: a list of rows;
 - `named(cls)`: a dict of rows, stored as a dict with the same keys;
-- `PLAIN`: JSON data, stored as it is;
-- `DERIVED` (field metadata only): not stored; its owner rebuilds it.
+- `PLAIN`: JSON data, stored as it is.
 
-A row with no nested or derived field is flat: it dumps as ``vars(obj)``
+A row with no nested field is flat: it dumps as ``vars(obj)``
 itself and loads as ``cls(**row)``. Dumps therefore share the objects'
 dicts and the lists inside them: serialise a dump at once, before the
 world changes again.
@@ -28,7 +27,6 @@ class Codec(NamedTuple):
 
 
 PLAIN = Codec(lambda value: value, lambda data: data)
-DERIVED = {"codec": None}
 
 
 def one(cls) -> Codec:
@@ -36,10 +34,9 @@ def one(cls) -> Codec:
     specs = [(f.name, f.metadata.get("codec", PLAIN)) for f in fields(cls)]
     if all(codec is PLAIN for _, codec in specs):
         return Codec(vars, lambda row: cls(**row))
-    stored = [(name, codec) for name, codec in specs if codec is not None]
-    nested = [(name, codec) for name, codec in stored if codec is not PLAIN]
+    nested = [(name, codec) for name, codec in specs if codec is not PLAIN]
     return Codec(
-        lambda obj: {name: codec.dump(getattr(obj, name)) for name, codec in stored},
+        lambda obj: {name: codec.dump(getattr(obj, name)) for name, codec in specs},
         lambda row: cls(**{**row, **{name: codec.load(row[name]) for name, codec in nested}}),
     )
 

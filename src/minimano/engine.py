@@ -16,8 +16,9 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .codec import DERIVED, dump_attrs, keyed, load_attrs
+from .codec import dump_attrs, keyed, load_attrs
 from .errors import (
     ConflictError,
     DeployError,
@@ -82,7 +83,12 @@ class Stack:
     depth: int = 0
     created_at: int = 0
     failure_reason: str | None = None
-    doc: TemplateDoc = field(default=None, metadata=DERIVED)  # parsed from `source`
+
+    @cached_property
+    def doc(self) -> TemplateDoc:
+        """The parsed template, parsed from `source` when first read; only
+        a deployment in progress reads it."""
+        return parse_template(self.source)  # looked up at call time, so wrappers see it
 
 
 @dataclass
@@ -168,7 +174,6 @@ class StackEngine:
             name=name,
             tenant_id=claims.tenant_id,
             status=CREATE_IN_PROGRESS,
-            doc=doc,
             source=serialize_template(doc),
             bound=bound,
             waves=plan.waves,
@@ -176,6 +181,7 @@ class StackEngine:
             depth=depth,
             created_at=self.core.tick,
         )
+        stack.doc = doc
         self.stacks[stack.id] = stack
         self.core.emit("stack.create.start", stack.id, stack=stack.id, name=name)
         run = StackRun(stack_id=stack.id, token_id=token, template_dir=template_dir)
@@ -253,11 +259,10 @@ class StackEngine:
         self._notify_parent(stack)
 
     def _finalize_create(self, run: StackRun, stack: Stack):
+        outputs = stack.doc.outputs  # a source that fails to parse is not an output failure
         ctx = self._eval_context(stack)
         try:
-            stack.outputs = {
-                name: evaluate_expr(odef.value, ctx) for name, odef in stack.doc.outputs.items()
-            }
+            stack.outputs = {name: evaluate_expr(odef.value, ctx) for name, odef in outputs.items()}
         except MiniManoError as exc:
             stack.status = CREATE_FAILED
             stack.failure_reason = f"output evaluation: {exc.message}"
@@ -648,5 +653,3 @@ class StackEngine:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
-        for stack in self.stacks.values():
-            stack.doc = parse_template(stack.source)

@@ -47,7 +47,7 @@ def load_world(path: str) -> World:
         raise StateIOError(
             f"state file {path!r} does not exist (run 'minimano init' first)"
         ) from None
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise StateIOError(f"cannot read state file {path!r}: {exc}") from None
     try:
         return World.from_snapshot(data)

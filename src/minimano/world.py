@@ -91,6 +91,9 @@ class World:
     def from_snapshot(cls, data: dict) -> "World":
         if data.get("v") != SNAPSHOT_VERSION:
             raise ConflictError(f"unsupported state snapshot version {data.get('v')!r}")
+        for key in ("seed", "tick"):
+            if type(data[key]) is not int:  # bool is an int subclass; reject it too
+                raise TypeError(f"{key} must be an integer, got {data[key]!r}")
         world = cls(seed=data["seed"], template_dir=data["template_dir"], _bootstrap=False)
         version, internal, gauss = data["rng_state"]
         world.rng.setstate((version, tuple(internal), gauss))

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import TEMPLATES
-from minimano import cli
+from minimano import cli, engine
 from minimano.statefile import load_world
 
 
@@ -282,9 +282,11 @@ def _state_v1(edit):
     _state_v1(lambda s: s["engine"]["stacks"][0].pop("records")),
     _state_v1(lambda s: s["telemetry"]["samples"][0].update(unit="%")),
     _state_v1(lambda s: s["identity"].pop("catalog")),
+    _state_v1(lambda s: s.update(seed=None)),
+    _state_v1(lambda s: s.update(tick="x")),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
-        "row-unknown-field", "registry-missing"])
+        "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -294,6 +296,18 @@ def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     err = capsys.readouterr().err
     assert code == 5
     assert err.startswith(f"error: state file {str(path)!r} is malformed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_state_is_a_state_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("[" * 200_000)
+    monkeypatch.setenv(cli.STATE_ENV, str(path))
+    monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+    code = cli.main(["stack-list"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: cannot read state file {str(path)!r}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -318,3 +332,108 @@ def test_init_force_saves_under_the_lock(tmp_path, monkeypatch, capsys):
     for argv in (["init", "--state", path], ["init", "--state", path, "--force"]):
         assert cli.main(argv) == 0, capsys.readouterr().err
     assert load_world(path).tick == 0
+
+
+# -- templates are parsed when a deployment first needs them ------------------------
+
+GATED = (
+    "heat_template_version: 2013-05-23\n"
+    "resources:\n"
+    "  handle:\n"
+    "    type: OS::Heat::WaitConditionHandle\n"
+    "  gate:\n"
+    "    type: OS::Heat::WaitCondition\n"
+    "    properties:\n"
+    "      handle: { get_resource: handle }\n"
+    "      timeout: 50\n"
+)
+AFTER_GATE = (
+    "  after:\n"
+    "    type: OS::Nova::Server\n"
+    "    properties:\n"
+    "      image: ubuntu_cloud14\n"
+    "      flavor: m1.small\n"
+    "      user_data: { get_attr: [gate, data] }\n"
+)
+OUTPUTS = (
+    "outputs:\n"
+    "  data:\n"
+    "    value: { get_attr: [gate, data] }\n"
+)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts calls of `engine.parse_template`, the name a stack's lazy
+    `doc` looks up."""
+    calls = []
+    real = engine.parse_template
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(engine, "parse_template", counting)
+    return calls
+
+
+def _blocked_wait_stack(runner, tmp_path, template=GATED + AFTER_GATE + OUTPUTS):
+    """A saved stack blocked on its wait condition, and the handle's signal URL."""
+    gated = tmp_path / "gated.yaml"
+    gated.write_text(template)
+    code, out, err = runner("stack-create", "gated", "-f", str(gated), "--no-wait",
+                            "--format", "machine")
+    assert code == 0, err
+    stack_id = json.loads(out)["id"]
+    _, out, _ = runner("stack-show", stack_id, "--format", "machine")
+    shown = json.loads(out)
+    assert shown["status"] == "CREATE_IN_PROGRESS"
+    return stack_id, shown["resources"]["handle"]["attributes"]["curl_cli"]
+
+
+def test_read_verbs_parse_no_template(runner, parses):
+    code, out, _ = runner("stack-create", "demo", "-f", str(TEMPLATES / "example2.yaml"),
+                          "--format", "machine")
+    assert code == 0
+    stack_id = json.loads(out)["id"]
+    parses.clear()
+    for argv in (("stack-list",), ("stack-show", stack_id), ("events-tail", "-n", "5")):
+        code, out, err = runner(*argv)
+        assert code == 0, err
+        assert out
+    assert parses == []
+
+
+def test_resumed_stack_parses_its_source_once(runner, tmp_path, parses):
+    stack_id, url = _blocked_wait_stack(runner, tmp_path)
+    source = load_world(str(runner._state)).engine.stacks[stack_id].source
+    parses.clear()
+    code, _, err = runner("signal", url, '{"status": "SUCCESS", "data": "ok"}')
+    assert code == 0, err
+    assert parses == [source]
+    _, out, _ = runner("stack-show", stack_id, "--format", "machine")
+    shown = json.loads(out)
+    assert shown["status"] == "CREATE_COMPLETE"
+    assert shown["outputs"] == {"data": '{"1": "ok"}'}
+    assert shown["resources"]["after"]["state"] == "COMPLETE"
+
+
+@pytest.mark.parametrize("template", [GATED + AFTER_GATE + OUTPUTS, GATED + OUTPUTS],
+                         ids=["resource-after-the-wait", "outputs-after-the-wait"])
+def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, template):
+    stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
+    state = json.loads(runner._state.read_text())
+    (stored,) = [s for s in state["engine"]["stacks"] if s["id"] == stack_id]
+    stored["source"] = "resources: ["
+    runner._state.write_text(json.dumps(state, separators=(",", ":")))
+    before = runner._state.read_bytes()
+
+    code, out, err = runner("stack-list", "--format", "machine")
+    assert code == 0, err
+    assert [json.loads(line)["id"] for line in out.splitlines()] == [stack_id]
+
+    code, _, err = runner("signal", url, '{"status": "SUCCESS"}')
+    assert code == 2
+    assert err.startswith("error: line 1, column 12: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert runner._state.read_bytes() == before  # a failed verb saves nothing

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .hot import parse_template, validate_template
 from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
-from .telemetry import HealerConfig
+from .telemetry import healer_config
 from .world import World
 
 TOKEN_ENV = "MINIMANO_TOKEN"
@@ -525,19 +525,14 @@ def cmd_scenario_run(args, out):
 def cmd_init(args, out):
     if os.path.exists(args.state) and not args.force:
         raise StateIOError(f"state file {args.state!r} already exists (use --force)")
-    if args.healer_window < args.healer_interval:
-        raise TemplateError("--healer-window must be at least --healer-interval")
     hosts = _read_json_file(args.hosts, "host inventory") if args.hosts else None
     policy = _read_json_file(args.policy, "policy file") if args.policy else None
     world = World(
         seed=args.seed, hosts=hosts, policy=policy,
         admin_credential=args.admin_password, template_dir=args.template_dir,
     )
-    world.telemetry.healer = HealerConfig(
-        enabled=args.healer_enabled,
-        detect_interval=args.healer_interval,
-        heal_window=args.healer_window,
-    )
+    world.telemetry.healer = healer_config(
+        args.healer_enabled, args.healer_interval, "--healer-interval")
     with locked_state(args.state):  # `--force` must not race a locked writer
         save_world(world, args.state)
     out.obj({"state": args.state, "seed": world.seed,
@@ -581,7 +576,6 @@ def build_parser():
         p.add_argument("--template-dir", default=None)
         p.add_argument("--healer-enabled", action="store_true")
         p.add_argument("--healer-interval", type=int, default=5)
-        p.add_argument("--healer-window", type=int, default=20)
         p.add_argument("--force", action="store_true")
 
     v("init", cmd_init, True, init_args, "create a fresh state file")

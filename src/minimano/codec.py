@@ -8,7 +8,6 @@ once, in field metadata (``field(metadata={"codec": ...})``). The kinds:
 - `keyed(cls, key)`: a registry dict, stored as the list of its rows in
   insertion order and rebuilt keyed by the row field `key`;
 - `listed(cls)`: a list of rows;
-- `named(cls)`: a dict of rows, stored as a dict with the same keys;
 - `PLAIN`: JSON data, stored as it is.
 
 A row with no nested field is flat: it dumps as ``vars(obj)``
@@ -51,12 +50,6 @@ def listed(cls) -> Codec:
     row = one(cls)
     return Codec(lambda rows: list(map(row.dump, rows)),
                  lambda data: list(map(row.load, data)))
-
-
-def named(cls) -> Codec:
-    row = one(cls)
-    return Codec(lambda rows: {name: row.dump(obj) for name, obj in rows.items()},
-                 lambda data: {name: row.load(item) for name, item in data.items()})
 
 
 def dump_attrs(owner, schema) -> dict:

@@ -27,7 +27,6 @@ from .errors import (
     TemplateError,
 )
 from .hot import (
-    DEFAULT_REGISTRY,
     RANDOM_STRING_TYPE,
     SEQUENCES,
     SERVER_TYPE,
@@ -139,12 +138,11 @@ def _handle_id_from_ref(ref: str) -> str:
 
 
 class StackEngine:
-    def __init__(self, core, identity, provider, template_dir=None, registry=None):
+    def __init__(self, core, identity, provider, template_dir=None):
         self.core = core
         self.identity = identity
         self.provider = provider
         self.template_dir = template_dir
-        self.registry = registry or DEFAULT_REGISTRY
         self.stacks = {}  # id -> Stack
         self.runs = {}  # stack id -> StackRun
         self.handles = {}  # handle id -> WaitHandle
@@ -155,7 +153,7 @@ class StackEngine:
     def create_stack(self, name, doc: TemplateDoc, provided=None, token=None,
                      template_dir=None, parent=None, depth=0) -> Stack:
         claims = self.identity.require(token, "stacks:create")
-        report = validate_template(doc, self.registry)
+        report = validate_template(doc)
         if not report.ok:
             raise TemplateError(
                 "template is not deployable: " + "; ".join(str(f) for f in report.errors)
@@ -197,7 +195,7 @@ class StackEngine:
             if run.blocker is not None or stack.status != CREATE_IN_PROGRESS:
                 return
             if run.wave_idx >= len(stack.waves):
-                self._finalize_create(run, stack)
+                self._finalize_create(stack)
                 return
             wave = stack.waves[run.wave_idx]
             if run.pos_idx >= len(wave):
@@ -220,7 +218,7 @@ class StackEngine:
             try:
                 result = self._deploy_resource(run, stack, rdef, record)
             except MiniManoError as exc:
-                self._fail_resource(run, stack, rname, exc.message)
+                self._fail_resource(stack, rname, exc.message)
                 return
             if result is _BLOCKED:
                 return
@@ -243,7 +241,7 @@ class StackEngine:
             stack=stack.id, resource=record.name, type=record.type,
         )
 
-    def _fail_resource(self, run: StackRun, stack: Stack, rname, reason):
+    def _fail_resource(self, stack: Stack, rname, reason):
         record = stack.records.get(rname)
         if record is not None:
             record.state = "FAILED"
@@ -258,7 +256,7 @@ class StackEngine:
         self.runs.pop(stack.id, None)
         self._notify_parent(stack)
 
-    def _finalize_create(self, run: StackRun, stack: Stack):
+    def _finalize_create(self, stack: Stack):
         outputs = stack.doc.outputs  # a source that fails to parse is not an output failure
         ctx = self._eval_context(stack)
         try:
@@ -291,7 +289,7 @@ class StackEngine:
             parent_run.pos_idx += 1
             self._pump_run(parent_run)
         else:
-            self._fail_resource(parent_run, parent, rname, f"nested stack failed: {child.failure_reason}")
+            self._fail_resource(parent, rname, f"nested stack failed: {child.failure_reason}")
 
     # -- per-type deployment ------------------------------------------------------------
 
@@ -532,13 +530,13 @@ class StackEngine:
                 "wait.failure", condition.handle_id,
                 stack=stack.id, resource=condition.resource_name, handle=condition.handle_id,
             )
-            self._fail_resource(run, stack, condition.resource_name, "wait condition received a FAILURE signal")
+            self._fail_resource(stack, condition.resource_name, "wait condition received a FAILURE signal")
         else:
             self.core.emit(
                 "wait.timeout", condition.handle_id,
                 stack=stack.id, resource=condition.resource_name, handle=condition.handle_id,
             )
-            self._fail_resource(run, stack, condition.resource_name, "wait condition timed out")
+            self._fail_resource(stack, condition.resource_name, "wait condition timed out")
 
     def process_deadlines(self):
         """Called once per tick, before alarms and the healer."""
@@ -568,7 +566,7 @@ class StackEngine:
                 if record is None or record.state == "DELETED":
                     continue
                 try:
-                    self._destroy_resource(stack, record, token)
+                    self._destroy_resource(record, token)
                     record.state = "DELETED"
                 except MiniManoError as exc:
                     record.failure = exc.message
@@ -582,7 +580,7 @@ class StackEngine:
             self.core.emit("stack.delete.complete", stack.id, stack=stack.id, name=stack.name)
         return stack.status
 
-    def _destroy_resource(self, stack, record, token):
+    def _destroy_resource(self, record, token):
         if record.type == SERVER_TYPE:
             if record.physical_id is not None:
                 try:

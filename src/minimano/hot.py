@@ -96,6 +96,7 @@ class ResourceDef:
     name: str
     resource_type: str
     properties: dict  # name -> Expr
+    depends_on: tuple = ()  # resource names deployed before this one
 
 
 @dataclass
@@ -307,8 +308,13 @@ def _parse_resources(node, warnings):
         if not rtype or not isinstance(rtype, str):
             raise TemplateError(f"{path}: every resource must have a type")
         for key in body:
-            if key not in ("type", "properties"):
+            if key not in ("type", "properties", "depends_on"):
                 warnings.append(f"{path}: unknown attribute {key!r}")
+        depends_on = body.get("depends_on", [])
+        if isinstance(depends_on, str):
+            depends_on = [depends_on]
+        if not isinstance(depends_on, list) or not all(isinstance(dep, str) for dep in depends_on):
+            raise TemplateError(f"{path}.depends_on: must be a resource name or a list of names")
         props_node = body.get("properties") or {}
         if not isinstance(props_node, dict):
             raise TemplateError(f"{path}.properties: must be a map")
@@ -316,7 +322,8 @@ def _parse_resources(node, warnings):
             pname: _expr_from_node(pval, f"{path}.properties.{pname}", warnings)
             for pname, pval in props_node.items()
         }
-        out[name] = ResourceDef(name=name, resource_type=rtype, properties=properties)
+        out[name] = ResourceDef(name=name, resource_type=rtype, properties=properties,
+                                depends_on=tuple(depends_on))
     return out
 
 
@@ -417,6 +424,8 @@ def serialize_template(doc: TemplateDoc) -> str:
     resources = {}
     for r in doc.resources.values():
         body = {"type": r.resource_type}
+        if r.depends_on:  # absent stays absent, so stored sources do not move
+            body["depends_on"] = list(r.depends_on)
         if r.properties:
             body["properties"] = {k: _expr_to_node(v) for k, v in r.properties.items()}
         resources[r.name] = body
@@ -474,12 +483,12 @@ def _check_refs(expr, path, doc, findings):
             findings.append(Finding("error", path, f"unknown resource {sub.resource!r}"))
 
 
-def _check_attr_names(expr, path, doc, registry, findings):
+def _check_attr_names(expr, path, doc, findings):
     for sub in _walk_expr(expr):
         if not isinstance(sub, GetAttr) or sub.resource not in doc.resources:
             continue
         target_type = doc.resources[sub.resource].resource_type
-        spec = registry.get(target_type)
+        spec = DEFAULT_REGISTRY.get(target_type)
         if spec is not None and sub.attribute not in spec.attributes:
             findings.append(
                 Finding("error", path, f"resource {sub.resource!r} has no attribute {sub.attribute!r}")
@@ -494,13 +503,12 @@ def _property_kind_ok(expr, expected):
     return _literal_kind(expr.value) == expected
 
 
-def validate_template(doc: TemplateDoc, registry=None) -> ValidationReport:
+def validate_template(doc: TemplateDoc) -> ValidationReport:
     """Cross-check every reference, type, and mandatory property.
 
     Findings are data: nothing raises. A document is deployable exactly
     when the report carries no error findings.
     """
-    registry = DEFAULT_REGISTRY if registry is None else registry
     findings = [Finding("warning", "template", w) for w in doc.warnings]
 
     for p in doc.parameters.values():
@@ -512,7 +520,7 @@ def validate_template(doc: TemplateDoc, registry=None) -> ValidationReport:
     for r in doc.resources.values():
         base = f"resources.{r.name}"
         nested = is_nested_type(r.resource_type)
-        spec = registry.get(r.resource_type)
+        spec = DEFAULT_REGISTRY.get(r.resource_type)
         if spec is None and not nested:
             findings.append(Finding("error", base, f"unknown resource type {r.resource_type!r}"))
         if spec is not None:
@@ -532,21 +540,24 @@ def validate_template(doc: TemplateDoc, registry=None) -> ValidationReport:
                         findings.append(Finding("error", ppath, "must be a get_resource reference"))
                 elif not _property_kind_ok(expr, expected):
                     findings.append(Finding("error", ppath, f"expected a {expected}"))
+        for dep in r.depends_on:
+            if dep not in doc.resources:
+                findings.append(Finding("error", f"{base}.depends_on", f"unknown resource {dep!r}"))
         for pname, expr in r.properties.items():
             ppath = f"{base}.properties.{pname}"
             _check_refs(expr, ppath, doc, findings)
-            _check_attr_names(expr, ppath, doc, registry, findings)
-        _validate_type_specifics(r, base, doc, registry, findings)
+            _check_attr_names(expr, ppath, doc, findings)
+        _validate_type_specifics(r, base, doc, findings)
 
     for o in doc.outputs.values():
         path = f"outputs.{o.name}.value"
         _check_refs(o.value, path, doc, findings)
-        _check_attr_names(o.value, path, doc, registry, findings)
+        _check_attr_names(o.value, path, doc, findings)
 
     return ValidationReport(findings)
 
 
-def _validate_type_specifics(r, base, doc, registry, findings):
+def _validate_type_specifics(r, base, doc, findings):
     if r.resource_type == SERVER_TYPE:
         fmt = r.properties.get("user_data_format")
         if isinstance(fmt, Literal) and fmt.value != "RAW":
@@ -724,21 +735,26 @@ def evaluate_expr(expr: Expr, ctx: EvalContext):
 # dependencies
 
 
+def _providers(rdef: ResourceDef):
+    yield from rdef.depends_on
+    for expr in rdef.properties.values():
+        for sub in _walk_expr(expr):
+            if isinstance(sub, (GetAttr, GetResource)):
+                yield sub.resource
+
+
 def extract_dependencies(doc: TemplateDoc) -> list:
-    """Edges (provider, consumer): consumer's properties reference provider
-    through get_attr or get_resource. get_param never creates an edge."""
+    """Edges (provider, consumer): consumer names provider in `depends_on`
+    or references it through get_attr or get_resource. get_param never
+    creates an edge."""
     edges = []
     seen = set()
     for rname, rdef in doc.resources.items():
-        for expr in rdef.properties.values():
-            for sub in _walk_expr(expr):
-                provider = None
-                if isinstance(sub, (GetAttr, GetResource)):
-                    provider = sub.resource
-                if provider is None or provider not in doc.resources:
-                    continue
-                edge = (provider, rname)
-                if edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
+        for provider in _providers(rdef):
+            if provider not in doc.resources:
+                continue
+            edge = (provider, rname)
+            if edge not in seen:
+                seen.add(edge)
+                edges.append(edge)
     return edges

@@ -10,7 +10,7 @@ valid token). Unknown actions are denied.
 import hashlib
 from dataclasses import dataclass, field
 
-from .codec import keyed, named, one
+from .codec import keyed, one
 from .errors import AuthError, ConflictError, NotFoundError
 
 DEFAULT_TOKEN_TTL = 3600  # ticks
@@ -88,19 +88,12 @@ class Token:
 
 
 @dataclass
-class Endpoint:
-    url: str
-    registered_at: int
-
-
-@dataclass
 class IdentityState:
     tenants: dict = field(default_factory=dict, metadata={"codec": keyed(Tenant, "id")})
     users: dict = field(default_factory=dict, metadata={"codec": keyed(User, "id")})
     assignments: list = field(default_factory=list)  # [user_id, tenant_id, role]
     tokens: dict = field(default_factory=dict, metadata={"codec": keyed(Token, "id")})
-    # service name -> Endpoint
-    catalog: dict = field(default_factory=dict, metadata={"codec": named(Endpoint)})
+    catalog: dict = field(default_factory=dict)  # service name -> url
     policy: dict = field(default_factory=dict)  # action -> required role
 
 
@@ -126,9 +119,7 @@ class IdentityService:
         self.state.assignments.append([user.id, tenant.id, "member"])
         for service in ("identity", "image", "compute", "network", "volume",
                         "object-store", "telemetry", "orchestration"):
-            self.state.catalog[service] = Endpoint(
-                url=f"local:///{service}", registered_at=self.core.tick
-            )
+            self.state.catalog[service] = f"local:///{service}"
 
     # -- lookups ------------------------------------------------------------
 
@@ -238,14 +229,14 @@ class IdentityService:
 
     def register_service(self, name, url, token_id):
         self.require(token_id, "identity:register_service")
-        self.state.catalog[name] = Endpoint(url=url, registered_at=self.core.tick)
+        self.state.catalog[name] = url
 
     def lookup_endpoint(self, token_id, name) -> str:
         self.require(token_id, "identity:lookup_endpoint")
-        endpoint = self.state.catalog.get(name)
-        if endpoint is None:
+        url = self.state.catalog.get(name)
+        if url is None:
             raise NotFoundError(f"unknown service {name!r}")
-        return endpoint.url
+        return url
 
     # -- persistence -------------------------------------------------------------
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 
 from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs
-from .errors import CapacityError, ConflictError, NotFoundError
+from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
 
 EXTERNAL_LOCUS = "external"
 # source address the outside world appears as during admission checks
@@ -46,7 +46,6 @@ class Host:
     vcpus: int
     ram_mib: int
     disk_gib: int
-    image_cache: list = field(default_factory=list)
 
 
 @dataclass
@@ -172,6 +171,19 @@ class ConnectivityResult:
         return self.allowed
 
 
+def _host(spec) -> Host:
+    """One host inventory row, checked before anything places onto it."""
+    try:
+        host = Host(**spec)
+    except TypeError:  # not an object, or a missing or unknown key
+        host = None
+    if host is None or type(host.id) is not str or not all(
+            type(size) is int for size in (host.vcpus, host.ram_mib, host.disk_gib)):
+        raise TemplateError(f"host inventory entry {spec!r} needs a string 'id' and "
+                            "integer 'vcpus', 'ram_mib' and 'disk_gib'")
+    return host
+
+
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
@@ -202,8 +214,11 @@ class CloudProvider:
     def __init__(self, core, hosts=None):
         self.core = core
         self.hosts = {}
-        for spec in hosts or [{"id": "host-1", "vcpus": 8, "ram_mib": 16384, "disk_gib": 160}]:
-            host = Host(**spec)
+        hosts = hosts or [{"id": "host-1", "vcpus": 8, "ram_mib": 16384, "disk_gib": 160}]
+        if not isinstance(hosts, list):
+            raise TemplateError(f"host inventory must be a list of objects, got {hosts!r}")
+        for spec in hosts:
+            host = _host(spec)
             if host.id in self.hosts:
                 raise ConflictError(f"duplicate host id {host.id!r}")
             self.hosts[host.id] = host
@@ -470,8 +485,6 @@ class CloudProvider:
             created_at=self.core.tick,
         )
         self.instances[instance.id] = instance
-        if image.id not in placed.image_cache:
-            placed.image_cache.append(image.id)
         instance.ephemeral_image_b64 = image.payload_b64
         if key is not None:
             # generic images carry no identity; keys land per instance

@@ -13,7 +13,7 @@ Schema (all sections optional unless noted):
       "seed": 42,
       "ticks": 40,                          # mandatory
       "hosts": [{"id": "host-1", "vcpus": 8, "ram_mib": 16384, "disk_gib": 160}],
-      "healer": {"enabled": true, "detect_interval": 5, "heal_window": 20},
+      "healer": {"enabled": true, "detect_interval": 5},
       "setup": {
         "images":   [{"name": "...", "payload": "...", "cloud_init": true}],
         "flavors":  [{"name": "...", "vcpus": 1, "ram_mib": 2048, "disk_gib": 20}],
@@ -38,7 +38,7 @@ Metric/fault entries target either a literal "resource" id, a whole
 import json
 
 from .errors import StateIOError, TemplateError
-from .telemetry import HealerConfig, LoadGenerator
+from .telemetry import LoadGenerator, healer_config
 from .world import World
 
 
@@ -55,6 +55,17 @@ def load_scenario(path: str) -> dict:
     return scenario
 
 
+def _section(parent, key, kind):
+    """`parent[key]`, or an empty `kind` when absent or null; any other type is an error."""
+    value = parent.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise TemplateError(f"scenario {key!r} must be {shape}, got {value!r}")
+    return value
+
+
 def _fields(entry, section, *keys):
     """The values of `keys` in one entry of `section`, in order."""
     if not isinstance(entry, dict):
@@ -69,52 +80,50 @@ def _fields(entry, section, *keys):
 def build_world(scenario: dict, seed=None) -> World:
     """World with the scenario's inventory, groups, alarms, and schedules
     loaded but the clock not yet advanced."""
-    world = World(
-        seed=scenario.get("seed", 42) if seed is None else seed,
-        hosts=scenario.get("hosts"),
-    )
+    try:
+        world = World(
+            seed=scenario.get("seed", 42) if seed is None else seed,
+            hosts=scenario.get("hosts"),
+        )
+    except TemplateError as exc:
+        raise TemplateError(f"scenario 'hosts': {exc.message}") from None
     admin = world.identity.tenant_by_name("admin")
     tenant_id = admin.id
 
-    setup = scenario.get("setup", {})
-    for image in setup.get("images", []):
+    setup = _section(scenario, "setup", dict)
+    for image in _section(setup, "images", list):
         name, = _fields(image, "images", "name")
         world.provider.register_image(
             tenant_id, name, image.get("payload", name).encode(),
             generic=image.get("generic", True), cloud_init=image.get("cloud_init", True),
         )
-    for flavor in setup.get("flavors", []):
+    for flavor in _section(setup, "flavors", list):
         world.provider.create_flavor(
             tenant_id, *_fields(flavor, "flavors", "name", "vcpus", "ram_mib", "disk_gib")
         )
-    for keypair in setup.get("keypairs", []):
+    for keypair in _section(setup, "keypairs", list):
         world.provider.create_keypair(tenant_id, *_fields(keypair, "keypairs", "name"))
-    for network in setup.get("networks", []):
+    for network in _section(setup, "networks", list):
         world.provider.create_network(
             tenant_id, *_fields(network, "networks", "name", "cidr"), network.get("gateway")
         )
 
-    healer = scenario.get("healer")
+    healer = _section(scenario, "healer", dict)
     if healer:
-        config = HealerConfig(
-            enabled=healer.get("enabled", True),
-            detect_interval=healer.get("detect_interval", 5),
-            heal_window=healer.get("heal_window", 20),
-        )
-        if config.heal_window < config.detect_interval:
-            raise TemplateError("heal_window must be at least detect_interval")
-        world.telemetry.healer = config
+        world.telemetry.healer = healer_config(
+            healer.get("enabled", True), healer.get("detect_interval", 5),
+            "scenario 'healer' detect_interval")
 
-    for group in scenario.get("groups", []):
+    for group in _section(scenario, "groups", list):
         name, member, low, high, desired = _fields(
             group, "groups", "name", "member", "min", "max", "desired")
         world.telemetry.create_group(name, tenant_id, member, low, high, desired)
-    for alarm in scenario.get("alarms", []):
+    for alarm in _section(scenario, "alarms", list):
         world.telemetry.create_alarm(*_fields(
             alarm, "alarms", "name", "metric", "aggregate", "comparison",
             "threshold", "window", "target", "action",
         ))
-    for gen in scenario.get("generators", []):
+    for gen in _section(scenario, "generators", list):
         world.telemetry.add_generator(LoadGenerator(
             group_name=_fields(gen, "generators", "group")[0],
             metric=gen.get("metric", "cpu_util"),
@@ -122,10 +131,10 @@ def build_world(scenario: dict, seed=None) -> World:
             period=gen.get("period", 20), noise=gen.get("noise", 0.05),
             seed=gen.get("seed", 0),
         ))
-    world.telemetry.scheduled_metrics = list(scenario.get("metrics", []))
-    world.telemetry.scheduled_faults = list(scenario.get("faults", []))
+    world.telemetry.scheduled_metrics = list(_section(scenario, "metrics", list))
+    world.telemetry.scheduled_faults = list(_section(scenario, "faults", list))
     for section, keys in (("metrics", ("tick", "metric", "value")), ("faults", ("tick",))):
-        for entry in scenario.get(section, []):
+        for entry in _section(scenario, section, list):
             _fields(entry, section, *keys)
             if "group" not in entry and "resource" not in entry:
                 raise TemplateError(f"scenario {section!r} entry {entry!r} "

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs, one
-from .errors import CapacityError, ConflictError, NotFoundError
+from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
 
 AGGREGATES = ("avg", "max", "min")
 COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
@@ -69,7 +69,14 @@ class ScalingGroup:
 class HealerConfig:
     enabled: bool = False
     detect_interval: int = 5
-    heal_window: int = 20
+
+
+def healer_config(enabled, detect_interval, source) -> HealerConfig:
+    """A healer setting from user input, where `source` names the
+    interval's origin; the interval divides the tick."""
+    if type(detect_interval) is not int or detect_interval < 1:
+        raise TemplateError(f"{source} must be a positive integer, got {detect_interval!r}")
+    return HealerConfig(enabled, detect_interval)
 
 
 @dataclass
@@ -276,7 +283,7 @@ class TelemetryService:
 
     # -- fault injection -------------------------------------------------------------
 
-    def inject_fault(self, target_id, kind="instance_crash", tick=None):
+    def inject_fault(self, target_id, kind="instance_crash"):
         if kind != "instance_crash":
             raise ConflictError(f"unknown fault kind {kind!r}")
         self.provider.crash_instance(target_id)
@@ -334,7 +341,7 @@ class TelemetryService:
             if entry["tick"] != tick:
                 continue
             for resource_id in self._schedule_targets(entry):
-                self.inject_fault(resource_id, entry.get("kind", "instance_crash"), tick)
+                self.inject_fault(resource_id, entry.get("kind", "instance_crash"))
         for gen in self.generators:
             group = self.groups.get(gen.group_name)
             if group is None:

@@ -22,7 +22,22 @@ from .identity import IdentityService
 from .nfvi import CloudProvider
 from .telemetry import TelemetryService
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+
+def _upgrade_v1(data: dict) -> dict:
+    """A v1 snapshot in v2 form: v2 drops three fields that nothing read."""
+    identity, provider, telemetry = data["identity"], data["provider"], data["telemetry"]
+    return {
+        **data, "v": 2,
+        "identity": {**identity, "catalog": {
+            name: endpoint["url"] for name, endpoint in identity["catalog"].items()}},
+        "provider": {**provider, "hosts": [
+            {key: value for key, value in host.items() if key != "image_cache"}
+            for host in provider["hosts"]]},
+        "telemetry": {**telemetry, "healer": {
+            key: value for key, value in telemetry["healer"].items() if key != "heal_window"}},
+    }
 
 
 class World:
@@ -89,6 +104,8 @@ class World:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "World":
+        if data.get("v") == 1:
+            data = _upgrade_v1(data)
         if data.get("v") != SNAPSHOT_VERSION:
             raise ConflictError(f"unsupported state snapshot version {data.get('v')!r}")
         for key in ("seed", "tick"):

@@ -269,7 +269,7 @@ class _Parser:
             return self.parse_sequence(indent)
         return self.parse_mapping(indent)
 
-    def _child_block(self, parent_indent, lineno):
+    def _child_block(self, parent_indent):
         nxt = self.peek()
         if nxt is None or nxt[2] <= parent_indent:
             return None
@@ -339,7 +339,7 @@ class _Parser:
 
     def _entry_value(self, rest, parent_indent, lineno, col):
         if rest == "":
-            return self._child_block(parent_indent, lineno)
+            return self._child_block(parent_indent)
         if rest in ("|", "|-"):
             return self._literal_block(parent_indent, clip=(rest == "|"))
         if rest.startswith("|") or rest.startswith(">"):

@@ -256,7 +256,17 @@ def _without(section, key):
     _without("groups", "member"),
     _without("alarms", "metric"),
     {"ticks": "x"},
-], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer"])
+    {"ticks": 1, "setup": []},
+    {"ticks": 1, "setup": {"images": 5}},
+    {"ticks": 1, "healer": [1]},
+    {"ticks": 1, "hosts": 5},
+    {"ticks": 1, "hosts": [{"id": "host-1", "ram_mib": 16384, "disk_gib": 160}]},
+    {"ticks": 1, "healer": {"enabled": True, "detect_interval": 0}},
+    {"ticks": 1, "healer": {"enabled": True, "detect_interval": "x"}},
+], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer",
+        "setup-not-an-object", "images-not-a-list", "healer-not-an-object",
+        "hosts-not-a-list", "host-without-vcpus", "healer-interval-zero",
+        "healer-interval-not-an-integer"])
 def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -264,6 +274,22 @@ def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: scenario ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, hosts", [
+    (["--healer-enabled", "--healer-interval", "0"], None),
+    ([], [{"id": "host-1", "ram_mib": 16384, "disk_gib": 160}]),
+], ids=["healer-interval-zero", "host-without-vcpus"])
+def test_init_rejects_bad_settings(tmp_path, capsys, argv, hosts):
+    path = tmp_path / "state.json"
+    if hosts is not None:
+        (tmp_path / "hosts.json").write_text(json.dumps(hosts))
+        argv = [*argv, "--hosts", str(tmp_path / "hosts.json")]
+    code = cli.main(["init", "--state", str(path), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not path.exists()
 
 
 def _state_v1(edit):

@@ -1,7 +1,9 @@
 """Behaviour digests: the sha256 of the event log and of the snapshot of
-whole scenario runs, pinned from the package before its telemetry index
-existed. A change that alters what a scenario does, or what it saves,
-moves a digest.
+whole scenario runs. The event-log digests were pinned from the package
+before its telemetry index existed. The snapshot digests are of the v2
+snapshot: the v1 snapshot of the same run with `v` set to 2 and the three
+fields v2 dropped removed. A change that alters what a scenario does, or
+what it saves, moves a digest.
 """
 
 import hashlib
@@ -71,11 +73,11 @@ LONG_SCENARIO = {
 DIGESTS = {
     "autonomic_scenario": (
         "101400baec5e3d60dc36819277b005c6645e7904148e15f17036af1c053c0e9c",
-        "275f4f7bd90e717aaf29281c915caacc3058ab0b67a100407adacaa1e18cb71c",
+        "921dbf9e5cb63ad2006980ef98dbbbd333446a06eb11a3449da3f6d200f1049d",
     ),
     "long_scenario": (
         "16a5c51574c813064b5721ec61ca7d896322bd2c940a5fc08f44f7c6c55827fd",
-        "050ba1c77c558916e6f0c38f55a7b1c97eaa5f3f2f333c9a9f3606c0d175eb0c",
+        "7c6f758edde24459a338fd0562a445324911a7c2b20215b6f71b45531fec67a4",
     ),
 }
 

@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from minimano.errors import DependencyCycleError
-from minimano.hot import GetAttr, ResourceDef, TemplateDoc, parse_template
+from minimano.errors import DependencyCycleError, TemplateError
+from minimano.hot import (
+    GetAttr,
+    ResourceDef,
+    TemplateDoc,
+    parse_template,
+    serialize_template,
+    validate_template,
+)
 from minimano.plan import build_plan
 
 
@@ -138,3 +145,55 @@ def test_random_cycles_always_named():
         edge_set = set(edges)
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert (a, b) in edge_set
+
+
+DEPENDS_ON = """heat_template_version: 2013-05-23
+resources:
+  handle:
+    type: OS::Heat::WaitConditionHandle
+  gate:
+    type: OS::Heat::WaitCondition
+    properties:
+      handle: { get_resource: handle }
+      timeout: 5
+  after:
+    type: OS::Heat::RandomString
+    depends_on: gate
+"""
+
+
+def test_depends_on_orders_waves():
+    doc = parse_template(DEPENDS_ON)
+    assert doc.warnings == []
+    assert doc.resources["after"].depends_on == ("gate",)
+    plan = build_plan(doc)
+    assert plan.waves == [["handle"], ["gate"], ["after"]]
+    assert ("gate", "after") in plan.edges
+
+
+def test_depends_on_takes_a_list_and_round_trips():
+    doc = parse_template(DEPENDS_ON.replace("depends_on: gate", "depends_on: [gate, handle]"))
+    assert doc.resources["after"].depends_on == ("gate", "handle")
+    text = serialize_template(doc)
+    assert parse_template(text) == doc
+    # a resource without depends_on serialises without the key
+    assert text.count("depends_on") == 1
+
+
+def test_depends_on_itself_is_a_cycle():
+    doc = parse_template(DEPENDS_ON.replace("depends_on: gate", "depends_on: after"))
+    with pytest.raises(DependencyCycleError) as err:
+        build_plan(doc)
+    assert err.value.cycle == ["after"]
+
+
+def test_depends_on_an_unknown_resource_is_a_validation_error():
+    doc = parse_template(DEPENDS_ON.replace("depends_on: gate", "depends_on: [gate, ghost]"))
+    errors = validate_template(doc).errors
+    assert [(f.path, f.message) for f in errors] == [
+        ("resources.after.depends_on", "unknown resource 'ghost'")]
+
+
+def test_depends_on_must_name_resources():
+    with pytest.raises(TemplateError, match="depends_on: must be a resource name"):
+        parse_template(DEPENDS_ON.replace("depends_on: gate", "depends_on: {a: 1}"))

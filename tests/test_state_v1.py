@@ -1,21 +1,22 @@
 """The committed v1 state fixture: a snapshot that holds every kind of
 persisted row, written by the package before the snapshot codec existed.
 
-Loading it and dumping it again must give the file back byte for byte,
-and every registry value and nested row must load as its dataclass (a
-decoder that left rows as dicts would still round-trip the bytes).
-
-Regenerate (only on a deliberate format change) with
-``PYTHONPATH=src python tests/test_state_v1.py``.
+The fixture stays as v1 wrote it. Loading it and dumping it again must
+give its v2 form: the same bytes with `v` set to 2 and the three fields
+v2 dropped (`image_cache` in each host, `registered_at` in each catalog
+endpoint, which leaves the bare url, and the healer's `heal_window`)
+removed. Every registry value and nested row must load as its dataclass
+(a decoder that left rows as dicts would still round-trip the bytes).
 """
 
 import json
+import re
 from dataclasses import is_dataclass
 from pathlib import Path
 
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
 from minimano.hot import Literal, parse_template
-from minimano.identity import Endpoint, Tenant, Token, User
+from minimano.identity import Tenant, Token, User
 from minimano.nfvi import (
     FloatingIp,
     Flavor,
@@ -30,6 +31,7 @@ from minimano.nfvi import (
     Volume,
     VolumeSnapshot,
 )
+from minimano.statefile import load_world, save_world
 from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
 from minimano.world import World
 
@@ -83,7 +85,7 @@ def build_fixture_world() -> World:
     member = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
     telemetry.create_group("web", admin.id, member, 1, 3, 2)
     telemetry.create_alarm("web-high", "cpu_util", "avg", "gt", 0.7, 3, "web", "scale_out")
-    telemetry.healer = HealerConfig(enabled=True, detect_interval=2, heal_window=4)
+    telemetry.healer = HealerConfig(enabled=True, detect_interval=2)
     telemetry.add_generator(LoadGenerator("web", seed=5))
     telemetry.scheduled_metrics.append(
         {"tick": 50, "group": "web", "metric": "cpu_util", "value": 0.9})
@@ -95,13 +97,28 @@ def build_fixture_world() -> World:
     return world
 
 
-def test_fixture_roundtrips_byte_for_byte():
+def v2_text(v1_text) -> str:
+    """The fixture's text as v2 writes it, edited as text so that nothing
+    else in it can move."""
+    text, n = re.subn(r'^\{"v":1,', '{"v":2,', v1_text)
+    assert n == 1
+    for pattern, replacement, count in (
+        (r',"image_cache":\[[^\]]*\]', "", 1),  # the fixture has one host
+        (r'\{"url":("[^"]*"),"registered_at":\d+\}', r"\1", 9),  # 8 defaults and "dns"
+        (r',"heal_window":\d+', "", 1),
+    ):
+        text, n = re.subn(pattern, replacement, text)
+        assert n == count, pattern
+    return text
+
+
+def test_fixture_upgrades_to_v2_on_load():
     text = FIXTURE.read_text(encoding="utf-8")
-    assert dump(World.from_snapshot(json.loads(text))) == text
+    assert dump(World.from_snapshot(json.loads(text))) == v2_text(text)
 
 
 def test_fixture_is_what_the_builder_writes():
-    assert dump(build_fixture_world()) == FIXTURE.read_text(encoding="utf-8")
+    assert dump(build_fixture_world()) == v2_text(FIXTURE.read_text(encoding="utf-8"))
 
 
 def _assert_rows(registry, cls, key):
@@ -119,8 +136,8 @@ def test_fixture_rows_load_as_dataclasses():
     _assert_rows(ident.tenants, Tenant, "id")
     _assert_rows(ident.users, User, "id")
     _assert_rows(ident.tokens, Token, "id")
-    assert ident.catalog and all(type(e) is Endpoint for e in ident.catalog.values())
-    assert "dns" in ident.catalog
+    assert ident.catalog and all(type(url) is str for url in ident.catalog.values())
+    assert ident.catalog["dns"] == "local:///dns"
     assert len(ident.assignments) == 3
 
     p = world.provider
@@ -158,6 +175,8 @@ def test_fixture_rows_load_as_dataclasses():
     assert t.scheduled_metrics and t.scheduled_faults
 
 
-if __name__ == "__main__":
-    FIXTURE.write_text(dump(build_fixture_world()), encoding="utf-8")
-    print(f"wrote {FIXTURE}")
+def test_a_v1_state_file_is_saved_back_as_v2(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(FIXTURE.read_text(encoding="utf-8"), encoding="utf-8")
+    save_world(load_world(str(path)), str(path))
+    assert path.read_text(encoding="utf-8") == v2_text(FIXTURE.read_text(encoding="utf-8"))

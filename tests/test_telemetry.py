@@ -212,7 +212,7 @@ def test_fault_injection_state_rules():
 
 def test_healer_replaces_crashed_member_within_window():
     world, tenant = autoscale_world()
-    world.telemetry.healer = HealerConfig(enabled=True, detect_interval=5, heal_window=20)
+    world.telemetry.healer = HealerConfig(enabled=True, detect_interval=5)
     group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 2)
     world.advance_clock(12)
     victim = group.members[0]
@@ -247,7 +247,7 @@ def test_healing_converges_under_fuzzed_fault_schedules():
     rng = random.Random(99)
     for case in range(10):
         world, tenant = autoscale_world(seed=1000 + case)
-        world.telemetry.healer = HealerConfig(enabled=True, detect_interval=3, heal_window=12)
+        world.telemetry.healer = HealerConfig(enabled=True, detect_interval=3)
         group = world.telemetry.create_group("web", tenant, MEMBER, 1, 4, 3)
         for _ in range(rng.randrange(1, 6)):
             world.advance_clock(rng.randrange(1, 4))
@@ -287,7 +287,7 @@ def test_same_tick_order_deadlines_then_alarms_then_healer():
     env = make_env()
     world = env.world
     tenant = env.tenant_id
-    world.telemetry.healer = HealerConfig(enabled=True, detect_interval=10, heal_window=20)
+    world.telemetry.healer = HealerConfig(enabled=True, detect_interval=10)
     spec = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
     group = world.telemetry.create_group("web", tenant, spec, 1, 3, 2)
     world.telemetry.create_alarm("cpu-high", "cpu_util", "avg", "gt", 0.8, 1, "web", "notify")
@@ -318,7 +318,7 @@ def test_same_tick_order_deadlines_then_alarms_then_healer():
 def test_identical_inputs_produce_identical_event_logs():
     def run():
         world, tenant = autoscale_world(seed=7)
-        world.telemetry.healer = HealerConfig(enabled=True, detect_interval=5, heal_window=20)
+        world.telemetry.healer = HealerConfig(enabled=True, detect_interval=5)
         group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 1)
         world.telemetry.create_alarm("cpu-high", "cpu_util", "avg", "gt", 0.8, 3, "web", "scale_out")
         world.telemetry.scheduled_metrics = [

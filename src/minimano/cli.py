@@ -24,10 +24,14 @@ from .errors import (
     StateIOError,
     TemplateError,
 )
-from .hot import parse_template, validate_template
+from .lazy import LazyNames
 from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
 from .telemetry import healer_config
 from .world import World
+
+# `hot` is imported only by the verbs that parse a template
+_TEMPLATE = LazyNames(globals(), {".hot": ("parse_template", "validate_template")})
+__getattr__ = _TEMPLATE.attribute
 
 TOKEN_ENV = "MINIMANO_TOKEN"
 STATE_ENV = "MINIMANO_STATE"
@@ -362,6 +366,7 @@ def cmd_connectivity_check(world, args, out):
 
 def cmd_template_validate(world, args, out):
     source = _read_file(args.file, "template")
+    _TEMPLATE.bind()
     doc = parse_template(source)
     report = validate_template(doc)
     for finding in report.findings:
@@ -375,6 +380,7 @@ def cmd_template_validate(world, args, out):
 def cmd_stack_create(world, args, out):
     _require(world, args, "stacks:create")  # gate before touching the filesystem
     source = _read_file(args.file, "template")
+    _TEMPLATE.bind()
     doc = parse_template(source)
     provided = _parse_kv_parameters(args.parameters)
     stack = world.engine.create_stack(
@@ -544,191 +550,221 @@ def cmd_init(args, out):
 # argument parsing
 
 
-def _verb(sub, common, name, handler, mutates, configure, help_text):
-    parser = sub.add_parser(name, parents=[common], help=help_text)
-    configure(parser)
-    parser.set_defaults(_handler=handler, _mutates=mutates, _verb=name)
-
-
 def _noop(parser):
     pass
 
 
-def build_parser():
+def _init_args(p):
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--hosts", help="JSON host inventory file")
+    p.add_argument("--policy", help="JSON policy file (action -> role)")
+    p.add_argument("--admin-password", default="admin")
+    p.add_argument("--template-dir", default=None)
+    p.add_argument("--healer-enabled", action="store_true")
+    p.add_argument("--healer-interval", type=int, default=5)
+    p.add_argument("--force", action="store_true")
+
+
+# verb -> (handler, whether it saves the state, adds its arguments, help)
+VERBS = {
+    "init": (cmd_init, True, _init_args, "create a fresh state file"),
+
+    "tenant-create": (cmd_tenant_create, True,
+        lambda p: p.add_argument("name"), "create a tenant (admin)"),
+    "user-create": (cmd_user_create, True,
+        lambda p: (p.add_argument("name"), p.add_argument("--password", required=True)),
+        "create a user (admin)"),
+    "role-assign": (cmd_role_assign, True,
+        lambda p: (p.add_argument("user"), p.add_argument("tenant"), p.add_argument("role")),
+        "assign a role to a user in a tenant (admin)"),
+    "token-issue": (cmd_token_issue, True,
+        lambda p: (p.add_argument("--user", required=True),
+                   p.add_argument("--password", required=True),
+                   p.add_argument("--tenant", required=True)),
+        "authenticate and print a token"),
+    "service-register": (cmd_service_register, True,
+        lambda p: (p.add_argument("name"), p.add_argument("url")),
+        "register a service endpoint (admin)"),
+    "endpoint-lookup": (cmd_endpoint_lookup, False,
+        lambda p: p.add_argument("name"), "look up a service endpoint"),
+
+    "image-create": (cmd_image_create, True,
+        lambda p: (p.add_argument("name"),
+                   p.add_argument("--payload"),
+                   p.add_argument("--payload-file"),
+                   p.add_argument("--not-generic", action="store_true"),
+                   p.add_argument("--no-cloud-init", action="store_true")),
+        "register a disk image"),
+    "flavor-create": (cmd_flavor_create, True,
+        lambda p: (p.add_argument("name"),
+                   p.add_argument("--vcpus", type=int, required=True),
+                   p.add_argument("--ram", type=int, required=True),
+                   p.add_argument("--disk", type=int, required=True)),
+        "define a flavor"),
+    "keypair-create": (cmd_keypair_create, True,
+        lambda p: p.add_argument("name"), "generate a keypair; prints the private key once"),
+    "secgroup-create": (cmd_secgroup_create, True,
+        lambda p: p.add_argument("name"), "create a security group"),
+    "secgroup-rule-add": (cmd_secgroup_rule_add, True,
+        lambda p: (p.add_argument("group"),
+                   p.add_argument("--protocol", required=True, choices=["tcp", "udp", "icmp"]),
+                   p.add_argument("--port-min", type=int, default=0),
+                   p.add_argument("--port-max", type=int, default=65535),
+                   p.add_argument("--remote", default="0.0.0.0/0",
+                                  help="CIDR or security group name"),
+                   p.add_argument("--direction", default="ingress", choices=["ingress", "egress"])),
+        "add a security group rule"),
+    "net-create": (cmd_net_create, True,
+        lambda p: (p.add_argument("name"),
+                   p.add_argument("--cidr", required=True),
+                   p.add_argument("--gateway")),
+        "create a virtual network"),
+    "router-create": (cmd_router_create, True,
+        lambda p: (p.add_argument("name"), p.add_argument("--external", action="store_true")),
+        "create a virtual router"),
+    "router-attach": (cmd_router_attach, True,
+        lambda p: (p.add_argument("router"), p.add_argument("network")),
+        "attach a network's subnet to a router"),
+    "router-gateway-set": (cmd_router_gateway_set, True,
+        lambda p: p.add_argument("router"), "give a router an external gateway"),
+    "fip-allocate": (cmd_fip_allocate, True, _noop, "allocate a floating address"),
+    "fip-associate": (cmd_fip_associate, True,
+        lambda p: (p.add_argument("fip"), p.add_argument("instance")),
+        "associate a floating address with an instance"),
+    "fip-disassociate": (cmd_fip_disassociate, True,
+        lambda p: p.add_argument("fip"), "disassociate a floating address"),
+    "fip-release": (cmd_fip_release, True,
+        lambda p: p.add_argument("fip"), "release (deallocate) a floating address"),
+    "volume-create": (cmd_volume_create, True,
+        lambda p: p.add_argument("--size", type=int, required=True), "create a volume"),
+    "volume-attach": (cmd_volume_attach, True,
+        lambda p: (p.add_argument("volume"), p.add_argument("instance")), "attach a volume"),
+    "volume-detach": (cmd_volume_detach, True,
+        lambda p: p.add_argument("volume"), "detach a volume"),
+    "volume-snapshot": (cmd_volume_snapshot, True,
+        lambda p: p.add_argument("volume"), "snapshot a volume"),
+    "object-put": (cmd_object_put, True,
+        lambda p: (p.add_argument("container"), p.add_argument("name"),
+                   p.add_argument("--data"), p.add_argument("--file")),
+        "store an object"),
+    "object-get": (cmd_object_get, False,
+        lambda p: (p.add_argument("container"), p.add_argument("name"),
+                   p.add_argument("--output")),
+        "fetch an object"),
+    "connectivity-check": (cmd_connectivity_check, False,
+        lambda p: (p.add_argument("src"), p.add_argument("dst"),
+                   p.add_argument("--protocol", required=True, choices=["tcp", "udp", "icmp"]),
+                   p.add_argument("--port", type=int)),
+        "evaluate reachability between two endpoints"),
+
+    "template-validate": (cmd_template_validate, False,
+        lambda p: p.add_argument("-f", "--file", required=True),
+        "parse and validate a template without deploying"),
+    "stack-create": (cmd_stack_create, True,
+        lambda p: (p.add_argument("name"),
+                   p.add_argument("-f", "--file", required=True),
+                   p.add_argument("--parameters", action="append",
+                                  help="key=value[,key=value...]"),
+                   p.add_argument("--no-wait", action="store_true")),
+        "deploy a template as a stack"),
+    "stack-list": (cmd_stack_list, False, _noop, "list this tenant's stacks"),
+    "stack-show": (cmd_stack_show, False,
+        lambda p: p.add_argument("uuid"), "show one stack in detail"),
+    "stack-delete": (cmd_stack_delete, True,
+        lambda p: (p.add_argument("uuid"), p.add_argument("--no-wait", action="store_true")),
+        "delete a stack and its resources"),
+    "signal": (cmd_signal, True,
+        lambda p: (p.add_argument("url"), p.add_argument("payload")),
+        "deliver a wait-condition signal payload"),
+
+    "alarm-create": (cmd_alarm_create, True,
+        lambda p: (p.add_argument("name"),
+                   p.add_argument("--metric", required=True),
+                   p.add_argument("--aggregate", required=True, choices=["avg", "max", "min"]),
+                   p.add_argument("--comparison", required=True, choices=["gt", "lt", "ge", "le"]),
+                   p.add_argument("--threshold", type=float, required=True),
+                   p.add_argument("--window", type=int, required=True),
+                   p.add_argument("--target", required=True),
+                   p.add_argument("--action", required=True,
+                                  choices=["scale_out", "scale_in", "notify"])),
+        "define a telemetry alarm"),
+    "group-create": (cmd_group_create, True,
+        lambda p: (p.add_argument("name"),
+                   p.add_argument("--min", type=int, required=True),
+                   p.add_argument("--max", type=int, required=True),
+                   p.add_argument("--desired", type=int, required=True),
+                   p.add_argument("--member", required=True,
+                                  help="instance spec as JSON")),
+        "create a scaling group"),
+    "metric-push": (cmd_metric_push, True,
+        lambda p: (p.add_argument("resource"), p.add_argument("metric"),
+                   p.add_argument("value", type=float)),
+        "record one metric sample at the current tick"),
+    "fault-inject": (cmd_fault_inject, True,
+        lambda p: (p.add_argument("target"),
+                   p.add_argument("--kind", default="instance_crash",
+                                  choices=["instance_crash"])),
+        "crash an instance"),
+    "clock-advance": (cmd_clock_advance, True,
+        lambda p: p.add_argument("ticks", type=int),
+        "advance the logical clock"),
+    "events-tail": (cmd_events_tail, False,
+        lambda p: p.add_argument("-n", "--count", type=int, default=20),
+        "print the tail of the event log"),
+    "scenario-run": (cmd_scenario_run, False,
+        lambda p: (p.add_argument("file"),
+                   p.add_argument("--seed", type=int, default=None),
+                   p.add_argument("--events-out"),
+                   p.add_argument("--snapshot-out")),
+        "replay a scenario file in a fresh world"),
+}
+
+
+def _common_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", default=None, help="state file path (or MINIMANO_STATE)")
     common.add_argument("--token", default=None, help="auth token (or MINIMANO_TOKEN)")
     common.add_argument("--format", choices=["table", "machine"], default="table")
     common.add_argument("--tick-ms", type=int, default=100,
                         help="wall milliseconds per tick while blocking")
+    return common
 
-    parser = argparse.ArgumentParser(prog="minimano", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="verb", required=True)
 
-    def v(name, handler, mutates, configure=_noop, help_text=""):
-        _verb(sub, common, name, handler, mutates, configure, help_text)
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser. It adds verb subparsers only when it parses:
+    the verb that argv names first, or every verb when argv asks for help,
+    names no verb or names an unknown one. A call builds one subparser,
+    not 39."""
 
-    def init_args(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--hosts", help="JSON host inventory file")
-        p.add_argument("--policy", help="JSON policy file (action -> role)")
-        p.add_argument("--admin-password", default="admin")
-        p.add_argument("--template-dir", default=None)
-        p.add_argument("--healer-enabled", action="store_true")
-        p.add_argument("--healer-interval", type=int, default=5)
-        p.add_argument("--force", action="store_true")
+    def __init__(self):
+        super().__init__(prog="minimano", description=__doc__.splitlines()[0])
+        self._verbs = self.add_subparsers(dest="verb", required=True,
+                                          parser_class=argparse.ArgumentParser)
 
-    v("init", cmd_init, True, init_args, "create a fresh state file")
+    def add_verbs(self, names):
+        common = _common_parser()
+        for name in names:
+            if name not in self._verbs.choices:
+                handler, mutates, configure, help_text = VERBS[name]
+                parser = self._verbs.add_parser(name, parents=[common], help=help_text)
+                configure(parser)
+                parser.set_defaults(_handler=handler, _mutates=mutates, _verb=name)
 
-    v("tenant-create", cmd_tenant_create, True,
-      lambda p: p.add_argument("name"), "create a tenant (admin)")
-    v("user-create", cmd_user_create, True,
-      lambda p: (p.add_argument("name"), p.add_argument("--password", required=True)),
-      "create a user (admin)")
-    v("role-assign", cmd_role_assign, True,
-      lambda p: (p.add_argument("user"), p.add_argument("tenant"), p.add_argument("role")),
-      "assign a role to a user in a tenant (admin)")
-    v("token-issue", cmd_token_issue, True,
-      lambda p: (p.add_argument("--user", required=True),
-                 p.add_argument("--password", required=True),
-                 p.add_argument("--tenant", required=True)),
-      "authenticate and print a token")
-    v("service-register", cmd_service_register, True,
-      lambda p: (p.add_argument("name"), p.add_argument("url")),
-      "register a service endpoint (admin)")
-    v("endpoint-lookup", cmd_endpoint_lookup, False,
-      lambda p: p.add_argument("name"), "look up a service endpoint")
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        self.add_verbs(args[:1] if args and args[0] in VERBS else VERBS)
+        return super().parse_known_args(args, namespace)
 
-    v("image-create", cmd_image_create, True,
-      lambda p: (p.add_argument("name"),
-                 p.add_argument("--payload"),
-                 p.add_argument("--payload-file"),
-                 p.add_argument("--not-generic", action="store_true"),
-                 p.add_argument("--no-cloud-init", action="store_true")),
-      "register a disk image")
-    v("flavor-create", cmd_flavor_create, True,
-      lambda p: (p.add_argument("name"),
-                 p.add_argument("--vcpus", type=int, required=True),
-                 p.add_argument("--ram", type=int, required=True),
-                 p.add_argument("--disk", type=int, required=True)),
-      "define a flavor")
-    v("keypair-create", cmd_keypair_create, True,
-      lambda p: p.add_argument("name"), "generate a keypair; prints the private key once")
-    v("secgroup-create", cmd_secgroup_create, True,
-      lambda p: p.add_argument("name"), "create a security group")
-    v("secgroup-rule-add", cmd_secgroup_rule_add, True,
-      lambda p: (p.add_argument("group"),
-                 p.add_argument("--protocol", required=True, choices=["tcp", "udp", "icmp"]),
-                 p.add_argument("--port-min", type=int, default=0),
-                 p.add_argument("--port-max", type=int, default=65535),
-                 p.add_argument("--remote", default="0.0.0.0/0",
-                                help="CIDR or security group name"),
-                 p.add_argument("--direction", default="ingress", choices=["ingress", "egress"])),
-      "add a security group rule")
-    v("net-create", cmd_net_create, True,
-      lambda p: (p.add_argument("name"),
-                 p.add_argument("--cidr", required=True),
-                 p.add_argument("--gateway")),
-      "create a virtual network")
-    v("router-create", cmd_router_create, True,
-      lambda p: (p.add_argument("name"), p.add_argument("--external", action="store_true")),
-      "create a virtual router")
-    v("router-attach", cmd_router_attach, True,
-      lambda p: (p.add_argument("router"), p.add_argument("network")),
-      "attach a network's subnet to a router")
-    v("router-gateway-set", cmd_router_gateway_set, True,
-      lambda p: p.add_argument("router"), "give a router an external gateway")
-    v("fip-allocate", cmd_fip_allocate, True, _noop, "allocate a floating address")
-    v("fip-associate", cmd_fip_associate, True,
-      lambda p: (p.add_argument("fip"), p.add_argument("instance")),
-      "associate a floating address with an instance")
-    v("fip-disassociate", cmd_fip_disassociate, True,
-      lambda p: p.add_argument("fip"), "disassociate a floating address")
-    v("fip-release", cmd_fip_release, True,
-      lambda p: p.add_argument("fip"), "release (deallocate) a floating address")
-    v("volume-create", cmd_volume_create, True,
-      lambda p: p.add_argument("--size", type=int, required=True), "create a volume")
-    v("volume-attach", cmd_volume_attach, True,
-      lambda p: (p.add_argument("volume"), p.add_argument("instance")), "attach a volume")
-    v("volume-detach", cmd_volume_detach, True,
-      lambda p: p.add_argument("volume"), "detach a volume")
-    v("volume-snapshot", cmd_volume_snapshot, True,
-      lambda p: p.add_argument("volume"), "snapshot a volume")
-    v("object-put", cmd_object_put, True,
-      lambda p: (p.add_argument("container"), p.add_argument("name"),
-                 p.add_argument("--data"), p.add_argument("--file")),
-      "store an object")
-    v("object-get", cmd_object_get, False,
-      lambda p: (p.add_argument("container"), p.add_argument("name"),
-                 p.add_argument("--output")),
-      "fetch an object")
-    v("connectivity-check", cmd_connectivity_check, False,
-      lambda p: (p.add_argument("src"), p.add_argument("dst"),
-                 p.add_argument("--protocol", required=True, choices=["tcp", "udp", "icmp"]),
-                 p.add_argument("--port", type=int)),
-      "evaluate reachability between two endpoints")
+    def error(self, message):
+        # the usage line lists every verb in table order, however many this
+        # parser has built
+        full = _Parser()
+        full.add_verbs(VERBS)
+        argparse.ArgumentParser.error(full, message)
 
-    v("template-validate", cmd_template_validate, False,
-      lambda p: p.add_argument("-f", "--file", required=True),
-      "parse and validate a template without deploying")
-    v("stack-create", cmd_stack_create, True,
-      lambda p: (p.add_argument("name"),
-                 p.add_argument("-f", "--file", required=True),
-                 p.add_argument("--parameters", action="append",
-                                help="key=value[,key=value...]"),
-                 p.add_argument("--no-wait", action="store_true")),
-      "deploy a template as a stack")
-    v("stack-list", cmd_stack_list, False, _noop, "list this tenant's stacks")
-    v("stack-show", cmd_stack_show, False,
-      lambda p: p.add_argument("uuid"), "show one stack in detail")
-    v("stack-delete", cmd_stack_delete, True,
-      lambda p: (p.add_argument("uuid"), p.add_argument("--no-wait", action="store_true")),
-      "delete a stack and its resources")
-    v("signal", cmd_signal, True,
-      lambda p: (p.add_argument("url"), p.add_argument("payload")),
-      "deliver a wait-condition signal payload")
 
-    v("alarm-create", cmd_alarm_create, True,
-      lambda p: (p.add_argument("name"),
-                 p.add_argument("--metric", required=True),
-                 p.add_argument("--aggregate", required=True, choices=["avg", "max", "min"]),
-                 p.add_argument("--comparison", required=True, choices=["gt", "lt", "ge", "le"]),
-                 p.add_argument("--threshold", type=float, required=True),
-                 p.add_argument("--window", type=int, required=True),
-                 p.add_argument("--target", required=True),
-                 p.add_argument("--action", required=True,
-                                choices=["scale_out", "scale_in", "notify"])),
-      "define a telemetry alarm")
-    v("group-create", cmd_group_create, True,
-      lambda p: (p.add_argument("name"),
-                 p.add_argument("--min", type=int, required=True),
-                 p.add_argument("--max", type=int, required=True),
-                 p.add_argument("--desired", type=int, required=True),
-                 p.add_argument("--member", required=True,
-                                help="instance spec as JSON")),
-      "create a scaling group")
-    v("metric-push", cmd_metric_push, True,
-      lambda p: (p.add_argument("resource"), p.add_argument("metric"),
-                 p.add_argument("value", type=float)),
-      "record one metric sample at the current tick")
-    v("fault-inject", cmd_fault_inject, True,
-      lambda p: (p.add_argument("target"),
-                 p.add_argument("--kind", default="instance_crash",
-                                choices=["instance_crash"])),
-      "crash an instance")
-    v("clock-advance", cmd_clock_advance, True,
-      lambda p: p.add_argument("ticks", type=int),
-      "advance the logical clock")
-    v("events-tail", cmd_events_tail, False,
-      lambda p: p.add_argument("-n", "--count", type=int, default=20),
-      "print the tail of the event log")
-    v("scenario-run", cmd_scenario_run, False,
-      lambda p: (p.add_argument("file"),
-                 p.add_argument("--seed", type=int, default=None),
-                 p.add_argument("--events-out"),
-                 p.add_argument("--snapshot-out")),
-      "replay a scenario file in a fresh world")
-    return parser
+def build_parser():
+    return _Parser()
 
 
 # ---------------------------------------------------------------------------

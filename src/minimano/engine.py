@@ -12,6 +12,8 @@ single-line JSON payload ``{"status": "SUCCESS"|"FAILURE", "id": ...,
 "data": ...}`` where id and data are optional.
 """
 
+from __future__ import annotations
+
 import json
 import os
 import random
@@ -26,22 +28,17 @@ from .errors import (
     NotFoundError,
     TemplateError,
 )
-from .hot import (
-    RANDOM_STRING_TYPE,
-    SEQUENCES,
-    SERVER_TYPE,
-    WAIT_CONDITION_TYPE,
-    WAIT_HANDLE_TYPE,
-    EvalContext,
-    TemplateDoc,
-    bind_parameters,
-    evaluate_expr,
-    is_nested_type,
-    parse_template,
-    serialize_template,
-    validate_template,
-)
-from .plan import build_plan
+from .lazy import LazyNames
+
+# the template layer, imported when a stack is first created, resumed or
+# deleted: a verb that only reads stacks never loads it
+_TEMPLATE = LazyNames(globals(), {
+    ".hot": ("RANDOM_STRING_TYPE", "SEQUENCES", "SERVER_TYPE", "WAIT_CONDITION_TYPE",
+             "WAIT_HANDLE_TYPE", "EvalContext", "bind_parameters", "evaluate_expr",
+             "is_nested_type", "parse_template", "serialize_template", "validate_template"),
+    ".plan": ("build_plan",),
+})
+__getattr__ = _TEMPLATE.attribute
 
 SIGNAL_URL_PREFIX = "mm://wait/"
 NESTING_LIMIT = 8
@@ -56,7 +53,7 @@ DELETE_FAILED = "DELETE_FAILED"
 _BLOCKED = object()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ResourceRecord:
     name: str
     uuid: str
@@ -67,7 +64,7 @@ class ResourceRecord:
     failure: str | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Stack:
     id: str
     name: str
@@ -87,10 +84,11 @@ class Stack:
     def doc(self) -> TemplateDoc:
         """The parsed template, parsed from `source` when first read; only
         a deployment in progress reads it."""
+        _TEMPLATE.bind()
         return parse_template(self.source)  # looked up at call time, so wrappers see it
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StackRun:
     stack_id: str
     token_id: str
@@ -100,7 +98,7 @@ class StackRun:
     template_dir: str | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class WaitHandle:
     id: str
     stack_id: str
@@ -108,7 +106,7 @@ class WaitHandle:
     signals: dict = field(default_factory=dict)  # signal id -> payload
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class WaitCondition:
     handle_id: str
     stack_id: str
@@ -153,6 +151,7 @@ class StackEngine:
     def create_stack(self, name, doc: TemplateDoc, provided=None, token=None,
                      template_dir=None, parent=None, depth=0) -> Stack:
         claims = self.identity.require(token, "stacks:create")
+        _TEMPLATE.bind()
         report = validate_template(doc)
         if not report.ok:
             raise TemplateError(
@@ -557,6 +556,7 @@ class StackEngine:
         return self._delete(stack, token)
 
     def _delete(self, stack: Stack, token) -> str:
+        _TEMPLATE.bind()
         stack.status = DELETE_IN_PROGRESS
         self.core.emit("stack.delete.start", stack.id, stack=stack.id, name=stack.name)
         problems = []

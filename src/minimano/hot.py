@@ -29,28 +29,28 @@ class Expr:
     """Base class for property/output expressions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Literal(Expr):
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GetParam(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GetAttr(Expr):
     resource: str
     attribute: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GetResource(Expr):
     resource: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class StrReplace(Expr):
     template: str
     params: tuple  # of (marker, Expr) pairs, declaration order
@@ -60,12 +60,12 @@ class StrReplace(Expr):
         return dict(self.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ListOf(Expr):
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MapOf(Expr):
     entries: tuple  # of (key, Expr) pairs, declaration order
 
@@ -78,7 +78,7 @@ class MapOf(Expr):
 # document model
 
 
-@dataclass
+@dataclass(repr=False)
 class ParameterDef:
     name: str
     type: str
@@ -91,7 +91,7 @@ class ParameterDef:
         return self.default is not _UNSET
 
 
-@dataclass
+@dataclass(repr=False)
 class ResourceDef:
     name: str
     resource_type: str
@@ -99,14 +99,14 @@ class ResourceDef:
     depends_on: tuple = ()  # resource names deployed before this one
 
 
-@dataclass
+@dataclass(repr=False)
 class OutputDef:
     name: str
     description: str | None
     value: Expr
 
 
-@dataclass
+@dataclass(repr=False)
 class TemplateDoc:
     version: str
     description: str | None
@@ -116,7 +116,7 @@ class TemplateDoc:
     warnings: list = field(default_factory=list, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class Finding:
     severity: str  # "error" | "warning"
     path: str
@@ -126,7 +126,7 @@ class Finding:
         return f"{self.severity}: {self.path}: {self.message}"
 
 
-@dataclass
+@dataclass(repr=False)
 class ValidationReport:
     findings: list
 
@@ -159,7 +159,7 @@ WAIT_CONDITION_TYPE = "OS::Heat::WaitCondition"
 WAIT_HANDLE_TYPE = "OS::Heat::WaitConditionHandle"
 
 
-@dataclass
+@dataclass(repr=False)
 class TypeSpec:
     name: str
     mandatory: dict  # property -> expected kind
@@ -666,7 +666,7 @@ def bind_parameters(doc: TemplateDoc, provided: dict) -> dict:
 # evaluation
 
 
-@dataclass
+@dataclass(repr=False)
 class EvalContext:
     """What expressions may see: bound parameters plus deployed resources."""
 

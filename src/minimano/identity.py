@@ -64,13 +64,13 @@ def default_policy() -> dict:
     return policy
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Tenant:
     id: str
     name: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class User:
     id: str
     name: str
@@ -78,7 +78,7 @@ class User:
     digest: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Token:
     id: str
     user_id: str
@@ -87,7 +87,7 @@ class Token:
     expires_at: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IdentityState:
     tenants: dict = field(default_factory=dict, metadata={"codec": keyed(Tenant, "id")})
     users: dict = field(default_factory=dict, metadata={"codec": keyed(User, "id")})

@@ -40,7 +40,7 @@ _ECHO_RE = re.compile(r'^echo "([^"]*)" >> (\S+)$')
 _SIGNAL_RE = re.compile(r"^signal (\S+) (.+)$")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Host:
     id: str
     vcpus: int
@@ -48,7 +48,7 @@ class Host:
     disk_gib: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Image:
     id: str
     tenant_id: str
@@ -58,7 +58,7 @@ class Image:
     cloud_init: bool = True
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Flavor:
     id: str
     tenant_id: str
@@ -68,7 +68,7 @@ class Flavor:
     disk_gib: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class KeyPair:
     id: str
     tenant_id: str
@@ -77,7 +77,7 @@ class KeyPair:
     # the private half is returned once at creation and never stored
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SecurityGroupRule:
     direction: str  # ingress | egress
     protocol: str
@@ -87,7 +87,7 @@ class SecurityGroupRule:
     remote_group: str | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SecurityGroup:
     id: str
     tenant_id: str
@@ -95,7 +95,7 @@ class SecurityGroup:
     rules: list = field(default_factory=list, metadata={"codec": listed(SecurityGroupRule)})
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Instance:
     id: str
     tenant_id: str
@@ -116,7 +116,7 @@ class Instance:
     attached_volumes: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Network:
     id: str
     tenant_id: str
@@ -127,7 +127,7 @@ class Network:
     router_id: str | None = None  # a subnet attaches to at most one router
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Router:
     id: str
     tenant_id: str
@@ -136,7 +136,7 @@ class Router:
     external_gateway: bool = False
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FloatingIp:
     id: str
     tenant_id: str
@@ -144,14 +144,14 @@ class FloatingIp:
     associated_instance: str | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VolumeSnapshot:
     id: str
     taken_at: int
     payload_b64: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Volume:
     id: str
     tenant_id: str
@@ -161,7 +161,7 @@ class Volume:
     snapshots: list = field(default_factory=list, metadata={"codec": listed(VolumeSnapshot)})
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ConnectivityResult:
     allowed: bool
     reason: str | None = None  # no-route | no-nat | sg-blocked
@@ -178,9 +178,9 @@ def _host(spec) -> Host:
     except TypeError:  # not an object, or a missing or unknown key
         host = None
     if host is None or type(host.id) is not str or not all(
-            type(size) is int for size in (host.vcpus, host.ram_mib, host.disk_gib)):
+            type(size) is int and size > 0 for size in (host.vcpus, host.ram_mib, host.disk_gib)):
         raise TemplateError(f"host inventory entry {spec!r} needs a string 'id' and "
-                            "integer 'vcpus', 'ram_mib' and 'disk_gib'")
+                            "positive integer 'vcpus', 'ram_mib' and 'disk_gib'")
     return host
 
 

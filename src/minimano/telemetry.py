@@ -25,7 +25,7 @@ COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
 ACTIONS = ("scale_out", "scale_in", "notify")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MetricSample:
     """One recorded value. Never mutated once recorded: snapshots share
     its `__dict__` instead of copying it."""
@@ -36,7 +36,7 @@ class MetricSample:
     tick: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AlarmDef:
     id: str
     name: str
@@ -51,7 +51,7 @@ class AlarmDef:
     last_fire_tick: int | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScalingGroup:
     id: str
     name: str
@@ -65,21 +65,22 @@ class ScalingGroup:
     stack_id: str | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HealerConfig:
     enabled: bool = False
     detect_interval: int = 5
 
 
-def healer_config(enabled, detect_interval, source) -> HealerConfig:
-    """A healer setting from user input, where `source` names the
-    interval's origin; the interval divides the tick."""
+def healer_config(enabled, detect_interval, source, error=TemplateError) -> HealerConfig:
+    """A healer setting from user input or a state file, where `source`
+    names the interval's origin and `error` is raised for a bad one; the
+    interval divides the tick."""
     if type(detect_interval) is not int or detect_interval < 1:
-        raise TemplateError(f"{source} must be a positive integer, got {detect_interval!r}")
+        raise error(f"{source} must be a positive integer, got {detect_interval!r}")
     return HealerConfig(enabled, detect_interval)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LoadGenerator:
     """Synthetic per-member metric stream: sinusoid plus seeded noise."""
 
@@ -379,6 +380,8 @@ class TelemetryService:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        self.healer = healer_config(self.healer.enabled, self.healer.detect_interval,
+                                    "telemetry healer detect_interval", ValueError)
         self._series = {}
         for position, sample in enumerate(self.samples):
             self._index(sample, position)

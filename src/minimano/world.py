@@ -13,7 +13,6 @@ reference frees it at once, without waiting for the cycle collector.
 """
 
 import random
-import uuid as uuidlib
 import weakref
 
 from .engine import StackEngine
@@ -23,6 +22,15 @@ from .nfvi import CloudProvider
 from .telemetry import TelemetryService
 
 SNAPSHOT_VERSION = 2
+
+
+def format_uuid4(n: int) -> str:
+    """`str(uuid.UUID(int=n, version=4))` for a 128-bit `n`, without
+    importing `uuid` (which costs a CLI call several ms of start-up)."""
+    n = n & ~(0xC000 << 48) | 0x8000 << 48  # the RFC 4122 variant
+    n = n & ~(0xF000 << 64) | 4 << 76  # version 4
+    h = f"{n:032x}"
+    return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
 
 
 def _upgrade_v1(data: dict) -> dict:
@@ -58,7 +66,7 @@ class World:
     # -- randomness ---------------------------------------------------------
 
     def new_uuid(self) -> str:
-        return str(uuidlib.UUID(int=self.rng.getrandbits(128), version=4))
+        return format_uuid4(self.rng.getrandbits(128))
 
     def new_hex(self, length: int) -> str:
         return "".join(self.rng.choice("0123456789abcdef") for _ in range(length))

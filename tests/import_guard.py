@@ -1,0 +1,113 @@
+"""Import guard: verbs that read no template leave the template layer unloaded.
+
+    PYTHONPATH=src python tests/import_guard.py
+
+Builds a state file in a temporary directory (a deployed server stack and
+a stack blocked on a wait condition), then runs, in one fresh process,
+six verbs that read no template and after them three that do. After each
+verb it notes the exit code and which of `minimano.hot`,
+`minimano.yamlite`, `minimano.plan` and `uuid` are loaded. Every verb
+must exit 0, and the first six must load none of them. Prints the report
+and exits 1 otherwise. Needs only the standard library; the tier-1
+suite runs the same check.
+"""
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import minimano
+from minimano.hot import parse_template
+from minimano.statefile import save_world
+from minimano.world import World
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(minimano.__file__).resolve().parent.parent)
+TEMPLATE_LAYER = ("minimano.hot", "minimano.yamlite", "minimano.plan", "uuid")
+
+GATED = (
+    "heat_template_version: 2013-05-23\n"
+    "resources:\n"
+    "  handle:\n"
+    "    type: OS::Heat::WaitConditionHandle\n"
+    "  gate:\n"
+    "    type: OS::Heat::WaitCondition\n"
+    "    properties:\n"
+    "      handle: { get_resource: handle }\n"
+    "      timeout: 50\n"
+)
+
+CHILD = """
+import json, sys
+from minimano import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append([argv[0], code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]])
+with open(sys.argv[3], "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def run(workdir) -> tuple:
+    """(report, expected report, the child's stderr) for a run in `workdir`;
+    a report row is [verb, exit code, modules loaded]."""
+    workdir = Path(workdir)
+    template = ROOT / "templates" / "example2.yaml"
+    world = World(seed=3)
+    tenant = world.identity.tenant_by_name("admin").id
+    token = world.identity.authenticate("admin", "admin", "admin").id
+    world.provider.register_image(tenant, "ubuntu_cloud14", b"ubuntu cloud image")
+    world.provider.create_flavor(tenant, "m1.small", 1, 2048, 20)
+    world.provider.create_keypair(tenant, "my_key1")
+    world.provider.create_network(tenant, "my_net1", "10.0.0.0/24")
+    stack = world.engine.create_stack("web", parse_template(template.read_text()), token=token)
+    gated = world.engine.create_stack("gated", parse_template(GATED), token=token)
+    state = workdir / "state.json"
+    save_world(world, str(state))
+
+    plain = [
+        ["stack-list"],
+        ["stack-show", stack.id],
+        ["events-tail", "-n", "5"],
+        ["metric-push", stack.records["my_instance"].physical_id, "cpu_util", "0.5"],
+        ["clock-advance", "1"],
+        ["fip-allocate"],
+    ]
+    templated = [
+        ["template-validate", "-f", str(template)],
+        ["stack-create", "web2", "-f", str(template), "--tick-ms", "0"],
+        ["signal", gated.records["handle"].attributes["curl_cli"], '{"status": "SUCCESS"}'],
+    ]
+    argvs = plain + templated
+    report_path = workdir / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(argvs), json.dumps(TEMPLATE_LAYER),
+         str(report_path)],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "MINIMANO_STATE": str(state),
+             "MINIMANO_TOKEN": token},
+        capture_output=True, text=True,
+    )
+    report = json.loads(report_path.read_text()) if report_path.exists() else []
+    # what a template verb loads is not checked
+    seen = [[verb, code, loaded if i < len(plain) else None]
+            for i, (verb, code, loaded) in enumerate(report)]
+    expected = [[argv[0], 0, [] if i < len(plain) else None] for i, argv in enumerate(argvs)]
+    return seen, expected, proc.stderr
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        report, expected, stderr = run(workdir)
+    for row in report:
+        print(*row)
+    if report != expected:
+        print(f"import guard failed; expected {expected}\n{stderr}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -263,10 +263,11 @@ def _without(section, key):
     {"ticks": 1, "hosts": [{"id": "host-1", "ram_mib": 16384, "disk_gib": 160}]},
     {"ticks": 1, "healer": {"enabled": True, "detect_interval": 0}},
     {"ticks": 1, "healer": {"enabled": True, "detect_interval": "x"}},
+    {"ticks": 1, "hosts": [{"id": "host-1", "vcpus": -4, "ram_mib": 16384, "disk_gib": 160}]},
 ], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer",
         "setup-not-an-object", "images-not-a-list", "healer-not-an-object",
         "hosts-not-a-list", "host-without-vcpus", "healer-interval-zero",
-        "healer-interval-not-an-integer"])
+        "healer-interval-not-an-integer", "host-with-negative-vcpus"])
 def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -279,7 +280,8 @@ def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
 @pytest.mark.parametrize("argv, hosts", [
     (["--healer-enabled", "--healer-interval", "0"], None),
     ([], [{"id": "host-1", "ram_mib": 16384, "disk_gib": 160}]),
-], ids=["healer-interval-zero", "host-without-vcpus"])
+    ([], [{"id": "host-1", "vcpus": 8, "ram_mib": 0, "disk_gib": 160}]),
+], ids=["healer-interval-zero", "host-without-vcpus", "host-with-zero-ram"])
 def test_init_rejects_bad_settings(tmp_path, capsys, argv, hosts):
     path = tmp_path / "state.json"
     if hosts is not None:
@@ -310,9 +312,11 @@ def _state_v1(edit):
     _state_v1(lambda s: s["identity"].pop("catalog")),
     _state_v1(lambda s: s.update(seed=None)),
     _state_v1(lambda s: s.update(tick="x")),
+    _state_v1(lambda s: s["telemetry"]["healer"].update(detect_interval=0)),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
-        "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer"])
+        "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
+        "healer-interval-zero"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -322,6 +326,25 @@ def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     err = capsys.readouterr().err
     assert code == 5
     assert err.startswith(f"error: state file {str(path)!r} is malformed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("interval", [0, "x", None])
+def test_bad_healer_interval_in_state_stops_clock_advance(tmp_path, capsys, interval):
+    path = str(tmp_path / "state.json")
+    assert cli.main(["init", "--state", path, "--healer-enabled"]) == 0
+    assert cli.main(["token-issue", "--state", path, "--user", "admin", "--password", "admin",
+                     "--tenant", "admin", "--format", "machine"]) == 0
+    token = json.loads(capsys.readouterr().out.splitlines()[-1])["token"]
+    state = json.loads(open(path).read())
+    state["telemetry"]["healer"]["detect_interval"] = interval
+    with open(path, "w") as fh:
+        json.dump(state, fh)
+    code = cli.main(["clock-advance", "1", "--state", path, "--token", token])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: state file {path!r} is malformed: "
+                          "telemetry healer detect_interval must be a positive integer")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

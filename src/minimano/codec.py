@@ -4,52 +4,137 @@ A subsystem declares its persisted layout once, as a schema table that
 maps each attribute to a `Codec`; a dataclass declares its nested rows
 once, in field metadata (``field(metadata={"codec": ...})``). The kinds:
 
-- `one(cls)`: a single row;
-- `keyed(cls, key)`: a registry dict, stored as the list of its rows in
+- `one(cls)`: a single row, stored as an object of its fields;
+- `keyed(cls, key)`: a registry dict, stored as a table of its rows in
   insertion order and rebuilt keyed by the row field `key`;
-- `listed(cls)`: a list of rows;
+- `listed(cls)`: a list of rows, stored as a table;
 - `PLAIN`: JSON data, stored as it is.
 
-A row with no nested field is flat: it dumps as ``vars(obj)``
-itself and loads as ``cls(**row)``. Dumps therefore share the objects'
-dicts and the lists inside them: serialise a dump at once, before the
-world changes again.
+A table (snapshot v3) is ``{"fields": [...], "rows": [[...], ...]}``.
+`fields` names the dataclass fields in declaration order, taken from
+`dataclasses.fields` (so a cached property in an object's ``__dict__``
+is never stored), and each row lists one object's values in that order.
+A nested table, the value of a field with a `keyed` or `listed` codec,
+sits in its row's column. Loading checks that `fields` is exactly the
+declared list and that every row is a list of that many values: a dict
+or a string row of the right length would otherwise load.
+
+A flat row (no nested field) dumps as a tuple from one C-level
+`operator.attrgetter` and loads as ``cls(*row)``. A dump is for
+`json.dumps` only: its rows are tuples, which a load refuses, and it
+shares the lists and dicts inside the objects, so serialise it at once,
+before the world changes again.
+
+Each codec also carries `upgrade`, which turns its snapshot v2 form, one
+object per row, into its v3 form; `upgrade_attrs` applies it to a schema
+table. A v2 row whose keys are not exactly the declared fields is an
+error, never dropped or filled. Older snapshots upgrade on load through
+a chain, v1 to v2 to v3 (`world._upgrade_v1`, `world._upgrade_v2`).
 """
 
 from dataclasses import fields
+from itertools import starmap
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 
 class Codec(NamedTuple):
     dump: Callable
     load: Callable
+    upgrade: Callable  # the v2 form to the v3 form
 
 
-PLAIN = Codec(lambda value: value, lambda data: data)
+def _same(value):
+    return value
+
+
+PLAIN = Codec(_same, _same, _same)
+
+def _specs(cls) -> list:
+    return [(f.name, f.metadata.get("codec", PLAIN)) for f in fields(cls)]
 
 
 def one(cls) -> Codec:
     """A single `cls` row; a flat one costs no work per field."""
-    specs = [(f.name, f.metadata.get("codec", PLAIN)) for f in fields(cls)]
-    if all(codec is PLAIN for _, codec in specs):
-        return Codec(vars, lambda row: cls(**row))
+    specs = _specs(cls)
     nested = [(name, codec) for name, codec in specs if codec is not PLAIN]
+    if not nested:
+        return Codec(vars, lambda row: cls(**row), _same)
     return Codec(
         lambda obj: {name: codec.dump(getattr(obj, name)) for name, codec in specs},
         lambda row: cls(**{**row, **{name: codec.load(row[name]) for name, codec in nested}}),
+        lambda row: {**row, **{name: codec.upgrade(row[name]) for name, codec in nested}},
     )
 
 
+class _Table:
+    """The rows of `cls` as one table: `dump` takes the objects, `rows`
+    checks a table's rows for `load_row`, and `upgrade` takes the v2 row
+    objects."""
+
+    def __init__(self, cls):
+        specs = _specs(cls)
+        self.cls = cls
+        self.specs = specs
+        self.names = [name for name, _ in specs]
+        self.nested = [(i, name, codec) for i, (name, codec) in enumerate(specs)
+                       if codec is not PLAIN]
+        if self.nested:
+            self.dump_row = lambda obj: [codec.dump(getattr(obj, name)) for name, codec in specs]
+            self.load_row = self._load_nested
+        else:
+            # attrgetter of one name gives the bare value, not a 1-tuple
+            getter = attrgetter(*self.names)
+            self.dump_row = getter if len(specs) > 1 else lambda obj: (getter(obj),)
+            self.load_row = cls
+
+    def _load_nested(self, *row):
+        obj = self.cls(*row)
+        for i, name, codec in self.nested:
+            setattr(obj, name, codec.load(row[i]))
+        return obj
+
+    def dump(self, objs) -> dict:
+        return {"fields": list(self.names), "rows": list(map(self.dump_row, objs))}
+
+    def rows(self, data) -> list:
+        """The checked rows of a v3 table."""
+        name, width, rows = self.cls.__name__, len(self.names), data["rows"]
+        if data["fields"] != self.names:
+            raise ValueError(f"{name} table fields {data['fields']!r} are not {self.names!r}")
+        if type(rows) is not list or not set(map(type, rows)) <= {list}:
+            raise ValueError(f"{name} table rows must be a list of lists")
+        if not set(map(len, rows)) <= {width}:
+            raise ValueError(f"{name} table rows must each hold {width} values")
+        return rows
+
+    def upgrade(self, rows) -> dict:
+        declared = set(self.names)
+        table = []
+        for row in rows:
+            if type(row) is not dict or row.keys() != declared:
+                got = sorted(row) if type(row) is dict else type(row).__name__
+                raise ValueError(f"a v2 {self.cls.__name__} row must be an object "
+                                 f"with exactly the fields {self.names}, got {got}")
+            table.append([codec.upgrade(row[name]) for name, codec in self.specs])
+        return {"fields": list(self.names), "rows": table}
+
+
 def keyed(cls, key) -> Codec:
-    row = one(cls)
-    return Codec(lambda rows: list(map(row.dump, rows.values())),
-                 lambda data: {getattr(obj, key): obj for obj in map(row.load, data)})
+    table = _Table(cls)
+    key_of = itemgetter(table.names.index(key))
+
+    def load(data):
+        rows = table.rows(data)
+        return dict(zip(map(key_of, rows), starmap(table.load_row, rows)))
+
+    return Codec(lambda rows: table.dump(rows.values()), load, table.upgrade)
 
 
 def listed(cls) -> Codec:
-    row = one(cls)
-    return Codec(lambda rows: list(map(row.dump, rows)),
-                 lambda data: list(map(row.load, data)))
+    table = _Table(cls)
+    return Codec(table.dump, lambda data: list(starmap(table.load_row, table.rows(data))),
+                 table.upgrade)
 
 
 def dump_attrs(owner, schema) -> dict:
@@ -59,3 +144,7 @@ def dump_attrs(owner, schema) -> dict:
 def load_attrs(owner, schema, data):
     for name, codec in schema.items():
         setattr(owner, name, codec.load(data[name]))
+
+
+def upgrade_attrs(schema, data) -> dict:
+    return {**data, **{name: codec.upgrade(data[name]) for name, codec in schema.items()}}

@@ -29,13 +29,19 @@ from .errors import (
     TemplateError,
 )
 from .lazy import LazyNames
+from .resource_types import (
+    RANDOM_STRING_TYPE,
+    SERVER_TYPE,
+    WAIT_CONDITION_TYPE,
+    WAIT_HANDLE_TYPE,
+    is_nested_type,
+)
 
-# the template layer, imported when a stack is first created, resumed or
-# deleted: a verb that only reads stacks never loads it
+# the template layer, imported when a stack is first created or resumed: a
+# verb that only reads or deletes stacks never loads it
 _TEMPLATE = LazyNames(globals(), {
-    ".hot": ("RANDOM_STRING_TYPE", "SEQUENCES", "SERVER_TYPE", "WAIT_CONDITION_TYPE",
-             "WAIT_HANDLE_TYPE", "EvalContext", "bind_parameters", "evaluate_expr",
-             "is_nested_type", "parse_template", "serialize_template", "validate_template"),
+    ".hot": ("SEQUENCES", "EvalContext", "bind_parameters", "evaluate_expr",
+             "parse_template", "serialize_template", "validate_template"),
     ".plan": ("build_plan",),
 })
 __getattr__ = _TEMPLATE.attribute
@@ -556,7 +562,6 @@ class StackEngine:
         return self._delete(stack, token)
 
     def _delete(self, stack: Stack, token) -> str:
-        _TEMPLATE.bind()
         stack.status = DELETE_IN_PROGRESS
         self.core.emit("stack.delete.start", stack.id, stack=stack.id, name=stack.name)
         problems = []

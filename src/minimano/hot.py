@@ -14,6 +14,13 @@ from dataclasses import dataclass, field
 
 from . import yamlite
 from .errors import DeployError, TemplateError
+from .resource_types import (
+    RANDOM_STRING_TYPE,
+    SERVER_TYPE,
+    WAIT_CONDITION_TYPE,
+    WAIT_HANDLE_TYPE,
+    is_nested_type,
+)
 
 VERSION_KEY = "heat_template_version"
 PARAM_TYPES = ("string", "number", "boolean", "list", "map")
@@ -153,12 +160,6 @@ SEQUENCES = {
     "alphanumeric": "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
 }
 
-SERVER_TYPE = "OS::Nova::Server"
-RANDOM_STRING_TYPE = "OS::Heat::RandomString"
-WAIT_CONDITION_TYPE = "OS::Heat::WaitCondition"
-WAIT_HANDLE_TYPE = "OS::Heat::WaitConditionHandle"
-
-
 @dataclass(repr=False)
 class TypeSpec:
     name: str
@@ -203,11 +204,6 @@ DEFAULT_REGISTRY = {
         attributes={"curl_cli", "handle_id"},
     ),
 }
-
-
-def is_nested_type(resource_type: str) -> bool:
-    """Nested stacks are declared by using a template file path as the type."""
-    return resource_type.endswith(".yaml") or resource_type.endswith(".yml")
 
 
 # ---------------------------------------------------------------------------

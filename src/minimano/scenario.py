@@ -55,36 +55,51 @@ def load_scenario(path: str) -> dict:
     return scenario
 
 
-def _section(parent, key, kind):
-    """`parent[key]`, or an empty `kind` when absent or null; any other type is an error."""
+# a scenario value's kind and how an error names it; `float` is any number
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a number"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value is of `kind`; a bool is never a number here."""
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _section(parent, key, kind, default=None):
+    """`parent[key]`, or `default` (an empty `kind` if none is given) when
+    absent or null; a value of any other kind is an error."""
     value = parent.get(key)
     if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "a list"
-        raise TemplateError(f"scenario {key!r} must be {shape}, got {value!r}")
+        return kind() if default is None else default
+    if not _is(value, kind):
+        raise TemplateError(f"scenario {key!r} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
-def _fields(entry, section, *keys):
-    """The values of `keys` in one entry of `section`, in order."""
+def _fields(entry, section, **kinds):
+    """The values of the keys of `kinds` in one entry of `section`, in
+    order, each of the kind `kinds` gives it."""
     if not isinstance(entry, dict):
         raise TemplateError(f"scenario {section!r} entries must be objects")
-    try:
-        return [entry[key] for key in keys]
-    except KeyError as exc:
-        raise TemplateError(f"scenario {section!r} entry {entry.get('name', entry)!r} "
-                            f"lacks {exc}") from None
+    values = []
+    for key, kind in kinds.items():
+        if key not in entry:
+            raise TemplateError(f"scenario {section!r} entry {entry.get('name', entry)!r} "
+                                f"lacks {key!r}")
+        if not _is(entry[key], kind):
+            raise TemplateError(f"scenario {section!r} entry {entry.get('name', entry)!r}: "
+                                f"{key!r} must be {_KINDS[kind]}, got {entry[key]!r}")
+        values.append(entry[key])
+    return values
 
 
 def build_world(scenario: dict, seed=None) -> World:
     """World with the scenario's inventory, groups, alarms, and schedules
     loaded but the clock not yet advanced."""
+    if seed is None:
+        seed = _section(scenario, "seed", int, 42)
     try:
-        world = World(
-            seed=scenario.get("seed", 42) if seed is None else seed,
-            hosts=scenario.get("hosts"),
-        )
+        world = World(seed=seed, hosts=scenario.get("hosts"))
     except TemplateError as exc:
         raise TemplateError(f"scenario 'hosts': {exc.message}") from None
     admin = world.identity.tenant_by_name("admin")
@@ -92,20 +107,20 @@ def build_world(scenario: dict, seed=None) -> World:
 
     setup = _section(scenario, "setup", dict)
     for image in _section(setup, "images", list):
-        name, = _fields(image, "images", "name")
+        name, = _fields(image, "images", name=str)
         world.provider.register_image(
             tenant_id, name, image.get("payload", name).encode(),
             generic=image.get("generic", True), cloud_init=image.get("cloud_init", True),
         )
     for flavor in _section(setup, "flavors", list):
         world.provider.create_flavor(
-            tenant_id, *_fields(flavor, "flavors", "name", "vcpus", "ram_mib", "disk_gib")
+            tenant_id, *_fields(flavor, "flavors", name=str, vcpus=int, ram_mib=int, disk_gib=int)
         )
     for keypair in _section(setup, "keypairs", list):
-        world.provider.create_keypair(tenant_id, *_fields(keypair, "keypairs", "name"))
+        world.provider.create_keypair(tenant_id, *_fields(keypair, "keypairs", name=str))
     for network in _section(setup, "networks", list):
         world.provider.create_network(
-            tenant_id, *_fields(network, "networks", "name", "cidr"), network.get("gateway")
+            tenant_id, *_fields(network, "networks", name=str, cidr=str), network.get("gateway")
         )
 
     healer = _section(scenario, "healer", dict)
@@ -116,16 +131,16 @@ def build_world(scenario: dict, seed=None) -> World:
 
     for group in _section(scenario, "groups", list):
         name, member, low, high, desired = _fields(
-            group, "groups", "name", "member", "min", "max", "desired")
+            group, "groups", name=str, member=dict, min=int, max=int, desired=int)
         world.telemetry.create_group(name, tenant_id, member, low, high, desired)
     for alarm in _section(scenario, "alarms", list):
         world.telemetry.create_alarm(*_fields(
-            alarm, "alarms", "name", "metric", "aggregate", "comparison",
-            "threshold", "window", "target", "action",
+            alarm, "alarms", name=str, metric=str, aggregate=str, comparison=str,
+            threshold=float, window=int, target=str, action=str,
         ))
     for gen in _section(scenario, "generators", list):
         world.telemetry.add_generator(LoadGenerator(
-            group_name=_fields(gen, "generators", "group")[0],
+            group_name=_fields(gen, "generators", group=str)[0],
             metric=gen.get("metric", "cpu_util"),
             base=gen.get("base", 0.5), amplitude=gen.get("amplitude", 0.3),
             period=gen.get("period", 20), noise=gen.get("noise", 0.05),
@@ -133,9 +148,10 @@ def build_world(scenario: dict, seed=None) -> World:
         ))
     world.telemetry.scheduled_metrics = list(_section(scenario, "metrics", list))
     world.telemetry.scheduled_faults = list(_section(scenario, "faults", list))
-    for section, keys in (("metrics", ("tick", "metric", "value")), ("faults", ("tick",))):
+    for section, kinds in (("metrics", {"tick": int, "metric": str, "value": float}),
+                           ("faults", {"tick": int})):
         for entry in _section(scenario, section, list):
-            _fields(entry, section, *keys)
+            _fields(entry, section, **kinds)
             if "group" not in entry and "resource" not in entry:
                 raise TemplateError(f"scenario {section!r} entry {entry!r} "
                                     "names neither a 'group' nor a 'resource'")

@@ -27,8 +27,7 @@ ACTIONS = ("scale_out", "scale_in", "notify")
 
 @dataclass(eq=False, repr=False)
 class MetricSample:
-    """One recorded value. Never mutated once recorded: snapshots share
-    its `__dict__` instead of copying it."""
+    """One recorded value, never mutated once recorded."""
 
     resource_id: str
     metric: str

@@ -15,13 +15,18 @@ reference frees it at once, without waiting for the cycle collector.
 import random
 import weakref
 
+from .codec import upgrade_attrs
+from .engine import _SCHEMA as _ENGINE_SCHEMA
 from .engine import StackEngine
 from .errors import ConflictError
+from .identity import _STATE as _IDENTITY_STATE
 from .identity import IdentityService
+from .nfvi import _SCHEMA as _PROVIDER_SCHEMA
 from .nfvi import CloudProvider
+from .telemetry import _SCHEMA as _TELEMETRY_SCHEMA
 from .telemetry import TelemetryService
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 def format_uuid4(n: int) -> str:
@@ -45,6 +50,18 @@ def _upgrade_v1(data: dict) -> dict:
             for host in provider["hosts"]]},
         "telemetry": {**telemetry, "healer": {
             key: value for key, value in telemetry["healer"].items() if key != "heal_window"}},
+    }
+
+
+def _upgrade_v2(data: dict) -> dict:
+    """A v2 snapshot in v3 form: v3 stores each registry as one table of
+    rows under a `fields` header, by the same layouts that load it."""
+    return {
+        **data, "v": 3,
+        "identity": _IDENTITY_STATE.upgrade(data["identity"]),
+        "provider": upgrade_attrs(_PROVIDER_SCHEMA, data["provider"]),
+        "engine": upgrade_attrs(_ENGINE_SCHEMA, data["engine"]),
+        "telemetry": upgrade_attrs(_TELEMETRY_SCHEMA, data["telemetry"]),
     }
 
 
@@ -114,6 +131,8 @@ class World:
     def from_snapshot(cls, data: dict) -> "World":
         if data.get("v") == 1:
             data = _upgrade_v1(data)
+        if data.get("v") == 2:
+            data = _upgrade_v2(data)
         if data.get("v") != SNAPSHOT_VERSION:
             raise ConflictError(f"unsupported state snapshot version {data.get('v')!r}")
         for key in ("seed", "tick"):

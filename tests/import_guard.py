@@ -4,10 +4,11 @@
 
 Builds a state file in a temporary directory (a deployed server stack and
 a stack blocked on a wait condition), then runs, in one fresh process,
-six verbs that read no template and after them three that do. After each
-verb it notes the exit code and which of `minimano.hot`,
-`minimano.yamlite`, `minimano.plan` and `uuid` are loaded. Every verb
-must exit 0, and the first six must load none of them. Prints the report
+seven verbs that read no template (the last deletes the server stack)
+and after them three that do. After each verb it notes the exit code and
+which of `minimano.hot`, `minimano.yamlite`, `minimano.plan` and `uuid`
+are loaded. Every verb must exit 0, and the first seven must load none of
+them. Prints the report
 and exits 1 otherwise. Needs only the standard library; the tier-1
 suite runs the same check.
 """
@@ -75,6 +76,7 @@ def run(workdir) -> tuple:
         ["metric-push", stack.records["my_instance"].physical_id, "cpu_util", "0.5"],
         ["clock-advance", "1"],
         ["fip-allocate"],
+        ["stack-delete", stack.id],
     ]
     templated = [
         ["template-validate", "-f", str(template)],

@@ -252,6 +252,12 @@ def _without(section, key):
     return scenario
 
 
+def _with(section, key, value):
+    scenario = _without(section, key)
+    scenario[section][0][key] = value
+    return scenario
+
+
 @pytest.mark.parametrize("scenario", [
     _without("groups", "member"),
     _without("alarms", "metric"),
@@ -264,10 +270,14 @@ def _without(section, key):
     {"ticks": 1, "healer": {"enabled": True, "detect_interval": 0}},
     {"ticks": 1, "healer": {"enabled": True, "detect_interval": "x"}},
     {"ticks": 1, "hosts": [{"id": "host-1", "vcpus": -4, "ram_mib": 16384, "disk_gib": 160}]},
+    {"ticks": 1, "seed": "x"},
+    _with("groups", "member", 5),
+    _with("alarms", "threshold", "x"),
 ], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer",
         "setup-not-an-object", "images-not-a-list", "healer-not-an-object",
         "hosts-not-a-list", "host-without-vcpus", "healer-interval-zero",
-        "healer-interval-not-an-integer", "host-with-negative-vcpus"])
+        "healer-interval-not-an-integer", "host-with-negative-vcpus",
+        "seed-not-an-integer", "group-member-not-an-object", "alarm-threshold-not-a-number"])
 def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -300,6 +310,24 @@ def _state_v1(edit):
     return state
 
 
+def _state_v3(edit):
+    """The v1 fixture as v3 saves it, then edited."""
+    world = load_world(str(TEMPLATES.parent / "tests" / "data" / "state_v1.json"))
+    state = json.loads(json.dumps(world.to_snapshot()))
+    edit(state)
+    return state
+
+
+def _instances(state):
+    return state["provider"]["instances"]
+
+
+def _as_dict(table):
+    """The table's first row as an object of as many keys: `cls(*row)`
+    would take its keys as the values."""
+    table["rows"][0] = dict(zip(table["fields"], table["rows"][0]))
+
+
 @pytest.mark.parametrize("state", [
     {"v": 1, "seed": 1},
     [1, 2],
@@ -313,10 +341,22 @@ def _state_v1(edit):
     _state_v1(lambda s: s.update(seed=None)),
     _state_v1(lambda s: s.update(tick="x")),
     _state_v1(lambda s: s["telemetry"]["healer"].update(detect_interval=0)),
+    _state_v3(lambda s: _instances(s)["fields"].reverse()),
+    _state_v3(lambda s: _instances(s)["fields"].__setitem__(-1, "unknown")),
+    _state_v3(lambda s: _instances(s)["fields"].pop()),
+    _state_v3(lambda s: _instances(s)["rows"][0].pop()),
+    _state_v3(lambda s: _instances(s)["rows"][0].append(0)),
+    _state_v3(lambda s: s["provider"]["secgroups"]["rows"][0][3]["rows"][0].pop()),
+    _state_v3(lambda s: _instances(s).update(rows={})),
+    _state_v3(lambda s: _as_dict(s["telemetry"]["generators"])),
+    _state_v3(lambda s: s["provider"]["secgroups"]["rows"][0][3]["rows"].__setitem__(0, "ingres")),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
         "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
-        "healer-interval-zero"])
+        "healer-interval-zero", "v3-fields-reordered", "v3-fields-unknown",
+        "v3-fields-missing", "v3-row-too-short", "v3-row-too-long",
+        "v3-nested-row-too-short", "v3-rows-not-a-list", "v3-row-a-dict",
+        "v3-row-a-string"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -472,8 +512,10 @@ def test_resumed_stack_parses_its_source_once(runner, tmp_path, parses):
 def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, template):
     stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
     state = json.loads(runner._state.read_text())
-    (stored,) = [s for s in state["engine"]["stacks"] if s["id"] == stack_id]
-    stored["source"] = "resources: ["
+    stacks = state["engine"]["stacks"]
+    id_col, source_col = stacks["fields"].index("id"), stacks["fields"].index("source")
+    (stored,) = [row for row in stacks["rows"] if row[id_col] == stack_id]
+    stored[source_col] = "resources: ["
     runner._state.write_text(json.dumps(state, separators=(",", ":")))
     before = runner._state.read_bytes()
 

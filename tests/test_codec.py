@@ -1,0 +1,206 @@
+"""The snapshot codec's tables round-trip exactly.
+
+For worlds with empty registries, nested tables inside tables, fields
+left at and moved off their defaults, stacks whose parsed template is
+cached, and seeded random operation walks: loading a world's JSON
+snapshot and dumping it again gives the same text, and every table's
+`fields` header is its dataclass's field names in order.
+"""
+
+import json
+import random
+from dataclasses import dataclass, field, fields
+
+import pytest
+
+from conftest import TEMPLATES
+from minimano.codec import keyed, listed
+from minimano.errors import MiniManoError
+from minimano.hot import parse_template
+from minimano.world import World
+from test_state_v1 import REGISTRIES, build_fixture_world
+
+
+def names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
+def round_trip(world) -> dict:
+    """The world's snapshot, after checking that it loads and dumps again
+    as the same text."""
+    text = json.dumps(world.to_snapshot(), separators=(",", ":"))
+    again = json.dumps(World.from_snapshot(json.loads(text)).to_snapshot(), separators=(",", ":"))
+    assert again == text
+    return json.loads(text)
+
+
+def assert_headers(snapshot):
+    for section, registries in REGISTRIES.items():
+        for name, (cls, nested) in registries.items():
+            table = snapshot[section][name]
+            assert table["fields"] == names(cls), (section, name)
+            for column, row_cls in nested.items():
+                i = names(cls).index(column)
+                for row in table["rows"]:
+                    assert row[i]["fields"] == names(row_cls), (section, name, column)
+                    assert all(len(inner) == len(names(row_cls)) for inner in row[i]["rows"])
+            assert all(len(row) == len(names(cls)) for row in table["rows"])
+
+
+def empty_world():
+    return World(seed=1, _bootstrap=False)
+
+
+def fixture_world():
+    return build_fixture_world()
+
+
+def cached_doc_world():
+    world = build_fixture_world()
+    for stack in world.engine.stacks.values():
+        assert stack.doc is not None
+        assert "doc" in vars(stack)  # the cached property sits beside the fields
+    return world
+
+
+def random_world(seed, steps=60):
+    """A world after a seeded walk of operations; an operation that the
+    world refuses is skipped."""
+    rng = random.Random(seed)
+    world = World(seed=seed, template_dir=str(TEMPLATES))
+    identity, provider, telemetry, engine = (
+        world.identity, world.provider, world.telemetry, world.engine)
+    admin = identity.tenant_by_name("admin").id
+    token = identity.authenticate("admin", "admin", "admin").id
+    provider.register_image(admin, "ubuntu_cloud14", b"img", generic=rng.random() < 0.5)
+    provider.create_flavor(admin, "m1.small", 1, 512, 1)
+    provider.create_network(admin, "my_net1", "10.0.0.0/24")
+    provider.create_keypair(admin, "my_key1")
+    spec = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
+    template = (TEMPLATES / "example2.yaml").read_text()
+
+    def instance():
+        return rng.choice(list(provider.instances))
+
+    def volume():
+        return rng.choice(list(provider.volumes))
+
+    ops = [
+        lambda: provider.launch_instance(admin, spec),
+        lambda: provider.terminate_instance(instance()),
+        lambda: provider.crash_instance(instance()),
+        lambda: provider.create_volume(admin, rng.randint(1, 3)),
+        lambda: provider.snapshot_volume(volume()),
+        lambda: provider.attach_volume(volume(), instance()),
+        lambda: provider.associate_floating_ip(provider.allocate_floating_ip(admin).id,
+                                               instance()),
+        lambda: provider.add_security_group_rule(admin, "default", "tcp", 22,
+                                                 22 + rng.randint(0, 9)),
+        lambda: provider.put_object(admin, "c", f"o{rng.randint(0, 3)}", b"x"),
+        lambda: telemetry.record_metric(instance(), "cpu_util", rng.random()),
+        lambda: telemetry.create_group(f"g{rng.randint(0, 2)}", admin, spec, 0, 2, 1),
+        lambda: telemetry.create_alarm(f"a{rng.randint(0, 2)}", "cpu_util", "avg", "gt",
+                                       rng.random(), 2, rng.choice(list(telemetry.groups)),
+                                       "scale_out"),
+        lambda: world.advance_clock(rng.randint(1, 3)),
+        lambda: engine.create_stack(f"s{rng.randint(0, 99)}", parse_template(template), {},
+                                    token=token),
+        lambda: engine.delete_stack(rng.choice(list(engine.stacks)), token),
+        lambda: identity.create_tenant(f"t{rng.randint(0, 99)}", token),
+    ]
+    for _ in range(steps):
+        try:
+            rng.choice(ops)()
+        except (MiniManoError, IndexError):  # refused, or nothing to pick from
+            pass
+    return world
+
+
+WORLDS = {"empty": empty_world, "fixture": fixture_world, "cached-doc": cached_doc_world,
+            **{f"random-{seed}": lambda seed=seed: random_world(seed) for seed in range(8)}}
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_world_snapshot_round_trips_with_declared_headers(name):
+    snapshot = round_trip(WORLDS[name]())
+    assert snapshot["v"] == 3
+    assert_headers(snapshot)
+
+
+def test_empty_world_has_empty_tables():
+    snapshot = round_trip(empty_world())
+    assert snapshot["engine"]["stacks"] == {"fields": names(REGISTRIES["engine"]["stacks"][0]),
+                                            "rows": []}
+    assert snapshot["telemetry"]["samples"]["rows"] == []
+
+
+def test_random_walks_reach_every_kind_of_row():
+    """The walks are only worth running if they reach the nested tables."""
+    worlds = [random_world(seed) for seed in range(8)]
+    assert any(stack.records for w in worlds for stack in w.engine.stacks.values())
+    assert any(v.snapshots for w in worlds for v in w.provider.volumes.values())
+    assert any(len(g.rules) > 2 for w in worlds for g in w.provider.secgroups.values())
+    assert any(w.telemetry.alarms for w in worlds)
+    assert any(v.attached_to is not None for w in worlds for v in w.provider.volumes.values())
+
+
+@dataclass
+class Leaf:
+    name: str
+    size: int = 0
+
+
+@dataclass
+class Tag:
+    label: str
+
+
+@dataclass
+class Node:
+    id: str
+    leaves: dict = field(default_factory=dict, metadata={"codec": keyed(Leaf, "name")})
+    tags: list = field(default_factory=list, metadata={"codec": listed(Tag)})
+    note: str = "-"
+
+
+NODES = keyed(Node, "id")
+
+
+def test_codec_nests_tables_and_keeps_one_field_rows():
+    nodes = {
+        "a": Node("a", {"x": Leaf("x", 3), "y": Leaf("y")}, [Tag("t1"), Tag("t2")], "note"),
+        "b": Node("b"),
+    }
+    text = json.dumps(NODES.dump(nodes))
+    assert json.loads(text) == {"fields": ["id", "leaves", "tags", "note"], "rows": [
+        ["a", {"fields": ["name", "size"], "rows": [["x", 3], ["y", 0]]},
+         {"fields": ["label"], "rows": [["t1"], ["t2"]]}, "note"],
+        ["b", {"fields": ["name", "size"], "rows": []}, {"fields": ["label"], "rows": []}, "-"],
+    ]}
+    loaded = NODES.load(json.loads(text))
+    assert list(loaded) == ["a", "b"]
+    assert type(loaded["a"].leaves["x"]) is Leaf and loaded["a"].tags[1] == Tag("t2")
+    assert json.dumps(NODES.dump(loaded)) == text
+
+
+@pytest.mark.parametrize("table", [
+    {"fields": ["name"], "rows": [["x", 3]]},
+    {"fields": ["name", "size"], "rows": [["x"]]},
+    {"fields": ["size", "name"], "rows": [[3, "x"]]},
+    {"fields": ["name", "size"], "rows": [{"name": "x", "size": 3}]},
+    {"fields": ["name", "size"], "rows": ["xy"]},
+    {"fields": ["name", "size"], "rows": {"x": 3}},
+], ids=["fields-missing", "row-too-short", "fields-reordered", "row-an-object",
+        "row-a-string", "rows-not-a-list"])
+def test_a_table_that_is_not_the_declared_one_is_refused(table):
+    with pytest.raises(ValueError):
+        listed(Leaf).load(table)
+
+
+def test_v2_rows_upgrade_only_with_exactly_the_declared_fields():
+    codec = listed(Leaf)
+    assert codec.upgrade([{"size": 3, "name": "x"}]) == {"fields": ["name", "size"],
+                                                          "rows": [["x", 3]]}
+    for row in ({"name": "x"}, {"name": "x", "size": 3, "colour": "red"}, ["x", 3]):
+        with pytest.raises(ValueError):
+            codec.upgrade([row])

@@ -1,17 +1,25 @@
-"""The committed v1 state fixture: a snapshot that holds every kind of
-persisted row, written by the package before the snapshot codec existed.
+"""The committed state fixtures: snapshots that hold every kind of
+persisted row. `state_v1.json` was written by the package before the
+snapshot codec existed; `state_v2.json` was written by the package at
+snapshot v2, the last version with one object per row, from
+`build_fixture_world`.
 
-The fixture stays as v1 wrote it. Loading it and dumping it again must
-give its v2 form: the same bytes with `v` set to 2 and the three fields
-v2 dropped (`image_cache` in each host, `registered_at` in each catalog
-endpoint, which leaves the bare url, and the healer's `heal_window`)
-removed. Every registry value and nested row must load as its dataclass
-(a decoder that left rows as dicts would still round-trip the bytes).
+The fixtures stay as they were written. Loading the v1 fixture and
+dumping it again goes through both upgrade steps. Its v2 form is the same
+bytes with `v` set to 2 and the three fields v2 dropped (`image_cache` in
+each host, `registered_at` in each catalog endpoint, which leaves the
+bare url, and the healer's `heal_window`) removed, which is the v2
+fixture. Its v3 form stores each registry as a table: `fields` lists the
+dataclass fields in order and each row the values in that order, nested
+tables included. Every registry value and nested row must load as its
+dataclass (a decoder that left rows as dicts would still round-trip the
+bytes).
 """
 
+import copy
 import json
 import re
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
@@ -33,10 +41,27 @@ from minimano.nfvi import (
 )
 from minimano.statefile import load_world, save_world
 from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
-from minimano.world import World
+from minimano.world import World, _upgrade_v1, _upgrade_v2
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 FIXTURE = Path(__file__).resolve().parent / "data" / "state_v1.json"
+FIXTURE_V2 = Path(__file__).resolve().parent / "data" / "state_v2.json"
+
+# every registry of a snapshot, listed here apart from the package's own
+# layouts: section -> name -> (row class, {nested field: its row class})
+REGISTRIES = {
+    "identity": {"tenants": (Tenant, {}), "users": (User, {}), "tokens": (Token, {})},
+    "provider": {"hosts": (Host, {}), "images": (Image, {}), "flavors": (Flavor, {}),
+                 "keypairs": (KeyPair, {}),
+                 "secgroups": (SecurityGroup, {"rules": SecurityGroupRule}),
+                 "instances": (Instance, {}), "networks": (Network, {}),
+                 "routers": (Router, {}), "fips": (FloatingIp, {}),
+                 "volumes": (Volume, {"snapshots": VolumeSnapshot})},
+    "engine": {"stacks": (Stack, {"records": ResourceRecord}), "runs": (StackRun, {}),
+               "handles": (WaitHandle, {}), "conditions": (WaitCondition, {})},
+    "telemetry": {"samples": (MetricSample, {}), "alarms": (AlarmDef, {}),
+                  "groups": (ScalingGroup, {}), "generators": (LoadGenerator, {})},
+}
 
 
 def dump(world) -> str:
@@ -112,13 +137,47 @@ def v2_text(v1_text) -> str:
     return text
 
 
-def test_fixture_upgrades_to_v2_on_load():
-    text = FIXTURE.read_text(encoding="utf-8")
-    assert dump(World.from_snapshot(json.loads(text))) == v2_text(text)
+def _table(rows, cls, nested):
+    names = [f.name for f in fields(cls)]
+    return {"fields": names, "rows": [
+        [_table(row[name], nested[name], {}) if name in nested else row[name] for name in names]
+        for row in rows]}
+
+
+def v3_text(v2) -> str:
+    """A v2 snapshot's text as v3 writes it: each registry in `REGISTRIES`
+    becomes a table, and nothing else moves."""
+    data = json.loads(v2)
+    data["v"] = 3
+    for section, registries in REGISTRIES.items():
+        for name, (cls, nested) in registries.items():
+            data[section][name] = _table(data[section][name], cls, nested)
+    return json.dumps(data, separators=(",", ":"))
+
+
+def fixture_texts() -> tuple:
+    """The v1 fixture, the v2 fixture, and the v3 form of both."""
+    v1, v2 = FIXTURE.read_text(encoding="utf-8"), FIXTURE_V2.read_text(encoding="utf-8")
+    return v1, v2, v3_text(v2)
+
+
+def test_fixture_upgrades_to_v3_on_load():
+    v1, v2, v3 = fixture_texts()
+    assert v2_text(v1) == v2  # the v2 fixture is what the v1 fixture means
+    assert json.dumps(_upgrade_v1(json.loads(v1)), separators=(",", ":")) == v2
+    assert json.dumps(_upgrade_v2(json.loads(v2)), separators=(",", ":")) == v3
+    assert dump(World.from_snapshot(json.loads(v1))) == v3
+
+
+def test_upgrade_v2_leaves_its_input_as_it_was():
+    data = json.loads(FIXTURE_V2.read_text(encoding="utf-8"))
+    before = copy.deepcopy(data)
+    _upgrade_v2(data)
+    assert data == before
 
 
 def test_fixture_is_what_the_builder_writes():
-    assert dump(build_fixture_world()) == v2_text(FIXTURE.read_text(encoding="utf-8"))
+    assert dump(build_fixture_world()) == fixture_texts()[2]
 
 
 def _assert_rows(registry, cls, key):
@@ -175,8 +234,16 @@ def test_fixture_rows_load_as_dataclasses():
     assert t.scheduled_metrics and t.scheduled_faults
 
 
-def test_a_v1_state_file_is_saved_back_as_v2(tmp_path):
+def saved_back(fixture, tmp_path) -> str:
     path = tmp_path / "state.json"
-    path.write_text(FIXTURE.read_text(encoding="utf-8"), encoding="utf-8")
+    path.write_text(fixture.read_text(encoding="utf-8"), encoding="utf-8")
     save_world(load_world(str(path)), str(path))
-    assert path.read_text(encoding="utf-8") == v2_text(FIXTURE.read_text(encoding="utf-8"))
+    return path.read_text(encoding="utf-8")
+
+
+def test_a_v1_state_file_is_saved_back_as_v3(tmp_path):
+    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[2]
+
+
+def test_a_v2_state_file_is_saved_back_as_v3(tmp_path):
+    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[2]

@@ -4,7 +4,7 @@ A subsystem declares its persisted layout once, as a schema table that
 maps each attribute to a `Codec`; a dataclass declares its nested rows
 once, in field metadata (``field(metadata={"codec": ...})``). The kinds:
 
-- `one(cls)`: a single row, stored as an object of its fields;
+- `one(cls)`: a single row, stored as an object of exactly its fields;
 - `keyed(cls, key)`: a registry dict, stored as a table of its rows in
   insertion order and rebuilt keyed by the row field `key`;
 - `listed(cls)`: a list of rows, stored as a table;
@@ -55,14 +55,26 @@ def _specs(cls) -> list:
 
 
 def one(cls) -> Codec:
-    """A single `cls` row; a flat one costs no work per field."""
+    """A single `cls` row, an object of exactly its fields (a missing one
+    is an error, never a default); a flat one costs no work per field."""
     specs = _specs(cls)
+    names = [name for name, _ in specs]
+    declared = set(names)
     nested = [(name, codec) for name, codec in specs if codec is not PLAIN]
+
+    def checked(row) -> dict:
+        if type(row) is not dict or row.keys() != declared:
+            got = sorted(row) if type(row) is dict else type(row).__name__
+            raise ValueError(f"a {cls.__name__} object must have exactly the fields {names}, "
+                             f"got {got}")
+        return row
+
     if not nested:
-        return Codec(vars, lambda row: cls(**row), _same)
+        return Codec(vars, lambda row: cls(**checked(row)), _same)
     return Codec(
         lambda obj: {name: codec.dump(getattr(obj, name)) for name, codec in specs},
-        lambda row: cls(**{**row, **{name: codec.load(row[name]) for name, codec in nested}}),
+        lambda row: cls(**{**checked(row),
+                           **{name: codec.load(row[name]) for name, codec in nested}}),
         lambda row: {**row, **{name: codec.upgrade(row[name]) for name, codec in nested}},
     )
 

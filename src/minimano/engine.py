@@ -93,6 +93,18 @@ class Stack:
         _TEMPLATE.bind()
         return parse_template(self.source)  # looked up at call time, so wrappers see it
 
+    @cached_property
+    def deployed(self) -> tuple:
+        """(resource ids, resource attributes) of the COMPLETE records, by
+        name: built from `records` when first read, then kept by
+        `StackEngine._complete_resource`."""
+        ids, attrs = {}, {}
+        for name, record in self.records.items():
+            if record.state == "COMPLETE":
+                ids[name] = record.uuid
+                attrs[name] = record.attributes
+        return ids, attrs
+
 
 @dataclass(eq=False, repr=False)
 class StackRun:
@@ -231,16 +243,16 @@ class StackEngine:
             run.pos_idx += 1
 
     def _eval_context(self, stack: Stack) -> EvalContext:
-        ids = {}
-        attrs = {}
-        for name, record in stack.records.items():
-            if record.state == "COMPLETE":
-                ids[name] = record.uuid
-                attrs[name] = record.attributes
+        ids, attrs = stack.deployed
         return EvalContext(params=stack.bound, resource_ids=ids, resource_attrs=attrs)
 
     def _complete_resource(self, stack: Stack, record: ResourceRecord):
+        """The one place a record becomes COMPLETE; its uuid and attributes
+        are final by now."""
         record.state = "COMPLETE"
+        ids, attrs = stack.deployed
+        ids[record.name] = record.uuid
+        attrs[record.name] = record.attributes
         self.core.emit(
             "resource.create.complete", f"{stack.id}/{record.name}",
             stack=stack.id, resource=record.name, type=record.type,

@@ -7,11 +7,15 @@ table mapping action names to the role they require ("any" accepts every
 valid token). Unknown actions are denied.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .codec import keyed, one
 from .errors import AuthError, ConflictError, NotFoundError
+from .lazy import LazyNames
+
+# `hashlib` costs a CLI call about 4 ms to import; bound when a credential is hashed
+_HASHLIB = LazyNames(globals(), {"hashlib": ("sha256",)})
+__getattr__ = _HASHLIB.attribute
 
 DEFAULT_TOKEN_TTL = 3600  # ticks
 
@@ -101,7 +105,8 @@ _STATE = one(IdentityState)
 
 
 def _digest(salt: str, credential: str) -> str:
-    return hashlib.sha256(f"{salt}:{credential}".encode()).hexdigest()
+    _HASHLIB.bind()
+    return sha256(f"{salt}:{credential}".encode()).hexdigest()
 
 
 class IdentityService:

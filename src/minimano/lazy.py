@@ -1,10 +1,11 @@
 """Module globals bound from another module on first use.
 
 A CLI call that never touches a template should not pay to import the
-template layer (`hot`, `yamlite`, `plan`). A module that calls into it
-declares the names it takes with `LazyNames`, makes the object's
-`attribute` its module `__getattr__` (PEP 562), and calls `bind()` before
-its own code uses them. Both bind the real objects into the module's
+template layer (`hot`, `yamlite`, `plan`), nor one that hashes nothing
+for `hashlib`. A module that calls into such a module declares the names
+it takes with `LazyNames`, makes the object's `attribute` its module
+`__getattr__` (PEP 562), and calls `bind()` before its own code uses
+them. Both bind the real objects into the module's
 globals, so the module's own calls and `module.name` find the same
 object. A name already set there, for example by a wrapper that traces
 calls, is kept.

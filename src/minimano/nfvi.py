@@ -20,14 +20,19 @@ un-places an instance.
 """
 
 import base64
-import hashlib
 import ipaddress
 import json
 import re
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs
 from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
+from .lazy import LazyNames
+
+# `hashlib` costs a CLI call about 4 ms to import; bound when an image is hashed
+_HASHLIB = LazyNames(globals(), {"hashlib": ("sha256",)})
+__getattr__ = _HASHLIB.attribute
 
 EXTERNAL_LOCUS = "external"
 # source address the outside world appears as during admission checks
@@ -184,6 +189,60 @@ def _host(spec) -> Host:
     return host
 
 
+class _AddressPool:
+    """The addresses one subnet hands out, as integer offsets from its base.
+
+    Offsets run from 3 (the gateway takes 1 and services 2 by default) up
+    to, not including, the broadcast address, lowest free first. `used`
+    holds the offsets in use, `free` is a min-heap of the unused offsets
+    below `cursor`, and no offset from `cursor` up is in use. `reserved`
+    holds the offsets of the gateway and service addresses, which may sit
+    anywhere in the subnet and are never handed out. An address string
+    that is not one this pool would hand out reserves nothing.
+    """
+
+    def __init__(self, cidr, reserved, used):
+        net = ipaddress.ip_network(cidr)
+        self.base = int(net.network_address)
+        self.end = net.num_addresses - 1
+        self.reserved = set(map(self.offset, reserved)) - {None}
+        self.used = set(map(self.offset, filter(None, used))) - {None}
+        self.cursor = max(self.used, default=2) + 1
+        self.free = [offset for offset in range(3, self.cursor)
+                     if offset not in self.used and offset not in self.reserved]
+
+    def address(self, offset) -> str:
+        return str(ipaddress.ip_address(self.base + offset))
+
+    def offset(self, address):
+        """The offset whose address is exactly `address`, or None."""
+        try:
+            offset = int(ipaddress.ip_address(address)) - self.base
+        except ValueError:
+            return None
+        return offset if 3 <= offset < self.end and self.address(offset) == address else None
+
+    def take(self) -> str | None:
+        """The lowest free address, now in use; None when the pool is full."""
+        if self.free:
+            offset = heappop(self.free)
+        else:
+            offset = self.cursor
+            while offset in self.reserved:
+                offset += 1
+            if offset >= self.end:
+                return None
+            self.cursor = offset + 1
+        self.used.add(offset)
+        return self.address(offset)
+
+    def give_back(self, address):
+        offset = self.offset(address)
+        if offset in self.used:
+            self.used.remove(offset)
+            heappush(self.free, offset)
+
+
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
@@ -232,6 +291,14 @@ class CloudProvider:
         self.fips = {}
         self.volumes = {}
         self.objects = {}  # (tenant, container, name) -> payload b64
+        self._forget_derived()
+
+    def _forget_derived(self):
+        # derived from the registries on first use and never stored:
+        # host id -> [vcpus, ram_mib, disk_gib] used by live instances
+        self._usage = None
+        # (tenant id, network name), or None for the floating pool -> _AddressPool
+        self._pools = {}
 
     # -- name resolution (per tenant) ------------------------------------------
 
@@ -273,7 +340,8 @@ class CloudProvider:
         return image
 
     def image_payload_hash(self, image_id) -> str:
-        return hashlib.sha256(_unb64(self.images[image_id].payload_b64)).hexdigest()
+        _HASHLIB.bind()
+        return sha256(_unb64(self.images[image_id].payload_b64)).hexdigest()
 
     # -- flavors / keypairs / security groups ------------------------------------
 
@@ -350,13 +418,19 @@ class CloudProvider:
             if other.tenant_id == tenant_id and ipaddress.ip_network(other.cidr).overlaps(net):
                 raise ConflictError(f"CIDR {cidr!r} overlaps network {other.name!r}")
         base = int(net.network_address)
-        gateway_ip = gateway or str(ipaddress.ip_address(base + 1))
+        if gateway:
+            try:
+                inside = ipaddress.ip_address(gateway) in net
+            except ValueError:
+                inside = False
+            if not inside:
+                raise ConflictError(f"gateway {gateway!r} is not an address in {str(net)!r}")
         network = Network(
             id=self.core.new_uuid(),
             tenant_id=tenant_id,
             name=name,
             cidr=str(net),
-            gateway=gateway_ip,
+            gateway=gateway or str(ipaddress.ip_address(base + 1)),
             service_address=str(ipaddress.ip_address(base + 2)),
         )
         self.networks[network.id] = network
@@ -387,28 +461,53 @@ class CloudProvider:
             raise NotFoundError(f"router {router_name!r} not found")
         router.external_gateway = True
 
-    def _used_addresses(self, network: Network):
-        used = {network.gateway, network.service_address}
-        for instance in self.instances.values():
-            if instance.state != "DELETED":
-                addr = instance.fixed_ips.get(network.name)
-                if addr and instance.tenant_id == network.tenant_id:
-                    used.add(addr)
-        return used
+    def _fixed_pool(self, network: Network) -> _AddressPool:
+        key = (network.tenant_id, network.name)
+        pool = self._pools.get(key)
+        if pool is None:
+            used = [instance.fixed_ips.get(network.name) for instance in self.instances.values()
+                    if instance.state != "DELETED" and instance.tenant_id == network.tenant_id]
+            pool = self._pools[key] = _AddressPool(
+                network.cidr, (network.gateway, network.service_address), used)
+        return pool
 
     def allocate_fixed_ip(self, network: Network) -> str:
-        net = ipaddress.ip_network(network.cidr)
-        used = self._used_addresses(network)
-        base = int(net.network_address)
-        for offset in range(3, net.num_addresses - 1):
-            candidate = str(ipaddress.ip_address(base + offset))
-            if candidate not in used:
-                return candidate
-        raise CapacityError(f"no free addresses on network {network.name!r}")
+        """The lowest free address on `network`, now in use."""
+        address = self._fixed_pool(network).take()
+        if address is None:
+            raise CapacityError(f"no free addresses on network {network.name!r}")
+        return address
+
+    def _release_fixed_ips(self, tenant_id, fixed_ips):
+        for name, address in fixed_ips.items():
+            pool = self._pools.get((tenant_id, name))
+            if pool is not None:  # a pool built later sees the address free
+                pool.give_back(address)
 
     # -- instances --------------------------------------------------------------------
 
+    def _host_usage(self) -> dict:
+        """host id -> [vcpus, ram_mib, disk_gib] taken by instances that are
+        not DELETED, in host id order. Built from the instances on first
+        use, then kept by launch and terminate (a crash frees nothing)."""
+        if self._usage is None:
+            self._usage = {host_id: [0, 0, 0] for host_id in sorted(self.hosts)}
+            for instance in self.instances.values():
+                if instance.state != "DELETED":
+                    self._charge(instance, 1)
+        return self._usage
+
+    def _charge(self, instance: Instance, sign):
+        used = self._usage.get(instance.host_id)
+        if used is not None:
+            flavor = self.flavor_by_name(instance.tenant_id, instance.flavor_name)
+            used[0] += sign * flavor.vcpus
+            used[1] += sign * flavor.ram_mib
+            used[2] += sign * flavor.disk_gib
+
     def _capacity_left(self, host: Host):
+        """What `host` has left, counted from every instance: the oracle
+        for the usage ledger."""
         vcpus, ram, disk = host.vcpus, host.ram_mib, host.disk_gib
         for instance in self.instances.values():
             if instance.host_id == host.id and instance.state != "DELETED":
@@ -455,20 +554,25 @@ class CloudProvider:
             groups.append(group.name)
 
         placed = None
-        for host in sorted(self.hosts.values(), key=lambda h: h.id):
-            vcpus, ram, disk = self._capacity_left(host)
-            if vcpus >= flavor.vcpus and ram >= flavor.ram_mib and disk >= flavor.disk_gib:
+        for host_id, (vcpus, ram, disk) in self._host_usage().items():
+            host = self.hosts[host_id]
+            if (vcpus + flavor.vcpus <= host.vcpus and ram + flavor.ram_mib <= host.ram_mib
+                    and disk + flavor.disk_gib <= host.disk_gib):
                 placed = host
                 break
         if placed is None:
             raise CapacityError(f"no host can fit flavor {flavor.name!r}")
 
-        # addresses are chosen before the instance registers so a full
-        # subnet cannot leak a half-placed instance
+        # addresses are chosen before the instance registers, and given
+        # back if a subnet is full, so no half-placed instance leaks
         fixed_ips = {}
-        for network in networks:
-            if network.name not in fixed_ips:
-                fixed_ips[network.name] = self.allocate_fixed_ip(network)
+        try:
+            for network in networks:
+                if network.name not in fixed_ips:
+                    fixed_ips[network.name] = self.allocate_fixed_ip(network)
+        except CapacityError:
+            self._release_fixed_ips(tenant_id, fixed_ips)
+            raise
 
         instance = Instance(
             id=self.core.new_uuid(),
@@ -485,6 +589,7 @@ class CloudProvider:
             created_at=self.core.tick,
         )
         self.instances[instance.id] = instance
+        self._charge(instance, 1)
         instance.ephemeral_image_b64 = image.payload_b64
         if key is not None:
             # generic images carry no identity; keys land per instance
@@ -553,6 +658,9 @@ class CloudProvider:
         instance = self.get_instance(instance_id)
         if instance.state == "DELETED":
             raise NotFoundError(f"instance {instance_id!r} already deleted")
+        if self._usage is not None:
+            self._charge(instance, -1)
+        self._release_fixed_ips(instance.tenant_id, instance.fixed_ips)
         instance.state = "DELETED"
         instance.ephemeral_files = {}
         instance.ephemeral_image_b64 = None
@@ -574,17 +682,20 @@ class CloudProvider:
 
     # -- floating addresses --------------------------------------------------------
 
+    def _floating_pool(self) -> _AddressPool:
+        pool = self._pools.get(None)
+        if pool is None:
+            used = [fip.address for fip in self.fips.values()]
+            pool = self._pools[None] = _AddressPool(FLOATING_POOL_CIDR, (), used)
+        return pool
+
     def allocate_floating_ip(self, tenant_id) -> FloatingIp:
-        pool = ipaddress.ip_network(FLOATING_POOL_CIDR)
-        used = {fip.address for fip in self.fips.values()}
-        base = int(pool.network_address)
-        for offset in range(3, pool.num_addresses - 1):
-            candidate = str(ipaddress.ip_address(base + offset))
-            if candidate not in used:
-                fip = FloatingIp(self.core.new_uuid(), tenant_id, candidate)
-                self.fips[fip.id] = fip
-                return fip
-        raise CapacityError("floating address pool exhausted")
+        address = self._floating_pool().take()
+        if address is None:
+            raise CapacityError("floating address pool exhausted")
+        fip = FloatingIp(self.core.new_uuid(), tenant_id, address)
+        self.fips[fip.id] = fip
+        return fip
 
     def _network_has_external_path(self, network: Network) -> bool:
         reachable, external = self._reachable_from({network.id}, network.tenant_id)
@@ -615,6 +726,9 @@ class CloudProvider:
         fip = self.fips.pop(fip_id, None)
         if fip is None:
             raise NotFoundError(f"floating ip {fip_id!r} not found")
+        pool = self._pools.get(None)
+        if pool is not None:
+            pool.give_back(fip.address)
 
     # -- volumes -----------------------------------------------------------------------
 
@@ -812,3 +926,4 @@ class CloudProvider:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        self._forget_derived()

@@ -10,7 +10,6 @@ tops groups back up to their desired count, retrying on the next interval
 when capacity is short.
 """
 
-import hashlib
 import math
 from array import array
 from bisect import bisect_left, bisect_right
@@ -18,6 +17,11 @@ from dataclasses import dataclass, field
 
 from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs, one
 from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
+from .lazy import LazyNames
+
+# `hashlib` costs a CLI call about 4 ms to import; bound when a generator runs
+_HASHLIB = LazyNames(globals(), {"hashlib": ("sha256",)})
+__getattr__ = _HASHLIB.attribute
 
 AGGREGATES = ("avg", "max", "min")
 COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
@@ -342,13 +346,15 @@ class TelemetryService:
                 continue
             for resource_id in self._schedule_targets(entry):
                 self.inject_fault(resource_id, entry.get("kind", "instance_crash"))
+        if self.generators:
+            _HASHLIB.bind()
         for gen in self.generators:
             group = self.groups.get(gen.group_name)
             if group is None:
                 continue
             for member_id in self._active_members(group):
                 phase = 2 * math.pi * (tick % gen.period) / gen.period
-                digest = hashlib.sha256(f"{gen.seed}:{member_id}:{tick}".encode()).hexdigest()
+                digest = sha256(f"{gen.seed}:{member_id}:{tick}".encode()).hexdigest()
                 noise_bits = int(digest[:8], 16) % 1000 / 1000 - 0.5
                 value = gen.base + gen.amplitude * math.sin(phase) + gen.noise * noise_bits
                 self.record_metric(member_id, gen.metric, round(value, 6), tick)
@@ -381,6 +387,14 @@ class TelemetryService:
         load_attrs(self, _SCHEMA, data)
         self.healer = healer_config(self.healer.enabled, self.healer.detect_interval,
                                     "telemetry healer detect_interval", ValueError)
+        # the order `_index` keeps, in one stable sort per metric
+        samples = self.samples
+        ticks = [sample.tick for sample in samples]
+        by_metric = {}
+        for position, sample in enumerate(samples):
+            by_metric.setdefault(sample.metric, []).append(position)
         self._series = {}
-        for position, sample in enumerate(self.samples):
-            self._index(sample, position)
+        for metric, positions in by_metric.items():
+            positions.sort(key=ticks.__getitem__)
+            self._series[metric] = (array("q", map(ticks.__getitem__, positions)),
+                                    array("q", positions))

@@ -350,13 +350,20 @@ def _as_dict(table):
     _state_v3(lambda s: _instances(s).update(rows={})),
     _state_v3(lambda s: _as_dict(s["telemetry"]["generators"])),
     _state_v3(lambda s: s["provider"]["secgroups"]["rows"][0][3]["rows"].__setitem__(0, "ingres")),
+    _state_v3(lambda s: s["identity"].pop("policy")),
+    _state_v3(lambda s: s["identity"].pop("catalog")),
+    _state_v3(lambda s: s["identity"].pop("assignments")),
+    _state_v3(lambda s: s["identity"].update(extra=1)),
+    _state_v3(lambda s: s["telemetry"]["healer"].pop("detect_interval")),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
         "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
         "healer-interval-zero", "v3-fields-reordered", "v3-fields-unknown",
         "v3-fields-missing", "v3-row-too-short", "v3-row-too-long",
         "v3-nested-row-too-short", "v3-rows-not-a-list", "v3-row-a-dict",
-        "v3-row-a-string"])
+        "v3-row-a-string", "v3-identity-missing-policy", "v3-identity-missing-catalog",
+        "v3-identity-missing-assignments", "v3-identity-unknown-field",
+        "v3-healer-missing-field"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -367,6 +374,33 @@ def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     assert code == 5
     assert err.startswith(f"error: state file {str(path)!r} is malformed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_identity_without_policy_is_malformed_not_unauthorized(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "state.json"
+    monkeypatch.setenv(cli.STATE_ENV, str(path))
+    state = _state_v3(lambda s: None)
+    monkeypatch.setenv(cli.TOKEN_ENV, state["identity"]["tokens"]["rows"][0][0])
+    path.write_text(json.dumps(state))
+    assert cli.main(["stack-list"]) == 0
+    del state["identity"]["policy"]
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    code = cli.main(["stack-list"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: state file {str(path)!r} is malformed: ")
+    assert "policy" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gateway", ["bogus", "8.8.8.8", "10.7.1.1", "::1"])
+def test_net_create_rejects_a_gateway_outside_the_cidr(runner, gateway):
+    code, out, err = runner("net-create", "n7", "--cidr", "10.7.0.0/24", "--gateway", gateway)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "gateway" in err
+    code, out, _ = runner("net-create", "n7", "--cidr", "10.7.0.0/24",
+                          "--gateway", "10.7.0.9", "--format", "machine")
+    assert code == 0 and json.loads(out)["gateway"] == "10.7.0.9"
 
 
 @pytest.mark.parametrize("interval", [0, "x", None])

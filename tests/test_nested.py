@@ -33,6 +33,20 @@ def test_example4_wires_mysql_outputs_into_wordpress(env):
     assert env.world.provider.read_guest_file(wp_instance.id, "wordpress-setup.log") == expected_line
 
 
+def assert_context_maps_kept(engine):
+    """Each stack's kept id and attribute maps equal a rebuild from its records."""
+    for stack in engine.stacks.values():
+        rebuilt = type(stack).deployed.func(stack)
+        assert stack.deployed == rebuilt
+        assert list(stack.deployed[0]) == list(rebuilt[0])
+
+
+def test_context_maps_kept_across_waits_and_children(env):
+    env.world.engine.create_stack("wp", env.parse("example4.yaml"), {}, token=env.token)
+    assert len(env.world.engine.stacks) == 3
+    assert_context_maps_kept(env.world.engine)
+
+
 def test_wordpress_deploys_only_after_mysql_wait_success(env):
     doc = env.parse("example4.yaml")
     stack = env.world.engine.create_stack("wp", doc, {}, token=env.token)
@@ -212,6 +226,7 @@ def test_child_blocked_stack_resumes_after_reload(env, tmp_path):
     world.engine.deliver_signal(url, {"status": "SUCCESS"})
     assert world.engine.stacks[child_id].status == "CREATE_COMPLETE"
     assert world.engine.stacks[stack.id].status == "CREATE_COMPLETE"
+    assert_context_maps_kept(world.engine)
 
 
 def test_nested_outputs_equal_standalone_deploy_with_same_seed():

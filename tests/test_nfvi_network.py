@@ -1,8 +1,10 @@
 """Networks, routers, floating addresses, NAT, and security groups."""
 
+import json
+
 import pytest
 
-from minimano.errors import ConflictError
+from minimano.errors import CapacityError, ConflictError
 from minimano.nfvi import EXTERNAL_LOCUS
 from minimano.world import World
 
@@ -37,6 +39,40 @@ def test_custom_gateway_is_honored():
     assert net.gateway == "10.0.0.254"
     instance = launch(world, tenant, ["n1"])
     assert instance.fixed_ips["n1"] == "10.0.0.3"  # instances still fill from .3
+
+
+@pytest.mark.parametrize("gateway", ["bogus", "8.8.8.8", "10.0.1.1", "10.0.0.0/24", "::1"])
+def test_gateway_must_be_an_address_in_the_cidr(gateway):
+    world, tenant = cloud()
+    with pytest.raises(ConflictError, match="gateway"):
+        world.provider.create_network(tenant, "n1", "10.0.0.0/24", gateway=gateway)
+    assert world.provider.network_by_name(tenant, "n1") is None
+
+
+@pytest.mark.parametrize("gateway, addresses", [
+    ("bogus", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
+    ("8.8.8.8", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
+    ("10.0.0.4", ["10.0.0.3", "10.0.0.5", "10.0.0.6"]),
+])
+def test_a_stored_gateway_loads_and_reserves_only_its_own_address(gateway, addresses):
+    world, tenant = cloud()
+    world.provider.create_network(tenant, "n1", "10.0.0.0/24")
+    # as a state file written before gateways were checked may hold it
+    world.provider.network_by_name(tenant, "n1").gateway = gateway
+    world = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
+    assert world.provider.network_by_name(tenant, "n1").gateway == gateway
+    assert [launch(world, tenant, ["n1"]).fixed_ips["n1"] for _ in addresses] == addresses
+
+
+def test_a_full_subnet_gives_back_the_addresses_taken_for_the_launch():
+    world, tenant = cloud()
+    world.provider.create_network(tenant, "small", "10.0.0.0/29")  # .3 to .6
+    world.provider.create_network(tenant, "big", "10.0.1.0/24")
+    for _ in range(4):
+        launch(world, tenant, ["small"])
+    with pytest.raises(CapacityError, match="small"):
+        launch(world, tenant, ["big", "small"])
+    assert launch(world, tenant, ["big"]).fixed_ips == {"big": "10.0.1.3"}
 
 
 def test_cidr_overlap_rejected_within_tenant():

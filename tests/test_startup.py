@@ -1,7 +1,7 @@
 """CLI start-up: a verb loads and builds only what it uses.
 
 A verb that never reads a template leaves the template layer (`hot`,
-`yamlite`, `plan`) and `uuid` unimported; the top-level parser builds
+`yamlite`, `plan`), `uuid` and `hashlib` unimported; the top-level parser builds
 only the subparser of the verb that runs, with the same output as a
 parser that holds every verb; and UUIDs are formatted without `uuid`.
 """

@@ -85,6 +85,21 @@ def test_window_index_matches_brute_force_scan(seed):
                         brute_force_window(samples, ids, metric, tick, window)
 
 
+def test_loaded_index_is_the_one_built_a_sample_at_a_time():
+    world, tenant = autoscale_world()
+    members = [world.provider.launch_instance(tenant, MEMBER).id for _ in range(3)]
+    rng = random.Random(11)
+    for _ in range(400):  # shuffled ticks, with many equal ones
+        world.telemetry.record_metric(rng.choice(members), rng.choice(["cpu_util", "mem"]),
+                                      round(rng.random(), 3), rng.randrange(1, 30))
+    built = {metric: (list(ticks), list(positions))
+             for metric, (ticks, positions) in world.telemetry._series.items()}
+    loaded = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
+    assert {metric: (list(ticks), list(positions))
+            for metric, (ticks, positions) in loaded.telemetry._series.items()} == built
+    assert sorted(built) == ["cpu_util", "mem"]
+
+
 def test_late_alarm_with_long_window_sees_full_history():
     world, tenant = autoscale_world()
     group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 1)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs
-from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
+from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
 from .lazy import LazyNames
 
 # `hashlib` costs a CLI call about 4 ms to import; bound when an image is hashed
@@ -203,7 +203,9 @@ class _AddressPool:
 
     def __init__(self, cidr, reserved, used):
         net = ipaddress.ip_network(cidr)
-        self.base = int(net.network_address)
+        # formatted by the subnet's class: `ip_address(int)` gives IPv4 text below 2**32
+        self.first = net.network_address
+        self.base = int(self.first)
         self.end = net.num_addresses - 1
         self.reserved = set(map(self.offset, reserved)) - {None}
         self.used = set(map(self.offset, filter(None, used))) - {None}
@@ -212,7 +214,7 @@ class _AddressPool:
                      if offset not in self.used and offset not in self.reserved]
 
     def address(self, offset) -> str:
-        return str(ipaddress.ip_address(self.base + offset))
+        return str(self.first + offset)
 
     def offset(self, address):
         """The offset whose address is exactly `address`, or None."""
@@ -417,21 +419,24 @@ class CloudProvider:
         for other in self.networks.values():
             if other.tenant_id == tenant_id and ipaddress.ip_network(other.cidr).overlaps(net):
                 raise ConflictError(f"CIDR {cidr!r} overlaps network {other.name!r}")
-        base = int(net.network_address)
+        first = net.network_address
         if gateway:
             try:
-                inside = ipaddress.ip_address(gateway) in net
+                address = ipaddress.ip_address(gateway)
             except ValueError:
-                inside = False
-            if not inside:
+                address = None
+            if address is None or address not in net:
                 raise ConflictError(f"gateway {gateway!r} is not an address in {str(net)!r}")
+            if address in (first, first + 2, net.broadcast_address):
+                raise ConflictError(f"gateway {gateway!r} is the network, service or broadcast "
+                                    f"address of {str(net)!r}")
         network = Network(
             id=self.core.new_uuid(),
             tenant_id=tenant_id,
             name=name,
             cidr=str(net),
-            gateway=gateway or str(ipaddress.ip_address(base + 1)),
-            service_address=str(ipaddress.ip_address(base + 2)),
+            gateway=gateway or str(first + 1),
+            service_address=str(first + 2),
         )
         self.networks[network.id] = network
         return network
@@ -501,6 +506,9 @@ class CloudProvider:
         used = self._usage.get(instance.host_id)
         if used is not None:
             flavor = self.flavor_by_name(instance.tenant_id, instance.flavor_name)
+            if flavor is None:  # no verb deletes a flavor: only a state file names one that is gone
+                raise StateIOError(f"state is malformed: instance {instance.id!r} names flavor "
+                                   f"{instance.flavor_name!r}, which its tenant does not have")
             used[0] += sign * flavor.vcpus
             used[1] += sign * flavor.ram_mib
             used[2] += sign * flavor.disk_gib

@@ -20,6 +20,24 @@ from .errors import TemplateSyntaxError
 _INT_RE = re.compile(r"^[-+]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[-+]?([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?$")
 _PLAIN_KEY_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.:/-]*$")
+# flow tokens: blanks; a plain scalar in a flow mapping or sequence; a flow
+# mapping key; a quoted string (a double-quoted one's body, then '"', a
+# lone trailing backslash, or nothing when the line ends first)
+_SPACES = re.compile(" *")
+_PLAIN_IN_MAP = re.compile(r"[^,\]}]*")
+_PLAIN_IN_SEQ = re.compile(r"[^,\]]*")
+_FLOW_KEY = re.compile(r"[^:,}]*")
+_SINGLE_QUOTED = re.compile(r"'((?:[^']|'')*)'(?!')")
+_DOUBLE_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)("|\\?)', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
+# the part of a line before its comment: quoted spans are skipped whole, and
+# '#' starts a comment at the start of the line or after a blank
+_UNCOMMENTED = re.compile(r"""(?:[^'"#]+|'[^']*'|"(?:[^"\\]|\\.)*"|(?<=[^ \t])#)*""", re.DOTALL)
+# a string that dump must quote: one that starts with an indicator or a
+# blank, ends with a blank or ':', or holds ': ', ' #', a tab, a line break
+# or a bracket
+_NOT_PLAIN = re.compile(r"""^[\s\-?#{}\[\]"'&*!%@`|>,]|\s\Z|:\Z|: | #|[\n\t{}\[\]]""")
 
 # characters that cannot start a plain scalar in this subset
 _RESERVED_LEAD = "&*!%@`|>"
@@ -47,6 +65,8 @@ def _scalar_from_plain(text):
         return True
     if text == "false":
         return False
+    if text[0] not in "+-.0123456789":
+        return text
     if _INT_RE.match(text):
         return int(text)
     if _FLOAT_RE.match(text):
@@ -54,28 +74,38 @@ def _scalar_from_plain(text):
     return text
 
 
+def _plain(raw, lineno, column):
+    """Value of the plain scalar `raw`; errors are reported at `column`."""
+    if not raw:
+        raise TemplateSyntaxError("empty scalar", lineno, column)
+    if raw[0] in _RESERVED_LEAD:
+        raise TemplateSyntaxError(f"unsupported syntax: values may not start with {raw[0]!r}", lineno, column)
+    return _scalar_from_plain(raw)
+
+
 def _strip_comment(content):
     """Remove a trailing comment that starts outside any quoted span."""
-    quote = None
-    i = 0
-    while i < len(content):
-        ch = content[i]
-        if quote:
-            if quote == '"' and ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-        elif ch == "#" and (i == 0 or content[i - 1] in " \t"):
-            return content[:i].rstrip()
-        i += 1
+    if "#" in content:
+        end = _UNCOMMENTED.match(content).end()
+        if content.startswith("#", end):
+            return content[:end].rstrip()
     return content.rstrip()
 
 
+def _key_split(content):
+    """Index of the ':' separating key from value, or None."""
+    if content[0] in "{[\"'&*!%@`":
+        return None
+    pos = content.find(": ")
+    if pos >= 0:
+        return pos
+    return len(content) - 1 if content[-1] == ":" else None
+
+
 class _FlowReader:
-    """Parses a one-line flow value: flow map, flow sequence, or scalar."""
+    """Parses a one-line flow value: flow map, flow sequence, or quoted scalar.
+
+    `_parse_inline` reads a plain scalar outside any collection itself."""
 
     def __init__(self, text, lineno, col0):
         self.text = text
@@ -86,53 +116,36 @@ class _FlowReader:
     def error(self, message):
         raise TemplateSyntaxError(message, self.lineno, self.col0 + self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
     def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Next character after any blanks, which are skipped; "" at the end."""
+        pos = self.pos
+        if self.text.startswith(" ", pos):
+            self.pos = pos = _SPACES.match(self.text, pos).end()
+        return self.text[pos : pos + 1]
 
     def read_quoted(self):
-        quote = self.text[self.pos]
-        self.pos += 1
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if quote == '"' and ch == "\\":
-                self.pos += 1
-                if self.pos >= len(self.text):
-                    self.error("unterminated escape in double-quoted string")
-                esc = self.text[self.pos]
-                out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                self.pos += 1
-                continue
-            if ch == quote:
-                if quote == "'" and self.text[self.pos : self.pos + 2] == "''":
-                    out.append("'")
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                return "".join(out)
-            out.append(ch)
-            self.pos += 1
+        text = self.text
+        if text[self.pos] == "'":
+            match = _SINGLE_QUOTED.match(text, self.pos)
+            if match:
+                self.pos = match.end()
+                return match[1].replace("''", "'")
+        else:
+            match = _DOUBLE_QUOTED.match(text, self.pos)
+            body, end = match[1], match[2]
+            if end == '"':
+                self.pos = match.end()
+                return _ESCAPE.sub(lambda esc: _ESCAPES.get(esc[1], esc[1]), body)
+            if end:
+                self.pos = len(text)
+                self.error("unterminated escape in double-quoted string")
+        self.pos = len(text)
         self.error("unterminated quoted string")
 
-    def read_plain(self, stops):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in stops:
-            self.pos += 1
-        raw = self.text[start : self.pos].strip()
-        if not raw:
-            self.error("empty scalar")
-        if raw[0] in _RESERVED_LEAD:
-            self.error(f"unsupported syntax: values may not start with {raw[0]!r}")
-        return _scalar_from_plain(raw)
+    def read_plain(self, span):
+        match = span.match(self.text, self.pos)
+        self.pos = match.end()
+        return _plain(match[0].strip(), self.lineno, self.col0 + self.pos)
 
     def read_value(self, depth):
         ch = self.peek()
@@ -143,15 +156,12 @@ class _FlowReader:
         if ch == "[":
             return self.read_flow_seq()
         if ch in ("'", '"'):
-            self.skip_ws()
             return self.read_quoted()
-        return self.read_plain(",]}" if depth > 0 else "")
+        return self.read_plain(_PLAIN_IN_MAP)
 
     def read_flow_map(self):
-        self.skip_ws()
         self.pos += 1  # consume '{'
         out = {}
-        self.skip_ws()
         if self.peek() == "}":
             self.pos += 1
             return out
@@ -160,10 +170,9 @@ class _FlowReader:
             if ch in ("'", '"'):
                 key = self.read_quoted()
             else:
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos] not in ":,}":
-                    self.pos += 1
-                key = self.text[start : self.pos].strip()
+                match = _FLOW_KEY.match(self.text, self.pos)
+                self.pos = match.end()
+                key = match[0].strip()
             if not key:
                 self.error("expected key in flow mapping")
             if self.peek() != ":":
@@ -183,7 +192,6 @@ class _FlowReader:
             self.error("expected ',' or '}' in flow mapping")
 
     def read_flow_seq(self):
-        self.skip_ws()
         self.pos += 1  # consume '['
         out = []
         if self.peek() == "]":
@@ -196,7 +204,7 @@ class _FlowReader:
             if ch in ("'", '"'):
                 out.append(self.read_quoted())
             else:
-                out.append(self.read_plain(",]"))
+                out.append(self.read_plain(_PLAIN_IN_SEQ))
             ch = self.peek()
             if ch == ",":
                 self.pos += 1
@@ -208,82 +216,96 @@ class _FlowReader:
 
 
 def _parse_inline(text, lineno, col0):
+    if text.lstrip(" ")[:1] not in ("{", "[", "'", '"'):
+        # a plain scalar: the rest of the line
+        return _plain(text.strip(), lineno, col0 + len(text))
     reader = _FlowReader(text, lineno, col0)
     value = reader.read_value(depth=0)
-    if not reader.at_end():
+    if reader.peek():
         reader.error("trailing content after value")
     return value
 
 
+def _is_item(content):
+    return content == "-" or content.startswith("- ")
+
+
 class _Parser:
+    """Reads lines with one cursor, `idx`; each line is classified when
+    first read, and a literal block's lines never are, so a block may hold
+    text that would be an error outside it.
+
+    The first entry of a `- key: value` item is read as a line of its own,
+    `pending`, at the item's indentation: (lineno, indent, content, column),
+    where `column` is where the entry's text really starts."""
+
     def __init__(self, source):
         # raw lines are kept verbatim; literal blocks read them directly
         self.raw = source.split("\n")
         self.idx = 0
+        self.pending = None
+        self._ahead = (-1, None)  # (idx, peek() from there), read once
 
     def error(self, message, lineno, column=None):
         raise TemplateSyntaxError(message, lineno, column)
 
     def _classify(self, raw, lineno):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             return None
-        indent = len(raw) - len(raw.lstrip(" "))
-        if "\t" in raw[:indent] or raw[indent] == "\t":
+        content = raw.lstrip(" ")
+        if content[0] == "\t":
             self.error("tab characters are not allowed in indentation", lineno)
-        if stripped == "---" or stripped.startswith("--- ") or stripped == "...":
-            self.error("document markers / multi-document streams are not supported", lineno)
-        if stripped.startswith("%"):
-            self.error("directives are not supported", lineno)
-        content = _strip_comment(raw[indent:])
+        if stripped[0] in "-.%":
+            if stripped == "---" or stripped.startswith("--- ") or stripped == "...":
+                self.error("document markers / multi-document streams are not supported", lineno)
+            if stripped[0] == "%":
+                self.error("directives are not supported", lineno)
+        indent = len(raw) - len(content)
+        content = _strip_comment(content)
         if not content:
             return None
-        return indent, content
+        return lineno, indent, content, indent
 
     def peek(self):
-        """Next significant line as (index, lineno, indent, content)."""
+        """Next significant line as (lineno, indent, content, column);
+        taking it sets `idx = lineno` and clears `pending`."""
+        if self.pending is not None:
+            return self.pending
         i = self.idx
-        while i < len(self.raw):
-            info = self._classify(self.raw[i], i + 1)
-            if info is not None:
-                return i, i + 1, info[0], info[1]
-            i += 1
-        return None
+        if self._ahead[0] == i:
+            return self._ahead[1]
+        line = None
+        for lineno in range(i + 1, len(self.raw) + 1):
+            line = self._classify(self.raw[lineno - 1], lineno)
+            if line is not None:
+                break
+        self._ahead = (i, line)
+        return line
 
     def parse_document(self):
         first = self.peek()
         if first is None:
             self.error("empty document", 1)
-        value = self.parse_block(first[2])
+        value = self.parse_block(first[1])
         rest = self.peek()
         if rest is not None:
-            self.error("content after the end of the top-level block", rest[1], rest[2])
+            self.error("content after the end of the top-level block", rest[0], rest[3])
         return value
 
     def parse_block(self, indent):
-        first = self.peek()
-        _, lineno, line_indent, content = first
+        lineno, line_indent, content, column = self.peek()
         if line_indent != indent:
-            self.error("unexpected indentation", lineno, line_indent)
-        if content == "-" or content.startswith("- "):
+            self.error("unexpected indentation", lineno, column)
+        if _is_item(content):
             return self.parse_sequence(indent)
         return self.parse_mapping(indent)
 
     def _child_block(self, parent_indent):
         nxt = self.peek()
-        if nxt is None or nxt[2] <= parent_indent:
+        if nxt is None or nxt[1] <= parent_indent:
             return None
-        return self.parse_block(nxt[2])
-
-    @staticmethod
-    def _key_split(content):
-        """Index of the ':' separating key from value, or None."""
-        if content[0] in "{[\"'&*!%@`":
-            return None
-        for i, ch in enumerate(content):
-            if ch == ":" and (i + 1 == len(content) or content[i + 1] == " "):
-                return i
-        return None
+        return self.parse_block(nxt[1])
 
     def parse_mapping(self, indent):
         out = {}
@@ -291,28 +313,28 @@ class _Parser:
             nxt = self.peek()
             if nxt is None:
                 return out
-            i, lineno, line_indent, content = nxt
+            lineno, line_indent, content, column = nxt
             if line_indent < indent:
                 return out
             if line_indent > indent:
-                self.error("unexpected indentation", lineno, line_indent)
-            if content == "-" or content.startswith("- "):
-                self.error("sequence item where mapping entry was expected", lineno, line_indent)
-            pos = self._key_split(content)
+                self.error("unexpected indentation", lineno, column)
+            if _is_item(content):
+                self.error("sequence item where mapping entry was expected", lineno, column)
+            pos = _key_split(content)
             if pos is None:
-                self.error("expected 'key: value' mapping entry", lineno, line_indent)
+                self.error("expected 'key: value' mapping entry", lineno, column)
             key = content[:pos].strip()
             if not key:
-                self.error("empty mapping key", lineno, line_indent)
+                self.error("empty mapping key", lineno, column)
             if key[0] in "\"'":
-                key = _parse_inline(key, lineno, line_indent)
+                key = _parse_inline(key, lineno, column)
                 if not isinstance(key, str):
-                    self.error("mapping keys must be strings", lineno, line_indent)
+                    self.error("mapping keys must be strings", lineno, column)
             if key in out:
-                self.error(f"duplicate key {key!r}", lineno, line_indent)
+                self.error(f"duplicate key {key!r}", lineno, column)
             rest = content[pos + 1 :].strip()
-            self.idx = i + 1
-            out[key] = self._entry_value(rest, indent, lineno, line_indent + pos + 2)
+            self.idx, self.pending = lineno, None
+            out[key] = self._entry_value(rest, indent, lineno, column + pos + 2)
 
     def parse_sequence(self, indent):
         out = []
@@ -320,22 +342,25 @@ class _Parser:
             nxt = self.peek()
             if nxt is None:
                 return out
-            i, lineno, line_indent, content = nxt
+            lineno, line_indent, content, column = nxt
             if line_indent < indent:
                 return out
             if line_indent > indent:
-                self.error("unexpected indentation", lineno, line_indent)
-            if content != "-" and not content.startswith("- "):
-                self.error("mapping entry where sequence item was expected", lineno, line_indent)
-            rest = content[2:].strip() if content != "-" else ""
-            self.idx = i + 1
-            if rest and self._key_split(rest) is not None:
-                # item is a mapping whose first entry shares the dash line;
-                # re-inject it at the item indentation and parse as a block
-                self.raw.insert(self.idx, " " * (indent + 2) + rest)
+                self.error("unexpected indentation", lineno, column)
+            if not _is_item(content):
+                self.error("mapping entry where sequence item was expected", lineno, column)
+            after = content[2:]
+            rest = after.strip()
+            self.idx, self.pending = lineno, None
+            if rest and _key_split(rest) is not None:
+                # the item is a mapping whose first entry shares the dash line
+                if rest.startswith("--- "):
+                    self.error("document markers / multi-document streams are not supported", lineno)
+                lead = len(after) - len(after.lstrip())
+                self.pending = (lineno, indent + 2, rest, column + 2 + lead)
                 out.append(self.parse_block(indent + 2))
             else:
-                out.append(self._entry_value(rest, indent, lineno, line_indent + 2))
+                out.append(self._entry_value(rest, indent, lineno, column + 2))
 
     def _entry_value(self, rest, parent_indent, lineno, col):
         if rest == "":
@@ -347,38 +372,29 @@ class _Parser:
         return _parse_inline(rest, lineno, col)
 
     def _literal_block(self, parent_indent, clip):
-        collected = []
-        while self.idx < len(self.raw):
-            raw = self.raw[self.idx]
-            if raw.strip() == "":
-                collected.append((self.idx + 1, raw, None))
-                self.idx += 1
+        raw = self.raw
+        start = end = self.idx  # `end`: one past the last non-blank line
+        lines = []
+        block_indent = None
+        for i in range(start, len(raw)):
+            text = raw[i].lstrip(" ")
+            if not text or text.isspace():
+                lines.append("")
                 continue
-            indent = len(raw) - len(raw.lstrip(" "))
+            indent = len(raw[i]) - len(text)
             if indent <= parent_indent:
                 break
-            collected.append((self.idx + 1, raw, indent))
-            self.idx += 1
-        # trailing blank lines belong to whatever follows, not the block
-        while collected and collected[-1][2] is None:
-            self.idx -= 1
-            collected.pop()
-        block_indent = None
-        for _, _, indent in collected:
-            if indent is not None:
+            if block_indent is None:
                 block_indent = indent
-                break
+            elif indent < block_indent:
+                self.error("literal block line indented less than its first line", i + 1)
+            lines.append(raw[i][block_indent:])
+            end = i + 1
+        # trailing blank lines belong to whatever follows, not the block
+        self.idx = end
         if block_indent is None:
             return ""
-        lines = []
-        for lineno, raw, indent in collected:
-            if indent is None:
-                lines.append("")
-            else:
-                if indent < block_indent:
-                    self.error("literal block line indented less than its first line", lineno)
-                lines.append(raw[block_indent:])
-        text = "\n".join(lines)
+        text = "\n".join(lines[: end - start])
         return text + "\n" if clip else text
 
 
@@ -388,20 +404,15 @@ def parse(source: str):
 
 
 def _plain_safe(text):
-    if text == "" or text != text.strip():
-        return False
-    if _scalar_from_plain(text) is not text:
-        return False
-    if text[0] in "-?#{}[]\"'&*!%@`|>,":
-        return False
-    if ": " in text or text.endswith(":"):
-        return False
-    if " #" in text:
-        return False
-    return not any(ch in text for ch in "\n\t{}[]")
+    return text != "" and _NOT_PLAIN.search(text) is None and _scalar_from_plain(text) is text
 
 
 def _dump_scalar(value):
+    if isinstance(value, str):
+        if _plain_safe(value):
+            return value
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
+        return f'"{escaped}"'
     if value is None:
         return "null"
     if value is True:
@@ -410,12 +421,7 @@ def _dump_scalar(value):
         return "false"
     if isinstance(value, (int, float)):
         return repr(value)
-    if not isinstance(value, str):
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-    if _plain_safe(value):
-        return value
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{escaped}"'
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _dump_key(key):
@@ -430,10 +436,10 @@ def _dump_flow(value):
     if isinstance(value, Flow):
         value = value.value
     if isinstance(value, dict):
-        inner = ", ".join(f"{_dump_key(k)}: {_dump_flow(v)}" for k, v in value.items())
+        inner = ", ".join([f"{_dump_key(k)}: {_dump_flow(v)}" for k, v in value.items()])
         return "{ " + inner + " }" if inner else "{}"
     if isinstance(value, list):
-        return "[" + ", ".join(_dump_flow(v) for v in value) + "]"
+        return "[" + ", ".join([_dump_flow(v) for v in value]) + "]"
     return _dump_scalar(value)
 
 
@@ -450,62 +456,58 @@ def _literal_safe(text):
     return True
 
 
-def _literal_lines(key_prefix, text, indent):
+def _literal_lines(lines, key_prefix, text, indent):
     body = text[:-1] if text.endswith("\n") else text
-    header = key_prefix + (" |" if text.endswith("\n") else " |-")
-    lines = [header]
+    lines.append(key_prefix + (" |" if text.endswith("\n") else " |-"))
     pad = " " * (indent + 2)
     for part in body.split("\n"):
         lines.append(pad + part if part else "")
-    return lines
 
 
-def _dump_block(value, indent):
+def _dump_block(value, indent, lines):
+    """Append the lines of `value` at `indent` to `lines`."""
     pad = " " * indent
-    lines = []
     if isinstance(value, dict):
         if not value:
-            return [pad + "{}"]
+            lines.append(pad + "{}")
         for k, v in value.items():
             key = _dump_key(k)
             if isinstance(v, Flow):
                 lines.append(f"{pad}{key}: {_dump_flow(v)}")
-            elif isinstance(v, dict) and v:
+            elif isinstance(v, (dict, list)) and v:
                 lines.append(f"{pad}{key}:")
-                lines.extend(_dump_block(v, indent + 2))
-            elif isinstance(v, list) and v:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_dump_block(v, indent + 2))
+                _dump_block(v, indent + 2, lines)
             elif isinstance(v, str) and _literal_safe(v):
-                lines.extend(_literal_lines(f"{pad}{key}:", v, indent))
+                _literal_lines(lines, f"{pad}{key}:", v, indent)
             elif isinstance(v, (dict, list)):
                 lines.append(f"{pad}{key}: {_dump_flow(v)}")
             else:
                 lines.append(f"{pad}{key}: {_dump_scalar(v)}")
-        return lines
-    if isinstance(value, list):
+    elif isinstance(value, list):
         if not value:
-            return [pad + "[]"]
+            lines.append(pad + "[]")
         for item in value:
             if isinstance(item, Flow):
                 lines.append(f"{pad}- {_dump_flow(item)}")
             elif isinstance(item, dict) and item:
-                sub = _dump_block(item, indent + 2)
-                lines.append(pad + "- " + sub[0][indent + 2 :])
-                lines.extend(sub[1:])
+                first = len(lines)
+                _dump_block(item, indent + 2, lines)
+                lines[first] = pad + "- " + lines[first][indent + 2 :]
             elif isinstance(item, list) and item:
                 lines.append(pad + "-")
-                lines.extend(_dump_block(item, indent + 2))
+                _dump_block(item, indent + 2, lines)
             elif isinstance(item, str) and _literal_safe(item):
-                lines.extend(_literal_lines(f"{pad}-", item, indent))
+                _literal_lines(lines, f"{pad}-", item, indent)
             elif isinstance(item, (dict, list)):
                 lines.append(f"{pad}- {_dump_flow(item)}")
             else:
                 lines.append(f"{pad}- {_dump_scalar(item)}")
-        return lines
-    return [pad + _dump_scalar(value)]
+    else:
+        lines.append(pad + _dump_scalar(value))
 
 
 def dump(value) -> str:
     """Serialize to canonical text: 2-space indent, insertion order kept."""
-    return "\n".join(_dump_block(value, 0)) + "\n"
+    lines = []
+    _dump_block(value, 0, lines)
+    return "\n".join(lines) + "\n"

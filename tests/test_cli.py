@@ -393,7 +393,25 @@ def test_identity_without_policy_is_malformed_not_unauthorized(tmp_path, monkeyp
     assert "policy" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("gateway", ["bogus", "8.8.8.8", "10.7.1.1", "::1"])
+def test_instance_with_an_unknown_flavor_is_malformed_state(runner):
+    member = json.dumps({"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]})
+    args = ("--min", "1", "--max", "1", "--desired", "1", "--member", member)
+    assert runner("group-create", "web", *args)[0] == 0
+    state = json.loads(runner._state.read_text())
+    table = _instances(state)
+    column = table["fields"].index("flavor_name")
+    for row in table["rows"]:
+        row[column] = "gone"
+    runner._state.write_text(json.dumps(state))
+    assert runner("events-tail")[0] == 0  # a read verb does not check flavors
+    code, out, err = runner("group-create", "db", *args)
+    assert code == 5 and out == ""
+    assert err.startswith("error: state is malformed: ") and "'gone'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("gateway", ["bogus", "8.8.8.8", "10.7.1.1", "::1", "10.7.0.0", "10.7.0.2",
+                                     "10.7.0.255"])
 def test_net_create_rejects_a_gateway_outside_the_cidr(runner, gateway):
     code, out, err = runner("net-create", "n7", "--cidr", "10.7.0.0/24", "--gateway", gateway)
     assert code == 2 and out == ""

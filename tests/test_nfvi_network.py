@@ -49,10 +49,38 @@ def test_gateway_must_be_an_address_in_the_cidr(gateway):
     assert world.provider.network_by_name(tenant, "n1") is None
 
 
+@pytest.mark.parametrize("cidr, gateway", [
+    ("10.7.0.0/24", "10.7.0.0"),
+    ("10.8.0.0/24", "10.8.0.2"),
+    ("10.9.0.0/24", "10.9.0.255"),
+    ("fd00::/120", "fd00::ff"),
+])
+def test_gateway_may_not_be_the_network_service_or_broadcast_address(cidr, gateway):
+    world, tenant = cloud()
+    with pytest.raises(ConflictError, match="network, service or broadcast"):
+        world.provider.create_network(tenant, "n1", cidr, gateway=gateway)
+    assert world.provider.network_by_name(tenant, "n1") is None
+
+
+@pytest.mark.parametrize("cidr, addresses", [
+    # below 2**32, where `ipaddress.ip_address(int)` would give IPv4 text
+    ("::/120", ["::1", "::2", "::3", "::4"]),
+    ("fd00::100/120", ["fd00::101", "fd00::102", "fd00::103", "fd00::104"]),
+])
+def test_ipv6_addresses_are_ipv6_text(cidr, addresses):
+    world, tenant = cloud()
+    net = world.provider.create_network(tenant, "n6", cidr)
+    instances = [launch(world, tenant, ["n6"]) for _ in range(2)]
+    assert [net.gateway, net.service_address] + [i.fixed_ips["n6"] for i in instances] == addresses
+
+
 @pytest.mark.parametrize("gateway, addresses", [
     ("bogus", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
     ("8.8.8.8", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
     ("10.0.0.4", ["10.0.0.3", "10.0.0.5", "10.0.0.6"]),
+    ("10.0.0.0", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
+    ("10.0.0.2", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
+    ("10.0.0.255", ["10.0.0.3", "10.0.0.4", "10.0.0.5"]),
 ])
 def test_a_stored_gateway_loads_and_reserves_only_its_own_address(gateway, addresses):
     world, tenant = cloud()

@@ -156,6 +156,30 @@ def test_rejected_syntax(snippet, message):
         yamlite.parse(snippet)
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        # three `- key: value` items before the bad line do not push it down
+        ("items:\n  - a: 1\n  - b: 2\n  - c: 3\nbad line here\n", 5, 0, "expected 'key: value'"),
+        # the column counts every blank after the dash
+        ("items:\n  -   a: 1\n  -   b: { x\n", 3, 12, "expected ':' in flow mapping"),
+        # a literal block inside such an item, holding marker lines
+        ("items:\n  - a: |\n      ---\n      %x\n    b: 2\n  - c: 3\n%bad\n", 7, None, "directives"),
+    ],
+    ids=["after-items", "blanks-after-dash", "literal-block-in-item"],
+)
+def test_errors_after_inline_mapping_items_name_the_real_line(text, line, column, message):
+    with pytest.raises(TemplateSyntaxError, match=message) as err:
+        yamlite.parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}")
+
+
+def test_literal_block_inside_an_inline_mapping_item():
+    text = "items:\n  - a: |\n      ---\n      %x\n    b: 2\n  -  c: 3\n"
+    assert yamlite.parse(text) == {"items": [{"a": "---\n%x\n", "b": 2}, {"c": 3}]}
+
+
 def test_yamlite_scalars():
     parsed = yamlite.parse(
         "a: 4\nb: 0.8\nc: true\nd: false\ne: null\nf: 2013-05-23\ng: \"quoted: text\"\nh: plain text\n"

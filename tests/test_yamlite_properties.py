@@ -1,0 +1,65 @@
+"""Property tests for `yamlite` over generated text.
+
+Any text either parses or raises `TemplateSyntaxError` naming a line of
+that text, and the comment scan agrees with the quote-aware character
+loop it replaced, kept here as the reference.
+"""
+
+import pytest
+
+from minimano import yamlite
+from minimano.errors import TemplateSyntaxError
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+
+# line pieces that reach every construct: block items and entries, inline
+# mapping items, literal blocks, flow collections, quotes, comments, markers
+PIECES = ["- ", "-  ", "-", "a: ", "b:", "c: 1", "|", "|-", ">", "{ x: 1 }", "{ y: [p, q] }",
+          "[a, 'b']", "'s''t'", '"d\\"q"', " # c", "#", "---", "%x", "\t", ":", "{", "]", "x"]
+LINES = st.builds(
+    lambda indent, pieces: " " * indent + "".join(pieces),
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.sampled_from(PIECES), max_size=4),
+)
+DOCUMENTS = st.one_of(
+    st.lists(LINES, max_size=12).map("\n".join),
+    st.text(alphabet=" \t\n:#-'\"{}[],|>%&*ab1", max_size=80),
+)
+
+
+@SETTINGS
+@hypothesis.given(DOCUMENTS)
+def test_any_text_parses_or_names_one_of_its_lines(text):
+    try:
+        yamlite.parse(text)
+    except TemplateSyntaxError as exc:
+        assert exc.line is not None
+        assert 1 <= exc.line <= text.count("\n") + 1
+
+
+def reference_strip_comment(content):
+    quote = None
+    i = 0
+    while i < len(content):
+        ch = content[i]
+        if quote:
+            if quote == '"' and ch == "\\":
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in ("'", '"'):
+            quote = ch
+        elif ch == "#" and (i == 0 or content[i - 1] in " \t"):
+            return content[:i].rstrip()
+        i += 1
+    return content.rstrip()
+
+
+@SETTINGS
+@hypothesis.given(st.text(alphabet="a #'\"\\\t", max_size=24))
+def test_comment_scan_matches_the_character_loop(content):
+    assert yamlite._strip_comment(content) == reference_strip_comment(content)

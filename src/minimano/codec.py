@@ -1,8 +1,19 @@
-"""The snapshot codec: the one mapping between dataclass rows and JSON data.
+"""The snapshot codec: the one mapping between row objects and JSON data.
+
+A persisted row class is declared with `record` instead of `dataclass`:
+its annotated fields, in order, become the parameters of a generated
+``__init__``, each taking a plain default or a `field` with a
+`default_factory`. A nested row collection names its codec in the same
+`field` (``field(default_factory=dict, codec=keyed(Row, "id"))``). A
+record compares by identity and has the default repr, as
+``dataclass(eq=False, repr=False)`` would give it, and a CLI call that
+reads no template imports neither `dataclasses` nor `inspect`. Template
+values (`hot`, `plan`) stay dataclasses: they need `frozen`, value
+equality and ``compare=False``, and only the verbs that read a template
+load them.
 
 A subsystem declares its persisted layout once, as a schema table that
-maps each attribute to a `Codec`; a dataclass declares its nested rows
-once, in field metadata (``field(metadata={"codec": ...})``). The kinds:
+maps each attribute to a `Codec`. The kinds:
 
 - `one(cls)`: a single row, stored as an object of exactly its fields;
 - `keyed(cls, key)`: a registry dict, stored as a table of its rows in
@@ -11,13 +22,13 @@ once, in field metadata (``field(metadata={"codec": ...})``). The kinds:
 - `PLAIN`: JSON data, stored as it is.
 
 A table (snapshot v3) is ``{"fields": [...], "rows": [[...], ...]}``.
-`fields` names the dataclass fields in declaration order, taken from
-`dataclasses.fields` (so a cached property in an object's ``__dict__``
-is never stored), and each row lists one object's values in that order.
-A nested table, the value of a field with a `keyed` or `listed` codec,
-sits in its row's column. Loading checks that `fields` is exactly the
-declared list and that every row is a list of that many values: a dict
-or a string row of the right length would otherwise load.
+`fields` names the record's fields in declaration order, taken from
+`fields(cls)` (so a cached property in an object's ``__dict__`` is never
+stored), and each row lists one object's values in that order. A nested
+table, the value of a field with a `keyed` or `listed` codec, sits in
+its row's column. Loading checks that `fields` is exactly the declared
+list and that every row is a list of that many values: a dict or a
+string row of the right length would otherwise load.
 
 A flat row (no nested field) dumps as a tuple from one C-level
 `operator.attrgetter` and loads as ``cls(*row)``. A dump is for
@@ -32,16 +43,12 @@ error, never dropped or filled. Older snapshots upgrade on load through
 a chain, v1 to v2 to v3 (`world._upgrade_v1`, `world._upgrade_v2`).
 """
 
-from dataclasses import fields
+from collections import namedtuple
 from itertools import starmap
 from operator import attrgetter, itemgetter
-from typing import Callable, NamedTuple
 
-
-class Codec(NamedTuple):
-    dump: Callable
-    load: Callable
-    upgrade: Callable  # the v2 form to the v3 form
+# `upgrade` takes the v2 form to the v3 form
+Codec = namedtuple("Codec", "dump load upgrade")
 
 
 def _same(value):
@@ -49,9 +56,57 @@ def _same(value):
 
 
 PLAIN = Codec(_same, _same, _same)
+_MISSING = object()
+# one field of a `record` class, as `fields` lists it
+Field = namedtuple("Field", "name default default_factory codec",
+                   defaults=(_MISSING, None, PLAIN))
+
+
+def field(*, default=_MISSING, default_factory=None, codec=PLAIN) -> Field:
+    """A field's default, or the factory called for each new object, and
+    the codec of a nested row collection."""
+    return Field("", default, default_factory, codec)
+
+
+def record(cls):
+    """Give `cls` an ``__init__`` that takes its annotated fields in order,
+    positional or keyword, and list them for `fields`. A list, dict or set
+    default is refused, as `dataclass` refuses it: every object would
+    share it."""
+    declared, params, body, env = [], [], [], {"_MISSING": _MISSING}
+    for name in cls.__annotations__:
+        value = cls.__dict__.get(name, _MISSING)
+        if type(value) is Field:
+            value = value._replace(name=name)
+            delattr(cls, name)
+        else:
+            value = Field(name, value)
+        if isinstance(value.default, (list, dict, set)):
+            raise ValueError(f"mutable default {type(value.default).__name__} for field "
+                             f"{name} of {cls.__name__}: use default_factory")
+        if value.default_factory is not None:
+            env[f"_factory_{name}"] = value.default_factory
+            params.append(f"{name}=_MISSING")
+            body.append(f"self.{name} = _factory_{name}() if {name} is _MISSING else {name}")
+        else:
+            env[f"_default_{name}"] = value.default
+            params.append(name if value.default is _MISSING else f"{name}=_default_{name}")
+            body.append(f"self.{name} = {name}")
+        declared.append(value)
+    exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body or ["pass"]), env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__record_fields__ = tuple(declared)
+    return cls
+
+
+def fields(cls) -> tuple:
+    """The `Field`s of a `record` class, in declaration order."""
+    return cls.__record_fields__
+
 
 def _specs(cls) -> list:
-    return [(f.name, f.metadata.get("codec", PLAIN)) for f in fields(cls)]
+    return [(f.name, f.codec) for f in fields(cls)]
 
 
 def one(cls) -> Codec:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .codec import dump_attrs, keyed, load_attrs
+from .codec import dump_attrs, field, keyed, load_attrs, record
 from .errors import (
     ConflictError,
     DeployError,
@@ -59,7 +58,7 @@ DELETE_FAILED = "DELETE_FAILED"
 _BLOCKED = object()
 
 
-@dataclass(eq=False, repr=False)
+@record
 class ResourceRecord:
     name: str
     uuid: str
@@ -70,7 +69,7 @@ class ResourceRecord:
     failure: str | None = None
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Stack:
     id: str
     name: str
@@ -79,7 +78,7 @@ class Stack:
     source: str  # canonical template text (what gets persisted)
     bound: dict
     waves: list
-    records: dict = field(default_factory=dict, metadata={"codec": keyed(ResourceRecord, "name")})
+    records: dict = field(default_factory=dict, codec=keyed(ResourceRecord, "name"))
     outputs: dict = field(default_factory=dict)
     parent: list | None = None  # [stack_id, resource_name]
     depth: int = 0
@@ -106,7 +105,7 @@ class Stack:
         return ids, attrs
 
 
-@dataclass(eq=False, repr=False)
+@record
 class StackRun:
     stack_id: str
     token_id: str
@@ -116,7 +115,7 @@ class StackRun:
     template_dir: str | None = None
 
 
-@dataclass(eq=False, repr=False)
+@record
 class WaitHandle:
     id: str
     stack_id: str
@@ -124,7 +123,7 @@ class WaitHandle:
     signals: dict = field(default_factory=dict)  # signal id -> payload
 
 
-@dataclass(eq=False, repr=False)
+@record
 class WaitCondition:
     handle_id: str
     stack_id: str

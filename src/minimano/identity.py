@@ -7,9 +7,7 @@ table mapping action names to the role they require ("any" accepts every
 valid token). Unknown actions are denied.
 """
 
-from dataclasses import dataclass, field
-
-from .codec import keyed, one
+from .codec import field, keyed, one, record
 from .errors import AuthError, ConflictError, NotFoundError
 from .lazy import LazyNames
 
@@ -68,13 +66,13 @@ def default_policy() -> dict:
     return policy
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Tenant:
     id: str
     name: str
 
 
-@dataclass(eq=False, repr=False)
+@record
 class User:
     id: str
     name: str
@@ -82,7 +80,7 @@ class User:
     digest: str
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Token:
     id: str
     user_id: str
@@ -91,12 +89,12 @@ class Token:
     expires_at: int
 
 
-@dataclass(eq=False, repr=False)
+@record
 class IdentityState:
-    tenants: dict = field(default_factory=dict, metadata={"codec": keyed(Tenant, "id")})
-    users: dict = field(default_factory=dict, metadata={"codec": keyed(User, "id")})
+    tenants: dict = field(default_factory=dict, codec=keyed(Tenant, "id"))
+    users: dict = field(default_factory=dict, codec=keyed(User, "id"))
     assignments: list = field(default_factory=list)  # [user_id, tenant_id, role]
-    tokens: dict = field(default_factory=dict, metadata={"codec": keyed(Token, "id")})
+    tokens: dict = field(default_factory=dict, codec=keyed(Token, "id"))
     catalog: dict = field(default_factory=dict)  # service name -> url
     policy: dict = field(default_factory=dict)  # action -> required role
 

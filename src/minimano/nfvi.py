@@ -23,10 +23,9 @@ import base64
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs
+from .codec import PLAIN, dump_attrs, field, keyed, listed, load_attrs, record
 from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
 from .lazy import LazyNames
 
@@ -45,7 +44,7 @@ _ECHO_RE = re.compile(r'^echo "([^"]*)" >> (\S+)$')
 _SIGNAL_RE = re.compile(r"^signal (\S+) (.+)$")
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Host:
     id: str
     vcpus: int
@@ -53,7 +52,7 @@ class Host:
     disk_gib: int
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Image:
     id: str
     tenant_id: str
@@ -63,7 +62,7 @@ class Image:
     cloud_init: bool = True
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Flavor:
     id: str
     tenant_id: str
@@ -73,7 +72,7 @@ class Flavor:
     disk_gib: int
 
 
-@dataclass(eq=False, repr=False)
+@record
 class KeyPair:
     id: str
     tenant_id: str
@@ -82,7 +81,7 @@ class KeyPair:
     # the private half is returned once at creation and never stored
 
 
-@dataclass(eq=False, repr=False)
+@record
 class SecurityGroupRule:
     direction: str  # ingress | egress
     protocol: str
@@ -92,15 +91,15 @@ class SecurityGroupRule:
     remote_group: str | None = None
 
 
-@dataclass(eq=False, repr=False)
+@record
 class SecurityGroup:
     id: str
     tenant_id: str
     name: str
-    rules: list = field(default_factory=list, metadata={"codec": listed(SecurityGroupRule)})
+    rules: list = field(default_factory=list, codec=listed(SecurityGroupRule))
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Instance:
     id: str
     tenant_id: str
@@ -121,7 +120,7 @@ class Instance:
     attached_volumes: list = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Network:
     id: str
     tenant_id: str
@@ -132,7 +131,7 @@ class Network:
     router_id: str | None = None  # a subnet attaches to at most one router
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Router:
     id: str
     tenant_id: str
@@ -141,7 +140,7 @@ class Router:
     external_gateway: bool = False
 
 
-@dataclass(eq=False, repr=False)
+@record
 class FloatingIp:
     id: str
     tenant_id: str
@@ -149,24 +148,24 @@ class FloatingIp:
     associated_instance: str | None = None
 
 
-@dataclass(eq=False, repr=False)
+@record
 class VolumeSnapshot:
     id: str
     taken_at: int
     payload_b64: str
 
 
-@dataclass(eq=False, repr=False)
+@record
 class Volume:
     id: str
     tenant_id: str
     size_gib: int
     payload_b64: str = ""
     attached_to: str | None = None
-    snapshots: list = field(default_factory=list, metadata={"codec": listed(VolumeSnapshot)})
+    snapshots: list = field(default_factory=list, codec=listed(VolumeSnapshot))
 
 
-@dataclass(eq=False, repr=False)
+@record
 class ConnectivityResult:
     allowed: bool
     reason: str | None = None  # no-route | no-nat | sg-blocked

@@ -13,9 +13,8 @@ when capacity is short.
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
-from .codec import PLAIN, dump_attrs, keyed, listed, load_attrs, one
+from .codec import PLAIN, dump_attrs, field, keyed, listed, load_attrs, one, record
 from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
 from .lazy import LazyNames
 
@@ -29,7 +28,7 @@ COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
 ACTIONS = ("scale_out", "scale_in", "notify")
 
 
-@dataclass(eq=False, repr=False)
+@record
 class MetricSample:
     """One recorded value, never mutated once recorded."""
 
@@ -39,7 +38,7 @@ class MetricSample:
     tick: int
 
 
-@dataclass(eq=False, repr=False)
+@record
 class AlarmDef:
     id: str
     name: str
@@ -54,7 +53,7 @@ class AlarmDef:
     last_fire_tick: int | None = None
 
 
-@dataclass(eq=False, repr=False)
+@record
 class ScalingGroup:
     id: str
     name: str
@@ -68,7 +67,7 @@ class ScalingGroup:
     stack_id: str | None = None
 
 
-@dataclass(eq=False, repr=False)
+@record
 class HealerConfig:
     enabled: bool = False
     detect_interval: int = 5
@@ -83,7 +82,7 @@ def healer_config(enabled, detect_interval, source, error=TemplateError) -> Heal
     return HealerConfig(enabled, detect_interval)
 
 
-@dataclass(eq=False, repr=False)
+@record
 class LoadGenerator:
     """Synthetic per-member metric stream: sinusoid plus seeded noise."""
 

@@ -19,7 +19,7 @@ from .errors import TemplateSyntaxError
 
 _INT_RE = re.compile(r"^[-+]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[-+]?([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?$")
-_PLAIN_KEY_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.:/-]*$")
+_PLAIN_KEY_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.:/-]*")
 # flow tokens: blanks; a plain scalar in a flow mapping or sequence; a flow
 # mapping key; a quoted string (a double-quoted one's body, then '"', a
 # lone trailing backslash, or nothing when the line ends first)
@@ -93,9 +93,17 @@ def _strip_comment(content):
 
 
 def _key_split(content):
-    """Index of the ':' separating key from value, or None."""
-    if content[0] in "{[\"'&*!%@`":
-        return None
+    """Index of the ':' separating key from value, or None; a quoted key
+    ends at its closing quote, and the ':' must follow at once."""
+    lead = content[0]
+    if lead in "{[\"'&*!%@`":
+        if lead not in "\"'":
+            return None
+        match = (_DOUBLE_QUOTED if lead == '"' else _SINGLE_QUOTED).match(content)
+        if match is None or lead == '"' and match[2] != '"':
+            return None
+        pos = match.end()
+        return pos if content.startswith(": ", pos) or content[pos:] == ":" else None
     pos = content.find(": ")
     if pos >= 0:
         return pos
@@ -328,13 +336,13 @@ class _Parser:
                 self.error("empty mapping key", lineno, column)
             if key[0] in "\"'":
                 key = _parse_inline(key, lineno, column)
-                if not isinstance(key, str):
-                    self.error("mapping keys must be strings", lineno, column)
             if key in out:
                 self.error(f"duplicate key {key!r}", lineno, column)
             rest = content[pos + 1 :].strip()
             self.idx, self.pending = lineno, None
-            out[key] = self._entry_value(rest, indent, lineno, column + pos + 2)
+            # `content` ends in no blank, so `rest` ends where it does
+            col = column + len(content) - len(rest)
+            out[key] = self._entry_value(rest, indent, lineno, col)
 
     def parse_sequence(self, indent):
         out = []
@@ -349,18 +357,17 @@ class _Parser:
                 self.error("unexpected indentation", lineno, column)
             if not _is_item(content):
                 self.error("mapping entry where sequence item was expected", lineno, column)
-            after = content[2:]
-            rest = after.strip()
+            rest = content[2:].strip()
             self.idx, self.pending = lineno, None
+            col = column + len(content) - len(rest)  # as in parse_mapping
             if rest and _key_split(rest) is not None:
                 # the item is a mapping whose first entry shares the dash line
                 if rest.startswith("--- "):
                     self.error("document markers / multi-document streams are not supported", lineno)
-                lead = len(after) - len(after.lstrip())
-                self.pending = (lineno, indent + 2, rest, column + 2 + lead)
+                self.pending = (lineno, indent + 2, rest, col)
                 out.append(self.parse_block(indent + 2))
             else:
-                out.append(self._entry_value(rest, indent, lineno, column + 2))
+                out.append(self._entry_value(rest, indent, lineno, col))
 
     def _entry_value(self, rest, parent_indent, lineno, col):
         if rest == "":
@@ -407,12 +414,14 @@ def _plain_safe(text):
     return text != "" and _NOT_PLAIN.search(text) is None and _scalar_from_plain(text) is text
 
 
+def _quoted(text):
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
+    return f'"{escaped}"'
+
+
 def _dump_scalar(value):
     if isinstance(value, str):
-        if _plain_safe(value):
-            return value
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
+        return value if _plain_safe(value) else _quoted(value)
     if value is None:
         return "null"
     if value is True:
@@ -420,14 +429,20 @@ def _dump_scalar(value):
     if value is False:
         return "false"
     if isinstance(value, (int, float)):
-        return repr(value)
+        text = repr(value)
+        # `parse` reads an exponent as part of a float only after a '.'
+        return text.replace("e", ".0e") if "e" in text and "." not in text else text
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _dump_key(key):
+def _dump_key(key, flow=False):
+    """`key` as `parse` reads it back: a block key ends at its first ': ',
+    a flow key at its first ':'."""
     if not isinstance(key, str):
         raise TypeError("mapping keys must be strings")
-    if _PLAIN_KEY_RE.match(key) and not key.endswith(":"):
+    if flow:
+        return key if _PLAIN_KEY_RE.fullmatch(key) and ":" not in key else _quoted(key)
+    if _PLAIN_KEY_RE.fullmatch(key) and not key.endswith(":"):
         return key
     return _dump_scalar(key)
 
@@ -436,10 +451,12 @@ def _dump_flow(value):
     if isinstance(value, Flow):
         value = value.value
     if isinstance(value, dict):
-        inner = ", ".join([f"{_dump_key(k)}: {_dump_flow(v)}" for k, v in value.items()])
+        inner = ", ".join([f"{_dump_key(k, flow=True)}: {_dump_flow(v)}" for k, v in value.items()])
         return "{ " + inner + " }" if inner else "{}"
     if isinstance(value, list):
         return "[" + ", ".join([_dump_flow(v) for v in value]) + "]"
+    if isinstance(value, str) and "," in value:  # a plain flow scalar ends at ','
+        return _quoted(value)
     return _dump_scalar(value)
 
 

@@ -1,5 +1,5 @@
-"""Import guard: verbs that read no template leave the template layer and
-`hashlib` unloaded.
+"""Import guard: verbs that read no template leave the template layer,
+`dataclasses` and `hashlib` unloaded.
 
     PYTHONPATH=src python tests/import_guard.py
 
@@ -7,10 +7,10 @@ Builds a state file in a temporary directory (a deployed server stack and
 a stack blocked on a wait condition), then runs, in one fresh process,
 seven verbs that read no template (the last deletes the server stack)
 and after them three that do. After each verb it notes the exit code and
-which of `minimano.hot`, `minimano.yamlite`, `minimano.plan`, `uuid` and
-`hashlib` are loaded. Every verb must exit 0, and the first seven, none
-of which hashes anything, must load none of them. Prints the report and
-exits 1 otherwise. Needs only the standard library; the tier-1
+which of `minimano.hot`, `minimano.yamlite`, `minimano.plan`, `uuid`,
+`hashlib` and `dataclasses` are loaded. Every verb must exit 0, and the
+first seven, none of which hashes anything, must load none of them.
+Prints the report and exits 1 otherwise. Needs only the standard library; the tier-1
 suite runs the same check.
 """
 
@@ -27,7 +27,8 @@ from minimano.world import World
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(minimano.__file__).resolve().parent.parent)
-UNLOADED = ("minimano.hot", "minimano.yamlite", "minimano.plan", "uuid", "hashlib")
+UNLOADED = ("minimano.hot", "minimano.yamlite", "minimano.plan", "uuid", "hashlib",
+            "dataclasses")
 
 GATED = (
     "heat_template_version: 2013-05-23\n"

@@ -4,17 +4,17 @@ For worlds with empty registries, nested tables inside tables, fields
 left at and moved off their defaults, stacks whose parsed template is
 cached, and seeded random operation walks: loading a world's JSON
 snapshot and dumping it again gives the same text, and every table's
-`fields` header is its dataclass's field names in order.
+`fields` header is its record's field names in order. A `record` class
+takes its fields as a dataclass would.
 """
 
 import json
 import random
-from dataclasses import dataclass, field, fields
 
 import pytest
 
 from conftest import TEMPLATES
-from minimano.codec import keyed, listed
+from minimano.codec import PLAIN, field, fields, keyed, listed, record
 from minimano.errors import MiniManoError
 from minimano.hot import parse_template
 from minimano.world import World
@@ -144,22 +144,22 @@ def test_random_walks_reach_every_kind_of_row():
     assert any(v.attached_to is not None for w in worlds for v in w.provider.volumes.values())
 
 
-@dataclass
+@record
 class Leaf:
     name: str
     size: int = 0
 
 
-@dataclass
+@record
 class Tag:
     label: str
 
 
-@dataclass
+@record
 class Node:
     id: str
-    leaves: dict = field(default_factory=dict, metadata={"codec": keyed(Leaf, "name")})
-    tags: list = field(default_factory=list, metadata={"codec": listed(Tag)})
+    leaves: dict = field(default_factory=dict, codec=keyed(Leaf, "name"))
+    tags: list = field(default_factory=list, codec=listed(Tag))
     note: str = "-"
 
 
@@ -179,7 +179,8 @@ def test_codec_nests_tables_and_keeps_one_field_rows():
     ]}
     loaded = NODES.load(json.loads(text))
     assert list(loaded) == ["a", "b"]
-    assert type(loaded["a"].leaves["x"]) is Leaf and loaded["a"].tags[1] == Tag("t2")
+    assert type(loaded["a"].leaves["x"]) is Leaf
+    assert type(loaded["a"].tags[1]) is Tag and loaded["a"].tags[1].label == "t2"
     assert json.dumps(NODES.dump(loaded)) == text
 
 
@@ -204,3 +205,58 @@ def test_v2_rows_upgrade_only_with_exactly_the_declared_fields():
     for row in ({"name": "x"}, {"name": "x", "size": 3, "colour": "red"}, ["x", 3]):
         with pytest.raises(ValueError):
             codec.upgrade([row])
+
+
+def test_record_takes_positional_and_keyword_arguments_and_fills_defaults():
+    node = Node("a", note="n")
+    assert (node.id, node.leaves, node.tags, node.note) == ("a", {}, [], "n")
+    leaf = Leaf(size=2, name="x")
+    assert (leaf.name, leaf.size) == ("x", 2)
+    assert Leaf("y").size == 0
+    nodes = [Node("b", {"x": leaf}), Node(id="c", tags=[Tag("t")])]
+    assert nodes[0].leaves == {"x": leaf} and nodes[0].tags == []
+    assert nodes[1].leaves == {} and nodes[1].tags[0].label == "t"
+
+
+def test_record_calls_each_default_factory_afresh():
+    first, second = Node("a"), Node("b")
+    assert first.leaves is not second.leaves and first.tags is not second.tags
+    first.tags.append(Tag("t"))
+    assert second.tags == [] and Node("c").tags == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Leaf(),
+    lambda: Leaf(size=1),
+    lambda: Leaf("x", 1, 2),
+    lambda: Leaf("x", colour="red"),
+    lambda: Leaf("x", name="y"),
+], ids=["none", "missing", "too-many", "unknown", "twice"])
+def test_record_refuses_a_missing_or_unknown_argument(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_record_lists_fields_in_annotation_order():
+    assert [f.name for f in fields(Node)] == ["id", "leaves", "tags", "note"]
+    assert [f.codec is PLAIN for f in fields(Node)] == [True, False, False, True]
+    assert fields(Tag)[0].name == "label"
+
+    @record
+    class Empty:
+        pass
+
+    assert fields(Empty) == () and type(Empty()) is Empty
+
+
+@pytest.mark.parametrize("default", [[], {}, set()], ids=["list", "dict", "set"])
+def test_record_refuses_a_mutable_default(default):
+    with pytest.raises(ValueError):
+        @record
+        class Shared:
+            items: object = default
+
+    with pytest.raises(ValueError):
+        @record
+        class SharedField:
+            items: object = field(default=default)

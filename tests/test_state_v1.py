@@ -10,18 +10,19 @@ bytes with `v` set to 2 and the three fields v2 dropped (`image_cache` in
 each host, `registered_at` in each catalog endpoint, which leaves the
 bare url, and the healer's `heal_window`) removed, which is the v2
 fixture. Its v3 form stores each registry as a table: `fields` lists the
-dataclass fields in order and each row the values in that order, nested
+record fields in order and each row the values in that order, nested
 tables included. Every registry value and nested row must load as its
-dataclass (a decoder that left rows as dicts would still round-trip the
-bytes).
+record class (a decoder that left rows as dicts would still round-trip
+the bytes).
 """
 
 import copy
 import json
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from pathlib import Path
 
+from minimano.codec import fields
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
 from minimano.hot import Literal, parse_template
 from minimano.identity import Tenant, Token, User

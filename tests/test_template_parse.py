@@ -175,6 +175,22 @@ def test_errors_after_inline_mapping_items_name_the_real_line(text, line, column
     assert str(err.value).startswith(f"line {line}")
 
 
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("a:   { x\n", 8, "expected ':' in flow mapping"),
+        ("-   [1\n", 6, "expected ',' or ']' in flow sequence"),
+    ],
+    ids=["blanks-after-colon", "blanks-after-dash"],
+)
+def test_error_columns_count_every_blank_before_the_value(text, column, message):
+    """The value starts after all the blanks, so an error at its end names
+    the end of the line."""
+    with pytest.raises(TemplateSyntaxError, match=message) as err:
+        yamlite.parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_literal_block_inside_an_inline_mapping_item():
     text = "items:\n  - a: |\n      ---\n      %x\n    b: 2\n  -  c: 3\n"
     assert yamlite.parse(text) == {"items": [{"a": "---\n%x\n", "b": 2}, {"c": 3}]}
@@ -215,6 +231,23 @@ def test_round_trip_canonical_serialization(templates_dir, name):
     again = parse_template(canonical)
     assert again == doc
     # canonical form is a fixed point
+    assert serialize_template(again) == canonical
+
+
+def test_a_property_key_that_needs_quotes_round_trips():
+    src = (
+        "heat_template_version: 2013-05-23\n"
+        "resources:\n"
+        "  a:\n"
+        "    type: OS::Heat::RandomString\n"
+        "    properties:\n"
+        '      value: { "x: y": 1 }\n'
+    )
+    doc = parse_template(src)
+    canonical = serialize_template(doc)
+    assert '"x: y": 1' in canonical
+    again = parse_template(canonical)
+    assert again == doc
     assert serialize_template(again) == canonical
 
 

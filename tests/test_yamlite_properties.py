@@ -1,8 +1,9 @@
 """Property tests for `yamlite` over generated text.
 
 Any text either parses or raises `TemplateSyntaxError` naming a line of
-that text, and the comment scan agrees with the quote-aware character
-loop it replaced, kept here as the reference.
+that text; the comment scan agrees with the quote-aware character loop
+it replaced, kept here as the reference; and `parse` reads back what
+`dump` writes for any JSON-like value, whatever text its keys hold.
 """
 
 import pytest
@@ -63,3 +64,27 @@ def reference_strip_comment(content):
 @hypothesis.given(st.text(alphabet="a #'\"\\\t", max_size=24))
 def test_comment_scan_matches_the_character_loop(content):
     assert yamlite._strip_comment(content) == reference_strip_comment(content)
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False, allow_infinity=False), st.text())
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@SETTINGS
+@hypothesis.given(st.dictionaries(st.text(), VALUES, min_size=1, max_size=4))
+@hypothesis.example({"x: y": 1, "a\n": {"": [{"'q": None}]}, "b:": "c"})
+@hypothesis.example({"a": [1e16, 5e-324, -1.5e-07]})
+def test_parse_reads_back_what_dump_writes(value):
+    assert yamlite.parse(yamlite.dump(value)) == value
+
+
+def test_a_flow_key_with_a_colon_and_a_flow_string_with_a_comma_are_quoted():
+    value = {"f": yamlite.Flow({"a:b": 1, "get_param": "x,y"}), "g": yamlite.Flow(["p,q", "r"])}
+    text = yamlite.dump(value)
+    assert text == 'f: { "a:b": 1, get_param: "x,y" }\ng: ["p,q", r]\n'
+    assert yamlite.parse(text) == {"f": {"a:b": 1, "get_param": "x,y"}, "g": ["p,q", "r"]}

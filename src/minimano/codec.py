@@ -1,16 +1,16 @@
 """The snapshot codec: the one mapping between row objects and JSON data.
 
-A persisted row class is declared with `record` instead of `dataclass`:
-its annotated fields, in order, become the parameters of a generated
-``__init__``, each taking a plain default or a `field` with a
-`default_factory`. A nested row collection names its codec in the same
-`field` (``field(default_factory=dict, codec=keyed(Row, "id"))``). A
-record compares by identity and has the default repr, as
-``dataclass(eq=False, repr=False)`` would give it, and a CLI call that
-reads no template imports neither `dataclasses` nor `inspect`. Template
-values (`hot`, `plan`) stay dataclasses: they need `frozen`, value
-equality and ``compare=False``, and only the verbs that read a template
-load them.
+A persisted row class, and a template value in `hot` and `plan`, is
+declared with `record` instead of `dataclass`: its annotated fields, in
+order, become the parameters of a generated ``__init__``, each taking a
+plain default or a `field` with a `default_factory`. A nested row
+collection names its codec in the same `field`
+(``field(default_factory=dict, codec=keyed(Row, "id"))``). A field
+declared as a `functools.cached_property` is computed when first read,
+unless ``__init__`` is given it. A record has the default repr and, by
+default, compares by identity. ``record(eq=True)`` compares by value and
+``record(frozen=True)`` refuses to be changed, as those `dataclass`
+options do, so no CLI call imports `dataclasses` or `inspect`.
 
 A subsystem declares its persisted layout once, as a schema table that
 maps each attribute to a `Codec`. The kinds:
@@ -21,14 +21,15 @@ maps each attribute to a `Codec`. The kinds:
 - `listed(cls)`: a list of rows, stored as a table;
 - `PLAIN`: JSON data, stored as it is.
 
-A table (snapshot v3) is ``{"fields": [...], "rows": [[...], ...]}``.
+A table (snapshot v3 and later) is ``{"fields": [...], "rows": [[...], ...]}``.
 `fields` names the record's fields in declaration order, taken from
-`fields(cls)` (so a cached property in an object's ``__dict__`` is never
-stored), and each row lists one object's values in that order. A nested
-table, the value of a field with a `keyed` or `listed` codec, sits in
-its row's column. Loading checks that `fields` is exactly the declared
-list and that every row is a list of that many values: a dict or a
-string row of the right length would otherwise load.
+`fields(cls)` (so a cached property in an object's ``__dict__`` is
+stored only when it is a declared field), and each row lists one
+object's values in that order. A nested table, the value of a field
+with a `keyed` or `listed` codec, sits in its row's column. Loading
+checks that `fields` is exactly the declared list and that every row is
+a list of that many values: a dict or a string row of the right length
+would otherwise load.
 
 A flat row (no nested field) dumps as a tuple from one C-level
 `operator.attrgetter` and loads as ``cls(*row)``. A dump is for
@@ -40,10 +41,12 @@ Each codec also carries `upgrade`, which turns its snapshot v2 form, one
 object per row, into its v3 form; `upgrade_attrs` applies it to a schema
 table. A v2 row whose keys are not exactly the declared fields is an
 error, never dropped or filled. Older snapshots upgrade on load through
-a chain, v1 to v2 to v3 (`world._upgrade_v1`, `world._upgrade_v2`).
+a chain, v1 to v2 to v3 to v4 (`world._upgrade_v1`, `world._upgrade_v2`,
+`world._upgrade_v3`).
 """
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import starmap
 from operator import attrgetter, itemgetter
 
@@ -58,24 +61,57 @@ def _same(value):
 PLAIN = Codec(_same, _same, _same)
 _MISSING = object()
 # one field of a `record` class, as `fields` lists it
-Field = namedtuple("Field", "name default default_factory codec",
-                   defaults=(_MISSING, None, PLAIN))
+Field = namedtuple("Field", "name default default_factory codec compare",
+                   defaults=(_MISSING, None, PLAIN, True))
 
 
-def field(*, default=_MISSING, default_factory=None, codec=PLAIN) -> Field:
-    """A field's default, or the factory called for each new object, and
-    the codec of a nested row collection."""
-    return Field("", default, default_factory, codec)
+def field(*, default=_MISSING, default_factory=None, codec=PLAIN, compare=True) -> Field:
+    """A field's default, or the factory called for each new object, the
+    codec of a nested row collection, and whether ``eq`` compares it."""
+    return Field("", default, default_factory, codec, compare)
 
 
-def record(cls):
+class FrozenInstanceError(AttributeError):
+    """A field of a ``frozen`` record was set or deleted."""
+
+
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot set or delete field {name!r} of a frozen "
+                              f"{type(self).__name__}")
+
+
+def _tuple_getter(names):
+    """A function giving an object's `names` attributes as a tuple (an
+    attrgetter of one name gives the bare value)."""
+    if len(names) != 1:
+        return attrgetter(*names) if names else lambda obj: ()
+    getter = attrgetter(*names)
+    return lambda obj: (getter(obj),)
+
+
+def record(cls=None, /, *, eq=False, frozen=False):
     """Give `cls` an ``__init__`` that takes its annotated fields in order,
     positional or keyword, and list them for `fields`. A list, dict or set
     default is refused, as `dataclass` refuses it: every object would
-    share it."""
-    declared, params, body, env = [], [], [], {"_MISSING": _MISSING}
-    for name in cls.__annotations__:
+    share it.
+
+    With `eq`, two objects are equal when they are of the same class and
+    their fields, but for those declared ``field(compare=False)``, are
+    equal; the class is then unhashable unless it is `frozen`. With
+    `frozen`, setting or deleting an attribute raises
+    `FrozenInstanceError`, and an object hashes by its compared fields."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq, frozen=frozen)
+    declared, params, body = [], [], []
+    env = {"_MISSING": _MISSING, "_set": object.__setattr__}
+    assign = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
+    for name in cls.__dict__.get("__annotations__", {}):
         value = cls.__dict__.get(name, _MISSING)
+        if type(value) is cached_property:  # computed when first read, unless given
+            params.append(f"{name}=_MISSING")
+            body.append(f"if {name} is not _MISSING: " + assign.format(name, name))
+            declared.append(Field(name))
+            continue
         if type(value) is Field:
             value = value._replace(name=name)
             delattr(cls, name)
@@ -87,16 +123,28 @@ def record(cls):
         if value.default_factory is not None:
             env[f"_factory_{name}"] = value.default_factory
             params.append(f"{name}=_MISSING")
-            body.append(f"self.{name} = _factory_{name}() if {name} is _MISSING else {name}")
+            body.append(assign.format(name, f"_factory_{name}() if {name} is _MISSING else {name}"))
         else:
             env[f"_default_{name}"] = value.default
             params.append(name if value.default is _MISSING else f"{name}=_default_{name}")
-            body.append(f"self.{name} = {name}")
+            body.append(assign.format(name, name))
         declared.append(value)
     exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body or ["pass"]), env)
     cls.__init__ = env["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__record_fields__ = tuple(declared)
+    if eq:
+        key = _tuple_getter([f.name for f in declared if f.compare])
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return key(self) == key(other)
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
 
 
@@ -139,8 +187,11 @@ class _Table:
     checks a table's rows for `load_row`, and `upgrade` takes the v2 row
     objects."""
 
-    def __init__(self, cls):
+    def __init__(self, cls, names=None):
         specs = _specs(cls)
+        if names is not None:  # an older header, for `rows` and `upgrade` only
+            codecs = dict(specs)
+            specs = [(name, codecs.get(name, PLAIN)) for name in names]
         self.cls = cls
         self.specs = specs
         self.names = [name for name, _ in specs]
@@ -150,9 +201,7 @@ class _Table:
             self.dump_row = lambda obj: [codec.dump(getattr(obj, name)) for name, codec in specs]
             self.load_row = self._load_nested
         else:
-            # attrgetter of one name gives the bare value, not a 1-tuple
-            getter = attrgetter(*self.names)
-            self.dump_row = getter if len(specs) > 1 else lambda obj: (getter(obj),)
+            self.dump_row = _tuple_getter(self.names)
             self.load_row = cls
 
     def _load_nested(self, *row):
@@ -185,6 +234,13 @@ class _Table:
                                  f"with exactly the fields {self.names}, got {got}")
             table.append([codec.upgrade(row[name]) for name, codec in self.specs])
         return {"fields": list(self.names), "rows": table}
+
+
+def layout(cls, names) -> _Table:
+    """The table of `cls` rows as an older snapshot held it, under the
+    header `names` (a field `cls` lacks is plain JSON): its `upgrade`
+    takes v2 row objects to that table, and its `rows` checks one."""
+    return _Table(cls, names)
 
 
 def keyed(cls, key) -> Codec:

@@ -75,7 +75,6 @@ class Stack:
     name: str
     tenant_id: str
     status: str
-    source: str  # canonical template text (what gets persisted)
     bound: dict
     waves: list
     records: dict = field(default_factory=dict, codec=keyed(ResourceRecord, "name"))
@@ -84,13 +83,6 @@ class Stack:
     depth: int = 0
     created_at: int = 0
     failure_reason: str | None = None
-
-    @cached_property
-    def doc(self) -> TemplateDoc:
-        """The parsed template, parsed from `source` when first read; only
-        a deployment in progress reads it."""
-        _TEMPLATE.bind()
-        return parse_template(self.source)  # looked up at call time, so wrappers see it
 
     @cached_property
     def deployed(self) -> tuple:
@@ -113,6 +105,20 @@ class StackRun:
     pos_idx: int = 0
     blocker: list | None = None  # ["wait", handle_id] | ["child", stack_id]
     template_dir: str | None = None
+    source: str  # the stack's template, kept only while this run is pending
+
+    @cached_property
+    def source(self) -> str:
+        """The canonical text of `doc`, serialised when the run is first
+        saved: a stack that completes within its call is never serialised."""
+        return serialize_template(self.doc)  # looked up at call time, so wrappers see it
+
+    @cached_property
+    def doc(self) -> TemplateDoc:
+        """The parsed template: set by `create_stack`, or parsed from the
+        loaded `source` when the run resumes."""
+        _TEMPLATE.bind()
+        return parse_template(self.source)
 
 
 @record
@@ -188,17 +194,16 @@ class StackEngine:
             name=name,
             tenant_id=claims.tenant_id,
             status=CREATE_IN_PROGRESS,
-            source=serialize_template(doc),
             bound=bound,
             waves=plan.waves,
             parent=parent,
             depth=depth,
             created_at=self.core.tick,
         )
-        stack.doc = doc
         self.stacks[stack.id] = stack
         self.core.emit("stack.create.start", stack.id, stack=stack.id, name=name)
         run = StackRun(stack_id=stack.id, token_id=token, template_dir=template_dir)
+        run.doc = doc
         self.runs[stack.id] = run
         self._pump_run(run)
         return stack
@@ -211,7 +216,7 @@ class StackEngine:
             if run.blocker is not None or stack.status != CREATE_IN_PROGRESS:
                 return
             if run.wave_idx >= len(stack.waves):
-                self._finalize_create(stack)
+                self._finalize_create(run, stack)
                 return
             wave = stack.waves[run.wave_idx]
             if run.pos_idx >= len(wave):
@@ -219,7 +224,7 @@ class StackEngine:
                 run.pos_idx = 0
                 continue
             rname = wave[run.pos_idx]
-            rdef = stack.doc.resources[rname]
+            rdef = run.doc.resources[rname]
             record = ResourceRecord(
                 name=rname,
                 uuid=self.core.new_uuid(),
@@ -272,8 +277,8 @@ class StackEngine:
         self.runs.pop(stack.id, None)
         self._notify_parent(stack)
 
-    def _finalize_create(self, stack: Stack):
-        outputs = stack.doc.outputs  # a source that fails to parse is not an output failure
+    def _finalize_create(self, run: StackRun, stack: Stack):
+        outputs = run.doc.outputs  # a source that fails to parse is not an output failure
         ctx = self._eval_context(stack)
         try:
             stack.outputs = {name: evaluate_expr(odef.value, ctx) for name, odef in outputs.items()}
@@ -667,3 +672,7 @@ class StackEngine:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        for run in self.runs.values():
+            if run.stack_id not in self.stacks or type(run.source) is not str:
+                raise ValueError(f"run {run.stack_id!r} must name a stack and hold its "
+                                 "template source text")

@@ -10,9 +10,8 @@ deployed resources, and extracts the inter-resource dependency graph used
 for deployment planning.
 """
 
-from dataclasses import dataclass, field
-
 from . import yamlite
+from .codec import field, record
 from .errors import DeployError, TemplateError
 from .resource_types import (
     RANDOM_STRING_TYPE,
@@ -36,28 +35,28 @@ class Expr:
     """Base class for property/output expressions."""
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class Literal(Expr):
     value: object
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class GetParam(Expr):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class GetAttr(Expr):
     resource: str
     attribute: str
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class GetResource(Expr):
     resource: str
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class StrReplace(Expr):
     template: str
     params: tuple  # of (marker, Expr) pairs, declaration order
@@ -67,12 +66,12 @@ class StrReplace(Expr):
         return dict(self.params)
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class ListOf(Expr):
     items: tuple
 
 
-@dataclass(frozen=True, repr=False)
+@record(eq=True, frozen=True)
 class MapOf(Expr):
     entries: tuple  # of (key, Expr) pairs, declaration order
 
@@ -85,7 +84,7 @@ class MapOf(Expr):
 # document model
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class ParameterDef:
     name: str
     type: str
@@ -98,7 +97,7 @@ class ParameterDef:
         return self.default is not _UNSET
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class ResourceDef:
     name: str
     resource_type: str
@@ -106,14 +105,14 @@ class ResourceDef:
     depends_on: tuple = ()  # resource names deployed before this one
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class OutputDef:
     name: str
     description: str | None
     value: Expr
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class TemplateDoc:
     version: str
     description: str | None
@@ -123,7 +122,7 @@ class TemplateDoc:
     warnings: list = field(default_factory=list, compare=False)
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class Finding:
     severity: str  # "error" | "warning"
     path: str
@@ -133,7 +132,7 @@ class Finding:
         return f"{self.severity}: {self.path}: {self.message}"
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class ValidationReport:
     findings: list
 
@@ -160,7 +159,7 @@ SEQUENCES = {
     "alphanumeric": "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
 }
 
-@dataclass(repr=False)
+@record(eq=True)
 class TypeSpec:
     name: str
     mandatory: dict  # property -> expected kind
@@ -662,7 +661,7 @@ def bind_parameters(doc: TemplateDoc, provided: dict) -> dict:
 # evaluation
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class EvalContext:
     """What expressions may see: bound parameters plus deployed resources."""
 

@@ -1,12 +1,11 @@
 """Deployment planning: stratify the resource dependency graph into waves."""
 
-from dataclasses import dataclass
-
+from .codec import record
 from .errors import DependencyCycleError
 from .hot import TemplateDoc, extract_dependencies
 
 
-@dataclass(repr=False)
+@record(eq=True)
 class DeploymentPlan:
     waves: list  # list of lists of resource names; wave i before wave i+1
     edges: list  # (provider, consumer) pairs the waves satisfy

@@ -15,9 +15,9 @@ reference frees it at once, without waiting for the cycle collector.
 import random
 import weakref
 
-from .codec import upgrade_attrs
+from .codec import fields, layout, upgrade_attrs
 from .engine import _SCHEMA as _ENGINE_SCHEMA
-from .engine import StackEngine
+from .engine import Stack, StackEngine, StackRun
 from .errors import ConflictError
 from .identity import _STATE as _IDENTITY_STATE
 from .identity import IdentityService
@@ -26,7 +26,7 @@ from .nfvi import CloudProvider
 from .telemetry import _SCHEMA as _TELEMETRY_SCHEMA
 from .telemetry import TelemetryService
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 def format_uuid4(n: int) -> str:
@@ -53,16 +53,51 @@ def _upgrade_v1(data: dict) -> dict:
     }
 
 
+_STACK_FIELDS = [f.name for f in fields(Stack)]
+_RUN_FIELDS = [f.name for f in fields(StackRun)]
+# the two tables v4 changed, as v3 held them: a stack kept its template
+# `source` after its `status`, and a run kept none
+_AFTER_STATUS = _STACK_FIELDS.index("status") + 1
+_V3_STACK_FIELDS = [*_STACK_FIELDS[:_AFTER_STATUS], "source", *_STACK_FIELDS[_AFTER_STATUS:]]
+_V3_RUN_FIELDS = [name for name in _RUN_FIELDS if name != "source"]
+
+
 def _upgrade_v2(data: dict) -> dict:
     """A v2 snapshot in v3 form: v3 stores each registry as one table of
-    rows under a `fields` header, by the same layouts that load it."""
+    rows under a `fields` header, by the same layouts that load it (the
+    stacks and runs by their v3 layouts)."""
+    engine_schema = {**_ENGINE_SCHEMA, "stacks": layout(Stack, _V3_STACK_FIELDS),
+                     "runs": layout(StackRun, _V3_RUN_FIELDS)}
     return {
         **data, "v": 3,
         "identity": _IDENTITY_STATE.upgrade(data["identity"]),
         "provider": upgrade_attrs(_PROVIDER_SCHEMA, data["provider"]),
-        "engine": upgrade_attrs(_ENGINE_SCHEMA, data["engine"]),
+        "engine": upgrade_attrs(engine_schema, data["engine"]),
         "telemetry": upgrade_attrs(_TELEMETRY_SCHEMA, data["telemetry"]),
     }
+
+
+def _upgrade_v3(data: dict) -> dict:
+    """A v3 snapshot in v4 form: v4 keeps a stack's template `source` in
+    the row of its pending run, and drops it where the run has ended."""
+    engine = data["engine"]
+    stacks = [dict(zip(_V3_STACK_FIELDS, row))
+              for row in layout(Stack, _V3_STACK_FIELDS).rows(engine["stacks"])]
+    runs = [dict(zip(_V3_RUN_FIELDS, row))
+            for row in layout(StackRun, _V3_RUN_FIELDS).rows(engine["runs"])]
+    sources = {stack["id"]: stack["source"] for stack in stacks}
+    if not all(type(source) is str for source in sources.values()):
+        raise ValueError("a v3 stack source must be a string")
+    for run in runs:
+        if run["stack_id"] not in sources:
+            raise ValueError(f"a v3 run names a missing stack {run['stack_id']!r}")
+        run["source"] = sources[run["stack_id"]]
+    return {**data, "v": 4, "engine": {
+        **engine,
+        "stacks": {"fields": _STACK_FIELDS,
+                   "rows": [[stack[name] for name in _STACK_FIELDS] for stack in stacks]},
+        "runs": {"fields": _RUN_FIELDS, "rows": [[run[name] for name in _RUN_FIELDS] for run in runs]},
+    }}
 
 
 class World:
@@ -133,6 +168,8 @@ class World:
             data = _upgrade_v1(data)
         if data.get("v") == 2:
             data = _upgrade_v2(data)
+        if data.get("v") == 3:
+            data = _upgrade_v3(data)
         if data.get("v") != SNAPSHOT_VERSION:
             raise ConflictError(f"unsupported state snapshot version {data.get('v')!r}")
         for key in ("seed", "tick"):

@@ -39,6 +39,8 @@ _UNCOMMENTED = re.compile(r"""(?:[^'"#]+|'[^']*'|"(?:[^"\\]|\\.)*"|(?<=[^ \t])#)
 # or a bracket
 _NOT_PLAIN = re.compile(r"""^[\s\-?#{}\[\]"'&*!%@`|>,]|\s\Z|:\Z|: | #|[\n\t{}\[\]]""")
 
+_INFINITIES = (float("inf"), float("-inf"))
+
 # characters that cannot start a plain scalar in this subset
 _RESERVED_LEAD = "&*!%@`|>"
 
@@ -80,7 +82,10 @@ def _plain(raw, lineno, column):
         raise TemplateSyntaxError("empty scalar", lineno, column)
     if raw[0] in _RESERVED_LEAD:
         raise TemplateSyntaxError(f"unsupported syntax: values may not start with {raw[0]!r}", lineno, column)
-    return _scalar_from_plain(raw)
+    value = _scalar_from_plain(raw)
+    if value in _INFINITIES:  # no spelling of one reads back as it
+        raise TemplateSyntaxError(f"number {raw} is out of range", lineno, column)
+    return value
 
 
 def _strip_comment(content):
@@ -429,6 +434,8 @@ def _dump_scalar(value):
     if value is False:
         return "false"
     if isinstance(value, (int, float)):
+        if value in _INFINITIES or value != value:
+            raise ValueError(f"cannot serialize the float {value!r}: parse never reads one back")
         text = repr(value)
         # `parse` reads an exponent as part of a float only after a '.'
         return text.replace("e", ".0e") if "e" in text and "." not in text else text

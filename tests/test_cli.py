@@ -547,7 +547,7 @@ def test_read_verbs_parse_no_template(runner, parses):
 
 def test_resumed_stack_parses_its_source_once(runner, tmp_path, parses):
     stack_id, url = _blocked_wait_stack(runner, tmp_path)
-    source = load_world(str(runner._state)).engine.stacks[stack_id].source
+    source = load_world(str(runner._state)).engine.runs[stack_id].source
     parses.clear()
     code, _, err = runner("signal", url, '{"status": "SUCCESS", "data": "ok"}')
     assert code == 0, err
@@ -564,9 +564,9 @@ def test_resumed_stack_parses_its_source_once(runner, tmp_path, parses):
 def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, template):
     stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
     state = json.loads(runner._state.read_text())
-    stacks = state["engine"]["stacks"]
-    id_col, source_col = stacks["fields"].index("id"), stacks["fields"].index("source")
-    (stored,) = [row for row in stacks["rows"] if row[id_col] == stack_id]
+    runs = state["engine"]["runs"]
+    id_col, source_col = runs["fields"].index("stack_id"), runs["fields"].index("source")
+    (stored,) = [row for row in runs["rows"] if row[id_col] == stack_id]
     stored[source_col] = "resources: ["
     runner._state.write_text(json.dumps(state, separators=(",", ":")))
     before = runner._state.read_bytes()
@@ -580,3 +580,119 @@ def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, te
     assert err.startswith("error: line 1, column 12: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert runner._state.read_bytes() == before  # a failed verb saves nothing
+
+
+# -- snapshot v4: a stack's template is stored only while its run is pending
+
+
+def _stored_sources(runner) -> dict:
+    """Stack id -> the template text its run row holds in the saved file."""
+    saved = json.loads(runner._state.read_text())["engine"]
+    assert "source" not in saved["stacks"]["fields"]
+    runs = saved["runs"]
+    stack_col, source_col = runs["fields"].index("stack_id"), runs["fields"].index("source")
+    return {row[stack_col]: row[source_col] for row in runs["rows"]}
+
+
+def _status(runner, stack_id) -> str:
+    code, out, err = runner("stack-show", stack_id, "--format", "machine")
+    assert code == 0, err
+    return json.loads(out)["status"]
+
+
+@pytest.fixture
+def serializes(monkeypatch):
+    """Counts calls of `engine.serialize_template`, the name a run's lazy
+    `source` looks up."""
+    calls = []
+    real = engine.serialize_template
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(engine, "serialize_template", counting)
+    return calls
+
+
+def test_a_no_wait_stack_keeps_its_source_until_its_signal_completes_it(
+        runner, tmp_path, serializes):
+    template = GATED + AFTER_GATE + OUTPUTS
+    stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
+    assert len(serializes) == 1  # saved once, by the create that left it pending
+    assert _stored_sources(runner) == {stack_id: template}
+    code, _, err = runner("clock-advance", "3")  # a reload that leaves it pending
+    assert code == 0, err
+    assert _stored_sources(runner) == {stack_id: template}
+    code, _, err = runner("signal", url, '{"status": "SUCCESS", "data": "ok"}')
+    assert code == 0, err
+    assert _stored_sources(runner) == {}
+    assert _status(runner, stack_id) == "CREATE_COMPLETE"
+    assert len(serializes) == 1  # a loaded run saves the text it was loaded with
+
+
+def test_a_nested_stack_and_its_waiting_parent_keep_their_sources_until_done(
+        runner, tmp_path):
+    child = GATED + OUTPUTS
+    (tmp_path / "gated.yaml").write_text(child)
+    outer = (
+        "heat_template_version: 2013-05-23\n"
+        "resources:\n"
+        "  inner:\n"
+        "    type: gated.yaml\n"
+        "outputs:\n"
+        "  data:\n"
+        "    value: { get_attr: [inner, data] }\n"
+    )
+    (tmp_path / "outer.yaml").write_text(outer)
+    code, out, err = runner("stack-create", "outer", "-f", str(tmp_path / "outer.yaml"),
+                            "--no-wait", "--format", "machine")
+    assert code == 0, err
+    parent_id = json.loads(out)["id"]
+    _, out, _ = runner("stack-show", parent_id, "--format", "machine")
+    child_id = json.loads(out)["resources"]["inner"]["id"]
+    assert _stored_sources(runner) == {parent_id: outer, child_id: child}
+    _, out, _ = runner("stack-show", child_id, "--format", "machine")
+    url = json.loads(out)["resources"]["handle"]["attributes"]["curl_cli"]
+    code, _, err = runner("signal", url, '{"status": "SUCCESS", "data": "up"}')
+    assert code == 0, err
+    assert _stored_sources(runner) == {}
+    assert _status(runner, child_id) == _status(runner, parent_id) == "CREATE_COMPLETE"
+    _, out, _ = runner("stack-show", parent_id, "--format", "machine")
+    assert json.loads(out)["outputs"] == {"data": '{"1": "up"}'}
+
+
+@pytest.mark.parametrize("end", [("signal", '{"status": "FAILURE"}'), ("clock-advance", "60")],
+                         ids=["failure-signal", "timeout"])
+def test_a_stack_that_fails_mid_run_stores_no_source(runner, tmp_path, end):
+    stack_id, url = _blocked_wait_stack(runner, tmp_path)
+    assert list(_stored_sources(runner)) == [stack_id]
+    verb, arg = end
+    code, _, err = runner(verb, *((url, arg) if verb == "signal" else (arg,)))
+    assert code == 0, err
+    assert _stored_sources(runner) == {}
+    assert _status(runner, stack_id) == "CREATE_FAILED"
+
+
+@pytest.mark.parametrize("argv", [
+    ("-f", str(TEMPLATES / "example2.yaml")),
+    ("-f", str(TEMPLATES / "example4.yaml")),
+    ("-f", str(TEMPLATES / "example2.yaml"), "--no-wait"),
+], ids=["example2", "nested-example4", "example2-no-wait"])
+def test_a_create_that_completes_in_its_call_serialises_no_template(runner, serializes, argv):
+    code, out, err = runner("stack-create", "done", *argv, "--format", "machine")
+    assert code == 0, err
+    assert json.loads(out)["status"] == "CREATE_COMPLETE"
+    assert serializes == []
+    assert _stored_sources(runner) == {}
+
+
+def test_a_blocking_create_that_waits_serialises_its_template_once(runner, tmp_path, serializes):
+    gated = tmp_path / "gated.yaml"
+    gated.write_text(GATED)
+    code, _, err = runner("stack-create", "gated", "-f", str(gated))
+    assert code == 4 and "timed out" in err
+    # the create's own save holds the pending run; each tick after it
+    # reloads that text and saves it back as it is
+    assert len(serializes) == 1
+    assert _stored_sources(runner) == {}

@@ -1,20 +1,23 @@
 """The snapshot codec's tables round-trip exactly.
 
 For worlds with empty registries, nested tables inside tables, fields
-left at and moved off their defaults, stacks whose parsed template is
-cached, and seeded random operation walks: loading a world's JSON
+left at and moved off their defaults, pending runs whose parsed template
+is cached, and seeded random operation walks: loading a world's JSON
 snapshot and dumping it again gives the same text, and every table's
 `fields` header is its record's field names in order. A `record` class
-takes its fields as a dataclass would.
+takes its fields, and with `eq` and `frozen` compares, hashes and
+refuses changes, as a dataclass would; a field declared as a cached
+property is computed when first read unless it is given.
 """
 
 import json
 import random
+from functools import cached_property
 
 import pytest
 
 from conftest import TEMPLATES
-from minimano.codec import PLAIN, field, fields, keyed, listed, record
+from minimano.codec import PLAIN, FrozenInstanceError, field, fields, keyed, listed, record
 from minimano.errors import MiniManoError
 from minimano.hot import parse_template
 from minimano.world import World
@@ -57,9 +60,10 @@ def fixture_world():
 
 def cached_doc_world():
     world = build_fixture_world()
-    for stack in world.engine.stacks.values():
-        assert stack.doc is not None
-        assert "doc" in vars(stack)  # the cached property sits beside the fields
+    assert world.engine.runs
+    for run in world.engine.runs.values():
+        assert run.doc is not None
+        assert "doc" in vars(run)  # the cached property sits beside the fields
     return world
 
 
@@ -123,7 +127,7 @@ WORLDS = {"empty": empty_world, "fixture": fixture_world, "cached-doc": cached_d
 @pytest.mark.parametrize("name", WORLDS)
 def test_world_snapshot_round_trips_with_declared_headers(name):
     snapshot = round_trip(WORLDS[name]())
-    assert snapshot["v"] == 3
+    assert snapshot["v"] == 4
     assert_headers(snapshot)
 
 
@@ -260,3 +264,76 @@ def test_record_refuses_a_mutable_default(default):
         @record
         class SharedField:
             items: object = field(default=default)
+
+
+@record(eq=True)
+class Point:
+    x: int
+    y: int = 0
+    note: str = field(default="", compare=False)
+
+
+@record(eq=True, frozen=True)
+class Pin:
+    label: str
+    at: tuple = ()
+
+
+@record(eq=True)
+class Other:
+    x: int
+    y: int = 0
+    note: str = ""
+
+
+def test_an_eq_record_compares_its_class_and_compared_fields():
+    assert Point(1, 2) == Point(x=1, y=2, note="ignored")
+    assert Point(1, 2) != Point(1, 3)
+    assert Point(1) != Other(1) and Other(1) != Point(1)
+    assert Point(1) != (1, 0)
+    assert Point.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(Point(1))
+    # a record without eq compares by identity and hashes
+    assert Leaf("x") != Leaf("x")
+    assert hash(Leaf("x")) is not None
+
+
+def test_a_frozen_record_refuses_changes_and_hashes_by_value():
+    pin = Pin("a", (1, 2))
+    assert (pin.label, pin.at) == ("a", (1, 2))
+    for change in (lambda: setattr(pin, "label", "b"), lambda: setattr(pin, "new", 1),
+                   lambda: delattr(pin, "at")):
+        with pytest.raises(FrozenInstanceError):
+            change()
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert (pin.label, pin.at) == ("a", (1, 2))
+    assert hash(pin) == hash(Pin("a", (1, 2))) and pin == Pin("a", (1, 2))
+    assert len({pin, Pin("a", (1, 2)), Pin("b")}) == 2
+
+
+@record
+class Lazy:
+    id: str
+    size: int = 0
+    text: str  # computed from `size` unless given
+
+    @cached_property
+    def text(self) -> str:
+        self.computed = True
+        return "x" * self.size
+
+
+def test_a_cached_property_field_is_computed_when_first_read_unless_given():
+    assert [f.name for f in fields(Lazy)] == ["id", "size", "text"]
+    lazy = Lazy("a", 3)
+    assert "text" not in vars(lazy)
+    assert lazy.text == "xxx" and lazy.computed
+    given = Lazy("b", 3, "given")
+    assert given.text == "given" and not hasattr(given, "computed")
+    table = listed(Lazy).dump([Lazy("c", 2), given])
+    assert json.loads(json.dumps(table)) == {"fields": ["id", "size", "text"],
+                                             "rows": [["c", 2, "xx"], ["b", 3, "given"]]}
+    loaded = listed(Lazy).load(json.loads(json.dumps(table)))
+    assert [(obj.id, obj.text) for obj in loaded] == [("c", "xx"), ("b", "given")]
+    assert not any(hasattr(obj, "computed") for obj in loaded)

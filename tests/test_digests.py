@@ -1,11 +1,14 @@
 """Behaviour digests: the sha256 of the event log and of the snapshot of
 whole scenario runs. The event-log digests were pinned from the package
-before its telemetry index existed. The snapshot digests are of the v3
-snapshot: the v2 snapshot of the same run passed through
-`world._upgrade_v2`, which stores each registry as one table of rows (the
-v2 digests were of the v1 snapshot with `v` set to 2 and the three fields
-v2 dropped removed). A change that alters what a scenario does, or what
-it saves, moves a digest.
+before its telemetry index existed. The snapshot digests are of the v4
+snapshot: the v3 snapshot of the same run passed through
+`world._upgrade_v3`, which moves the `source` column from the stacks
+table to the runs table (these runs create no stack, so only the two
+headers move). The v3 digests were of the v2 snapshot passed through
+`world._upgrade_v2`, which stores each registry as one table of rows, and
+the v2 digests of the v1 snapshot with `v` set to 2 and the three fields
+v2 dropped removed. A change that alters what a scenario does, or what it
+saves, moves a digest.
 """
 
 import hashlib
@@ -75,11 +78,11 @@ LONG_SCENARIO = {
 DIGESTS = {
     "autonomic_scenario": (
         "101400baec5e3d60dc36819277b005c6645e7904148e15f17036af1c053c0e9c",
-        "b9621dd189c5d10e67bee378530e9ef39e6ccad63a159e86c4795a86327a6966",
+        "6c8d43b2881076970144b551d02773514fde23b930208c786ec29d015ac9298d",
     ),
     "long_scenario": (
         "16a5c51574c813064b5721ec61ca7d896322bd2c940a5fc08f44f7c6c55827fd",
-        "6905488aaded07e2a975c0c086a89a428829d75c64022e9fe8ae762004ddf6be",
+        "2293631ad534bcd8245d49e91d4de2f3733bae1be50ad35109e3280d9d6250f3",
     ),
 }
 

@@ -5,26 +5,27 @@ snapshot v2, the last version with one object per row, from
 `build_fixture_world`.
 
 The fixtures stay as they were written. Loading the v1 fixture and
-dumping it again goes through both upgrade steps. Its v2 form is the same
+dumping it again goes through every upgrade step. Its v2 form is the same
 bytes with `v` set to 2 and the three fields v2 dropped (`image_cache` in
 each host, `registered_at` in each catalog endpoint, which leaves the
 bare url, and the healer's `heal_window`) removed, which is the v2
 fixture. Its v3 form stores each registry as a table: `fields` lists the
 record fields in order and each row the values in that order, nested
-tables included. Every registry value and nested row must load as its
-record class (a decoder that left rows as dicts would still round-trip
-the bytes).
+tables included; a v3 stack kept its template `source` after its
+`status`. Its v4 form moves each stack's `source` to the end of its
+pending run's row, and drops it from a stack whose run has ended. Every
+registry value and nested row must load as its record class (a decoder
+that left rows as dicts would still round-trip the bytes).
 """
 
 import copy
 import json
 import re
-from dataclasses import is_dataclass
 from pathlib import Path
 
 from minimano.codec import fields
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
-from minimano.hot import Literal, parse_template
+from minimano.hot import Literal, TemplateDoc, parse_template
 from minimano.identity import Tenant, Token, User
 from minimano.nfvi import (
     FloatingIp,
@@ -42,7 +43,7 @@ from minimano.nfvi import (
 )
 from minimano.statefile import load_world, save_world
 from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
-from minimano.world import World, _upgrade_v1, _upgrade_v2
+from minimano.world import World, _upgrade_v1, _upgrade_v2, _upgrade_v3
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 FIXTURE = Path(__file__).resolve().parent / "data" / "state_v1.json"
@@ -138,8 +139,19 @@ def v2_text(v1_text) -> str:
     return text
 
 
-def _table(rows, cls, nested):
+def v3_names(cls) -> list:
+    """The v3 header of a `cls` table: v3 kept a stack's `source` after its
+    `status`, and none in a run."""
     names = [f.name for f in fields(cls)]
+    if cls is Stack:
+        names.insert(names.index("status") + 1, "source")
+    if cls is StackRun:
+        names.remove("source")
+    return names
+
+
+def _table(rows, cls, nested):
+    names = v3_names(cls)
     return {"fields": names, "rows": [
         [_table(row[name], nested[name], {}) if name in nested else row[name] for name in names]
         for row in rows]}
@@ -156,18 +168,43 @@ def v3_text(v2) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
+def v4_text(v3) -> str:
+    """A v3 snapshot's text as v4 writes it: each stack's `source` moves to
+    the end of its run's row, or goes where the stack has no run."""
+    data = json.loads(v3)
+    data["v"] = 4
+    stacks, runs = data["engine"]["stacks"], data["engine"]["runs"]
+    id_col, source_col = stacks["fields"].index("id"), stacks["fields"].index("source")
+    sources = {row[id_col]: row.pop(source_col) for row in stacks["rows"]}
+    del stacks["fields"][source_col]
+    stack_col = runs["fields"].index("stack_id")
+    runs["fields"].append("source")
+    for row in runs["rows"]:
+        row.append(sources[row[stack_col]])
+    return json.dumps(data, separators=(",", ":"))
+
+
 def fixture_texts() -> tuple:
-    """The v1 fixture, the v2 fixture, and the v3 form of both."""
+    """The v1 fixture, the v2 fixture, and the v3 and v4 forms of both."""
     v1, v2 = FIXTURE.read_text(encoding="utf-8"), FIXTURE_V2.read_text(encoding="utf-8")
-    return v1, v2, v3_text(v2)
+    v3 = v3_text(v2)
+    return v1, v2, v3, v4_text(v3)
 
 
 def test_fixture_upgrades_to_v3_on_load():
-    v1, v2, v3 = fixture_texts()
+    v1, v2, v3, _ = fixture_texts()
     assert v2_text(v1) == v2  # the v2 fixture is what the v1 fixture means
     assert json.dumps(_upgrade_v1(json.loads(v1)), separators=(",", ":")) == v2
     assert json.dumps(_upgrade_v2(json.loads(v2)), separators=(",", ":")) == v3
-    assert dump(World.from_snapshot(json.loads(v1))) == v3
+
+
+def test_fixture_upgrades_to_v4_on_load():
+    v1, _, v3, v4 = fixture_texts()
+    assert json.dumps(_upgrade_v3(json.loads(v3)), separators=(",", ":")) == v4
+    assert dump(World.from_snapshot(json.loads(v1))) == v4
+    data = json.loads(v4)["engine"]
+    assert "source" not in data["stacks"]["fields"]
+    assert len(data["runs"]["rows"]) == 1  # the stack parked on its wait condition
 
 
 def test_upgrade_v2_leaves_its_input_as_it_was():
@@ -177,8 +214,15 @@ def test_upgrade_v2_leaves_its_input_as_it_was():
     assert data == before
 
 
+def test_upgrade_v3_leaves_its_input_as_it_was():
+    data = json.loads(fixture_texts()[2])
+    before = copy.deepcopy(data)
+    _upgrade_v3(data)
+    assert data == before
+
+
 def test_fixture_is_what_the_builder_writes():
-    assert dump(build_fixture_world()) == fixture_texts()[2]
+    assert dump(build_fixture_world()) == fixture_texts()[3]
 
 
 def _assert_rows(registry, cls, key):
@@ -219,7 +263,8 @@ def test_fixture_rows_load_as_dataclasses():
     _assert_rows(e.conditions, WaitCondition, "handle_id")
     for stack in e.stacks.values():
         _assert_rows(stack.records, ResourceRecord, "name")
-        assert is_dataclass(stack.doc)
+    for run in e.runs.values():
+        assert type(run.doc) is TemplateDoc
     children = [s for s in e.stacks.values() if s.parent is not None]
     assert len(children) == 2
     for child in children:
@@ -242,9 +287,9 @@ def saved_back(fixture, tmp_path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def test_a_v1_state_file_is_saved_back_as_v3(tmp_path):
-    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[2]
+def test_a_v1_state_file_is_saved_back_as_v4(tmp_path):
+    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[3]
 
 
-def test_a_v2_state_file_is_saved_back_as_v3(tmp_path):
-    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[2]
+def test_a_v2_state_file_is_saved_back_as_v4(tmp_path):
+    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[3]

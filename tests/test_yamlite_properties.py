@@ -88,3 +88,20 @@ def test_a_flow_key_with_a_colon_and_a_flow_string_with_a_comma_are_quoted():
     text = yamlite.dump(value)
     assert text == 'f: { "a:b": 1, get_param: "x,y" }\ng: ["p,q", r]\n'
     assert yamlite.parse(text) == {"f": {"a:b": 1, "get_param": "x,y"}, "g": ["p,q", "r"]}
+
+
+@pytest.mark.parametrize("text, column", [("a: 1.0e999\n", 10), ("a: -1.0e999\n", 11),
+                                          ("a: [1, 1.0e999]\n", 14), ("- {b: -1.0e999}\n", 14)])
+def test_an_out_of_range_float_is_refused_where_it_stands(text, column):
+    with pytest.raises(TemplateSyntaxError) as err:
+        yamlite.parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "out of range" in err.value.message
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dump_refuses_a_float_that_parse_never_gives(value):
+    with pytest.raises(ValueError):
+        yamlite.dump({"a": value})
+    # the spelling as a string reads back as that string
+    assert yamlite.parse(yamlite.dump({"a": repr(value)})) == {"a": repr(value)}

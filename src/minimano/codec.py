@@ -105,7 +105,7 @@ def record(cls=None, /, *, eq=False, frozen=False):
     declared, params, body = [], [], []
     env = {"_MISSING": _MISSING, "_set": object.__setattr__}
     assign = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
-    for name in cls.__dict__.get("__annotations__", {}):
+    for name in cls.__annotations__:
         value = cls.__dict__.get(name, _MISSING)
         if type(value) is cached_property:  # computed when first read, unless given
             params.append(f"{name}=_MISSING")
@@ -182,18 +182,40 @@ def one(cls) -> Codec:
     )
 
 
+def _checked_rows(label, names, data) -> list:
+    """The rows of a table, checked against the header `names`."""
+    rows, width = data["rows"], len(names)
+    if data["fields"] != names:
+        raise ValueError(f"{label} table fields {data['fields']!r} are not {names!r}")
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise ValueError(f"{label} table rows must be a list of lists")
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError(f"{label} table rows must each hold {width} values")
+    return rows
+
+
+def _upgraded_rows(label, specs, rows) -> dict:
+    """v2 row objects as the table of the (name, codec) columns `specs`."""
+    names = [name for name, _ in specs]
+    declared = set(names)
+    table = []
+    for row in rows:
+        if type(row) is not dict or row.keys() != declared:
+            got = sorted(row) if type(row) is dict else type(row).__name__
+            raise ValueError(f"a v2 {label} row must be an object "
+                             f"with exactly the fields {names}, got {got}")
+        table.append([codec.upgrade(row[name]) for name, codec in specs])
+    return {"fields": names, "rows": table}
+
+
 class _Table:
     """The rows of `cls` as one table: `dump` takes the objects, `rows`
     checks a table's rows for `load_row`, and `upgrade` takes the v2 row
     objects."""
 
-    def __init__(self, cls, names=None):
-        specs = _specs(cls)
-        if names is not None:  # an older header, for `rows` and `upgrade` only
-            codecs = dict(specs)
-            specs = [(name, codecs.get(name, PLAIN)) for name in names]
+    def __init__(self, cls):
         self.cls = cls
-        self.specs = specs
+        self.specs = specs = _specs(cls)
         self.names = [name for name, _ in specs]
         self.nested = [(i, name, codec) for i, (name, codec) in enumerate(specs)
                        if codec is not PLAIN]
@@ -215,32 +237,27 @@ class _Table:
 
     def rows(self, data) -> list:
         """The checked rows of a v3 table."""
-        name, width, rows = self.cls.__name__, len(self.names), data["rows"]
-        if data["fields"] != self.names:
-            raise ValueError(f"{name} table fields {data['fields']!r} are not {self.names!r}")
-        if type(rows) is not list or not set(map(type, rows)) <= {list}:
-            raise ValueError(f"{name} table rows must be a list of lists")
-        if not set(map(len, rows)) <= {width}:
-            raise ValueError(f"{name} table rows must each hold {width} values")
-        return rows
+        return _checked_rows(self.cls.__name__, self.names, data)
 
     def upgrade(self, rows) -> dict:
-        declared = set(self.names)
-        table = []
-        for row in rows:
-            if type(row) is not dict or row.keys() != declared:
-                got = sorted(row) if type(row) is dict else type(row).__name__
-                raise ValueError(f"a v2 {self.cls.__name__} row must be an object "
-                                 f"with exactly the fields {self.names}, got {got}")
-            table.append([codec.upgrade(row[name]) for name, codec in self.specs])
-        return {"fields": list(self.names), "rows": table}
+        return _upgraded_rows(self.cls.__name__, self.specs, rows)
 
 
-def layout(cls, names) -> _Table:
-    """The table of `cls` rows as an older snapshot held it, under the
-    header `names` (a field `cls` lacks is plain JSON): its `upgrade`
-    takes v2 row objects to that table, and its `rows` checks one."""
-    return _Table(cls, names)
+def layout(cls, names) -> Codec:
+    """A table of `cls` rows under the header `names`, which may be an
+    older snapshot's (a name `cls` lacks is plain JSON), read and written
+    as one dict per row: `load` checks a table and gives its rows as
+    dicts, `dump` takes such dicts back to a table, and `upgrade` takes
+    v2 row objects to one. Nested tables stay JSON."""
+    codecs = dict(_specs(cls))
+    specs = [(name, codecs.get(name, PLAIN)) for name in names]
+    label = cls.__name__
+    return Codec(
+        lambda rows: {"fields": list(names), "rows": [[row[name] for name in names]
+                                                      for row in rows]},
+        lambda data: [dict(zip(names, row)) for row in _checked_rows(label, names, data)],
+        lambda rows: _upgraded_rows(label, specs, rows),
+    )
 
 
 def keyed(cls, key) -> Codec:

@@ -58,16 +58,16 @@ _RUN_FIELDS = [f.name for f in fields(StackRun)]
 # the two tables v4 changed, as v3 held them: a stack kept its template
 # `source` after its `status`, and a run kept none
 _AFTER_STATUS = _STACK_FIELDS.index("status") + 1
-_V3_STACK_FIELDS = [*_STACK_FIELDS[:_AFTER_STATUS], "source", *_STACK_FIELDS[_AFTER_STATUS:]]
-_V3_RUN_FIELDS = [name for name in _RUN_FIELDS if name != "source"]
+_V3_STACKS = layout(Stack, [*_STACK_FIELDS[:_AFTER_STATUS], "source",
+                            *_STACK_FIELDS[_AFTER_STATUS:]])
+_V3_RUNS = layout(StackRun, [name for name in _RUN_FIELDS if name != "source"])
 
 
 def _upgrade_v2(data: dict) -> dict:
     """A v2 snapshot in v3 form: v3 stores each registry as one table of
     rows under a `fields` header, by the same layouts that load it (the
     stacks and runs by their v3 layouts)."""
-    engine_schema = {**_ENGINE_SCHEMA, "stacks": layout(Stack, _V3_STACK_FIELDS),
-                     "runs": layout(StackRun, _V3_RUN_FIELDS)}
+    engine_schema = {**_ENGINE_SCHEMA, "stacks": _V3_STACKS, "runs": _V3_RUNS}
     return {
         **data, "v": 3,
         "identity": _IDENTITY_STATE.upgrade(data["identity"]),
@@ -81,11 +81,8 @@ def _upgrade_v3(data: dict) -> dict:
     """A v3 snapshot in v4 form: v4 keeps a stack's template `source` in
     the row of its pending run, and drops it where the run has ended."""
     engine = data["engine"]
-    stacks = [dict(zip(_V3_STACK_FIELDS, row))
-              for row in layout(Stack, _V3_STACK_FIELDS).rows(engine["stacks"])]
-    runs = [dict(zip(_V3_RUN_FIELDS, row))
-            for row in layout(StackRun, _V3_RUN_FIELDS).rows(engine["runs"])]
-    sources = {stack["id"]: stack["source"] for stack in stacks}
+    stacks, runs = _V3_STACKS.load(engine["stacks"]), _V3_RUNS.load(engine["runs"])
+    sources = {stack["id"]: stack.pop("source") for stack in stacks}
     if not all(type(source) is str for source in sources.values()):
         raise ValueError("a v3 stack source must be a string")
     for run in runs:
@@ -94,9 +91,8 @@ def _upgrade_v3(data: dict) -> dict:
         run["source"] = sources[run["stack_id"]]
     return {**data, "v": 4, "engine": {
         **engine,
-        "stacks": {"fields": _STACK_FIELDS,
-                   "rows": [[stack[name] for name in _STACK_FIELDS] for stack in stacks]},
-        "runs": {"fields": _RUN_FIELDS, "rows": [[run[name] for name in _RUN_FIELDS] for run in runs]},
+        "stacks": layout(Stack, _STACK_FIELDS).dump(stacks),
+        "runs": layout(StackRun, _RUN_FIELDS).dump(runs),
     }}
 
 

@@ -9,7 +9,8 @@ a stack blocked on a wait condition), then runs, in one fresh process,
 seven verbs that read no template (the last deletes the server stack)
 and after them three that do. After each verb it notes the exit code and
 which of `minimano.hot`, `minimano.yamlite`, `minimano.plan`, `uuid`,
-`hashlib`, `dataclasses` and `inspect` are loaded. Every verb must exit
+`hashlib`, `dataclasses` and `inspect` are loaded, of those the
+interpreter had not loaded before it imported the CLI. Every verb must exit
 0. The first seven, none of which hashes anything, must load none of
 them; `template-validate`, `stack-create` and `signal` must load neither
 `dataclasses` nor `inspect`. Prints the report and exits 1 otherwise.
@@ -46,13 +47,16 @@ GATED = (
     "      timeout: 50\n"
 )
 
+# a module the interpreter loaded before `cli` (a site hook may load
+# `inspect`) is not the program's doing, so only later loads are reported
 CHILD = """
 import json, sys
+watched = [m for m in json.loads(sys.argv[2]) if m not in sys.modules]
 from minimano import cli
 report = []
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    report.append([argv[0], code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]])
+    report.append([argv[0], code, [m for m in watched if m in sys.modules]])
 with open(sys.argv[3], "w") as fh:
     json.dump(report, fh)
 """

@@ -43,7 +43,7 @@ from minimano.nfvi import (
 )
 from minimano.statefile import load_world, save_world
 from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
-from minimano.world import World, _upgrade_v1, _upgrade_v2, _upgrade_v3
+from minimano.world import World, _upgrade_v1, _upgrade_v2
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 FIXTURE = Path(__file__).resolve().parent / "data" / "state_v1.json"
@@ -199,8 +199,7 @@ def test_fixture_upgrades_to_v3_on_load():
 
 
 def test_fixture_upgrades_to_v4_on_load():
-    v1, _, v3, v4 = fixture_texts()
-    assert json.dumps(_upgrade_v3(json.loads(v3)), separators=(",", ":")) == v4
+    v1, _, _, v4 = fixture_texts()
     assert dump(World.from_snapshot(json.loads(v1))) == v4
     data = json.loads(v4)["engine"]
     assert "source" not in data["stacks"]["fields"]
@@ -211,13 +210,6 @@ def test_upgrade_v2_leaves_its_input_as_it_was():
     data = json.loads(FIXTURE_V2.read_text(encoding="utf-8"))
     before = copy.deepcopy(data)
     _upgrade_v2(data)
-    assert data == before
-
-
-def test_upgrade_v3_leaves_its_input_as_it_was():
-    data = json.loads(fixture_texts()[2])
-    before = copy.deepcopy(data)
-    _upgrade_v3(data)
     assert data == before
 
 

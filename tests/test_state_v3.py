@@ -23,7 +23,7 @@ from minimano import world as world_mod
 from minimano.hot import parse_template
 from minimano.statefile import load_world
 from minimano.world import World
-from test_state_v1 import dump, v4_text
+from test_state_v1 import dump, fixture_texts, v4_text
 
 FIXTURE_V3 = Path(__file__).resolve().parent / "data" / "state_v3.json"
 
@@ -101,7 +101,6 @@ def test_v3_fixture_holds_a_finished_a_waiting_and_a_nested_waiting_stack():
 def test_v3_fixture_upgrades_to_v4_on_load():
     v3 = fixture_text()
     v4 = v4_text(v3)
-    assert json.dumps(world_mod._upgrade_v3(json.loads(v3)), separators=(",", ":")) == v4
     assert dump(World.from_snapshot(json.loads(v3))) == v4
     # what the v3 fixture means is what the builder writes now
     assert dump(build_v3_fixture_world()) == v4
@@ -110,10 +109,16 @@ def test_v3_fixture_upgrades_to_v4_on_load():
     assert len(data["runs"]["rows"]) == 3
 
 
-def test_upgrade_v3_leaves_its_input_as_it_was():
-    data = json.loads(fixture_text())
+# the two v3 texts: the v1 fixture's v3 form and the v3 fixture
+V3_TEXTS = {"v1-fixture": lambda: fixture_texts()[2], "v3-fixture": fixture_text}
+
+
+@pytest.mark.parametrize("which", V3_TEXTS)
+def test_upgrade_v3_gives_the_v4_text_and_leaves_its_input_as_it_was(which):
+    v3 = V3_TEXTS[which]()
+    data = json.loads(v3)
     before = copy.deepcopy(data)
-    world_mod._upgrade_v3(data)
+    assert json.dumps(world_mod._upgrade_v3(data), separators=(",", ":")) == v4_text(v3)
     assert data == before
 
 

@@ -10,10 +10,12 @@ failure, 5 I/O, 6 not found.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
+from contextlib import suppress
 
 from . import scenario as scenario_mod
 from .engine import CREATE_COMPLETE, CREATE_IN_PROGRESS, DELETE_COMPLETE
@@ -94,6 +96,14 @@ def _read_file(path, what):
         raise StateIOError(f"cannot read {what} {path!r}: {exc}") from None
 
 
+def _read_payload(path, what):
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise StateIOError(f"cannot read {what}: {exc}") from None
+
+
 def _read_json_file(path, what):
     text = _read_file(path, what)
     try:
@@ -169,10 +179,7 @@ def cmd_endpoint_lookup(world, args, out):
 def cmd_image_create(world, args, out):
     claims = _require(world, args, "images:create")
     if args.payload_file:
-        try:
-            payload = open(args.payload_file, "rb").read()
-        except OSError as exc:
-            raise StateIOError(f"cannot read payload file: {exc}") from None
+        payload = _read_payload(args.payload_file, "payload file")
     else:
         payload = (args.payload if args.payload is not None else args.name).encode()
     image = world.provider.register_image(
@@ -318,10 +325,7 @@ def cmd_volume_snapshot(world, args, out):
 def cmd_object_put(world, args, out):
     claims = _require(world, args, "objects:put")
     if args.file:
-        try:
-            payload = open(args.file, "rb").read()
-        except OSError as exc:
-            raise StateIOError(f"cannot read object file: {exc}") from None
+        payload = _read_payload(args.file, "object file")
     else:
         payload = (args.data or "").encode()
     world.provider.put_object(claims.tenant_id, args.container, args.name, payload)
@@ -832,5 +836,31 @@ def main(argv=None) -> int:
         return StateIOError.exit_code
 
 
+def run():
+    """Process entry of `python -m minimano.cli` and the `minimano` script.
+
+    Runs `main` with the cycle collector off, flushes the output and ends
+    the process with `os._exit`, skipping the interpreter's teardown. That
+    teardown has nothing left to do: every save is fsynced and renamed and
+    the state lock released before `main` returns, every file is closed by
+    `with`, and the package registers no `atexit` hook. A call leaves a
+    fixed few dozen cycles (argparse's); refcounts free the world.
+    """
+    gc.disable()
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a failed verb has said why already
+            code = StateIOError.exit_code
+            with suppress(OSError):
+                print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+    with suppress(OSError):  # a broken stderr leaves nowhere to report to
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

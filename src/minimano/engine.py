@@ -423,7 +423,8 @@ class StackEngine:
             raise DeployError(f"nesting depth limit ({NESTING_LIMIT}) exceeded")
         path = self._resolve_template_path(rdef.resource_type, run.template_dir)
         try:
-            source = open(path, encoding="utf-8").read()
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
         except OSError as exc:
             raise DeployError(f"cannot read nested template {rdef.resource_type!r}: {exc}") from None
         inner_doc = parse_template(source)

@@ -12,10 +12,11 @@ from conftest import TEMPLATES
 # minimano whether or not it is installed
 SRC = str(Path(minimano.__file__).resolve().parent.parent)
 
+# the process entry, as `python -m minimano.cli` and the `minimano`
+# script run it: it ends with `os._exit`, after the save and the unlock
 SCRIPT = """
-import sys
 from minimano import cli
-sys.exit(cli.main(sys.argv[1:]))
+cli.run()
 """
 
 

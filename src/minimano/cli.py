@@ -11,13 +11,15 @@ failure, 5 I/O, 6 not found.
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
 import time
-from contextlib import suppress
+from contextlib import redirect_stdout, suppress
 
 from . import scenario as scenario_mod
+from .codec import check
 from .engine import CREATE_COMPLETE, CREATE_IN_PROGRESS, DELETE_COMPLETE
 from .errors import (
     DeployError,
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .lazy import LazyNames
 from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
-from .telemetry import healer_config
+from .telemetry import HealerConfig
 from .world import World
 
 # `hot` is imported only by the verbs that parse a template
@@ -349,7 +351,7 @@ def cmd_object_get(world, args, out):
         import base64
         out.obj({"container": args.container, "name": args.name,
                  "payload_b64": base64.b64encode(payload).decode()})
-    else:
+    elif sys.stdout is not None:  # None when the process started with fd 1 closed
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     return 0
@@ -542,8 +544,8 @@ def cmd_init(args, out):
         seed=args.seed, hosts=hosts, policy=policy,
         admin_credential=args.admin_password, template_dir=args.template_dir,
     )
-    world.telemetry.healer = healer_config(
-        args.healer_enabled, args.healer_interval, "--healer-interval")
+    healer = world.telemetry.healer = HealerConfig(args.healer_enabled, args.healer_interval)
+    check(HealerConfig, vars(healer), "healer", TemplateError)
     with locked_state(args.state):  # `--force` must not race a locked writer
         save_world(world, args.state)
     out.obj({"state": args.state, "seed": world.seed,
@@ -812,11 +814,14 @@ def main(argv=None) -> int:
         if args.verb == "template-validate":
             return cmd_template_validate(None, args, out)
 
+        held = io.StringIO()  # a saving verb's output, written after the save
         with locked_state(args.state):
             world = load_world(args.state)
-            code = args._handler(world, args, out)
+            with redirect_stdout(held if args._mutates else sys.stdout):
+                code = args._handler(world, args, out)
             if args._mutates:
                 save_world(world, args.state)
+        print(held.getvalue(), end="")
 
         if args.verb == "stack-create":
             status = args._created_status

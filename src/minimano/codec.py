@@ -31,6 +31,13 @@ checks that `fields` is exactly the declared list and that every row is
 a list of that many values: a dict or a string row of the right length
 would otherwise load.
 
+A field's annotation (``str``, ``int``, ``float``, ``bool``, ``list``,
+``dict``, or a ``|`` union of them and ``None``, also as text) is the JSON
+kind checked on load, in each table column and `one` object, and through
+`check` at the other input boundaries, never in ``__init__``. A float
+takes an int, a bool is no number, and ``field(positive=True)`` takes only
+an integer above zero. A nested table is checked by its own codec.
+
 A flat row (no nested field) dumps as a tuple from one C-level
 `operator.attrgetter` and loads as ``cls(*row)``. A dump is for
 `json.dumps` only: its rows are tuples, which a load refuses, and it
@@ -61,14 +68,16 @@ def _same(value):
 PLAIN = Codec(_same, _same, _same)
 _MISSING = object()
 # one field of a `record` class, as `fields` lists it
-Field = namedtuple("Field", "name default default_factory codec compare",
-                   defaults=(_MISSING, None, PLAIN, True))
+Field = namedtuple("Field", "name default default_factory codec compare positive",
+                   defaults=(_MISSING, None, PLAIN, True, False))
 
 
-def field(*, default=_MISSING, default_factory=None, codec=PLAIN, compare=True) -> Field:
+def field(*, default=_MISSING, default_factory=None, codec=PLAIN, compare=True,
+          positive=False) -> Field:
     """A field's default, or the factory called for each new object, the
-    codec of a nested row collection, and whether ``eq`` compares it."""
-    return Field("", default, default_factory, codec, compare)
+    codec of a nested row collection, whether ``eq`` compares it, and
+    whether its integer must be above zero."""
+    return Field("", default, default_factory, codec, compare, positive)
 
 
 class FrozenInstanceError(AttributeError):
@@ -157,26 +166,68 @@ def _specs(cls) -> list:
     return [(f.name, f.codec) for f in fields(cls)]
 
 
-def one(cls) -> Codec:
+# the types a name in an annotation admits: a float takes an int, a bool is no number
+_TYPES = {"str": {str}, "int": {int}, "float": {float, int}, "bool": {bool}, "list": {list},
+          "dict": {dict}, "None": {type(None)}}
+
+
+def _kinds(cls) -> dict:
+    """Field name -> (admitted types, what an error calls them, positive),
+    or None for a nested table; read when `cls` is first checked."""
+    if "__record_kinds__" not in cls.__dict__:
+        cls.__record_kinds__ = {}
+        for f in fields(cls):
+            text = cls.__annotations__[f.name]
+            text = text if type(text) is str else getattr(text, "__name__", None) or str(text)
+            types = frozenset().union(*(_TYPES[name.strip()] for name in text.split("|")))
+            cls.__record_kinds__[f.name] = None if f.codec is not PLAIN else (
+                types, "a positive integer" if f.positive else text, f.positive)
+    return cls.__record_kinds__
+
+
+def check_column(cls, name, values, label, error=ValueError):
+    """Raise `error`, naming `label`, the field and a value, unless every
+    one of `values` is of the kind the field `name` of `cls` declares; a
+    name that is no plain field is not checked."""
+    kind = _kinds(cls).get(name)
+    if not kind:
+        return
+    types, what, positive = kind
+    if not set(map(type, values)) <= types or positive and min(values, default=1) < 1:
+        bad = next(v for v in values if type(v) not in types or positive and v < 1)
+        raise error(f"{label} {name} must be {what}, got {bad!r}")
+
+
+def check(cls, row: dict, label: str, error=ValueError) -> dict:
+    """`row`, once each value under a plain field of `cls` is of the kind
+    the field declares; otherwise `error` naming `label` and the field."""
+    kinds = _kinds(cls)
+    for name, value in row.items():
+        kind = kinds.get(name)
+        if kind and (type(value) not in kind[0] or kind[2] and value < 1):
+            check_column(cls, name, (value,), label, error)
+    return row
+
+
+def _object(label, names, row, error=ValueError) -> dict:
+    """`row`, a JSON object of exactly the keys `names`."""
+    if type(row) is not dict or row.keys() != set(names):
+        got = sorted(row) if type(row) is dict else type(row).__name__
+        raise error(f"{label} must be an object of exactly the fields {names}, got {got}")
+    return row
+
+
+def one(cls, label=None, error=ValueError) -> Codec:
     """A single `cls` row, an object of exactly its fields (a missing one
-    is an error, never a default); a flat one costs no work per field."""
+    is an error, never a default), each of its kind; a bad one raises
+    `error` naming `label`."""
     specs = _specs(cls)
     names = [name for name, _ in specs]
-    declared = set(names)
     nested = [(name, codec) for name, codec in specs if codec is not PLAIN]
-
-    def checked(row) -> dict:
-        if type(row) is not dict or row.keys() != declared:
-            got = sorted(row) if type(row) is dict else type(row).__name__
-            raise ValueError(f"a {cls.__name__} object must have exactly the fields {names}, "
-                             f"got {got}")
-        return row
-
-    if not nested:
-        return Codec(vars, lambda row: cls(**checked(row)), _same)
+    label = label or cls.__name__
     return Codec(
         lambda obj: {name: codec.dump(getattr(obj, name)) for name, codec in specs},
-        lambda row: cls(**{**checked(row),
+        lambda row: cls(**{**check(cls, _object(label, names, row, error), label, error),
                            **{name: codec.load(row[name]) for name, codec in nested}}),
         lambda row: {**row, **{name: codec.upgrade(row[name]) for name, codec in nested}},
     )
@@ -197,13 +248,9 @@ def _checked_rows(label, names, data) -> list:
 def _upgraded_rows(label, specs, rows) -> dict:
     """v2 row objects as the table of the (name, codec) columns `specs`."""
     names = [name for name, _ in specs]
-    declared = set(names)
     table = []
     for row in rows:
-        if type(row) is not dict or row.keys() != declared:
-            got = sorted(row) if type(row) is dict else type(row).__name__
-            raise ValueError(f"a v2 {label} row must be an object "
-                             f"with exactly the fields {names}, got {got}")
+        row = _object(f"a v2 {label} row", names, row)
         table.append([codec.upgrade(row[name]) for name, codec in specs])
     return {"fields": names, "rows": table}
 
@@ -236,8 +283,11 @@ class _Table:
         return {"fields": list(self.names), "rows": list(map(self.dump_row, objs))}
 
     def rows(self, data) -> list:
-        """The checked rows of a v3 table."""
-        return _checked_rows(self.cls.__name__, self.names, data)
+        """The rows of a v3 table, each column checked by its field's kind."""
+        rows = _checked_rows(self.cls.__name__, self.names, data)
+        for name, column in zip(self.names, zip(*rows)):
+            check_column(self.cls, name, column, self.cls.__name__)
+        return rows
 
     def upgrade(self, rows) -> dict:
         return _upgraded_rows(self.cls.__name__, self.specs, rows)

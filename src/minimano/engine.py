@@ -674,6 +674,5 @@ class StackEngine:
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
         for run in self.runs.values():
-            if run.stack_id not in self.stacks or type(run.source) is not str:
-                raise ValueError(f"run {run.stack_id!r} must name a stack and hold its "
-                                 "template source text")
+            if run.stack_id not in self.stacks:
+                raise ValueError(f"run {run.stack_id!r} names a missing stack")

@@ -25,7 +25,7 @@ import json
 import re
 from heapq import heappop, heappush
 
-from .codec import PLAIN, dump_attrs, field, keyed, listed, load_attrs, record
+from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, record
 from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
 from .lazy import LazyNames
 
@@ -47,9 +47,9 @@ _SIGNAL_RE = re.compile(r"^signal (\S+) (.+)$")
 @record
 class Host:
     id: str
-    vcpus: int
-    ram_mib: int
-    disk_gib: int
+    vcpus: int = field(positive=True)
+    ram_mib: int = field(positive=True)
+    disk_gib: int = field(positive=True)
 
 
 @record
@@ -67,9 +67,9 @@ class Flavor:
     id: str
     tenant_id: str
     name: str
-    vcpus: int
-    ram_mib: int
-    disk_gib: int
+    vcpus: int = field(positive=True)
+    ram_mib: int = field(positive=True)
+    disk_gib: int = field(positive=True)
 
 
 @record
@@ -175,19 +175,6 @@ class ConnectivityResult:
         return self.allowed
 
 
-def _host(spec) -> Host:
-    """One host inventory row, checked before anything places onto it."""
-    try:
-        host = Host(**spec)
-    except TypeError:  # not an object, or a missing or unknown key
-        host = None
-    if host is None or type(host.id) is not str or not all(
-            type(size) is int and size > 0 for size in (host.vcpus, host.ram_mib, host.disk_gib)):
-        raise TemplateError(f"host inventory entry {spec!r} needs a string 'id' and "
-                            "positive integer 'vcpus', 'ram_mib' and 'disk_gib'")
-    return host
-
-
 class _AddressPool:
     """The addresses one subnet hands out, as integer offsets from its base.
 
@@ -200,8 +187,7 @@ class _AddressPool:
     that is not one this pool would hand out reserves nothing.
     """
 
-    def __init__(self, cidr, reserved, used):
-        net = ipaddress.ip_network(cidr)
+    def __init__(self, net, reserved, used):
         # formatted by the subnet's class: `ip_address(int)` gives IPv4 text below 2**32
         self.first = net.network_address
         self.base = int(self.first)
@@ -244,6 +230,15 @@ class _AddressPool:
             heappush(self.free, offset)
 
 
+def _subnet(network):
+    """The subnet of a network; one from a state file may name none."""
+    try:
+        return ipaddress.ip_network(network.cidr)
+    except ValueError:
+        raise StateIOError(f"state is malformed: network {network.id!r} has CIDR "
+                           f"{network.cidr!r}, which is not a subnet") from None
+
+
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
@@ -251,6 +246,9 @@ def _b64(data: bytes) -> str:
 def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
 
+
+# one host inventory row, checked before anything places onto it
+_HOST = one(Host, "host inventory entry", TemplateError)
 
 # the persisted layout, in snapshot order
 _SCHEMA = {
@@ -278,7 +276,7 @@ class CloudProvider:
         if not isinstance(hosts, list):
             raise TemplateError(f"host inventory must be a list of objects, got {hosts!r}")
         for spec in hosts:
-            host = _host(spec)
+            host = _HOST.load(spec)
             if host.id in self.hosts:
                 raise ConflictError(f"duplicate host id {host.id!r}")
             self.hosts[host.id] = host
@@ -349,8 +347,8 @@ class CloudProvider:
     def create_flavor(self, tenant_id, name, vcpus, ram_mib, disk_gib) -> Flavor:
         if self.flavor_by_name(tenant_id, name) is not None:
             raise ConflictError(f"flavor {name!r} already exists")
-        if vcpus <= 0 or ram_mib <= 0 or disk_gib <= 0:
-            raise ConflictError("flavor dimensions must be positive")
+        check(Flavor, {"vcpus": vcpus, "ram_mib": ram_mib, "disk_gib": disk_gib},
+              f"flavor {name!r}", ConflictError)
         flavor = Flavor(self.core.new_uuid(), tenant_id, name, vcpus, ram_mib, disk_gib)
         self.flavors[flavor.id] = flavor
         return flavor
@@ -416,7 +414,7 @@ class CloudProvider:
         if net.num_addresses < 8:
             raise ConflictError("subnet too small")
         for other in self.networks.values():
-            if other.tenant_id == tenant_id and ipaddress.ip_network(other.cidr).overlaps(net):
+            if other.tenant_id == tenant_id and _subnet(other).overlaps(net):
                 raise ConflictError(f"CIDR {cidr!r} overlaps network {other.name!r}")
         first = net.network_address
         if gateway:
@@ -472,7 +470,7 @@ class CloudProvider:
             used = [instance.fixed_ips.get(network.name) for instance in self.instances.values()
                     if instance.state != "DELETED" and instance.tenant_id == network.tenant_id]
             pool = self._pools[key] = _AddressPool(
-                network.cidr, (network.gateway, network.service_address), used)
+                _subnet(network), (network.gateway, network.service_address), used)
         return pool
 
     def allocate_fixed_ip(self, network: Network) -> str:
@@ -693,7 +691,8 @@ class CloudProvider:
         pool = self._pools.get(None)
         if pool is None:
             used = [fip.address for fip in self.fips.values()]
-            pool = self._pools[None] = _AddressPool(FLOATING_POOL_CIDR, (), used)
+            pool = self._pools[None] = _AddressPool(
+                ipaddress.ip_network(FLOATING_POOL_CIDR), (), used)
         return pool
 
     def allocate_floating_ip(self, tenant_id) -> FloatingIp:
@@ -715,11 +714,11 @@ class CloudProvider:
         if fip.associated_instance is not None:
             raise ConflictError("floating ip is already associated")
         instance = self.get_instance(instance_id)
-        routed = any(
-            self._network_has_external_path(self.network_by_name(instance.tenant_id, net_name))
-            for net_name in instance.fixed_ips
-        )
-        if not routed:
+        networks = [self.network_by_name(instance.tenant_id, name) for name in instance.fixed_ips]
+        if None in networks:  # no verb deletes a network or moves an instance
+            raise StateIOError(f"state is malformed: instance {instance_id!r} has an address on "
+                               "a network its tenant does not have")
+        if not any(map(self._network_has_external_path, networks)):
             raise ConflictError("no external path: instance network has no external gateway")
         fip.associated_instance = instance_id
 
@@ -810,7 +809,10 @@ class CloudProvider:
             network = self.networks[net_id]
             if network.router_id is None:
                 continue
-            router = self.routers[network.router_id]
+            router = self.routers.get(network.router_id)
+            if router is None:  # no verb deletes a router
+                raise StateIOError(f"state is malformed: network {net_id!r} names router "
+                                   f"{network.router_id!r}, which does not exist")
             if router.external_gateway:
                 external = True
             for other_id in router.interfaces:

@@ -37,8 +37,10 @@ Metric/fault entries target either a literal "resource" id, a whole
 
 import json
 
+from .codec import check, record
 from .errors import StateIOError, TemplateError
-from .telemetry import LoadGenerator, healer_config
+from .nfvi import Flavor, Image, KeyPair, Network
+from .telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
 from .world import World
 
 
@@ -55,116 +57,103 @@ def load_scenario(path: str) -> dict:
     return scenario
 
 
-# a scenario value's kind and how an error names it; `float` is any number
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-          float: "a number"}
+@record
+class Sections:
+    """The kind of each section of a scenario and of its `setup`; any but
+    `ticks` may be absent or null. Each entry is decoded by the record it
+    becomes."""
+    ticks: int
+    seed: int | None
+    hosts: list | None
+    healer: dict | None
+    setup: dict | None
+    images: list | None
+    flavors: list | None
+    keypairs: list | None
+    networks: list | None
+    groups: list | None
+    alarms: list | None
+    generators: list | None
+    metrics: list | None
+    faults: list | None
 
 
-def _is(value, kind) -> bool:
-    """Whether a JSON value is of `kind`; a bool is never a number here."""
-    return type(value) is kind or (kind is float and type(value) is int)
-
-
-def _section(parent, key, kind, default=None):
-    """`parent[key]`, or `default` (an empty `kind` if none is given) when
-    absent or null; a value of any other kind is an error."""
-    value = parent.get(key)
-    if value is None:
-        return kind() if default is None else default
-    if not _is(value, kind):
-        raise TemplateError(f"scenario {key!r} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _fields(entry, section, **kinds):
-    """The values of the keys of `kinds` in one entry of `section`, in
-    order, each of the kind `kinds` gives it."""
-    if not isinstance(entry, dict):
-        raise TemplateError(f"scenario {section!r} entries must be objects")
-    values = []
-    for key, kind in kinds.items():
-        if key not in entry:
-            raise TemplateError(f"scenario {section!r} entry {entry.get('name', entry)!r} "
-                                f"lacks {key!r}")
-        if not _is(entry[key], kind):
-            raise TemplateError(f"scenario {section!r} entry {entry.get('name', entry)!r}: "
-                                f"{key!r} must be {_KINDS[kind]}, got {entry[key]!r}")
-        values.append(entry[key])
-    return values
+def _entries(parent, section, cls, required, optional=(), **rename) -> list:
+    """Each entry of the list section `parent[section]` as keyword
+    arguments of `cls`: its `required` and `optional` keys, where a null
+    value is absent and `rename` maps a key to a field of another name,
+    each of its field's kind."""
+    keys = [(key, rename.get(key, key)) for key in (*required, *optional)]
+    decoded, entry_label = [], f"scenario {section!r} entry "
+    for index, entry in enumerate(parent.get(section) or []):
+        label = entry_label + str(index)
+        if type(entry) is not dict:
+            raise TemplateError(f"{label} must be an object, got {entry!r}")
+        values = {}
+        for key, name in keys:
+            if (value := entry.get(key)) is not None:
+                values[name] = value
+            elif key in required:
+                raise TemplateError(f"{label} lacks {key!r}")
+        decoded.append(check(cls, values, label, TemplateError))
+    return decoded
 
 
 def build_world(scenario: dict, seed=None) -> World:
     """World with the scenario's inventory, groups, alarms, and schedules
     loaded but the clock not yet advanced."""
-    if seed is None:
-        seed = _section(scenario, "seed", int, 42)
+    check(Sections, scenario, "scenario", TemplateError)
+    setup = check(Sections, scenario.get("setup") or {}, "scenario 'setup'", TemplateError)
+    seed = scenario.get("seed") if seed is None else seed
     try:
-        world = World(seed=seed, hosts=scenario.get("hosts"))
+        world = World(seed=42 if seed is None else seed, hosts=scenario.get("hosts"))
     except TemplateError as exc:
         raise TemplateError(f"scenario 'hosts': {exc.message}") from None
-    admin = world.identity.tenant_by_name("admin")
-    tenant_id = admin.id
+    tenant_id = world.identity.tenant_by_name("admin").id
+    provider, telemetry = world.provider, world.telemetry
 
-    setup = _section(scenario, "setup", dict)
-    for image in _section(setup, "images", list):
-        name, = _fields(image, "images", name=str)
-        world.provider.register_image(
-            tenant_id, name, image.get("payload", name).encode(),
-            generic=image.get("generic", True), cloud_init=image.get("cloud_init", True),
-        )
-    for flavor in _section(setup, "flavors", list):
-        world.provider.create_flavor(
-            tenant_id, *_fields(flavor, "flavors", name=str, vcpus=int, ram_mib=int, disk_gib=int)
-        )
-    for keypair in _section(setup, "keypairs", list):
-        world.provider.create_keypair(tenant_id, *_fields(keypair, "keypairs", name=str))
-    for network in _section(setup, "networks", list):
-        world.provider.create_network(
-            tenant_id, *_fields(network, "networks", name=str, cidr=str), network.get("gateway")
-        )
+    for image in _entries(setup, "images", Image, ["name"], ["payload", "generic", "cloud_init"],
+                          payload="payload_b64"):
+        payload = image.pop("payload_b64", image["name"]).encode()
+        provider.register_image(tenant_id, payload=payload, **image)
+    for flavor in _entries(setup, "flavors", Flavor, ["name", "vcpus", "ram_mib", "disk_gib"]):
+        provider.create_flavor(tenant_id, **flavor)
+    for keypair in _entries(setup, "keypairs", KeyPair, ["name"]):
+        provider.create_keypair(tenant_id, **keypair)
+    for network in _entries(setup, "networks", Network, ["name", "cidr"], ["gateway"]):
+        provider.create_network(tenant_id, **network)
 
-    healer = _section(scenario, "healer", dict)
+    healer = scenario.get("healer")
     if healer:
-        world.telemetry.healer = healer_config(
-            healer.get("enabled", True), healer.get("detect_interval", 5),
-            "scenario 'healer' detect_interval")
-
-    for group in _section(scenario, "groups", list):
-        name, member, low, high, desired = _fields(
-            group, "groups", name=str, member=dict, min=int, max=int, desired=int)
-        world.telemetry.create_group(name, tenant_id, member, low, high, desired)
-    for alarm in _section(scenario, "alarms", list):
-        world.telemetry.create_alarm(*_fields(
-            alarm, "alarms", name=str, metric=str, aggregate=str, comparison=str,
-            threshold=float, window=int, target=str, action=str,
-        ))
-    for gen in _section(scenario, "generators", list):
-        world.telemetry.add_generator(LoadGenerator(
-            group_name=_fields(gen, "generators", group=str)[0],
-            metric=gen.get("metric", "cpu_util"),
-            base=gen.get("base", 0.5), amplitude=gen.get("amplitude", 0.3),
-            period=gen.get("period", 20), noise=gen.get("noise", 0.05),
-            seed=gen.get("seed", 0),
-        ))
-    world.telemetry.scheduled_metrics = list(_section(scenario, "metrics", list))
-    world.telemetry.scheduled_faults = list(_section(scenario, "faults", list))
-    for section, kinds in (("metrics", {"tick": int, "metric": str, "value": float}),
-                           ("faults", {"tick": int})):
-        for entry in _section(scenario, section, list):
-            _fields(entry, section, **kinds)
+        given = {key: healer[key] for key in ("enabled", "detect_interval")
+                 if healer.get(key) is not None}
+        telemetry.healer = HealerConfig(**check(HealerConfig, {"enabled": True, **given},
+                                                "scenario 'healer'", TemplateError))
+    for group in _entries(scenario, "groups", ScalingGroup,
+                          ["name", "member", "min", "max", "desired"],
+                          member="member_spec", min="min_size", max="max_size"):
+        telemetry.create_group(tenant_id=tenant_id, **group)
+    for alarm in _entries(scenario, "alarms", AlarmDef, ["name", "metric", "aggregate",
+                          "comparison", "threshold", "window", "target", "action"]):
+        telemetry.create_alarm(**alarm)
+    for gen in _entries(scenario, "generators", LoadGenerator, ["group"],
+                        ["metric", "base", "amplitude", "period", "noise", "seed"],
+                        group="group_name"):
+        telemetry.add_generator(LoadGenerator(**gen))
+    for section, required in (("metrics", ["tick", "metric", "value"]), ("faults", ["tick"])):
+        _entries(scenario, section, MetricSample, required)
+        for index, entry in enumerate(scenario.get(section) or []):
             if "group" not in entry and "resource" not in entry:
-                raise TemplateError(f"scenario {section!r} entry {entry!r} "
+                raise TemplateError(f"scenario {section!r} entry {index} "
                                     "names neither a 'group' nor a 'resource'")
+    telemetry.scheduled_metrics = list(scenario.get("metrics") or [])
+    telemetry.scheduled_faults = list(scenario.get("faults") or [])
     return world
 
 
 def run_scenario(scenario: dict, seed=None) -> World:
-    try:
-        ticks = int(scenario["ticks"])
-    except (TypeError, ValueError):
-        raise TemplateError(f"scenario 'ticks' is not an integer: {scenario['ticks']!r}") from None
     world = build_world(scenario, seed=seed)
-    world.advance_clock(ticks)
+    world.advance_clock(scenario["ticks"])
     return world
 
 

@@ -14,8 +14,8 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 
-from .codec import PLAIN, dump_attrs, field, keyed, listed, load_attrs, one, record
-from .errors import CapacityError, ConflictError, NotFoundError, TemplateError
+from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, record
+from .errors import CapacityError, ConflictError, NotFoundError
 from .lazy import LazyNames
 
 # `hashlib` costs a CLI call about 4 ms to import; bound when a generator runs
@@ -70,16 +70,7 @@ class ScalingGroup:
 @record
 class HealerConfig:
     enabled: bool = False
-    detect_interval: int = 5
-
-
-def healer_config(enabled, detect_interval, source, error=TemplateError) -> HealerConfig:
-    """A healer setting from user input or a state file, where `source`
-    names the interval's origin and `error` is raised for a bad one; the
-    interval divides the tick."""
-    if type(detect_interval) is not int or detect_interval < 1:
-        raise error(f"{source} must be a positive integer, got {detect_interval!r}")
-    return HealerConfig(enabled, detect_interval)
+    detect_interval: int = field(default=5, positive=True)  # divides the tick
 
 
 @record
@@ -90,7 +81,7 @@ class LoadGenerator:
     metric: str = "cpu_util"
     base: float = 0.5
     amplitude: float = 0.3
-    period: int = 20
+    period: int = field(default=20, positive=True)  # divides the tick
     noise: float = 0.05
     seed: int = 0
 
@@ -100,7 +91,7 @@ _SCHEMA = {
     "samples": listed(MetricSample),
     "alarms": keyed(AlarmDef, "name"),
     "groups": keyed(ScalingGroup, "name"),
-    "healer": one(HealerConfig),
+    "healer": one(HealerConfig, "telemetry healer"),
     "generators": listed(LoadGenerator),
     "scheduled_metrics": PLAIN,
     "scheduled_faults": PLAIN,
@@ -220,6 +211,7 @@ class TelemetryService:
                      stack_id=None):
         if name in self.groups:
             raise ConflictError(f"scaling group {name!r} already exists")
+        check(ScalingGroup, {"member_spec": member_spec}, f"scaling group {name!r}", ConflictError)
         if not (0 <= min_size <= desired <= max_size):
             raise ConflictError("sizes must satisfy min <= desired <= max")
         group = ScalingGroup(
@@ -384,8 +376,6 @@ class TelemetryService:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
-        self.healer = healer_config(self.healer.enabled, self.healer.detect_interval,
-                                    "telemetry healer detect_interval", ValueError)
         # the order `_index` keeps, in one stable sort per metric
         samples = self.samples
         ticks = [sample.tick for sample in samples]

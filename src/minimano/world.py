@@ -15,7 +15,7 @@ reference frees it at once, without waiting for the cycle collector.
 import random
 import weakref
 
-from .codec import fields, layout, upgrade_attrs
+from .codec import check, check_column, fields, layout, record, upgrade_attrs
 from .engine import _SCHEMA as _ENGINE_SCHEMA
 from .engine import Stack, StackEngine, StackRun
 from .errors import ConflictError
@@ -83,8 +83,7 @@ def _upgrade_v3(data: dict) -> dict:
     engine = data["engine"]
     stacks, runs = _V3_STACKS.load(engine["stacks"]), _V3_RUNS.load(engine["runs"])
     sources = {stack["id"]: stack.pop("source") for stack in stacks}
-    if not all(type(source) is str for source in sources.values()):
-        raise ValueError("a v3 stack source must be a string")
+    check_column(StackRun, "source", sources.values(), "v3 stack")
     for run in runs:
         if run["stack_id"] not in sources:
             raise ValueError(f"a v3 run names a missing stack {run['stack_id']!r}")
@@ -94,6 +93,15 @@ def _upgrade_v3(data: dict) -> dict:
         "stacks": layout(Stack, _STACK_FIELDS).dump(stacks),
         "runs": layout(StackRun, _RUN_FIELDS).dump(runs),
     }}
+
+
+@record
+class _Header:
+    """The values a snapshot holds beside its four subsystems."""
+    seed: int
+    tick: int
+    template_dir: str | None
+    events: list
 
 
 class World:
@@ -168,9 +176,7 @@ class World:
             data = _upgrade_v3(data)
         if data.get("v") != SNAPSHOT_VERSION:
             raise ConflictError(f"unsupported state snapshot version {data.get('v')!r}")
-        for key in ("seed", "tick"):
-            if type(data[key]) is not int:  # bool is an int subclass; reject it too
-                raise TypeError(f"{key} must be an integer, got {data[key]!r}")
+        check(_Header, data, "snapshot")
         world = cls(seed=data["seed"], template_dir=data["template_dir"], _bootstrap=False)
         version, internal, gauss = data["rng_state"]
         world.rng.setstate((version, tuple(internal), gauss))

@@ -410,6 +410,47 @@ def test_instance_with_an_unknown_flavor_is_malformed_state(runner):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("table, column, verb", [
+    ("networks", "cidr", "group-create"),
+    ("networks", "cidr", "net-create"),
+    ("instances", "tenant_id", "fip-associate"),
+    ("networks", "name", "fip-associate"),
+    ("networks", "tenant_id", "fip-associate"),
+    ("networks", "router_id", "fip-associate"),
+    ("networks", "router_id", "connectivity-check"),
+])
+def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column, verb):
+    """A value of the right kind that names nothing: each was a traceback."""
+    member = json.dumps({"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]})
+    group = ("--min", "1", "--max", "1", "--desired", "1", "--member", member)
+    _, out, _ = runner("group-create", "web", *group, "--format", "machine")
+    instance = json.loads(out)["members"][0]
+    _, out, _ = runner("fip-allocate", "--format", "machine")
+    fip = json.loads(out)["id"]
+    state = json.loads(runner._state.read_text())
+    rows = state["provider"][table]
+    rows["rows"][0][rows["fields"].index(column)] = "x"
+    runner._state.write_text(json.dumps(state))
+    argv = {"group-create": ("group-create", "db", *group),
+            "net-create": ("net-create", "n2", "--cidr", "10.9.0.0/24"),
+            "fip-associate": ("fip-associate", fip, instance),
+            "connectivity-check": ("connectivity-check", instance, "external",
+                                   "--protocol", "icmp")}[verb]
+    code, out, err = runner(*argv)
+    assert code == 5 and out == ""
+    assert err.startswith("error: state is malformed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("member", ["[1]", "5", "null", '"spec"'])
+def test_group_create_refuses_a_member_spec_that_is_no_object(runner, member):
+    code, out, err = runner("group-create", "g", "--min", "0", "--max", "1", "--desired", "0",
+                            "--member", member)
+    assert code == 2 and out == ""
+    assert err.startswith("error: scaling group 'g' member_spec must be dict")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("gateway", ["bogus", "8.8.8.8", "10.7.1.1", "::1", "10.7.0.0", "10.7.0.2",
                                      "10.7.0.255"])
 def test_net_create_rejects_a_gateway_outside_the_cidr(runner, gateway):

@@ -136,6 +136,36 @@ def test_stdout_closed_at_start_still_succeeds(operator):
     assert load_world(str(state)).tick == tick + 2
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_write_verb_keeps_its_change_when_stdout_fails(operator, unbuffered):
+    """The output of a verb that saves is written after the save, so a
+    failed write reports exit 5 and the change stays, buffered or not."""
+    state, env = operator
+    if unbuffered:
+        env = {**env, "PYTHONUNBUFFERED": "1"}
+    tick = load_world(str(state)).tick
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _process(["clock-advance", "1"], env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 5
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert load_world(str(state)).tick == tick + 1
+
+
+def test_object_get_with_stdout_closed_at_start_succeeds(operator, capsys):
+    _, env = operator
+    assert cli.main(["object-put", "c1", "o1", "--data", "payload"]) == 0
+    capsys.readouterr()
+    proc = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$0" -m minimano.cli "$@" >&-', sys.executable,
+         "object-get", "c1", "o1"], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_verbs_that_read_files_close_them(operator, tmp_path):
     _, env = operator
     blob = tmp_path / "blob.bin"

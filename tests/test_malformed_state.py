@@ -1,0 +1,175 @@
+"""Malformed state files, generated: every table cell of a small seeded
+state is set in turn to each of a few JSON values, and each mutated file
+is driven through `cli.main` for a fixed list of verbs.
+
+A value whose JSON kind its field's annotation rules out (or a size the
+field declares positive that is not) must be refused on load by every
+verb: exit 5 and one `error: state file ... is malformed:` line. Any other
+value may be accepted or refused, but only with a documented exit code and
+one `error:` line, never with an exception out of `cli.main`.
+"""
+
+import json
+from conftest import make_env
+from minimano import cli
+from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
+from minimano.identity import Tenant, Token, User
+from minimano.nfvi import (
+    FloatingIp,
+    Flavor,
+    Host,
+    Image,
+    Instance,
+    KeyPair,
+    Network,
+    Router,
+    SecurityGroup,
+    SecurityGroupRule,
+    Volume,
+    VolumeSnapshot,
+)
+from minimano.statefile import save_world
+from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
+
+VALUES = ["x", -1, 0, None, 1.5, [], {}]
+EXIT_CODES = {0, 2, 3, 4, 5, 6}  # the documented ones
+
+# (section, table) -> the row class; a nested table is named by its column
+TABLES = {
+    ("identity", "tenants"): Tenant, ("identity", "users"): User,
+    ("identity", "tokens"): Token,
+    ("provider", "hosts"): Host, ("provider", "images"): Image,
+    ("provider", "flavors"): Flavor, ("provider", "keypairs"): KeyPair,
+    ("provider", "secgroups"): SecurityGroup, ("provider", "instances"): Instance,
+    ("provider", "networks"): Network, ("provider", "routers"): Router,
+    ("provider", "fips"): FloatingIp, ("provider", "volumes"): Volume,
+    ("engine", "stacks"): Stack, ("engine", "runs"): StackRun,
+    ("engine", "handles"): WaitHandle, ("engine", "conditions"): WaitCondition,
+    ("telemetry", "samples"): MetricSample, ("telemetry", "alarms"): AlarmDef,
+    ("telemetry", "groups"): ScalingGroup, ("telemetry", "generators"): LoadGenerator,
+}
+NESTED = {(SecurityGroup, "rules"): SecurityGroupRule, (Volume, "snapshots"): VolumeSnapshot,
+          (Stack, "records"): ResourceRecord}
+# the fields whose sizes feed arithmetic, declared positive
+POSITIVE = {(Host, "vcpus"), (Host, "ram_mib"), (Host, "disk_gib"), (Flavor, "vcpus"),
+            (Flavor, "ram_mib"), (Flavor, "disk_gib"), (HealerConfig, "detect_interval"),
+            (LoadGenerator, "period")}
+# the test's own reading of an annotation: the JSON kinds it admits
+KINDS = {"str": {str}, "int": {int}, "float": {float, int}, "bool": {bool}, "list": {list},
+         "dict": {dict}, "None": {type(None)}}
+
+
+def admits(cls, name, value) -> bool:
+    annotation = cls.__annotations__[name]
+    text = annotation if isinstance(annotation, str) else getattr(
+        annotation, "__name__", str(annotation))
+    kinds = set().union(*(KINDS[part.strip()] for part in text.split("|")))
+    if type(value) not in kinds:
+        return False
+    return (cls, name) not in POSITIVE or value > 0
+
+
+def build_state(path):
+    """A seeded state with a row in most tables: a stack, a one-member
+    scaling group with an alarm and a sample, a floating address, a volume
+    and two ticks. Returns the ids the verbs name."""
+    env = make_env(seed=1)
+    world = env.world
+    stack = world.engine.create_stack("s1", env.parse("example1.yaml"), token=env.token)
+    member = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
+    group = world.telemetry.create_group("g", env.tenant_id, member, 1, 1, 1)
+    world.telemetry.create_alarm("hot", "cpu_util", "avg", "gt", 0.8, 2, "g", "scale_out")
+    world.telemetry.record_metric(group.members[0], "cpu_util", 0.5)
+    world.telemetry.healer = HealerConfig(True, 1)
+    fip = world.provider.allocate_floating_ip(env.tenant_id)
+    volume = world.provider.create_volume(env.tenant_id, 1)
+    world.advance_clock(2)
+    save_world(world, str(path))
+    server = next(iter(stack.records.values())).physical_id
+    return env.token, {"stack": stack.id, "member": group.members[0], "server": server,
+                       "fip": fip.id, "volume": volume.id, "member_spec": json.dumps(member)}
+
+
+def verbs(ids) -> list:
+    return [
+        ["stack-list"], ["stack-show", ids["stack"]], ["events-tail"], ["clock-advance", "2"],
+        ["group-create", "g2", "--min", "1", "--max", "1", "--desired", "1",
+         "--member", ids["member_spec"]],
+        ["fip-associate", ids["fip"], ids["member"]],
+        ["metric-push", ids["member"], "cpu_util", "0.7"],
+        ["volume-attach", ids["volume"], ids["member"]],
+        ["connectivity-check", ids["member"], ids["server"], "--protocol", "tcp", "--port", "22"],
+        ["stack-delete", ids["stack"]], ["net-create", "n2", "--cidr", "10.9.0.0/24"],
+    ]
+
+
+def cells(data):
+    """(label, class, field, row, column) of every table cell, nested tables too."""
+    def table(label, cls, data):
+        for row in data["rows"]:
+            for column, name in enumerate(data["fields"]):
+                nested = NESTED.get((cls, name))
+                if nested is not None:
+                    yield from table(f"{label}.{name}", nested, row[column])
+                else:
+                    yield label, cls, name, row, column
+
+    for (section, name), cls in TABLES.items():
+        yield from table(f"{section}.{name}", cls, data[section][name])
+    healer = data["telemetry"]["healer"]
+    for name in healer:
+        yield "telemetry.healer", HealerConfig, name, healer, name
+
+
+def mutations(data):
+    """(case, refused on load, whether it is the first refusal of its
+    field) for each cell and value; the snapshot is edited in place and
+    restored after the last value. A refusal depends on the field alone,
+    so it is tried once per field and value."""
+    tried, fields = set(), set()
+    for label, cls, name, row, column in cells(data):
+        original = row[column]
+        for value in VALUES:
+            refused = not admits(cls, name, value)
+            key = (label, name, json.dumps(value))
+            if refused and key in tried:
+                continue
+            first = refused and (label, name) not in fields
+            if refused:
+                tried.add(key)
+                fields.add((label, name))
+            row[column] = value
+            yield f"{label}.{name} = {value!r}", refused, first
+        row[column] = original
+
+
+def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
+    """A value that is accepted is tried under every verb. A state file is
+    refused on load, before the verb runs, so a field's first refused
+    value is tried under every verb and each other one under the next verb
+    in turn: every (field, value) and every (field, verb) is refused,
+    in well under 10 s."""
+    base = tmp_path / "base.json"
+    token, ids = build_state(base)
+    monkeypatch.setenv(cli.TOKEN_ENV, token)
+    state = tmp_path / "state.json"
+    malformed = f"error: state file {str(state)!r} is malformed: "
+    data = json.loads(base.read_text())
+    every = verbs(ids)
+    refusals = 0
+    for case, refused, first in mutations(data):
+        text = json.dumps(data)
+        state.write_text(text)
+        refusals += refused
+        for argv in every if first or not refused else [every[refusals % len(every)]]:
+            if not refused:  # a verb may have saved a change
+                state.write_text(text)
+            code = cli.main([*argv, "--state", str(state), "--tick-ms", "0"])
+            lines = capsys.readouterr().err.splitlines()
+            where = f"{case} under {argv[0]}: exit {code}, {lines}"
+            if refused:
+                assert code == 5 and len(lines) == 1 and lines[0].startswith(malformed), where
+            else:
+                assert code in EXIT_CODES, where
+                assert code == 0 or len(lines) == 1 and lines[0].startswith("error: "), where
+    assert refusals > 600

@@ -7,6 +7,12 @@ network, and each address handed out must be the one a brute-force scan
 picks: the lowest free offset from 3, skipping the gateway and service
 addresses. One network has its gateway at .5, not .1, and the same
 network name exists in two tenants with different CIDRs.
+
+`WorldMachine` walks the whole `World` API the same way: launch,
+terminate, crash, scale, floating addresses, volumes, stack create and
+delete, wait signals and the clock. After each step the same oracles
+hold, each tenant holds a name once, and the world's snapshot survives a
+JSON round trip exactly.
 """
 
 import ipaddress
@@ -16,6 +22,7 @@ import pytest
 
 from minimano.errors import CapacityError
 from minimano.nfvi import FLOATING_POOL_CIDR
+from minimano.telemetry import HealerConfig
 from minimano.world import World
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -144,3 +151,193 @@ def test_ledger_and_pools_match_brute_force(steps):
         else:
             world = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
         check_invariants(world.provider)
+
+
+# -- a stateful walk over the whole World API -----------------------------------
+
+stateful = pytest.importorskip("hypothesis.stateful")
+
+SERVER = """heat_template_version: 2013-05-23
+resources:
+  server:
+    type: OS::Nova::Server
+    properties:
+      image: img
+      flavor: f2
+      networks:
+        - network: a
+"""
+# a server that boots only once its wait condition has one signal, or fails
+# at its deadline
+GATED = """heat_template_version: 2013-05-23
+resources:
+  handle:
+    type: OS::Heat::WaitConditionHandle
+  gate:
+    type: OS::Heat::WaitCondition
+    properties:
+      handle: { get_resource: handle }
+      timeout: 3
+  server:
+    type: OS::Nova::Server
+    depends_on: gate
+    properties:
+      image: img
+      flavor: f1
+      networks:
+        - network: b
+"""
+SCALABLE = {"image": "img", "flavor": "f1", "networks": ["a"]}
+
+
+def unique_names(world):
+    """Each tenant's registries, and its stacks not yet deleted, hold a name once."""
+    provider = world.provider
+    for registry in (provider.images, provider.flavors, provider.keypairs, provider.secgroups,
+                     provider.networks, provider.routers):
+        names = [(obj.tenant_id, obj.name) for obj in registry.values()]
+        assert len(names) == len(set(names))
+    names = [(s.tenant_id, s.name) for s in world.engine.stacks.values()
+             if s.status != "DELETE_COMPLETE"]
+    assert len(names) == len(set(names))
+
+
+class WorldMachine(stateful.RuleBasedStateMachine):
+    """Launch, terminate, crash, scale, floating addresses, volumes, stacks,
+    signals and the clock, in any order, against the brute-force oracles
+    and an exact snapshot round trip."""
+
+    def __init__(self):
+        super().__init__()
+        from minimano.hot import parse_template
+
+        self.world, self.tenants = build_world()
+        admin = self.tenants[0]
+        self.token = self.world.identity.authenticate("admin", "admin", "admin").id
+        provider = self.world.provider
+        provider.create_router(admin, "r", external=True)
+        provider.attach_subnet(admin, "r", "a")
+        self.world.telemetry.create_group("web", admin, SCALABLE, 0, 4, 1)
+        self.world.telemetry.healer = HealerConfig(True, 2)
+        self.docs = {"server": parse_template(SERVER), "gated": parse_template(GATED)}
+        self.stacks = 0
+
+    def pick(self, items, index):
+        items = list(items)
+        return items[index % len(items)] if items else None
+
+    @stateful.rule(tenant=st.integers(0, 1), flavor=st.integers(0, 1),
+                   choice=st.integers(0, len(NETWORK_CHOICES) - 1))
+    def launch(self, tenant, flavor, choice):
+        provider = self.world.provider
+        names = NETWORK_CHOICES[choice] if tenant == 0 else ["a"]
+        expected = expected_launch(provider, self.tenants[tenant], FLAVORS[flavor][0], names)
+        spec = {"image": "img", "flavor": FLAVORS[flavor][0], "networks": names}
+        if expected is None:
+            with pytest.raises(CapacityError):
+                provider.launch_instance(self.tenants[tenant], spec)
+        else:
+            instance = provider.launch_instance(self.tenants[tenant], spec)
+            assert (instance.host_id, instance.fixed_ips) == expected
+
+    @stateful.rule(index=st.integers(0, 20))
+    def terminate(self, index):
+        instance = self.pick(live(self.world.provider), index)
+        if instance is not None:
+            self.world.provider.terminate_instance(instance.id)
+
+    @stateful.rule(index=st.integers(0, 20))
+    def crash(self, index):
+        active = [i for i in live(self.world.provider) if i.state == "ACTIVE"]
+        instance = self.pick(active, index)
+        if instance is not None:
+            self.world.provider.crash_instance(instance.id)
+
+    @stateful.rule(direction=st.sampled_from(["out", "in"]))
+    def scale(self, direction):
+        self.world.telemetry.apply_scaling("web", direction)
+
+    @stateful.rule(index=st.integers(0, 20), action=st.sampled_from(["allocate", "associate",
+                                                                       "release"]))
+    def fip(self, index, action):
+        provider = self.world.provider
+        admin = self.tenants[0]
+        if action == "allocate":
+            provider.allocate_floating_ip(admin)
+            return
+        fip = self.pick(provider.fips.values(), index)
+        if fip is None:
+            return
+        if action == "release":
+            provider.release_floating_ip(fip.id)
+            return
+        routed = [i for i in live(provider) if i.tenant_id == admin and "a" in i.fixed_ips]
+        instance = self.pick(routed, index)
+        if fip.associated_instance is None and instance is not None:
+            provider.associate_floating_ip(fip.id, instance.id)
+
+    @stateful.rule(index=st.integers(0, 20), action=st.sampled_from(["create", "attach",
+                                                                       "detach", "snapshot"]))
+    def volume(self, index, action):
+        provider = self.world.provider
+        if action == "create":
+            provider.create_volume(self.tenants[0], 1 + index % 3)
+            return
+        volume = self.pick(provider.volumes.values(), index)
+        if volume is None:
+            return
+        active = [i for i in live(provider) if i.state == "ACTIVE"]
+        instance = self.pick(active, index)
+        if action == "attach" and volume.attached_to is None and instance is not None:
+            provider.attach_volume(volume.id, instance.id)
+        elif action == "detach":
+            provider.detach_volume(volume.id)
+        elif action == "snapshot":
+            provider.snapshot_volume(volume.id)
+
+    @stateful.rule(kind=st.sampled_from(["server", "gated"]))
+    def stack_create(self, kind):
+        self.stacks += 1
+        self.world.engine.create_stack(f"{kind}-{self.stacks}", self.docs[kind], token=self.token)
+
+    @stateful.rule(index=st.integers(0, 20))
+    def stack_delete(self, index):
+        done = [s for s in self.world.engine.stacks.values()
+                if s.status in ("CREATE_COMPLETE", "CREATE_FAILED", "DELETE_FAILED")]
+        stack = self.pick(done, index)
+        if stack is not None:
+            self.world.engine.delete_stack(stack.id, self.token)
+
+    @stateful.rule(index=st.integers(0, 20), status=st.sampled_from(["SUCCESS", "FAILURE"]))
+    def signal(self, index, status):
+        handle = self.pick(self.world.engine.handles.values(), index)
+        if handle is not None:
+            self.world.engine.signal(f"mm://wait/{handle.id}", {"status": status},
+                                     token=self.token)
+
+    @stateful.rule(ticks=st.integers(1, 4))
+    def advance_clock(self, ticks):
+        self.world.advance_clock(ticks)
+
+    @stateful.rule()
+    def reload(self):
+        self.world = World.from_snapshot(json.loads(json.dumps(self.world.to_snapshot())))
+
+    @stateful.invariant()
+    def ledger_pools_and_capacity(self):
+        check_invariants(self.world.provider)
+
+    @stateful.invariant()
+    def names_are_unique(self):
+        unique_names(self.world)
+
+    @stateful.invariant()
+    def snapshot_round_trips(self):
+        text = json.dumps(self.world.to_snapshot())
+        assert json.dumps(World.from_snapshot(json.loads(text)).to_snapshot()) == text
+
+
+TestWorldMachine = WorldMachine.TestCase
+TestWorldMachine.settings = hypothesis.settings(
+    derandomize=True, max_examples=60, stateful_step_count=40, deadline=None,
+    suppress_health_check=list(hypothesis.HealthCheck))

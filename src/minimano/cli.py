@@ -27,6 +27,7 @@ from .errors import (
     StateIOError,
     TemplateError,
 )
+from .identity import IdentityState
 from .lazy import LazyNames
 from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
 from .telemetry import HealerConfig
@@ -540,6 +541,8 @@ def cmd_init(args, out):
         raise StateIOError(f"state file {args.state!r} already exists (use --force)")
     hosts = _read_json_file(args.hosts, "host inventory") if args.hosts else None
     policy = _read_json_file(args.policy, "policy file") if args.policy else None
+    if args.policy:
+        check(IdentityState, {"policy": policy}, "policy file", TemplateError)
     world = World(
         seed=args.seed, hosts=hosts, policy=policy,
         admin_credential=args.admin_password, template_dir=args.template_dir,
@@ -678,8 +681,7 @@ VERBS = {
     "stack-show": (cmd_stack_show, False,
         lambda p: p.add_argument("uuid"), "show one stack in detail"),
     "stack-delete": (cmd_stack_delete, True,
-        lambda p: (p.add_argument("uuid"), p.add_argument("--no-wait", action="store_true")),
-        "delete a stack and its resources"),
+        lambda p: p.add_argument("uuid"), "delete a stack and its resources"),
     "signal": (cmd_signal, True,
         lambda p: (p.add_argument("url"), p.add_argument("payload")),
         "deliver a wait-condition signal payload"),

@@ -211,10 +211,11 @@ class StackEngine:
     # -- the resumable deployment walk ----------------------------------------------
 
     def _pump_run(self, run: StackRun):
+        """The one step function of a deployment: settle the resource the
+        run is blocked on, if any, then walk on until a resource blocks or
+        the create ends."""
         stack = self.stacks[run.stack_id]
         while True:
-            if run.blocker is not None or stack.status != CREATE_IN_PROGRESS:
-                return
             if run.wave_idx >= len(stack.waves):
                 self._finalize_create(run, stack)
                 return
@@ -224,27 +225,82 @@ class StackEngine:
                 run.pos_idx = 0
                 continue
             rname = wave[run.pos_idx]
-            rdef = run.doc.resources[rname]
-            record = ResourceRecord(
-                name=rname,
-                uuid=self.core.new_uuid(),
-                type=rdef.resource_type,
-                state="IN_PROGRESS",
-            )
-            stack.records[rname] = record
-            self.core.emit(
-                "resource.create.start", f"{stack.id}/{rname}",
-                stack=stack.id, resource=rname, type=rdef.resource_type,
-            )
+            if run.blocker is None:
+                rdef = run.doc.resources[rname]  # a source that fails to parse fails the verb
+                stack.records[rname] = ResourceRecord(
+                    name=rname,
+                    uuid=self.core.new_uuid(),
+                    type=rdef.resource_type,
+                    state="IN_PROGRESS",
+                )
+                self.core.emit(
+                    "resource.create.start", f"{stack.id}/{rname}",
+                    stack=stack.id, resource=rname, type=rdef.resource_type,
+                )
+            record = stack.records[rname]
             try:
-                result = self._deploy_resource(run, stack, rdef, record)
+                if run.blocker is None:
+                    result = self._deploy_resource(run, stack, rdef, record)
+                else:
+                    result = self._settle(run, stack, record)
             except MiniManoError as exc:
-                self._fail_resource(stack, rname, exc.message)
+                record.state = "FAILED"
+                record.failure = exc.message
+                self.core.emit(
+                    "resource.create.failed", f"{stack.id}/{rname}",
+                    stack=stack.id, resource=rname, reason=exc.message,
+                )
+                self._end_create(stack, CREATE_FAILED, f"resource {rname}: {exc.message}")
                 return
             if result is _BLOCKED:
                 return
             self._complete_resource(stack, record)
             run.pos_idx += 1
+
+    def _settle(self, run: StackRun, stack: Stack, record: ResourceRecord):
+        """Decide the resource `run` is blocked on, whether its signal,
+        deadline or child ended before or after the walk reached it: the
+        finished record, `_BLOCKED` while it is pending, or a DeployError."""
+        kind, ref = run.blocker
+        if kind == "child":
+            child = self.stacks[ref]
+            if child.status == CREATE_IN_PROGRESS:
+                return _BLOCKED
+            run.blocker = None
+            if child.status != CREATE_COMPLETE:
+                raise DeployError(f"nested stack failed: {child.failure_reason}")
+            record.attributes = dict(child.outputs)
+            return record
+        condition = self.conditions[ref]
+        signals = self.handles[ref].signals
+        if condition.outcome == "PENDING":
+            statuses = [p["status"] for p in signals.values()]
+            if "FAILURE" in statuses:
+                condition.outcome = "FAILURE_SIGNALED"
+            elif statuses.count("SUCCESS") >= condition.required:
+                condition.outcome = "SUCCESS"
+            else:
+                return _BLOCKED
+        run.blocker = None
+        detail = {"stack": stack.id, "resource": record.name, "handle": ref}
+        if condition.outcome == "SUCCESS":
+            record.attributes = {"data": json.dumps(
+                {sid: p.get("data", "") for sid, p in signals.items() if p["status"] == "SUCCESS"}
+            )}
+            self.core.emit("wait.success", ref, **detail)
+            return record
+        if condition.outcome == "FAILURE_SIGNALED":
+            self.core.emit("wait.failure", ref, **detail)
+            raise DeployError("wait condition received a FAILURE signal")
+        self.core.emit("wait.timeout", ref, **detail)
+        raise DeployError("wait condition timed out")
+
+    def _resume(self, stack_id, blocker):
+        """Walk on the run of `stack_id` if it is blocked on `blocker`, which
+        a signal, a deadline or the end of a child's create may have ended."""
+        run = self.runs.get(stack_id)
+        if run is not None and run.blocker == blocker:
+            self._pump_run(run)
 
     def _eval_context(self, stack: Stack) -> EvalContext:
         ids, attrs = stack.deployed
@@ -262,55 +318,28 @@ class StackEngine:
             stack=stack.id, resource=record.name, type=record.type,
         )
 
-    def _fail_resource(self, stack: Stack, rname, reason):
-        record = stack.records.get(rname)
-        if record is not None:
-            record.state = "FAILED"
-            record.failure = reason
-        self.core.emit(
-            "resource.create.failed", f"{stack.id}/{rname}",
-            stack=stack.id, resource=rname, reason=reason,
-        )
-        stack.status = CREATE_FAILED
-        stack.failure_reason = f"resource {rname}: {reason}"
-        self.core.emit("stack.create.failed", stack.id, stack=stack.id, reason=stack.failure_reason)
-        self.runs.pop(stack.id, None)
-        self._notify_parent(stack)
-
     def _finalize_create(self, run: StackRun, stack: Stack):
         outputs = run.doc.outputs  # a source that fails to parse is not an output failure
         ctx = self._eval_context(stack)
         try:
             stack.outputs = {name: evaluate_expr(odef.value, ctx) for name, odef in outputs.items()}
         except MiniManoError as exc:
-            stack.status = CREATE_FAILED
-            stack.failure_reason = f"output evaluation: {exc.message}"
-            self.core.emit("stack.create.failed", stack.id, stack=stack.id, reason=stack.failure_reason)
-            self.runs.pop(stack.id, None)
-            self._notify_parent(stack)
+            self._end_create(stack, CREATE_FAILED, f"output evaluation: {exc.message}")
             return
-        stack.status = CREATE_COMPLETE
-        self.core.emit("stack.create.complete", stack.id, stack=stack.id, name=stack.name)
-        self.runs.pop(stack.id, None)
-        self._notify_parent(stack)
+        self._end_create(stack, CREATE_COMPLETE)
 
-    def _notify_parent(self, child: Stack):
-        if child.parent is None or child.status == CREATE_IN_PROGRESS:
-            return
-        parent_id, rname = child.parent
-        parent_run = self.runs.get(parent_id)
-        if parent_run is None or parent_run.blocker != ["child", child.id]:
-            return
-        parent = self.stacks[parent_id]
-        parent_run.blocker = None
-        if child.status == CREATE_COMPLETE:
-            record = parent.records[rname]
-            record.attributes = dict(child.outputs)
-            self._complete_resource(parent, record)
-            parent_run.pos_idx += 1
-            self._pump_run(parent_run)
+    def _end_create(self, stack: Stack, status, reason=None):
+        """The one end of a create: its final status and event, then the
+        parent run that may be blocked on it."""
+        stack.status = status
+        if status == CREATE_COMPLETE:
+            self.core.emit("stack.create.complete", stack.id, stack=stack.id, name=stack.name)
         else:
-            self._fail_resource(parent, rname, f"nested stack failed: {child.failure_reason}")
+            stack.failure_reason = reason
+            self.core.emit("stack.create.failed", stack.id, stack=stack.id, reason=reason)
+        self.runs.pop(stack.id, None)
+        if stack.parent is not None:
+            self._resume(stack.parent[0], ["child", stack.id])
 
     # -- per-type deployment ------------------------------------------------------------
 
@@ -405,18 +434,8 @@ class StackEngine:
             deadline=self.core.tick + timeout,
         )
         self.conditions[handle_id] = condition
-        self._evaluate_condition(condition)
-        if condition.outcome == "SUCCESS":
-            self._complete_wait_record(record, condition)
-            return record
-        if condition.outcome == "FAILURE_SIGNALED":
-            self.core.emit(
-                "wait.failure", handle_id,
-                stack=stack.id, resource=rdef.name, handle=handle_id,
-            )
-            raise DeployError("wait condition received a FAILURE signal")
         run.blocker = ["wait", handle_id]
-        return _BLOCKED
+        return self._settle(run, stack, record)
 
     def _deploy_nested(self, run, stack, rdef, record):
         if stack.depth + 1 > NESTING_LIMIT:
@@ -441,13 +460,8 @@ class StackEngine:
         )
         record.physical_id = child.id
         record.uuid = child.id
-        if child.status == CREATE_COMPLETE:
-            record.attributes = dict(child.outputs)
-            return record
-        if child.status == CREATE_FAILED:
-            raise DeployError(f"nested stack failed: {child.failure_reason}")
         run.blocker = ["child", child.id]
-        return _BLOCKED
+        return self._settle(run, stack, record)
 
     def _resolve_template_path(self, type_path, parent_dir):
         candidates = []
@@ -490,9 +504,7 @@ class StackEngine:
             handle=handle_id, id=signal_id, status=payload["status"],
         )
         if condition is not None:
-            self._evaluate_condition(condition)
-            if condition.outcome != "PENDING":
-                self._resolve_blocked_wait(condition)
+            self._resume(condition.stack_id, ["wait", handle_id])
         return "recorded"
 
     @staticmethod
@@ -510,62 +522,12 @@ class StackEngine:
                 raise TemplateError(f"signal {key} must be a string")
         return payload
 
-    def _evaluate_condition(self, condition: WaitCondition):
-        if condition.outcome != "PENDING":
-            return
-        handle = self.handles[condition.handle_id]
-        statuses = [p["status"] for p in handle.signals.values()]
-        if any(s == "FAILURE" for s in statuses):
-            condition.outcome = "FAILURE_SIGNALED"
-        elif sum(1 for s in statuses if s == "SUCCESS") >= condition.required:
-            condition.outcome = "SUCCESS"
-
-    def _wait_data(self, handle: WaitHandle) -> str:
-        return json.dumps(
-            {sid: p.get("data", "") for sid, p in handle.signals.items() if p["status"] == "SUCCESS"}
-        )
-
-    def _complete_wait_record(self, record, condition: WaitCondition):
-        handle = self.handles[condition.handle_id]
-        record.attributes = {"data": self._wait_data(handle)}
-        self.core.emit(
-            "wait.success", condition.handle_id,
-            stack=condition.stack_id, resource=condition.resource_name, handle=condition.handle_id,
-        )
-        return record
-
-    def _resolve_blocked_wait(self, condition: WaitCondition):
-        """A pending condition just left PENDING; resume or fail its stack."""
-        run = self.runs.get(condition.stack_id)
-        if run is None or run.blocker != ["wait", condition.handle_id]:
-            return
-        stack = self.stacks[condition.stack_id]
-        run.blocker = None
-        record = stack.records[condition.resource_name]
-        if condition.outcome == "SUCCESS":
-            self._complete_wait_record(record, condition)
-            self._complete_resource(stack, record)
-            run.pos_idx += 1
-            self._pump_run(run)
-        elif condition.outcome == "FAILURE_SIGNALED":
-            self.core.emit(
-                "wait.failure", condition.handle_id,
-                stack=stack.id, resource=condition.resource_name, handle=condition.handle_id,
-            )
-            self._fail_resource(stack, condition.resource_name, "wait condition received a FAILURE signal")
-        else:
-            self.core.emit(
-                "wait.timeout", condition.handle_id,
-                stack=stack.id, resource=condition.resource_name, handle=condition.handle_id,
-            )
-            self._fail_resource(stack, condition.resource_name, "wait condition timed out")
-
     def process_deadlines(self):
         """Called once per tick, before alarms and the healer."""
         for condition in list(self.conditions.values()):
             if condition.outcome == "PENDING" and condition.deadline <= self.core.tick:
                 condition.outcome = "TIMEOUT"
-                self._resolve_blocked_wait(condition)
+                self._resume(condition.stack_id, ["wait", condition.handle_id])
 
     # -- delete ----------------------------------------------------------------------------------
 
@@ -673,6 +635,16 @@ class StackEngine:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        for stack in self.stacks.values():
+            if any(type(wave) is not list or any(type(name) is not str for name in wave)
+                   for wave in stack.waves):
+                raise ValueError(f"stack {stack.id!r} waves must be lists of resource names")
         for run in self.runs.values():
-            if run.stack_id not in self.stacks:
+            stack = self.stacks.get(run.stack_id)
+            if stack is None:
                 raise ValueError(f"run {run.stack_id!r} names a missing stack")
+            # the walk settles a blocked run's resource at the run's position
+            wave = stack.waves[run.wave_idx] if 0 <= run.wave_idx < len(stack.waves) else []
+            if run.blocker is not None and not (
+                    0 <= run.pos_idx < len(wave) and wave[run.pos_idx] in stack.records):
+                raise ValueError(f"run {run.stack_id!r} is blocked at no resource it has created")

@@ -9,11 +9,7 @@ valid token). Unknown actions are denied.
 
 from .codec import field, keyed, one, record
 from .errors import AuthError, ConflictError, NotFoundError
-from .lazy import LazyNames
 
-# `hashlib` costs a CLI call about 4 ms to import; bound when a credential is hashed
-_HASHLIB = LazyNames(globals(), {"hashlib": ("sha256",)})
-__getattr__ = _HASHLIB.attribute
 
 DEFAULT_TOKEN_TTL = 3600  # ticks
 
@@ -103,7 +99,7 @@ _STATE = one(IdentityState)
 
 
 def _digest(salt: str, credential: str) -> str:
-    _HASHLIB.bind()
+    from hashlib import sha256  # a CLI call that hashes nothing does not pay for it
     return sha256(f"{salt}:{credential}".encode()).hexdigest()
 
 
@@ -248,3 +244,6 @@ class IdentityService:
 
     def load_dict(self, data):
         self.state = _STATE.load(data)
+        for row in self.state.assignments:
+            if type(row) is not list or len(row) != 3 or any(type(v) is not str for v in row):
+                raise ValueError(f"identity assignment {row!r} must be [user id, tenant id, role]")

@@ -1,14 +1,12 @@
-"""Module globals bound from another module on first use.
+"""Module globals bound from the template layer on first use.
 
-A CLI call that never touches a template should not pay to import the
-template layer (`hot`, `yamlite`, `plan`), nor one that hashes nothing
-for `hashlib`. A module that calls into such a module declares the names
-it takes with `LazyNames`, makes the object's `attribute` its module
-`__getattr__` (PEP 562), and calls `bind()` before its own code uses
-them. Both bind the real objects into the module's
-globals, so the module's own calls and `module.name` find the same
-object. A name already set there, for example by a wrapper that traces
-calls, is kept.
+A CLI call that never touches a template should not pay to import
+`hot`, `yamlite` and `plan`. `engine` and `cli` declare the names they
+take with `LazyNames`, make its `attribute` their module `__getattr__`
+(PEP 562), and call `bind()` before their own code uses them. Both bind
+the real objects into the module's globals, so the module's own calls
+and `module.name` find the same object, and a name already set there
+(a wrapper that traces calls) is kept.
 """
 
 import importlib

@@ -27,11 +27,7 @@ from heapq import heappop, heappush
 
 from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, record
 from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
-from .lazy import LazyNames
 
-# `hashlib` costs a CLI call about 4 ms to import; bound when an image is hashed
-_HASHLIB = LazyNames(globals(), {"hashlib": ("sha256",)})
-__getattr__ = _HASHLIB.attribute
 
 EXTERNAL_LOCUS = "external"
 # source address the outside world appears as during admission checks
@@ -244,7 +240,11 @@ def _b64(data: bytes) -> str:
 
 
 def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+    """A stored payload's bytes; one from a state file may be no base64."""
+    try:
+        return base64.b64decode(text.encode("ascii"))
+    except ValueError as exc:
+        raise StateIOError(f"state is malformed: a stored payload is not base64: {exc}") from None
 
 
 # one host inventory row, checked before anything places onto it
@@ -339,7 +339,7 @@ class CloudProvider:
         return image
 
     def image_payload_hash(self, image_id) -> str:
-        _HASHLIB.bind()
+        from hashlib import sha256  # a CLI call that hashes nothing does not pay for it
         return sha256(_unb64(self.images[image_id].payload_b64)).hexdigest()
 
     # -- flavors / keypairs / security groups ------------------------------------
@@ -935,4 +935,6 @@ class CloudProvider:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        if type(self.objects) is not dict or any(type(v) is not str for v in self.objects.values()):
+            raise ValueError("provider objects must be an object of base64 text")
         self._forget_derived()

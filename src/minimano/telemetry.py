@@ -16,11 +16,7 @@ from bisect import bisect_left, bisect_right
 
 from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, record
 from .errors import CapacityError, ConflictError, NotFoundError
-from .lazy import LazyNames
 
-# `hashlib` costs a CLI call about 4 ms to import; bound when a generator runs
-_HASHLIB = LazyNames(globals(), {"hashlib": ("sha256",)})
-__getattr__ = _HASHLIB.attribute
 
 AGGREGATES = ("avg", "max", "min")
 COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
@@ -299,27 +295,24 @@ class TelemetryService:
                 if instance is not None and instance.state != "DELETED":
                     self.provider.terminate_instance(member_id)
                 group.members.remove(member_id)
-                try:
-                    replacement = self._launch_member(group)
-                except CapacityError as exc:
-                    self.core.emit("heal.blocked", group.name,
-                                   group=group.name, reason=exc.message)
-                    continue
-                self.core.emit(
-                    "heal.replace", group.name,
-                    group=group.name, failed=member_id, replacement=replacement.id,
-                )
+                self._replace_member(group, member_id)
             while len(group.members) < group.desired:
-                try:
-                    replacement = self._launch_member(group)
-                except CapacityError as exc:
-                    self.core.emit("heal.blocked", group.name,
-                                   group=group.name, reason=exc.message)
+                if not self._replace_member(group, None):
                     break
-                self.core.emit(
-                    "heal.replace", group.name,
-                    group=group.name, failed=None, replacement=replacement.id,
-                )
+
+    def _replace_member(self, group: ScalingGroup, failed) -> bool:
+        """Launch one member in place of `failed` (None when topping up);
+        False when capacity blocks it until the next detect interval."""
+        try:
+            replacement = self._launch_member(group)
+        except CapacityError as exc:
+            self.core.emit("heal.blocked", group.name, group=group.name, reason=exc.message)
+            return False
+        self.core.emit(
+            "heal.replace", group.name,
+            group=group.name, failed=failed, replacement=replacement.id,
+        )
+        return True
 
     # -- scheduled scenario input and generators ------------------------------------------
 
@@ -338,7 +331,7 @@ class TelemetryService:
             for resource_id in self._schedule_targets(entry):
                 self.inject_fault(resource_id, entry.get("kind", "instance_crash"))
         if self.generators:
-            _HASHLIB.bind()
+            from hashlib import sha256  # a CLI call that runs no generator does not pay for it
         for gen in self.generators:
             group = self.groups.get(gen.group_name)
             if group is None:

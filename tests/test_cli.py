@@ -287,16 +287,20 @@ def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     assert err.startswith("error: scenario ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, hosts", [
-    (["--healer-enabled", "--healer-interval", "0"], None),
-    ([], [{"id": "host-1", "ram_mib": 16384, "disk_gib": 160}]),
-    ([], [{"id": "host-1", "vcpus": 8, "ram_mib": 0, "disk_gib": 160}]),
-], ids=["healer-interval-zero", "host-without-vcpus", "host-with-zero-ram"])
-def test_init_rejects_bad_settings(tmp_path, capsys, argv, hosts):
+@pytest.mark.parametrize("argv, files", [
+    (["--healer-enabled", "--healer-interval", "0"], {}),
+    ([], {"--hosts": [{"id": "host-1", "ram_mib": 16384, "disk_gib": 160}]}),
+    ([], {"--hosts": [{"id": "host-1", "vcpus": 8, "ram_mib": 0, "disk_gib": 160}]}),
+    ([], {"--policy": [1]}),
+    ([], {"--policy": "stacks:create"}),
+], ids=["healer-interval-zero", "host-without-vcpus", "host-with-zero-ram",
+        "policy-a-list", "policy-a-string"])
+def test_init_rejects_bad_settings(tmp_path, capsys, argv, files):
     path = tmp_path / "state.json"
-    if hosts is not None:
-        (tmp_path / "hosts.json").write_text(json.dumps(hosts))
-        argv = [*argv, "--hosts", str(tmp_path / "hosts.json")]
+    for option, content in files.items():  # each option names a JSON file
+        file = tmp_path / f"{option[2:]}.json"
+        file.write_text(json.dumps(content))
+        argv = [*argv, option, str(file)]
     code = cli.main(["init", "--state", str(path), *argv])
     err = capsys.readouterr().err
     assert code == 2
@@ -316,6 +320,12 @@ def _state_v3(edit):
     state = json.loads(json.dumps(world.to_snapshot()))
     edit(state)
     return state
+
+
+def _blocked_stack(state):
+    """The v1 fixture's stack whose run waits at `waves[1][0]`."""
+    (run,) = state["engine"]["runs"]
+    return next(stack for stack in state["engine"]["stacks"] if stack["id"] == run["stack_id"])
 
 
 def _instances(state):
@@ -355,6 +365,15 @@ def _as_dict(table):
     _state_v3(lambda s: s["identity"].pop("assignments")),
     _state_v3(lambda s: s["identity"].update(extra=1)),
     _state_v3(lambda s: s["telemetry"]["healer"].pop("detect_interval")),
+    _state_v3(lambda s: s["provider"].update(objects=[1])),
+    _state_v3(lambda s: s["provider"].update(objects={"t/c/o": 5})),
+    _state_v3(lambda s: s["identity"].update(assignments=[5])),
+    _state_v3(lambda s: s["identity"].update(assignments=[[1, 2]])),
+    _state_v1(lambda s: s["engine"]["stacks"][1]["waves"].append(5)),
+    _state_v1(lambda s: s["engine"]["stacks"][1]["waves"][0].append(None)),
+    _state_v1(lambda s: s["engine"]["runs"][0].update(pos_idx=1)),
+    _state_v1(lambda s: s["engine"]["runs"][0].update(wave_idx=2)),
+    _state_v1(lambda s: _blocked_stack(s)["waves"][1].__setitem__(0, "other")),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
         "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
@@ -363,7 +382,10 @@ def _as_dict(table):
         "v3-nested-row-too-short", "v3-rows-not-a-list", "v3-row-a-dict",
         "v3-row-a-string", "v3-identity-missing-policy", "v3-identity-missing-catalog",
         "v3-identity-missing-assignments", "v3-identity-unknown-field",
-        "v3-healer-missing-field"])
+        "v3-healer-missing-field", "v3-objects-a-list", "v3-object-not-text",
+        "v3-assignment-not-a-list", "v3-assignment-not-three-strings",
+        "wave-not-a-list", "wave-name-not-text", "blocked-run-past-its-wave",
+        "blocked-run-past-its-waves", "blocked-run-at-a-resource-not-created"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -418,24 +440,31 @@ def test_instance_with_an_unknown_flavor_is_malformed_state(runner):
     ("networks", "tenant_id", "fip-associate"),
     ("networks", "router_id", "fip-associate"),
     ("networks", "router_id", "connectivity-check"),
+    ("objects", None, "object-get"),
 ])
 def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column, verb):
-    """A value of the right kind that names nothing: each was a traceback."""
+    """A value of the right kind that names nothing, or text that is no
+    base64: each was a traceback."""
     member = json.dumps({"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]})
     group = ("--min", "1", "--max", "1", "--desired", "1", "--member", member)
     _, out, _ = runner("group-create", "web", *group, "--format", "machine")
     instance = json.loads(out)["members"][0]
     _, out, _ = runner("fip-allocate", "--format", "machine")
     fip = json.loads(out)["id"]
+    assert runner("object-put", "c", "o", "--data", "payload")[0] == 0
     state = json.loads(runner._state.read_text())
     rows = state["provider"][table]
-    rows["rows"][0][rows["fields"].index(column)] = "x"
+    if column is None:  # a plain object of base64 text
+        rows.update(dict.fromkeys(rows, "!!!x"))
+    else:
+        rows["rows"][0][rows["fields"].index(column)] = "x"
     runner._state.write_text(json.dumps(state))
     argv = {"group-create": ("group-create", "db", *group),
             "net-create": ("net-create", "n2", "--cidr", "10.9.0.0/24"),
             "fip-associate": ("fip-associate", fip, instance),
             "connectivity-check": ("connectivity-check", instance, "external",
-                                   "--protocol", "icmp")}[verb]
+                                   "--protocol", "icmp"),
+            "object-get": ("object-get", "c", "o")}[verb]
     code, out, err = runner(*argv)
     assert code == 5 and out == ""
     assert err.startswith("error: state is malformed: ")

@@ -7,8 +7,10 @@ table to the runs table (these runs create no stack, so only the two
 headers move). The v3 digests were of the v2 snapshot passed through
 `world._upgrade_v2`, which stores each registry as one table of rows, and
 the v2 digests of the v1 snapshot with `v` set to 2 and the three fields
-v2 dropped removed. A change that alters what a scenario does, or what it
-saves, moves a digest.
+v2 dropped removed. The engine digest is of one seeded run of stacks
+whose wait conditions and nested stacks end in every way, pinned before
+the deployment walk settled each blocked resource in one step. A change
+that alters what a run does, or what it saves, moves a digest.
 """
 
 import hashlib
@@ -17,9 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from minimano.hot import parse_template
 from minimano.scenario import event_log_lines, load_scenario, run_scenario
+from minimano.world import World
 
 DATA = Path(__file__).resolve().parent / "data"
+TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 MEMBER = {"image": "ubuntu_cloud14", "flavor": "m1.small"}
 
@@ -101,3 +106,261 @@ def test_scenario_digests(name):
     else:
         scenario = load_scenario(str(DATA / f"{name}.json"))
     assert digests(run_scenario(scenario)) == DIGESTS[name]
+
+
+# -- the engine digest: every way a blocked wait condition or nested stack
+# ends, reached by the walk and by a resume, with reloads between steps
+
+HEADER = "heat_template_version: 2013-05-23\n"
+ENGINE_TEMPLATES = {
+    # a gate that only a signal or its deadline ends
+    "gated.yaml": HEADER + """\
+parameters:
+  timeout:
+    type: number
+    default: 4
+resources:
+  handle:
+    type: OS::Heat::WaitConditionHandle
+  gate:
+    type: OS::Heat::WaitCondition
+    properties:
+      handle: { get_resource: handle }
+      timeout: { get_param: timeout }
+outputs:
+  data:
+    value: { get_attr: [gate, data] }
+""",
+    # a guest that signals its gate before the walk reaches the gate
+    "guest.yaml": HEADER + """\
+parameters:
+  status:
+    type: string
+    default: SUCCESS
+resources:
+  handle:
+    type: OS::Heat::WaitConditionHandle
+  server:
+    type: OS::Nova::Server
+    properties:
+      image: ubuntu_cloud14
+      flavor: m1.small
+      networks:
+        - network: my_net1
+      user_data:
+        str_replace:
+          params:
+            __url__: { get_attr: [handle, curl_cli] }
+            __status__: { get_param: status }
+          template: |
+            signal __url__ {"status": "__status__", "data": "up"}
+  gate:
+    type: OS::Heat::WaitCondition
+    depends_on: server
+    properties:
+      handle: { get_resource: handle }
+      timeout: 4
+outputs:
+  data:
+    value: { get_attr: [gate, data] }
+""",
+    # gate_b's signal can arrive while the walk waits on gate_a
+    "chain.yaml": HEADER + """\
+resources:
+  handle_a:
+    type: OS::Heat::WaitConditionHandle
+  handle_b:
+    type: OS::Heat::WaitConditionHandle
+  gate_a:
+    type: OS::Heat::WaitCondition
+    properties:
+      handle: { get_resource: handle_a }
+      timeout: 4
+  gate_b:
+    type: OS::Heat::WaitCondition
+    depends_on: gate_a
+    properties:
+      handle: { get_resource: handle_b }
+      timeout: 4
+""",
+    "parent.yaml": HEADER + """\
+parameters:
+  timeout:
+    type: number
+    default: 4
+resources:
+  child:
+    type: gated.yaml
+    properties:
+      timeout: { get_param: timeout }
+  after:
+    type: OS::Heat::RandomString
+    depends_on: child
+    properties:
+      length: 6
+outputs:
+  data:
+    value: { get_attr: [child, data] }
+""",
+    "grand.yaml": HEADER + """\
+resources:
+  inner:
+    type: parent.yaml
+    properties:
+      timeout: 7
+""",
+    # the second child is created by a resumed walk
+    "pair.yaml": HEADER + """\
+resources:
+  first:
+    type: gated.yaml
+  second:
+    type: gated.yaml
+    depends_on: first
+""",
+    "guest_parent.yaml": HEADER + """\
+parameters:
+  status:
+    type: string
+resources:
+  child:
+    type: guest.yaml
+    properties:
+      status: { get_param: status }
+""",
+    "bad_output.yaml": HEADER + """\
+resources:
+  inner:
+    type: guest.yaml
+outputs:
+  missing:
+    value: { get_attr: [inner, nosuch] }
+""",
+    "bad_output_parent.yaml": HEADER + """\
+resources:
+  child:
+    type: bad_output.yaml
+""",
+    "bad_resource.yaml": HEADER + """\
+resources:
+  server:
+    type: OS::Nova::Server
+    properties:
+      image: ubuntu_cloud14
+      flavor: m1.none
+""",
+}
+
+ENGINE_DIGEST = (
+    "1eadc9bc458c87be4f137d518ed748db124f690f0123e8a362051e8ece71eed4",
+    "5aa559a3efec03c823516795acbdd6682e00bd3ca33c6c233c28ae6687b6ad40",
+)
+
+
+def engine_run(seed):
+    """One seeded run through the engine's blocking paths. It runs in a
+    directory holding `tpl/`, so the stored template paths are relative."""
+    world = World(seed=seed, template_dir="tpl", hosts=[
+        {"id": "host-1", "vcpus": 32, "ram_mib": 65536, "disk_gib": 640}])
+    tenant = world.identity.tenant_by_name("admin")
+    token = world.identity.authenticate("admin", "admin", "admin").id
+    world.provider.register_image(tenant.id, "ubuntu_cloud14", b"ubuntu cloud image")
+    world.provider.create_flavor(tenant.id, "m1.small", 1, 2048, 20)
+    world.provider.create_keypair(tenant.id, "my_key1")
+    world.provider.create_network(tenant.id, "my_net1", "10.0.0.0/24")
+    ids = {}
+
+    def reload():
+        nonlocal world
+        world = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
+
+    def create(name, template, **params):
+        doc = parse_template(Path("tpl", template).read_text())
+        stack = world.engine.create_stack(name, doc, params, token=token, template_dir="tpl")
+        ids[name] = stack.id
+
+    def signal(name, handle, status, *path):
+        stack = world.engine.stacks[ids[name]]
+        for rname in path:  # down to a nested stack
+            stack = world.engine.stacks[stack.records[rname].physical_id]
+        url = stack.records[handle].attributes["curl_cli"]
+        world.engine.signal(url, {"status": status}, token=token)
+
+    # children that end within their parent's call
+    for name in ("example1.yaml", "example2.yaml", "example3.yaml", "example4.yaml",
+                 "mysql.yaml"):
+        create(name, name)
+    create("guest-ok", "guest.yaml", status="SUCCESS")
+    create("guest-fail", "guest.yaml", status="FAILURE")
+    signal("guest-fail", "handle", "SUCCESS")  # late: ignored
+    create("guest-parent", "guest_parent.yaml", status="FAILURE")
+    create("output", "bad_output.yaml")
+    create("output-parent", "bad_output_parent.yaml")
+    create("resource", "bad_resource.yaml")
+    # waits that a signal or the clock ends after the walk blocked
+    for name in ("wait-ok", "wait-fail", "wait-timeout"):
+        create(name, "gated.yaml", timeout=3)
+    reload()
+    signal("wait-ok", "handle", "SUCCESS")
+    reload()
+    signal("wait-fail", "handle", "FAILURE")
+    signal("wait-ok", "handle", "SUCCESS")  # late: ignored
+    create("chain-ok", "chain.yaml")
+    create("chain-fail", "chain.yaml")
+    signal("chain-ok", "handle_b", "SUCCESS")
+    signal("chain-fail", "handle_b", "FAILURE")
+    reload()
+    signal("chain-ok", "handle_a", "SUCCESS")
+    signal("chain-fail", "handle_a", "SUCCESS")
+    # parents blocked on a gated child
+    for name in ("parent-ok", "parent-fail", "parent-timeout"):
+        create(name, "parent.yaml", timeout=5)
+    create("grand-ok", "grand.yaml")
+    create("grand-timeout", "grand.yaml")
+    create("pair", "pair.yaml")
+    reload()
+    signal("parent-ok", "handle", "SUCCESS", "child")
+    reload()
+    signal("parent-fail", "handle", "FAILURE", "child")
+    signal("grand-ok", "handle", "SUCCESS", "inner", "child")
+    signal("parent-ok", "handle", "SUCCESS", "child")  # late: ignored
+    signal("pair", "handle", "SUCCESS", "first")
+    reload()
+    world.advance_clock(3)  # wait-timeout's deadline
+    reload()
+    signal("pair", "handle", "SUCCESS", "second")
+    world.advance_clock(2)  # parent-timeout's child deadline
+    reload()
+    world.advance_clock(2)  # grand-timeout's grandchild deadline
+    reload()
+    for name in ("example4.yaml", "guest-fail", "output-parent", "wait-timeout",
+                 "parent-ok", "parent-timeout", "grand-ok", "grand-timeout", "pair"):
+        world.engine.delete_stack(ids[name], token)
+    reload()
+    return world, ids
+
+
+def test_engine_digest(tmp_path, monkeypatch):
+    (tmp_path / "tpl").mkdir()
+    for path in TEMPLATES.iterdir():
+        (tmp_path / "tpl" / path.name).write_text(path.read_text())
+    for name, text in ENGINE_TEMPLATES.items():
+        (tmp_path / "tpl" / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    world, ids = engine_run(seed=1)
+    statuses = {name: world.engine.stacks[stack_id].status for name, stack_id in ids.items()}
+    assert statuses == {
+        "example1.yaml": "CREATE_COMPLETE", "example2.yaml": "CREATE_COMPLETE",
+        "example3.yaml": "CREATE_COMPLETE", "example4.yaml": "DELETE_COMPLETE",
+        "mysql.yaml": "CREATE_COMPLETE", "guest-ok": "CREATE_COMPLETE",
+        "guest-fail": "DELETE_COMPLETE", "guest-parent": "CREATE_FAILED",
+        "output": "CREATE_FAILED", "output-parent": "DELETE_COMPLETE",
+        "resource": "CREATE_FAILED", "wait-ok": "CREATE_COMPLETE",
+        "wait-fail": "CREATE_FAILED", "wait-timeout": "DELETE_COMPLETE",
+        "chain-ok": "CREATE_COMPLETE", "chain-fail": "CREATE_FAILED",
+        "parent-ok": "DELETE_COMPLETE", "parent-fail": "CREATE_FAILED",
+        "parent-timeout": "DELETE_COMPLETE", "grand-ok": "DELETE_COMPLETE",
+        "grand-timeout": "DELETE_COMPLETE", "pair": "DELETE_COMPLETE",
+    }
+    assert world.engine.runs == {}
+    assert digests(world) == ENGINE_DIGEST

@@ -395,8 +395,6 @@ def cmd_stack_create(world, args, out):
     )
     out.obj({"id": stack.id, "name": stack.name, "status": stack.status})
     args._created_stack_id = stack.id
-    args._created_status = stack.status
-    args._created_failure = stack.failure_reason
     return 0
 
 
@@ -826,13 +824,11 @@ def main(argv=None) -> int:
         print(held.getvalue(), end="")
 
         if args.verb == "stack-create":
-            status = args._created_status
-            failure = args._created_failure
-            if status == CREATE_IN_PROGRESS and not args.no_wait:
-                stack = _wait_for_stack(args.state, args._created_stack_id, args.tick_ms)
-                status, failure = stack.status, stack.failure_reason
-            if status not in (CREATE_COMPLETE, CREATE_IN_PROGRESS):
-                print(f"error: {failure}", file=sys.stderr)
+            stack = world.engine.stacks[args._created_stack_id]
+            if stack.status == CREATE_IN_PROGRESS and not args.no_wait:
+                stack = _wait_for_stack(args.state, stack.id, args.tick_ms)
+            if stack.status not in (CREATE_COMPLETE, CREATE_IN_PROGRESS):
+                print(f"error: {stack.failure_reason}", file=sys.stderr)
                 return DeployError.exit_code
         return code
     except MiniManoError as exc:

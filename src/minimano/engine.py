@@ -643,8 +643,27 @@ class StackEngine:
             stack = self.stacks.get(run.stack_id)
             if stack is None:
                 raise ValueError(f"run {run.stack_id!r} names a missing stack")
+            if run.blocker is None:
+                continue
             # the walk settles a blocked run's resource at the run's position
             wave = stack.waves[run.wave_idx] if 0 <= run.wave_idx < len(stack.waves) else []
-            if run.blocker is not None and not (
-                    0 <= run.pos_idx < len(wave) and wave[run.pos_idx] in stack.records):
+            if not (0 <= run.pos_idx < len(wave) and wave[run.pos_idx] in stack.records):
                 raise ValueError(f"run {run.stack_id!r} is blocked at no resource it has created")
+            if not self._blocker_is_pending(run):
+                raise ValueError(f"run {run.stack_id!r} is blocked on {run.blocker!r}, which is "
+                                 "no pending wait condition or child of its stack")
+
+    def _blocker_is_pending(self, run: StackRun) -> bool:
+        """Whether a loaded run is blocked on what the walk leaves a run
+        blocked on: a PENDING wait condition of its stack (with its handle),
+        or a child of its stack that is still being created."""
+        match run.blocker:
+            case ["wait", str(handle_id)]:
+                condition = self.conditions.get(handle_id)
+                return (condition is not None and condition.stack_id == run.stack_id
+                        and condition.outcome == "PENDING" and handle_id in self.handles)
+            case ["child", str(child_id)]:
+                child = self.stacks.get(child_id)
+                return (child is not None and child.status == CREATE_IN_PROGRESS
+                        and bool(child.parent) and child.parent[0] == run.stack_id)
+        return False

@@ -144,9 +144,7 @@ class IdentityService:
             raise ConflictError(f"tenant {name!r} already exists")
         tenant = Tenant(id=self.core.new_uuid(), name=name)
         self.state.tenants[tenant.id] = tenant
-        hook = getattr(self.core, "tenant_created", None)
-        if hook is not None:
-            hook(tenant)
+        self.core.tenant_created(tenant)
         return tenant
 
     def _add_user(self, name, credential):

@@ -307,6 +307,25 @@ class CloudProvider:
                 return obj
         return None
 
+    # the one answer to "which object is this" and "is this name taken";
+    # `what` names the kind of object in the message
+    def _named(self, registry, tenant_id, name, what):
+        obj = self._by_name(registry, tenant_id, name)
+        if obj is None:
+            raise NotFoundError(f"{what} {name!r} not found")
+        return obj
+
+    def _name_free(self, registry, tenant_id, name, what):
+        if self._by_name(registry, tenant_id, name) is not None:
+            raise ConflictError(f"{what} {name!r} already exists")
+
+    @staticmethod
+    def _by_id(registry, obj_id, what):
+        obj = registry.get(obj_id)
+        if obj is None:
+            raise NotFoundError(f"{what} {obj_id!r} not found")
+        return obj
+
     def image_by_name(self, tenant_id, name):
         return self._by_name(self.images, tenant_id, name)
 
@@ -317,16 +336,12 @@ class CloudProvider:
         return self._by_name(self.networks, tenant_id, name)
 
     def get_instance(self, instance_id) -> Instance:
-        instance = self.instances.get(instance_id)
-        if instance is None:
-            raise NotFoundError(f"instance {instance_id!r} not found")
-        return instance
+        return self._by_id(self.instances, instance_id, "instance")
 
     # -- images -----------------------------------------------------------------
 
     def register_image(self, tenant_id, name, payload: bytes, generic=True, cloud_init=True) -> Image:
-        if self.image_by_name(tenant_id, name) is not None:
-            raise ConflictError(f"image {name!r} already exists")
+        self._name_free(self.images, tenant_id, name, "image")
         image = Image(
             id=self.core.new_uuid(),
             tenant_id=tenant_id,
@@ -345,8 +360,7 @@ class CloudProvider:
     # -- flavors / keypairs / security groups ------------------------------------
 
     def create_flavor(self, tenant_id, name, vcpus, ram_mib, disk_gib) -> Flavor:
-        if self.flavor_by_name(tenant_id, name) is not None:
-            raise ConflictError(f"flavor {name!r} already exists")
+        self._name_free(self.flavors, tenant_id, name, "flavor")
         check(Flavor, {"vcpus": vcpus, "ram_mib": ram_mib, "disk_gib": disk_gib},
               f"flavor {name!r}", ConflictError)
         flavor = Flavor(self.core.new_uuid(), tenant_id, name, vcpus, ram_mib, disk_gib)
@@ -355,8 +369,7 @@ class CloudProvider:
 
     def create_keypair(self, tenant_id, name):
         """Returns (keypair, private_key); the private half is not kept."""
-        if self._by_name(self.keypairs, tenant_id, name) is not None:
-            raise ConflictError(f"keypair {name!r} already exists")
+        self._name_free(self.keypairs, tenant_id, name, "keypair")
         material = self.core.new_hex(32)
         public = f"ssh-rsa {material} {name}"
         private = (
@@ -369,25 +382,16 @@ class CloudProvider:
         return keypair, private
 
     def create_security_group(self, tenant_id, name) -> SecurityGroup:
-        if self._by_name(self.secgroups, tenant_id, name) is not None:
-            raise ConflictError(f"security group {name!r} already exists")
+        self._name_free(self.secgroups, tenant_id, name, "security group")
         group = SecurityGroup(self.core.new_uuid(), tenant_id, name)
         self.secgroups[group.id] = group
-        return group
-
-    def _default_group(self, tenant_id) -> SecurityGroup:
-        group = self._by_name(self.secgroups, tenant_id, "default")
-        if group is None:
-            group = self.create_security_group(tenant_id, "default")
         return group
 
     def add_security_group_rule(
         self, tenant_id, group_name, protocol, port_min=0, port_max=65535,
         remote="0.0.0.0/0", direction="ingress",
     ) -> SecurityGroupRule:
-        group = self._by_name(self.secgroups, tenant_id, group_name)
-        if group is None:
-            raise NotFoundError(f"security group {group_name!r} not found")
+        group = self._named(self.secgroups, tenant_id, group_name, "security group")
         if protocol not in PROTOCOLS:
             raise ConflictError(f"unknown protocol {protocol!r}")
         if direction not in ("ingress", "egress"):
@@ -405,8 +409,7 @@ class CloudProvider:
     # -- networks ------------------------------------------------------------------
 
     def create_network(self, tenant_id, name, cidr, gateway=None) -> Network:
-        if self.network_by_name(tenant_id, name) is not None:
-            raise ConflictError(f"network {name!r} already exists")
+        self._name_free(self.networks, tenant_id, name, "network")
         try:
             net = ipaddress.ip_network(cidr)
         except ValueError as exc:
@@ -439,29 +442,21 @@ class CloudProvider:
         return network
 
     def create_router(self, tenant_id, name, external=False) -> Router:
-        if self._by_name(self.routers, tenant_id, name) is not None:
-            raise ConflictError(f"router {name!r} already exists")
+        self._name_free(self.routers, tenant_id, name, "router")
         router = Router(self.core.new_uuid(), tenant_id, name, external_gateway=external)
         self.routers[router.id] = router
         return router
 
     def attach_subnet(self, tenant_id, router_name, network_name):
-        router = self._by_name(self.routers, tenant_id, router_name)
-        if router is None:
-            raise NotFoundError(f"router {router_name!r} not found")
-        network = self.network_by_name(tenant_id, network_name)
-        if network is None:
-            raise NotFoundError(f"network {network_name!r} not found")
+        router = self._named(self.routers, tenant_id, router_name, "router")
+        network = self._named(self.networks, tenant_id, network_name, "network")
         if network.router_id is not None:
             raise ConflictError(f"network {network_name!r} is already attached to a router")
         network.router_id = router.id
         router.interfaces.append(network.id)
 
     def set_external_gateway(self, tenant_id, router_name):
-        router = self._by_name(self.routers, tenant_id, router_name)
-        if router is None:
-            raise NotFoundError(f"router {router_name!r} not found")
-        router.external_gateway = True
+        self._named(self.routers, tenant_id, router_name, "router").external_gateway = True
 
     def _fixed_pool(self, network: Network) -> _AddressPool:
         key = (network.tenant_id, network.name)
@@ -531,32 +526,14 @@ class CloudProvider:
         for required in ("image", "flavor"):
             if not spec.get(required):
                 raise ConflictError(f"instance spec requires {required!r}")
-        image = self.image_by_name(tenant_id, spec["image"])
-        if image is None:
-            raise NotFoundError(f"image {spec['image']!r} not found")
-        flavor = self.flavor_by_name(tenant_id, spec["flavor"])
-        if flavor is None:
-            raise NotFoundError(f"flavor {spec['flavor']!r} not found")
-        networks = []
-        for net_name in spec.get("networks", []):
-            network = self.network_by_name(tenant_id, net_name)
-            if network is None:
-                raise NotFoundError(f"network {net_name!r} not found")
-            networks.append(network)
-        key = None
-        if spec.get("key_name"):
-            key = self._by_name(self.keypairs, tenant_id, spec["key_name"])
-            if key is None:
-                raise NotFoundError(f"keypair {spec['key_name']!r} not found")
-        group_names = spec.get("security_groups") or ["default"]
-        groups = []
-        for gname in group_names:
-            group = self._by_name(self.secgroups, tenant_id, gname)
-            if group is None and gname == "default":
-                group = self._default_group(tenant_id)
-            if group is None:
-                raise NotFoundError(f"security group {gname!r} not found")
-            groups.append(group.name)
+        image = self._named(self.images, tenant_id, spec["image"], "image")
+        flavor = self._named(self.flavors, tenant_id, spec["flavor"], "flavor")
+        networks = [self._named(self.networks, tenant_id, net_name, "network")
+                    for net_name in spec.get("networks", [])]
+        key = (self._named(self.keypairs, tenant_id, spec["key_name"], "keypair")
+               if spec.get("key_name") else None)
+        groups = [self._named(self.secgroups, tenant_id, gname, "security group").name
+                  for gname in spec.get("security_groups") or ["default"]]
 
         placed = None
         for host_id, (vcpus, ram, disk) in self._host_usage().items():
@@ -703,35 +680,21 @@ class CloudProvider:
         self.fips[fip.id] = fip
         return fip
 
-    def _network_has_external_path(self, network: Network) -> bool:
-        reachable, external = self._reachable_from({network.id}, network.tenant_id)
-        return external
-
     def associate_floating_ip(self, fip_id, instance_id):
-        fip = self.fips.get(fip_id)
-        if fip is None:
-            raise NotFoundError(f"floating ip {fip_id!r} not found")
+        fip = self._by_id(self.fips, fip_id, "floating ip")
         if fip.associated_instance is not None:
             raise ConflictError("floating ip is already associated")
-        instance = self.get_instance(instance_id)
-        networks = [self.network_by_name(instance.tenant_id, name) for name in instance.fixed_ips]
-        if None in networks:  # no verb deletes a network or moves an instance
-            raise StateIOError(f"state is malformed: instance {instance_id!r} has an address on "
-                               "a network its tenant does not have")
-        if not any(map(self._network_has_external_path, networks)):
+        if self._nat_address(self.get_instance(instance_id)) is None:
             raise ConflictError("no external path: instance network has no external gateway")
         fip.associated_instance = instance_id
 
     def disassociate_floating_ip(self, fip_id):
-        fip = self.fips.get(fip_id)
-        if fip is None:
-            raise NotFoundError(f"floating ip {fip_id!r} not found")
+        fip = self._by_id(self.fips, fip_id, "floating ip")
         fip.associated_instance = None  # allocation itself survives
 
     def release_floating_ip(self, fip_id):
-        fip = self.fips.pop(fip_id, None)
-        if fip is None:
-            raise NotFoundError(f"floating ip {fip_id!r} not found")
+        fip = self._by_id(self.fips, fip_id, "floating ip")
+        del self.fips[fip_id]
         pool = self._pools.get(None)
         if pool is not None:
             pool.give_back(fip.address)
@@ -746,10 +709,7 @@ class CloudProvider:
         return volume
 
     def get_volume(self, volume_id) -> Volume:
-        volume = self.volumes.get(volume_id)
-        if volume is None:
-            raise NotFoundError(f"volume {volume_id!r} not found")
-        return volume
+        return self._by_id(self.volumes, volume_id, "volume")
 
     def attach_volume(self, volume_id, instance_id):
         volume = self.get_volume(volume_id)
@@ -821,13 +781,22 @@ class CloudProvider:
                     frontier.append(other_id)
         return seen, external
 
-    def _instance_network_ids(self, instance: Instance):
-        ids = []
-        for net_name in instance.fixed_ips:
-            network = self.network_by_name(instance.tenant_id, net_name)
-            if network is not None:
-                ids.append(network.id)
-        return ids
+    def _networks_of(self, instance: Instance) -> list:
+        """The networks `instance` holds an address on, in address order."""
+        networks = [self.network_by_name(instance.tenant_id, name) for name in instance.fixed_ips]
+        if None in networks:  # no verb deletes a network or moves an instance
+            raise StateIOError(f"state is malformed: instance {instance.id!r} has an address on "
+                               "a network its tenant does not have")
+        return networks
+
+    def _nat_address(self, instance: Instance) -> str | None:
+        """The fixed address NAT rewrites to: the one on the first of the
+        instance's networks with a path to an external gateway; None when
+        no network has one."""
+        for network in self._networks_of(instance):
+            if self._reachable_from({network.id}, instance.tenant_id)[1]:
+                return instance.fixed_ips[network.name]
+        return None
 
     def check_connectivity(self, src, dst, protocol, port=None) -> ConnectivityResult:
         """L3 reachability (routers, NAT) then security-group admission."""
@@ -839,11 +808,7 @@ class CloudProvider:
             raise ConflictError("at least one endpoint must be an instance")
 
         if dst == EXTERNAL_LOCUS:
-            src_instance = self.get_instance(src)
-            _, external = self._reachable_from(
-                set(self._instance_network_ids(src_instance)), src_instance.tenant_id
-            )
-            if not external:
+            if self._nat_address(self.get_instance(src)) is None:
                 return ConnectivityResult(False, "no-route")
             # egress is allowed by default policy
             return ConnectivityResult(True, observed_dst=EXTERNAL_LOCUS)
@@ -855,20 +820,20 @@ class CloudProvider:
             )
             if fip is None:
                 return ConnectivityResult(False, "no-nat")
-            observed = self._nat_target_address(dst_instance)
+            observed = self._nat_address(dst_instance)
             if observed is None:
                 return ConnectivityResult(False, "no-route")
             src_addresses = [EXTERNAL_SOURCE_ADDRESS]
             src_groups = []
         else:
             src_instance = self.get_instance(src)
-            src_nets = set(self._instance_network_ids(src_instance))
-            dst_net_ids = self._instance_network_ids(dst_instance)
-            reachable, _ = self._reachable_from(src_nets, src_instance.tenant_id)
-            target_net_id = next((n for n in dst_net_ids if n in reachable), None)
-            if target_net_id is None:
+            reachable, _ = self._reachable_from(
+                {network.id for network in self._networks_of(src_instance)}, src_instance.tenant_id)
+            target = next((network for network in self._networks_of(dst_instance)
+                           if network.id in reachable), None)
+            if target is None:
                 return ConnectivityResult(False, "no-route")
-            observed = dst_instance.fixed_ips[self.networks[target_net_id].name]
+            observed = dst_instance.fixed_ips[target.name]
             src_addresses = list(src_instance.fixed_ips.values())
             src_groups = list(src_instance.security_groups)
             if set(src_groups) & set(dst_instance.security_groups):
@@ -878,14 +843,6 @@ class CloudProvider:
         if self._ingress_allowed(dst_instance, protocol, port, src_addresses, src_groups):
             return ConnectivityResult(True, observed_dst=observed)
         return ConnectivityResult(False, "sg-blocked")
-
-    def _nat_target_address(self, instance: Instance) -> str | None:
-        """Fixed address NAT rewrites to: the one on an externally routed net."""
-        for net_name, address in instance.fixed_ips.items():
-            network = self.network_by_name(instance.tenant_id, net_name)
-            if network is not None and self._network_has_external_path(network):
-                return address
-        return None
 
     def _ingress_allowed(self, instance, protocol, port, src_addresses, src_groups):
         for gname in instance.security_groups:

@@ -172,9 +172,8 @@ class TelemetryService:
             return set(group.members), group
         return {alarm.target}, None
 
-    def evaluate_alarms(self, tick=None):
+    def evaluate_alarms(self, tick):
         """One evaluation pass; returns the alarms that fired."""
-        tick = self.core.tick if tick is None else tick
         fired = []
         for alarm in self.alarms.values():
             targets, group = self._alarm_targets(alarm)
@@ -282,8 +281,7 @@ class TelemetryService:
 
     # -- the monitor-detect-correct loop ------------------------------------------------
 
-    def healer_scan(self, tick=None):
-        tick = self.core.tick if tick is None else tick
+    def healer_scan(self, tick):
         if not self.healer.enabled or tick % self.healer.detect_interval != 0:
             return
         for group in self.groups.values():

@@ -328,6 +328,15 @@ def _blocked_stack(state):
     return next(stack for stack in state["engine"]["stacks"] if stack["id"] == run["stack_id"])
 
 
+def _blocked_on_a_finished_child(state):
+    """The v1 fixture's blocked run, blocked on a finished stack made a
+    child of its own."""
+    (run,) = state["engine"]["runs"]
+    child = next(stack for stack in state["engine"]["stacks"] if stack["name"] == "wp-mysql")
+    child["parent"] = [run["stack_id"], "mysql_ready"]
+    run["blocker"] = ["child", child["id"]]
+
+
 def _instances(state):
     return state["provider"]["instances"]
 
@@ -374,6 +383,10 @@ def _as_dict(table):
     _state_v1(lambda s: s["engine"]["runs"][0].update(pos_idx=1)),
     _state_v1(lambda s: s["engine"]["runs"][0].update(wave_idx=2)),
     _state_v1(lambda s: _blocked_stack(s)["waves"][1].__setitem__(0, "other")),
+    _state_v1(lambda s: s["engine"]["runs"][0].update(blocker=["wait", "nope"])),
+    _state_v1(lambda s: s["engine"]["conditions"][1].update(outcome="TIMEOUT")),
+    _state_v1(_blocked_on_a_finished_child),
+    _state_v1(lambda s: s["engine"]["runs"][0].update(blocker=["wait"])),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
         "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
@@ -385,7 +398,9 @@ def _as_dict(table):
         "v3-healer-missing-field", "v3-objects-a-list", "v3-object-not-text",
         "v3-assignment-not-a-list", "v3-assignment-not-three-strings",
         "wave-not-a-list", "wave-name-not-text", "blocked-run-past-its-wave",
-        "blocked-run-past-its-waves", "blocked-run-at-a-resource-not-created"])
+        "blocked-run-past-its-waves", "blocked-run-at-a-resource-not-created",
+        "blocker-unknown-handle", "blocker-condition-not-pending", "blocker-child-finished",
+        "blocker-not-a-pair"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -441,6 +456,9 @@ def test_instance_with_an_unknown_flavor_is_malformed_state(runner):
     ("networks", "router_id", "fip-associate"),
     ("networks", "router_id", "connectivity-check"),
     ("objects", None, "object-get"),
+    ("networks", "name", "connectivity-check"),
+    ("networks", "tenant_id", "connectivity-check"),
+    ("instances", "tenant_id", "connectivity-check"),
 ])
 def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column, verb):
     """A value of the right kind that names nothing, or text that is no

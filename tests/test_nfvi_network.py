@@ -245,6 +245,20 @@ def test_external_requires_nat():
     assert allowed.observed_dst == instance.fixed_ips["n1"]
 
 
+def test_nat_rewrites_to_the_first_network_with_an_external_path():
+    world, tenant = cloud()
+    world.provider.create_network(tenant, "a", "10.0.0.0/24")
+    world.provider.create_network(tenant, "b", "10.0.1.0/24")
+    world.provider.create_router(tenant, "edge", external=True)
+    world.provider.attach_subnet(tenant, "edge", "a")
+    world.provider.add_security_group_rule(tenant, "default", "icmp")
+    instance = launch(world, tenant, ["b", "a"])  # its first address is on the unrouted net
+    fip = world.provider.allocate_floating_ip(tenant)
+    world.provider.associate_floating_ip(fip.id, instance.id)
+    result = world.provider.check_connectivity(EXTERNAL_LOCUS, instance.id, "icmp")
+    assert result.allowed and result.observed_dst == instance.fixed_ips["a"] == "10.0.0.3"
+
+
 def test_egress_to_external_needs_a_route():
     world, tenant = cloud()
     world.provider.create_network(tenant, "n1", "10.0.0.0/24")

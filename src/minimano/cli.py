@@ -21,16 +21,12 @@ from contextlib import redirect_stdout, suppress
 from . import scenario as scenario_mod
 from .codec import check
 from .engine import CREATE_COMPLETE, CREATE_IN_PROGRESS, DELETE_COMPLETE
-from .errors import (
-    DeployError,
-    MiniManoError,
-    StateIOError,
-    TemplateError,
-)
+from .errors import DeployError, MiniManoError, StateIOError, TemplateError
 from .identity import IdentityState
 from .lazy import LazyNames
+from .nfvi import DIRECTIONS, PROTOCOLS
 from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
-from .telemetry import HealerConfig
+from .telemetry import ACTIONS, AGGREGATES, COMPARISONS, FAULT_KINDS, HealerConfig
 from .world import World
 
 # `hot` is imported only by the verbs that parse a template
@@ -91,28 +87,29 @@ def _cell(value):
 # small helpers
 
 
-def _read_file(path, what):
+def _read(path, what, binary=False):
+    """The text (UTF-8) or the bytes of file `path`; a file that cannot be
+    read or decoded is an I/O error naming `what` and the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StateIOError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def _read_payload(path, what):
+def _write(path, what, data: bytes):
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
-        raise StateIOError(f"cannot read {what}: {exc}") from None
+        raise StateIOError(f"cannot write {what}: {exc}") from None
 
 
-def _read_json_file(path, what):
-    text = _read_file(path, what)
+def _json(text, what):
     try:
         return json.loads(text)
-    except ValueError as exc:
-        raise TemplateError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    except (RecursionError, ValueError) as exc:  # too deep a nesting is no valid JSON here
+        raise TemplateError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _parse_kv_parameters(chunks):
@@ -129,47 +126,43 @@ def _parse_kv_parameters(chunks):
     return provided
 
 
-def _require(world, args, action):
-    return world.identity.require(args.token, action)
-
-
 # ---------------------------------------------------------------------------
 # handlers: identity
 
 
-def cmd_tenant_create(world, args, out):
+def cmd_tenant_create(world, args, out, claims):
     tenant = world.identity.create_tenant(args.name, args.token)
     out.obj({"id": tenant.id, "name": tenant.name})
     return 0
 
 
-def cmd_user_create(world, args, out):
+def cmd_user_create(world, args, out, claims):
     user = world.identity.create_user(args.name, args.password, args.token)
     out.obj({"id": user.id, "name": user.name})
     return 0
 
 
-def cmd_role_assign(world, args, out):
+def cmd_role_assign(world, args, out, claims):
     world.identity.assign_role(args.user, args.tenant, args.role, args.token)
     out.line(f"assigned {args.role} to {args.user} in {args.tenant}",
              {"user": args.user, "tenant": args.tenant, "role": args.role})
     return 0
 
 
-def cmd_token_issue(world, args, out):
+def cmd_token_issue(world, args, out, claims):
     token = world.identity.authenticate(args.user, args.password, args.tenant)
     out.obj({"token": token.id, "tenant_id": token.tenant_id,
              "roles": token.roles, "expires_at": token.expires_at})
     return 0
 
 
-def cmd_service_register(world, args, out):
+def cmd_service_register(world, args, out, claims):
     world.identity.register_service(args.name, args.url, args.token)
     out.line(f"registered {args.name} -> {args.url}", {"name": args.name, "url": args.url})
     return 0
 
 
-def cmd_endpoint_lookup(world, args, out):
+def cmd_endpoint_lookup(world, args, out, claims):
     url = world.identity.lookup_endpoint(args.token, args.name)
     out.line(url, {"name": args.name, "url": url})
     return 0
@@ -179,10 +172,9 @@ def cmd_endpoint_lookup(world, args, out):
 # handlers: provider resources
 
 
-def cmd_image_create(world, args, out):
-    claims = _require(world, args, "images:create")
+def cmd_image_create(world, args, out, claims):
     if args.payload_file:
-        payload = _read_payload(args.payload_file, "payload file")
+        payload = _read(args.payload_file, "payload file", binary=True)
     else:
         payload = (args.payload if args.payload is not None else args.name).encode()
     image = world.provider.register_image(
@@ -194,8 +186,7 @@ def cmd_image_create(world, args, out):
     return 0
 
 
-def cmd_flavor_create(world, args, out):
-    claims = _require(world, args, "flavors:create")
+def cmd_flavor_create(world, args, out, claims):
     flavor = world.provider.create_flavor(
         claims.tenant_id, args.name, args.vcpus, args.ram, args.disk
     )
@@ -204,8 +195,7 @@ def cmd_flavor_create(world, args, out):
     return 0
 
 
-def cmd_keypair_create(world, args, out):
-    claims = _require(world, args, "keypairs:create")
+def cmd_keypair_create(world, args, out, claims):
     keypair, private_key = world.provider.create_keypair(claims.tenant_id, args.name)
     if out.mode == "machine":
         out.obj({"id": keypair.id, "name": keypair.name,
@@ -218,15 +208,13 @@ def cmd_keypair_create(world, args, out):
     return 0
 
 
-def cmd_secgroup_create(world, args, out):
-    claims = _require(world, args, "secgroups:create")
+def cmd_secgroup_create(world, args, out, claims):
     group = world.provider.create_security_group(claims.tenant_id, args.name)
     out.obj({"id": group.id, "name": group.name})
     return 0
 
 
-def cmd_secgroup_rule_add(world, args, out):
-    claims = _require(world, args, "secgroups:rule_add")
+def cmd_secgroup_rule_add(world, args, out, claims):
     world.provider.add_security_group_rule(
         claims.tenant_id, args.group, args.protocol, args.port_min, args.port_max,
         remote=args.remote, direction=args.direction,
@@ -237,98 +225,85 @@ def cmd_secgroup_rule_add(world, args, out):
     return 0
 
 
-def cmd_net_create(world, args, out):
-    claims = _require(world, args, "networks:create")
+def cmd_net_create(world, args, out, claims):
     network = world.provider.create_network(claims.tenant_id, args.name, args.cidr, args.gateway)
     out.obj({"id": network.id, "name": network.name, "cidr": network.cidr,
              "gateway": network.gateway})
     return 0
 
 
-def cmd_router_create(world, args, out):
-    claims = _require(world, args, "routers:create")
+def cmd_router_create(world, args, out, claims):
     router = world.provider.create_router(claims.tenant_id, args.name, external=args.external)
     out.obj({"id": router.id, "name": router.name, "external_gateway": router.external_gateway})
     return 0
 
 
-def cmd_router_attach(world, args, out):
-    claims = _require(world, args, "routers:attach")
+def cmd_router_attach(world, args, out, claims):
     world.provider.attach_subnet(claims.tenant_id, args.router, args.network)
     out.line(f"attached {args.network} to {args.router}",
              {"router": args.router, "network": args.network})
     return 0
 
 
-def cmd_router_gateway_set(world, args, out):
-    claims = _require(world, args, "routers:gateway")
+def cmd_router_gateway_set(world, args, out, claims):
     world.provider.set_external_gateway(claims.tenant_id, args.router)
     out.line(f"external gateway set on {args.router}", {"router": args.router})
     return 0
 
 
-def cmd_fip_allocate(world, args, out):
-    claims = _require(world, args, "fips:allocate")
+def cmd_fip_allocate(world, args, out, claims):
     fip = world.provider.allocate_floating_ip(claims.tenant_id)
     out.obj({"id": fip.id, "address": fip.address})
     return 0
 
 
-def cmd_fip_associate(world, args, out):
-    _require(world, args, "fips:associate")
+def cmd_fip_associate(world, args, out, claims):
     world.provider.associate_floating_ip(args.fip, args.instance)
     out.line(f"associated {args.fip} with {args.instance}",
              {"fip": args.fip, "instance": args.instance})
     return 0
 
 
-def cmd_fip_disassociate(world, args, out):
-    _require(world, args, "fips:disassociate")
+def cmd_fip_disassociate(world, args, out, claims):
     world.provider.disassociate_floating_ip(args.fip)
     out.line(f"disassociated {args.fip}", {"fip": args.fip})
     return 0
 
 
-def cmd_fip_release(world, args, out):
-    _require(world, args, "fips:release")
+def cmd_fip_release(world, args, out, claims):
     world.provider.release_floating_ip(args.fip)
     out.line(f"released {args.fip}", {"fip": args.fip})
     return 0
 
 
-def cmd_volume_create(world, args, out):
-    claims = _require(world, args, "volumes:create")
+def cmd_volume_create(world, args, out, claims):
     volume = world.provider.create_volume(claims.tenant_id, args.size)
     out.obj({"id": volume.id, "size_gib": volume.size_gib})
     return 0
 
 
-def cmd_volume_attach(world, args, out):
-    _require(world, args, "volumes:attach")
+def cmd_volume_attach(world, args, out, claims):
     world.provider.attach_volume(args.volume, args.instance)
     out.line(f"attached {args.volume} to {args.instance}",
              {"volume": args.volume, "instance": args.instance})
     return 0
 
 
-def cmd_volume_detach(world, args, out):
-    _require(world, args, "volumes:detach")
+def cmd_volume_detach(world, args, out, claims):
     world.provider.detach_volume(args.volume)
     out.line(f"detached {args.volume}", {"volume": args.volume})
     return 0
 
 
-def cmd_volume_snapshot(world, args, out):
-    _require(world, args, "volumes:snapshot")
+def cmd_volume_snapshot(world, args, out, claims):
     snapshot = world.provider.snapshot_volume(args.volume)
     out.obj({"id": snapshot.id, "volume": args.volume, "taken_at": snapshot.taken_at})
     return 0
 
 
-def cmd_object_put(world, args, out):
-    claims = _require(world, args, "objects:put")
+def cmd_object_put(world, args, out, claims):
     if args.file:
-        payload = _read_payload(args.file, "object file")
+        payload = _read(args.file, "object file", binary=True)
     else:
         payload = (args.data or "").encode()
     world.provider.put_object(claims.tenant_id, args.container, args.name, payload)
@@ -337,15 +312,10 @@ def cmd_object_put(world, args, out):
     return 0
 
 
-def cmd_object_get(world, args, out):
-    claims = _require(world, args, "objects:get")
+def cmd_object_get(world, args, out, claims):
     payload = world.provider.get_object(claims.tenant_id, args.container, args.name)
     if args.output:
-        try:
-            with open(args.output, "wb") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise StateIOError(f"cannot write output file: {exc}") from None
+        _write(args.output, "output file", payload)
         out.line(f"wrote {len(payload)} bytes to {args.output}",
                  {"container": args.container, "name": args.name, "bytes": len(payload)})
     elif out.mode == "machine":
@@ -358,8 +328,7 @@ def cmd_object_get(world, args, out):
     return 0
 
 
-def cmd_connectivity_check(world, args, out):
-    _require(world, args, "connectivity:check")
+def cmd_connectivity_check(world, args, out, claims):
     result = world.provider.check_connectivity(args.src, args.dst, args.protocol, args.port)
     out.obj({"allowed": result.allowed, "reason": result.reason,
              "observed_dst": result.observed_dst})
@@ -370,8 +339,8 @@ def cmd_connectivity_check(world, args, out):
 # handlers: stacks
 
 
-def cmd_template_validate(world, args, out):
-    source = _read_file(args.file, "template")
+def cmd_template_validate(world, args, out, claims):
+    source = _read(args.file, "template")
     _TEMPLATE.bind()
     doc = parse_template(source)
     report = validate_template(doc)
@@ -383,9 +352,8 @@ def cmd_template_validate(world, args, out):
     return 0 if report.ok else 2
 
 
-def cmd_stack_create(world, args, out):
-    _require(world, args, "stacks:create")  # gate before touching the filesystem
-    source = _read_file(args.file, "template")
+def cmd_stack_create(world, args, out, claims):
+    source = _read(args.file, "template")
     _TEMPLATE.bind()
     doc = parse_template(source)
     provided = _parse_kv_parameters(args.parameters)
@@ -398,14 +366,14 @@ def cmd_stack_create(world, args, out):
     return 0
 
 
-def cmd_stack_list(world, args, out):
+def cmd_stack_list(world, args, out, claims):
     rows = world.engine.list_stacks(args.token)
     out.table(["id", "name", "status", "created_at"],
               [(r["id"], r["name"], r["status"], r["created_at"]) for r in rows])
     return 0
 
 
-def cmd_stack_show(world, args, out):
+def cmd_stack_show(world, args, out, claims):
     detail = world.engine.show_stack(args.uuid, args.token)
     if out.mode == "machine":
         out.obj(detail)
@@ -421,18 +389,14 @@ def cmd_stack_show(world, args, out):
     return 0
 
 
-def cmd_stack_delete(world, args, out):
+def cmd_stack_delete(world, args, out, claims):
     status = world.engine.delete_stack(args.uuid, args.token)
     out.line(f"{args.uuid}: {status}", {"id": args.uuid, "status": status})
     return 0 if status == DELETE_COMPLETE else 4
 
 
-def cmd_signal(world, args, out):
-    try:
-        payload = json.loads(args.payload)
-    except ValueError as exc:
-        raise TemplateError(f"signal payload is not valid JSON: {exc}") from None
-    ack = world.engine.signal(args.url, payload, token=args.token)
+def cmd_signal(world, args, out, claims):
+    ack = world.engine.deliver_signal(args.url, _json(args.payload, "signal payload"))
     if ack == "ignored-already-resolved":
         print("warning: wait condition already resolved; signal ignored", file=sys.stderr)
     out.line(ack, {"ack": ack})
@@ -443,8 +407,7 @@ def cmd_signal(world, args, out):
 # handlers: telemetry and autonomic verbs
 
 
-def cmd_alarm_create(world, args, out):
-    _require(world, args, "alarms:create")
+def cmd_alarm_create(world, args, out, claims):
     alarm = world.telemetry.create_alarm(
         args.name, args.metric, args.aggregate, args.comparison,
         args.threshold, args.window, args.target, args.action,
@@ -453,22 +416,17 @@ def cmd_alarm_create(world, args, out):
     return 0
 
 
-def cmd_group_create(world, args, out):
-    claims = _require(world, args, "groups:create")
-    try:
-        member = json.loads(args.member)
-    except ValueError as exc:
-        raise TemplateError(f"--member is not valid JSON: {exc}") from None
+def cmd_group_create(world, args, out, claims):
     group = world.telemetry.create_group(
-        args.name, claims.tenant_id, member, args.min, args.max, args.desired
+        args.name, claims.tenant_id, _json(args.member, "--member"), args.min, args.max,
+        args.desired,
     )
     out.obj({"id": group.id, "name": group.name, "desired": group.desired,
              "members": group.members})
     return 0
 
 
-def cmd_metric_push(world, args, out):
-    _require(world, args, "telemetry:record")
+def cmd_metric_push(world, args, out, claims):
     sample = world.telemetry.record_metric(args.resource, args.metric, args.value)
     out.line(f"recorded {args.metric}={args.value} at tick {sample.tick}",
              {"resource": args.resource, "metric": args.metric,
@@ -476,23 +434,20 @@ def cmd_metric_push(world, args, out):
     return 0
 
 
-def cmd_fault_inject(world, args, out):
-    _require(world, args, "faults:inject")
+def cmd_fault_inject(world, args, out, claims):
     world.telemetry.inject_fault(args.target, args.kind)
     out.line(f"injected {args.kind} on {args.target}",
              {"target": args.target, "fault_kind": args.kind})
     return 0
 
 
-def cmd_clock_advance(world, args, out):
-    _require(world, args, "clock:advance")
+def cmd_clock_advance(world, args, out, claims):
     tick = world.advance_clock(args.ticks)
     out.line(f"tick: {tick}", {"tick": tick})
     return 0
 
 
-def cmd_events_tail(world, args, out):
-    _require(world, args, "events:read")
+def cmd_events_tail(world, args, out, claims):
     events = world.events[-args.count:] if args.count else world.events
     if out.mode == "machine":
         for event in events:
@@ -505,40 +460,33 @@ def cmd_events_tail(world, args, out):
     return 0
 
 
-def cmd_scenario_run(args, out):
+def cmd_scenario_run(world, args, out, claims):
     spec = scenario_mod.load_scenario(args.file)
     world = scenario_mod.run_scenario(spec, seed=args.seed)
     lines = scenario_mod.event_log_lines(world)
-    log_text = "\n".join(lines) + ("\n" if lines else "")
-    if args.events_out:
-        try:
-            with open(args.events_out, "w", encoding="utf-8") as fh:
-                fh.write(log_text)
-        except OSError as exc:
-            raise StateIOError(f"cannot write event log: {exc}") from None
-    snapshot_text = json.dumps(world.to_snapshot(), separators=(",", ":"))
-    if args.snapshot_out:
-        try:
-            with open(args.snapshot_out, "w", encoding="utf-8") as fh:
-                fh.write(snapshot_text)
-        except OSError as exc:
-            raise StateIOError(f"cannot write snapshot: {exc}") from None
+    log = ("\n".join(lines) + ("\n" if lines else "")).encode()
+    snapshot = json.dumps(world.to_snapshot(), separators=(",", ":")).encode()
+    for path, what, data in ((args.events_out, "event log", log),
+                             (args.snapshot_out, "snapshot", snapshot)):
+        if path:
+            _write(path, what, data)
     import hashlib  # a CLI call that hashes nothing does not pay for it
 
     out.obj({
         "ticks": world.tick,
         "events": len(world.events),
-        "event_log_sha256": hashlib.sha256(log_text.encode()).hexdigest(),
-        "snapshot_sha256": hashlib.sha256(snapshot_text.encode()).hexdigest(),
+        "event_log_sha256": hashlib.sha256(log).hexdigest(),
+        "snapshot_sha256": hashlib.sha256(snapshot).hexdigest(),
     })
     return 0
 
 
-def cmd_init(args, out):
+def cmd_init(world, args, out, claims):
     if os.path.exists(args.state) and not args.force:
         raise StateIOError(f"state file {args.state!r} already exists (use --force)")
-    hosts = _read_json_file(args.hosts, "host inventory") if args.hosts else None
-    policy = _read_json_file(args.policy, "policy file") if args.policy else None
+    hosts, policy = (_json(_read(path, what), f"{what} {path!r}") if path else None
+                     for path, what in ((args.hosts, "host inventory"),
+                                        (args.policy, "policy file")))
     if args.policy:
         check(IdentityState, {"policy": policy}, "policy file", TemplateError)
     world = World(
@@ -573,129 +521,131 @@ def _init_args(p):
     p.add_argument("--force", action="store_true")
 
 
-# verb -> (handler, whether it saves the state, adds its arguments, help)
+# verb -> (handler, what it does with the state file: None nothing, False
+# read, True read and save; the policy action `main` requires before the
+# handler, None where the service requires its own; adds its arguments; help)
 VERBS = {
-    "init": (cmd_init, True, _init_args, "create a fresh state file"),
+    "init": (cmd_init, None, None, _init_args, "create a fresh state file"),
 
-    "tenant-create": (cmd_tenant_create, True,
+    "tenant-create": (cmd_tenant_create, True, None,
         lambda p: p.add_argument("name"), "create a tenant (admin)"),
-    "user-create": (cmd_user_create, True,
+    "user-create": (cmd_user_create, True, None,
         lambda p: (p.add_argument("name"), p.add_argument("--password", required=True)),
         "create a user (admin)"),
-    "role-assign": (cmd_role_assign, True,
+    "role-assign": (cmd_role_assign, True, None,
         lambda p: (p.add_argument("user"), p.add_argument("tenant"), p.add_argument("role")),
         "assign a role to a user in a tenant (admin)"),
-    "token-issue": (cmd_token_issue, True,
+    "token-issue": (cmd_token_issue, True, None,
         lambda p: (p.add_argument("--user", required=True),
                    p.add_argument("--password", required=True),
                    p.add_argument("--tenant", required=True)),
         "authenticate and print a token"),
-    "service-register": (cmd_service_register, True,
+    "service-register": (cmd_service_register, True, None,
         lambda p: (p.add_argument("name"), p.add_argument("url")),
         "register a service endpoint (admin)"),
-    "endpoint-lookup": (cmd_endpoint_lookup, False,
+    "endpoint-lookup": (cmd_endpoint_lookup, False, None,
         lambda p: p.add_argument("name"), "look up a service endpoint"),
 
-    "image-create": (cmd_image_create, True,
+    "image-create": (cmd_image_create, True, "images:create",
         lambda p: (p.add_argument("name"),
                    p.add_argument("--payload"),
                    p.add_argument("--payload-file"),
                    p.add_argument("--not-generic", action="store_true"),
                    p.add_argument("--no-cloud-init", action="store_true")),
         "register a disk image"),
-    "flavor-create": (cmd_flavor_create, True,
+    "flavor-create": (cmd_flavor_create, True, "flavors:create",
         lambda p: (p.add_argument("name"),
                    p.add_argument("--vcpus", type=int, required=True),
                    p.add_argument("--ram", type=int, required=True),
                    p.add_argument("--disk", type=int, required=True)),
         "define a flavor"),
-    "keypair-create": (cmd_keypair_create, True,
+    "keypair-create": (cmd_keypair_create, True, "keypairs:create",
         lambda p: p.add_argument("name"), "generate a keypair; prints the private key once"),
-    "secgroup-create": (cmd_secgroup_create, True,
+    "secgroup-create": (cmd_secgroup_create, True, "secgroups:create",
         lambda p: p.add_argument("name"), "create a security group"),
-    "secgroup-rule-add": (cmd_secgroup_rule_add, True,
+    "secgroup-rule-add": (cmd_secgroup_rule_add, True, "secgroups:rule_add",
         lambda p: (p.add_argument("group"),
-                   p.add_argument("--protocol", required=True, choices=["tcp", "udp", "icmp"]),
+                   p.add_argument("--protocol", required=True, choices=PROTOCOLS),
                    p.add_argument("--port-min", type=int, default=0),
                    p.add_argument("--port-max", type=int, default=65535),
                    p.add_argument("--remote", default="0.0.0.0/0",
                                   help="CIDR or security group name"),
-                   p.add_argument("--direction", default="ingress", choices=["ingress", "egress"])),
+                   p.add_argument("--direction", default="ingress", choices=DIRECTIONS)),
         "add a security group rule"),
-    "net-create": (cmd_net_create, True,
+    "net-create": (cmd_net_create, True, "networks:create",
         lambda p: (p.add_argument("name"),
                    p.add_argument("--cidr", required=True),
                    p.add_argument("--gateway")),
         "create a virtual network"),
-    "router-create": (cmd_router_create, True,
+    "router-create": (cmd_router_create, True, "routers:create",
         lambda p: (p.add_argument("name"), p.add_argument("--external", action="store_true")),
         "create a virtual router"),
-    "router-attach": (cmd_router_attach, True,
+    "router-attach": (cmd_router_attach, True, "routers:attach",
         lambda p: (p.add_argument("router"), p.add_argument("network")),
         "attach a network's subnet to a router"),
-    "router-gateway-set": (cmd_router_gateway_set, True,
+    "router-gateway-set": (cmd_router_gateway_set, True, "routers:gateway",
         lambda p: p.add_argument("router"), "give a router an external gateway"),
-    "fip-allocate": (cmd_fip_allocate, True, _noop, "allocate a floating address"),
-    "fip-associate": (cmd_fip_associate, True,
+    "fip-allocate": (cmd_fip_allocate, True, "fips:allocate", _noop,
+        "allocate a floating address"),
+    "fip-associate": (cmd_fip_associate, True, "fips:associate",
         lambda p: (p.add_argument("fip"), p.add_argument("instance")),
         "associate a floating address with an instance"),
-    "fip-disassociate": (cmd_fip_disassociate, True,
+    "fip-disassociate": (cmd_fip_disassociate, True, "fips:disassociate",
         lambda p: p.add_argument("fip"), "disassociate a floating address"),
-    "fip-release": (cmd_fip_release, True,
+    "fip-release": (cmd_fip_release, True, "fips:release",
         lambda p: p.add_argument("fip"), "release (deallocate) a floating address"),
-    "volume-create": (cmd_volume_create, True,
+    "volume-create": (cmd_volume_create, True, "volumes:create",
         lambda p: p.add_argument("--size", type=int, required=True), "create a volume"),
-    "volume-attach": (cmd_volume_attach, True,
+    "volume-attach": (cmd_volume_attach, True, "volumes:attach",
         lambda p: (p.add_argument("volume"), p.add_argument("instance")), "attach a volume"),
-    "volume-detach": (cmd_volume_detach, True,
+    "volume-detach": (cmd_volume_detach, True, "volumes:detach",
         lambda p: p.add_argument("volume"), "detach a volume"),
-    "volume-snapshot": (cmd_volume_snapshot, True,
+    "volume-snapshot": (cmd_volume_snapshot, True, "volumes:snapshot",
         lambda p: p.add_argument("volume"), "snapshot a volume"),
-    "object-put": (cmd_object_put, True,
+    "object-put": (cmd_object_put, True, "objects:put",
         lambda p: (p.add_argument("container"), p.add_argument("name"),
                    p.add_argument("--data"), p.add_argument("--file")),
         "store an object"),
-    "object-get": (cmd_object_get, False,
+    "object-get": (cmd_object_get, False, "objects:get",
         lambda p: (p.add_argument("container"), p.add_argument("name"),
                    p.add_argument("--output")),
         "fetch an object"),
-    "connectivity-check": (cmd_connectivity_check, False,
+    "connectivity-check": (cmd_connectivity_check, False, "connectivity:check",
         lambda p: (p.add_argument("src"), p.add_argument("dst"),
-                   p.add_argument("--protocol", required=True, choices=["tcp", "udp", "icmp"]),
+                   p.add_argument("--protocol", required=True, choices=PROTOCOLS),
                    p.add_argument("--port", type=int)),
         "evaluate reachability between two endpoints"),
 
-    "template-validate": (cmd_template_validate, False,
+    "template-validate": (cmd_template_validate, None, None,
         lambda p: p.add_argument("-f", "--file", required=True),
         "parse and validate a template without deploying"),
-    "stack-create": (cmd_stack_create, True,
+    "stack-create": (cmd_stack_create, True, "stacks:create",  # before the file is read
         lambda p: (p.add_argument("name"),
                    p.add_argument("-f", "--file", required=True),
                    p.add_argument("--parameters", action="append",
                                   help="key=value[,key=value...]"),
                    p.add_argument("--no-wait", action="store_true")),
         "deploy a template as a stack"),
-    "stack-list": (cmd_stack_list, False, _noop, "list this tenant's stacks"),
-    "stack-show": (cmd_stack_show, False,
+    "stack-list": (cmd_stack_list, False, None, _noop, "list this tenant's stacks"),
+    "stack-show": (cmd_stack_show, False, None,
         lambda p: p.add_argument("uuid"), "show one stack in detail"),
-    "stack-delete": (cmd_stack_delete, True,
+    "stack-delete": (cmd_stack_delete, True, None,
         lambda p: p.add_argument("uuid"), "delete a stack and its resources"),
-    "signal": (cmd_signal, True,
+    "signal": (cmd_signal, True, "stacks:signal",  # before the payload is parsed
         lambda p: (p.add_argument("url"), p.add_argument("payload")),
         "deliver a wait-condition signal payload"),
 
-    "alarm-create": (cmd_alarm_create, True,
+    "alarm-create": (cmd_alarm_create, True, "alarms:create",
         lambda p: (p.add_argument("name"),
                    p.add_argument("--metric", required=True),
-                   p.add_argument("--aggregate", required=True, choices=["avg", "max", "min"]),
-                   p.add_argument("--comparison", required=True, choices=["gt", "lt", "ge", "le"]),
+                   p.add_argument("--aggregate", required=True, choices=[*AGGREGATES]),
+                   p.add_argument("--comparison", required=True, choices=[*COMPARISONS]),
                    p.add_argument("--threshold", type=float, required=True),
                    p.add_argument("--window", type=int, required=True),
                    p.add_argument("--target", required=True),
-                   p.add_argument("--action", required=True,
-                                  choices=["scale_out", "scale_in", "notify"])),
+                   p.add_argument("--action", required=True, choices=ACTIONS)),
         "define a telemetry alarm"),
-    "group-create": (cmd_group_create, True,
+    "group-create": (cmd_group_create, True, "groups:create",
         lambda p: (p.add_argument("name"),
                    p.add_argument("--min", type=int, required=True),
                    p.add_argument("--max", type=int, required=True),
@@ -703,22 +653,21 @@ VERBS = {
                    p.add_argument("--member", required=True,
                                   help="instance spec as JSON")),
         "create a scaling group"),
-    "metric-push": (cmd_metric_push, True,
+    "metric-push": (cmd_metric_push, True, "telemetry:record",
         lambda p: (p.add_argument("resource"), p.add_argument("metric"),
                    p.add_argument("value", type=float)),
         "record one metric sample at the current tick"),
-    "fault-inject": (cmd_fault_inject, True,
+    "fault-inject": (cmd_fault_inject, True, "faults:inject",
         lambda p: (p.add_argument("target"),
-                   p.add_argument("--kind", default="instance_crash",
-                                  choices=["instance_crash"])),
+                   p.add_argument("--kind", default="instance_crash", choices=FAULT_KINDS)),
         "crash an instance"),
-    "clock-advance": (cmd_clock_advance, True,
+    "clock-advance": (cmd_clock_advance, True, "clock:advance",
         lambda p: p.add_argument("ticks", type=int),
         "advance the logical clock"),
-    "events-tail": (cmd_events_tail, False,
+    "events-tail": (cmd_events_tail, False, "events:read",
         lambda p: p.add_argument("-n", "--count", type=int, default=20),
         "print the tail of the event log"),
-    "scenario-run": (cmd_scenario_run, False,
+    "scenario-run": (cmd_scenario_run, None, None,
         lambda p: (p.add_argument("file"),
                    p.add_argument("--seed", type=int, default=None),
                    p.add_argument("--events-out"),
@@ -741,7 +690,7 @@ class _Parser(argparse.ArgumentParser):
     """The top-level parser. It adds verb subparsers only when it parses:
     the verb that argv names first, or every verb when argv asks for help,
     names no verb or names an unknown one. A call builds one subparser,
-    not 39."""
+    not one per verb."""
 
     def __init__(self):
         super().__init__(prog="minimano", description=__doc__.splitlines()[0])
@@ -752,10 +701,10 @@ class _Parser(argparse.ArgumentParser):
         common = _common_parser()
         for name in names:
             if name not in self._verbs.choices:
-                handler, mutates, configure, help_text = VERBS[name]
+                *_, configure, help_text = VERBS[name]
                 parser = self._verbs.add_parser(name, parents=[common], help=help_text)
                 configure(parser)
-                parser.set_defaults(_handler=handler, _mutates=mutates, _verb=name)
+                parser.set_defaults(_verb=name)
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -806,20 +755,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     _resolve_common(args)
     out = Printer(args.format)
+    handler, saves, action, *_ = VERBS[args.verb]
     try:
-        if args.verb == "init":
-            return cmd_init(args, out)
-        if args.verb == "scenario-run":
-            return cmd_scenario_run(args, out)
-        if args.verb == "template-validate":
-            return cmd_template_validate(None, args, out)
+        if saves is None:
+            return handler(None, args, out, None)
 
         held = io.StringIO()  # a saving verb's output, written after the save
         with locked_state(args.state):
             world = load_world(args.state)
-            with redirect_stdout(held if args._mutates else sys.stdout):
-                code = args._handler(world, args, out)
-            if args._mutates:
+            claims = world.identity.require(args.token, action) if action else None
+            with redirect_stdout(held if saves else sys.stdout):
+                code = handler(world, args, out, claims)
+            if saves:
                 save_world(world, args.state)
         print(held.getvalue(), end="")
 

@@ -444,7 +444,7 @@ class StackEngine:
         try:
             with open(path, encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DeployError(f"cannot read nested template {rdef.resource_type!r}: {exc}") from None
         inner_doc = parse_template(source)
         ctx = self._eval_context(stack)

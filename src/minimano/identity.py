@@ -206,19 +206,20 @@ class IdentityService:
             raise AuthError("invalid or expired token")
         return token
 
+    def _permits(self, token, action) -> bool:
+        required = self.state.policy.get(action)  # unknown actions default to deny
+        return required is not None and (required == "any" or required in token.roles)
+
     def authorize(self, token_id, action) -> bool:
         try:
             token = self.validate_token(token_id)
         except AuthError:
             return False
-        required = self.state.policy.get(action)
-        if required is None:
-            return False  # unknown actions default to deny
-        return required == "any" or required in token.roles
+        return self._permits(token, action)
 
     def require(self, token_id, action) -> Token:
         token = self.validate_token(token_id)
-        if not self.authorize(token_id, action):
+        if not self._permits(token, action):
             raise AuthError(f"not authorized for {action}")
         return token
 

@@ -35,6 +35,7 @@ EXTERNAL_SOURCE_ADDRESS = "198.51.100.1"
 FLOATING_POOL_CIDR = "203.0.113.0/24"
 
 PROTOCOLS = ("tcp", "udp", "icmp")
+DIRECTIONS = ("ingress", "egress")
 
 _ECHO_RE = re.compile(r'^echo "([^"]*)" >> (\S+)$')
 _SIGNAL_RE = re.compile(r"^signal (\S+) (.+)$")
@@ -394,7 +395,7 @@ class CloudProvider:
         group = self._named(self.secgroups, tenant_id, group_name, "security group")
         if protocol not in PROTOCOLS:
             raise ConflictError(f"unknown protocol {protocol!r}")
-        if direction not in ("ingress", "egress"):
+        if direction not in DIRECTIONS:
             raise ConflictError(f"unknown direction {direction!r}")
         remote_cidr = remote_group = None
         try:
@@ -776,7 +777,11 @@ class CloudProvider:
             if router.external_gateway:
                 external = True
             for other_id in router.interfaces:
-                if other_id not in seen and self.networks[other_id].tenant_id == tenant_id:
+                other = self.networks.get(other_id)
+                if other is None:  # no verb deletes a network
+                    raise StateIOError(f"state is malformed: router {router.id!r} has an "
+                                       f"interface on network {other_id!r}, which does not exist")
+                if other_id not in seen and other.tenant_id == tenant_id:
                     seen.add(other_id)
                     frontier.append(other_id)
         return seen, external
@@ -788,6 +793,15 @@ class CloudProvider:
             raise StateIOError(f"state is malformed: instance {instance.id!r} has an address on "
                                "a network its tenant does not have")
         return networks
+
+    def _groups_of(self, instance: Instance) -> list:
+        """The security groups `instance` is a member of, in its order."""
+        groups = [self._by_name(self.secgroups, instance.tenant_id, name)
+                  for name in instance.security_groups]
+        if None in groups:  # no verb deletes a security group
+            raise StateIOError(f"state is malformed: instance {instance.id!r} is a member of "
+                               "a security group its tenant does not have")
+        return groups
 
     def _nat_address(self, instance: Instance) -> str | None:
         """The fixed address NAT rewrites to: the one on the first of the
@@ -814,6 +828,7 @@ class CloudProvider:
             return ConnectivityResult(True, observed_dst=EXTERNAL_LOCUS)
 
         dst_instance = self.get_instance(dst)
+        dst_groups = self._groups_of(dst_instance)
         if src == EXTERNAL_LOCUS:
             fip = next(
                 (f for f in self.fips.values() if f.associated_instance == dst), None
@@ -835,20 +850,18 @@ class CloudProvider:
                 return ConnectivityResult(False, "no-route")
             observed = dst_instance.fixed_ips[target.name]
             src_addresses = list(src_instance.fixed_ips.values())
-            src_groups = list(src_instance.security_groups)
-            if set(src_groups) & set(dst_instance.security_groups):
+            src_groups = [group.name for group in self._groups_of(src_instance)]
+            if set(src_groups) & {group.name for group in dst_groups}:
                 # members of one group talk freely
                 return ConnectivityResult(True, observed_dst=observed)
 
-        if self._ingress_allowed(dst_instance, protocol, port, src_addresses, src_groups):
+        if self._ingress_allowed(dst_groups, protocol, port, src_addresses, src_groups):
             return ConnectivityResult(True, observed_dst=observed)
         return ConnectivityResult(False, "sg-blocked")
 
-    def _ingress_allowed(self, instance, protocol, port, src_addresses, src_groups):
-        for gname in instance.security_groups:
-            group = self._by_name(self.secgroups, instance.tenant_id, gname)
-            if group is None:
-                continue
+    @staticmethod
+    def _ingress_allowed(groups, protocol, port, src_addresses, src_groups):
+        for group in groups:
             for rule in group.rules:
                 if rule.direction != "ingress" or rule.protocol != protocol:
                     continue

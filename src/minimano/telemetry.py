@@ -18,10 +18,22 @@ from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, o
 from .errors import CapacityError, ConflictError, NotFoundError
 
 
-AGGREGATES = ("avg", "max", "min")
+AGGREGATES = {"avg": lambda v: sum(v) / len(v), "max": max, "min": min}
 COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
                "ge": lambda a, b: a >= b, "le": lambda a, b: a <= b}
 ACTIONS = ("scale_out", "scale_in", "notify")
+FAULT_KINDS = ("instance_crash",)
+
+
+def _unknown_setting(aggregate, comparison, action):
+    """'unknown <setting> <value>' for the first alarm setting outside its
+    choices, or None."""
+    for setting, value, choices in (("aggregate", aggregate, AGGREGATES),
+                                    ("comparison", comparison, COMPARISONS),
+                                    ("action", action, ACTIONS)):
+        if value not in choices:
+            return f"unknown {setting} {value!r}"
+    return None
 
 
 @record
@@ -150,12 +162,9 @@ class TelemetryService:
     def create_alarm(self, name, metric, aggregate, comparison, threshold, window, target, action):
         if name in self.alarms:
             raise ConflictError(f"alarm {name!r} already exists")
-        if aggregate not in AGGREGATES:
-            raise ConflictError(f"unknown aggregate {aggregate!r}")
-        if comparison not in COMPARISONS:
-            raise ConflictError(f"unknown comparison {comparison!r}")
-        if action not in ACTIONS:
-            raise ConflictError(f"unknown action {action!r}")
+        unknown = _unknown_setting(aggregate, comparison, action)
+        if unknown:
+            raise ConflictError(unknown)
         if window < 1:
             raise ConflictError("window must be at least 1 tick")
         alarm = AlarmDef(
@@ -181,7 +190,7 @@ class TelemetryService:
             if not values:
                 alarm.state = "insufficient_data"
                 continue
-            aggregate = {"avg": lambda v: sum(v) / len(v), "max": max, "min": min}[alarm.aggregate](values)
+            aggregate = AGGREGATES[alarm.aggregate](values)
             breached = COMPARISONS[alarm.comparison](aggregate, alarm.threshold)
             previous = alarm.state
             alarm.state = "alarm" if breached else "ok"
@@ -274,7 +283,7 @@ class TelemetryService:
     # -- fault injection -------------------------------------------------------------
 
     def inject_fault(self, target_id, kind="instance_crash"):
-        if kind != "instance_crash":
+        if kind not in FAULT_KINDS:
             raise ConflictError(f"unknown fault kind {kind!r}")
         self.provider.crash_instance(target_id)
         self.core.emit("fault.inject", target_id, target=target_id, fault_kind=kind)
@@ -367,6 +376,10 @@ class TelemetryService:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        for alarm in self.alarms.values():
+            unknown = _unknown_setting(alarm.aggregate, alarm.comparison, alarm.action)
+            if unknown:
+                raise ValueError(f"alarm {alarm.name!r} has an {unknown}")
         # the order `_index` keeps, in one stable sort per metric
         samples = self.samples
         ticks = [sample.tick for sample in samples]

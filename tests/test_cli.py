@@ -98,10 +98,38 @@ def test_exit_code_contract(runner, tmp_path):
     # 6: not found
     assert runner("stack-show", "no-such-uuid")[0] == 6
     assert runner("stack-delete", "no-such-uuid")[0] == 6
-    # 2: malformed signal payload
+    # 2: malformed signal payload, or one nested past the parser's depth
     assert runner("signal", "mm://wait/x", "{not json")[0] == 2
+    code, _, err = runner("signal", "mm://wait/x", "[" * 200_000)
+    assert code == 2 and err.startswith("error: signal payload is not valid JSON: ")
     # 6: unknown wait handle
     assert runner("signal", "mm://wait/x", '{"status": "SUCCESS"}')[0] == 6
+
+
+NESTS_A_FILE = "heat_template_version: 2013-05-23\nresources:\n  child:\n    type: file.yaml\n"
+
+
+@pytest.mark.parametrize("argv, expected, message", [
+    (("template-validate", "-f", "{file}"), 5, "error: cannot read template '{file}': "),
+    (("stack-create", "s", "-f", "{file}"), 5, "error: cannot read template '{file}': "),
+    (("init", "--state", "{dir}/fresh.json", "--hosts", "{file}"), 5,
+     "error: cannot read host inventory '{file}': "),
+    (("init", "--state", "{dir}/fresh.json", "--policy", "{file}"), 5,
+     "error: cannot read policy file '{file}': "),
+    (("stack-create", "s", "-f", "{dir}/nests.yaml"), 4,
+     "error: resource child: cannot read nested template 'file.yaml': "),
+], ids=["template-validate", "stack-create", "init-hosts", "init-policy", "nested-template"])
+def test_a_file_that_is_not_utf8_is_refused(runner, tmp_path, argv, expected, message):
+    """Each was a UnicodeDecodeError traceback."""
+    file = tmp_path / "file.yaml"
+    file.write_bytes(b"\xff\xfe not utf-8\n")
+    (tmp_path / "nests.yaml").write_text(NESTS_A_FILE)
+    names = {"file": str(file), "dir": str(tmp_path)}
+    code, _, err = runner(*(arg.format(**names) for arg in argv))
+    assert code == expected
+    assert err.startswith(message.format(**names)) and "can't decode" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "fresh.json").exists()
 
 
 def test_unauthenticated_mutating_verb_is_exit_3(runner, monkeypatch):
@@ -387,6 +415,9 @@ def _as_dict(table):
     _state_v1(lambda s: s["engine"]["conditions"][1].update(outcome="TIMEOUT")),
     _state_v1(_blocked_on_a_finished_child),
     _state_v1(lambda s: s["engine"]["runs"][0].update(blocker=["wait"])),
+    _state_v1(lambda s: s["telemetry"]["alarms"][0].update(aggregate="median")),
+    _state_v1(lambda s: s["telemetry"]["alarms"][0].update(comparison="eq")),
+    _state_v1(lambda s: s["telemetry"]["alarms"][0].update(action="reboot")),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
         "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
@@ -400,7 +431,8 @@ def _as_dict(table):
         "wave-not-a-list", "wave-name-not-text", "blocked-run-past-its-wave",
         "blocked-run-past-its-waves", "blocked-run-at-a-resource-not-created",
         "blocker-unknown-handle", "blocker-condition-not-pending", "blocker-child-finished",
-        "blocker-not-a-pair"])
+        "blocker-not-a-pair", "alarm-aggregate-unknown", "alarm-comparison-unknown",
+        "alarm-action-unknown"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -459,10 +491,15 @@ def test_instance_with_an_unknown_flavor_is_malformed_state(runner):
     ("networks", "name", "connectivity-check"),
     ("networks", "tenant_id", "connectivity-check"),
     ("instances", "tenant_id", "connectivity-check"),
+    ("routers", "interfaces", "connectivity-check"),
+    ("instances", "security_groups", "connectivity-check-to-itself"),
 ])
 def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column, verb):
     """A value of the right kind that names nothing, or text that is no
-    base64: each was a traceback."""
+    base64: each was a traceback or, for a security group, ignored."""
+    if table == "routers":
+        assert runner("router-create", "edge")[0] == 0
+        assert runner("router-attach", "edge", "my_net1")[0] == 0
     member = json.dumps({"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]})
     group = ("--min", "1", "--max", "1", "--desired", "1", "--member", member)
     _, out, _ = runner("group-create", "web", *group, "--format", "machine")
@@ -474,14 +511,17 @@ def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column,
     rows = state["provider"][table]
     if column is None:  # a plain object of base64 text
         rows.update(dict.fromkeys(rows, "!!!x"))
-    else:
-        rows["rows"][0][rows["fields"].index(column)] = "x"
+    else:  # a list column gets one name of nothing
+        row, at = rows["rows"][0], rows["fields"].index(column)
+        row[at] = ["x"] if type(row[at]) is list else "x"
     runner._state.write_text(json.dumps(state))
     argv = {"group-create": ("group-create", "db", *group),
             "net-create": ("net-create", "n2", "--cidr", "10.9.0.0/24"),
             "fip-associate": ("fip-associate", fip, instance),
             "connectivity-check": ("connectivity-check", instance, "external",
                                    "--protocol", "icmp"),
+            "connectivity-check-to-itself": ("connectivity-check", instance, instance,
+                                             "--protocol", "icmp"),
             "object-get": ("object-get", "c", "o")}[verb]
     code, out, err = runner(*argv)
     assert code == 5 and out == ""

@@ -1,13 +1,16 @@
 """Tenants, users, roles, tokens, policy evaluation, service catalog."""
 
 import random
+import shutil
 
 import pytest
 
+from minimano import cli
 from minimano.errors import AuthError, ConflictError, NotFoundError
 from minimano.identity import DEFAULT_TOKEN_TTL, default_policy
 from minimano.statefile import load_world, save_world
 from minimano.world import World
+from test_startup import _representative
 
 
 @pytest.fixture
@@ -117,6 +120,37 @@ def test_deny_all_policy_denies_everything():
     token = world.identity.authenticate("admin", "admin", "admin").id
     for action in default_policy():
         assert world.identity.authorize(token, action) is False
+
+
+@pytest.fixture(scope="module")
+def deny_all_state(tmp_path_factory):
+    """(a state file under a deny-all policy, an admin token for it)."""
+    world = World(seed=2, policy={})
+    token = world.identity.authenticate("admin", "admin", "admin").id
+    path = tmp_path_factory.mktemp("deny_all") / "state.json"
+    save_world(world, str(path))
+    return path, token
+
+
+# every verb that loads the state file but `token-issue`, which needs no token
+@pytest.mark.parametrize("verb", [verb for verb, (_, state, *_) in cli.VERBS.items()
+                                  if state is not None and verb != "token-issue"])
+def test_deny_all_policy_refuses_every_verb_before_it_acts(
+        deny_all_state, tmp_path, monkeypatch, capsys, verb):
+    """A verb's gate is in its `cli.VERBS` row or in its service, and it
+    comes first: before a file is read (a `stack-create` template that does
+    not exist) or a payload parsed."""
+    path = tmp_path / "state.json"
+    shutil.copyfile(deny_all_state[0], path)
+    before = path.read_bytes()
+    monkeypatch.chdir(tmp_path)  # any file the argv names would be made here
+    code = cli.main([*_representative(verb), "--state", str(path),
+                     "--token", deny_all_state[1]])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.lock"]
 
 
 def test_catalog_re_register_replaces(world, admin_token):

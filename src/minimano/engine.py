@@ -30,7 +30,9 @@ from .errors import (
 from .lazy import LazyNames
 from .resource_types import (
     RANDOM_STRING_TYPE,
+    SEQUENCES,
     SERVER_TYPE,
+    TYPES,
     WAIT_CONDITION_TYPE,
     WAIT_HANDLE_TYPE,
     is_nested_type,
@@ -39,7 +41,7 @@ from .resource_types import (
 # the template layer, imported when a stack is first created or resumed: a
 # verb that only reads or deletes stacks never loads it
 _TEMPLATE = LazyNames(globals(), {
-    ".hot": ("SEQUENCES", "EvalContext", "bind_parameters", "evaluate_expr",
+    ".hot": ("EvalContext", "bind_parameters", "evaluate_expr",
              "parse_template", "serialize_template", "validate_template"),
     ".plan": ("build_plan",),
 })
@@ -344,41 +346,31 @@ class StackEngine:
     # -- per-type deployment ------------------------------------------------------------
 
     def _deploy_resource(self, run, stack, rdef, record):
+        """Evaluate the properties, fill in the declared defaults (a null
+        value counts as absent), refuse what the type's declaration refuses,
+        then run the type's deploy step."""
         rtype = rdef.resource_type
         if is_nested_type(rtype):
             return self._deploy_nested(run, stack, rdef, record)
+        if rtype not in self._STEPS:
+            raise DeployError(f"unknown resource type {rtype!r}")
+        spec = TYPES[rtype]
         ctx = self._eval_context(stack)
-        props = {name: evaluate_expr(expr, ctx) for name, expr in rdef.properties.items()}
-        if rtype == SERVER_TYPE:
-            return self._deploy_server(stack, rdef, record, props)
-        if rtype == RANDOM_STRING_TYPE:
-            return self._deploy_random_string(stack, rdef, record, props)
-        if rtype == WAIT_HANDLE_TYPE:
-            return self._deploy_wait_handle(stack, rdef, record)
-        if rtype == WAIT_CONDITION_TYPE:
-            return self._deploy_wait_condition(run, stack, rdef, record, props)
-        raise DeployError(f"unknown resource type {rtype!r}")
+        props = dict(spec.defaults)
+        for name, expr in rdef.properties.items():
+            value = evaluate_expr(expr, ctx)
+            if value is not None:
+                props[name] = value
+        for message in spec.missing(props):
+            raise DeployError(message)
+        for name, value in props.items():
+            for path, message in spec.refusals(name, value):
+                raise DeployError(f"{path}: {message}")
+        deploy, _ = self._STEPS[rtype]
+        return deploy(self, run, stack, rdef, record, props)
 
-    def _deploy_server(self, stack, rdef, record, props):
-        networks = []
-        for item in props.get("networks") or []:
-            if not isinstance(item, dict) or "network" not in item:
-                raise DeployError("networks entries must be maps with a 'network' key")
-            networks.append(item["network"])
-        fmt = props.get("user_data_format", "RAW")
-        if fmt != "RAW":
-            raise DeployError(f"unsupported user_data_format {fmt!r}")
-        user_data = props.get("user_data")
-        if user_data is not None and not isinstance(user_data, str):
-            raise DeployError("user_data must evaluate to a string")
-        spec = {
-            "image": props["image"],
-            "flavor": props["flavor"],
-            "key_name": props.get("key_name"),
-            "networks": networks,
-            "security_groups": props.get("security_groups"),
-            "user_data": user_data,
-        }
+    def _deploy_server(self, run, stack, rdef, record, props):
+        spec = {**props, "networks": [item["network"] for item in props.get("networks", ())]}
         instance = self.provider.launch_instance(
             stack.tenant_id,
             spec,
@@ -394,44 +386,32 @@ class StackEngine:
         }
         return record
 
-    def _deploy_random_string(self, stack, rdef, record, props):
-        length = props.get("length", 32)
-        sequence = props.get("sequence", "alphanumeric")
-        if not isinstance(length, int) or length < 1:
-            raise DeployError("length must be a positive integer")
-        if sequence not in SEQUENCES:
-            raise DeployError(f"unknown sequence {sequence!r}")
+    def _deploy_random_string(self, run, stack, rdef, record, props):
         # keyed substream: the value depends only on (seed, stack, resource),
         # so a nested deployment matches a standalone one exactly
         rng = random.Random(f"{self.core.seed}:{stack.name}:{rdef.name}")
-        alphabet = SEQUENCES[sequence]
-        record.attributes = {"value": "".join(rng.choice(alphabet) for _ in range(length))}
+        alphabet = SEQUENCES[props["sequence"]]
+        record.attributes = {"value": "".join(rng.choice(alphabet) for _ in range(props["length"]))}
         return record
 
-    def _deploy_wait_handle(self, stack, rdef, record):
+    def _deploy_wait_handle(self, run, stack, rdef, record, props):
         handle = WaitHandle(id=record.uuid, stack_id=stack.id, resource_name=rdef.name)
         self.handles[handle.id] = handle
         record.attributes = {"curl_cli": handle_url(handle.id), "handle_id": handle.id}
         return record
 
     def _deploy_wait_condition(self, run, stack, rdef, record, props):
-        handle_id = props.get("handle")
+        handle_id = props["handle"]
         if handle_id not in self.handles:
             raise DeployError("handle does not reference a deployed wait handle")
         if handle_id in self.conditions:
             raise DeployError("wait handle is already bound to a wait condition")
-        timeout = props.get("timeout")
-        count = props.get("count", 1)
-        if not isinstance(timeout, int) or timeout < 1:
-            raise DeployError("timeout must be a positive tick count")
-        if not isinstance(count, int) or count < 1:
-            raise DeployError("count must be a positive integer")
         condition = WaitCondition(
             handle_id=handle_id,
             stack_id=stack.id,
             resource_name=rdef.name,
-            required=count,
-            deadline=self.core.tick + timeout,
+            required=props["count"],
+            deadline=self.core.tick + props["timeout"],
         )
         self.conditions[handle_id] = condition
         run.blocker = ["wait", handle_id]
@@ -565,23 +545,38 @@ class StackEngine:
         return stack.status
 
     def _destroy_resource(self, record, token):
-        if record.type == SERVER_TYPE:
-            if record.physical_id is not None:
-                try:
-                    self.provider.terminate_instance(record.physical_id)
-                except NotFoundError:
-                    pass  # already gone
-        elif is_nested_type(record.type):
-            if record.physical_id is not None and record.physical_id in self.stacks:
-                child = self.stacks[record.physical_id]
-                if child.status not in (DELETE_COMPLETE,):
-                    result = self._delete(child, token)
-                    if result != DELETE_COMPLETE:
-                        raise DeployError(f"nested stack delete failed: {child.failure_reason}")
-        elif record.type == WAIT_HANDLE_TYPE:
-            self.handles.pop(record.uuid, None)
-            self.conditions.pop(record.uuid, None)
-        # random strings and wait conditions hold no provider state
+        if is_nested_type(record.type):
+            return self._destroy_nested(record, token)
+        _, destroy = self._STEPS.get(record.type, (None, None))
+        if destroy is not None:
+            destroy(self, record, token)
+
+    def _destroy_server(self, record, token):
+        if record.physical_id is not None:
+            try:
+                self.provider.terminate_instance(record.physical_id)
+            except NotFoundError:
+                pass  # already gone
+
+    def _destroy_nested(self, record, token):
+        child = self.stacks.get(record.physical_id)
+        if child is None or child.status == DELETE_COMPLETE:
+            return
+        if self._delete(child, token) != DELETE_COMPLETE:
+            raise DeployError(f"nested stack delete failed: {child.failure_reason}")
+
+    def _destroy_wait_handle(self, record, token):
+        self.handles.pop(record.uuid, None)
+        self.conditions.pop(record.uuid, None)
+
+    # each built-in type's (deploy step, destroy step); random strings and
+    # wait conditions hold no provider state, so they have no destroy step
+    _STEPS = {
+        SERVER_TYPE: (_deploy_server, _destroy_server),
+        RANDOM_STRING_TYPE: (_deploy_random_string, None),
+        WAIT_HANDLE_TYPE: (_deploy_wait_handle, _destroy_wait_handle),
+        WAIT_CONDITION_TYPE: (_deploy_wait_condition, None),
+    }
 
     # -- read side ----------------------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ named sections: parameters, resources, outputs. Resource properties and
 output values are expression trees that may call the intrinsic functions
 ``get_param``, ``get_attr``, ``get_resource`` and ``str_replace``. This
 module parses source text into `TemplateDoc`, validates documents against
-a resource-type registry, binds parameters, evaluates expressions against
+the declared resource types, binds parameters, evaluates expressions against
 deployed resources, and extracts the inter-resource dependency graph used
 for deployment planning.
 """
@@ -13,13 +13,8 @@ for deployment planning.
 from . import yamlite
 from .codec import field, record
 from .errors import DeployError, TemplateError
-from .resource_types import (
-    RANDOM_STRING_TYPE,
-    SERVER_TYPE,
-    WAIT_CONDITION_TYPE,
-    WAIT_HANDLE_TYPE,
-    is_nested_type,
-)
+from .resource_types import TYPES, UNKNOWN, is_nested_type, kind_of
+from .resource_types import SERVER_TYPE  # noqa: F401  (template callers name it through `hot`)
 
 VERSION_KEY = "heat_template_version"
 PARAM_TYPES = ("string", "number", "boolean", "list", "map")
@@ -74,10 +69,6 @@ class ListOf(Expr):
 @record(eq=True, frozen=True)
 class MapOf(Expr):
     entries: tuple  # of (key, Expr) pairs, declaration order
-
-    @property
-    def entries_map(self):
-        return dict(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -147,62 +138,6 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.errors
-
-
-# ---------------------------------------------------------------------------
-# resource type registry
-
-SEQUENCES = {
-    "digits": "0123456789",
-    "lowercase": "abcdefghijklmnopqrstuvwxyz",
-    "uppercase": "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
-    "alphanumeric": "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
-}
-
-@record(eq=True)
-class TypeSpec:
-    name: str
-    mandatory: dict  # property -> expected kind
-    optional: dict
-    attributes: set
-
-    @property
-    def known_properties(self):
-        return set(self.mandatory) | set(self.optional)
-
-
-DEFAULT_REGISTRY = {
-    SERVER_TYPE: TypeSpec(
-        SERVER_TYPE,
-        mandatory={"image": "string", "flavor": "string"},
-        optional={
-            "key_name": "string",
-            "networks": "list",
-            "security_groups": "list",
-            "user_data": "string",
-            "user_data_format": "string",
-        },
-        attributes={"first_address", "instance_id", "name"},
-    ),
-    RANDOM_STRING_TYPE: TypeSpec(
-        RANDOM_STRING_TYPE,
-        mandatory={},
-        optional={"length": "number", "sequence": "string"},
-        attributes={"value"},
-    ),
-    WAIT_CONDITION_TYPE: TypeSpec(
-        WAIT_CONDITION_TYPE,
-        mandatory={"handle": "ref", "timeout": "number"},
-        optional={"count": "number"},
-        attributes={"data"},
-    ),
-    WAIT_HANDLE_TYPE: TypeSpec(
-        WAIT_HANDLE_TYPE,
-        mandatory={},
-        optional={},
-        attributes={"curl_cli", "handle_id"},
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -454,48 +389,40 @@ def _walk_expr(expr):
             yield from _walk_expr(sub)
 
 
-def _literal_kind(value):
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "list"
-    if isinstance(value, dict):
-        return "map"
-    return "null"
+def _literal(expr):
+    """The value `expr` writes out, with `UNKNOWN` for what an intrinsic
+    function gives."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, ListOf):
+        return [_literal(item) for item in expr.items]
+    if isinstance(expr, MapOf):
+        return {key: _literal(value) for key, value in expr.entries}
+    return UNKNOWN
 
 
-def _check_refs(expr, path, doc, findings):
+def _check_intrinsics(expr, path, doc, findings):
+    """Each intrinsic in `expr` names a declared parameter, resource and
+    attribute."""
     for sub in _walk_expr(expr):
         if isinstance(sub, GetParam) and sub.name not in doc.parameters:
             findings.append(Finding("error", path, f"unknown parameter {sub.name!r}"))
-        elif isinstance(sub, GetAttr) and sub.resource not in doc.resources:
+        elif isinstance(sub, (GetAttr, GetResource)) and sub.resource not in doc.resources:
             findings.append(Finding("error", path, f"unknown resource {sub.resource!r}"))
-        elif isinstance(sub, GetResource) and sub.resource not in doc.resources:
-            findings.append(Finding("error", path, f"unknown resource {sub.resource!r}"))
+        elif isinstance(sub, GetAttr):
+            spec = TYPES.get(doc.resources[sub.resource].resource_type)
+            if spec is not None and sub.attribute not in spec.attributes:
+                findings.append(Finding("error", path, f"resource {sub.resource!r} has no "
+                                                       f"attribute {sub.attribute!r}"))
 
 
-def _check_attr_names(expr, path, doc, findings):
-    for sub in _walk_expr(expr):
-        if not isinstance(sub, GetAttr) or sub.resource not in doc.resources:
-            continue
-        target_type = doc.resources[sub.resource].resource_type
-        spec = DEFAULT_REGISTRY.get(target_type)
-        if spec is not None and sub.attribute not in spec.attributes:
-            findings.append(
-                Finding("error", path, f"resource {sub.resource!r} has no attribute {sub.attribute!r}")
-            )
-
-
-def _property_kind_ok(expr, expected):
-    if not isinstance(expr, Literal):
-        return True  # intrinsic results are checked at evaluation time
-    if expected == "ref":
-        return False  # refs must be get_resource
-    return _literal_kind(expr.value) == expected
+def _check_reference(expr, kind, path, doc, findings):
+    """A property of a resource-type kind: a get_resource naming a resource
+    of that type."""
+    if not isinstance(expr, GetResource):
+        findings.append(Finding("error", path, "must be a get_resource reference"))
+    elif expr.resource in doc.resources and doc.resources[expr.resource].resource_type != kind:
+        findings.append(Finding("error", path, f"{expr.resource!r} is not a {kind}"))
 
 
 def validate_template(doc: TemplateDoc) -> ValidationReport:
@@ -507,92 +434,34 @@ def validate_template(doc: TemplateDoc) -> ValidationReport:
     findings = [Finding("warning", "template", w) for w in doc.warnings]
 
     for p in doc.parameters.values():
-        if p.has_default and _literal_kind(p.default) != p.type:
+        if p.has_default and kind_of(p.default) != p.type:
             findings.append(
                 Finding("error", f"parameters.{p.name}.default", f"default does not conform to type {p.type!r}")
             )
 
     for r in doc.resources.values():
         base = f"resources.{r.name}"
-        nested = is_nested_type(r.resource_type)
-        spec = DEFAULT_REGISTRY.get(r.resource_type)
-        if spec is None and not nested:
+        spec = TYPES.get(r.resource_type)
+        if spec is None and not is_nested_type(r.resource_type):
             findings.append(Finding("error", base, f"unknown resource type {r.resource_type!r}"))
         if spec is not None:
-            for pname in spec.mandatory:
-                if pname not in r.properties:
-                    findings.append(
-                        Finding("error", f"{base}.properties", f"missing mandatory property {pname!r}")
-                    )
+            props = f"{base}.properties"
+            findings += [Finding("error", props, message) for message in spec.missing(r.properties)]
             for pname, expr in r.properties.items():
-                ppath = f"{base}.properties.{pname}"
-                if pname not in spec.known_properties:
-                    findings.append(Finding("error", ppath, f"unknown property {pname!r}"))
-                    continue
-                expected = spec.mandatory.get(pname, spec.optional.get(pname))
-                if expected == "ref":
-                    if not isinstance(expr, GetResource):
-                        findings.append(Finding("error", ppath, "must be a get_resource reference"))
-                elif not _property_kind_ok(expr, expected):
-                    findings.append(Finding("error", ppath, f"expected a {expected}"))
+                if (kind := spec.kind(pname)) in TYPES:
+                    _check_reference(expr, kind, f"{props}.{pname}", doc, findings)
+                findings += [Finding("error", f"{props}.{path}", message)
+                             for path, message in spec.refusals(pname, _literal(expr))]
         for dep in r.depends_on:
             if dep not in doc.resources:
                 findings.append(Finding("error", f"{base}.depends_on", f"unknown resource {dep!r}"))
         for pname, expr in r.properties.items():
-            ppath = f"{base}.properties.{pname}"
-            _check_refs(expr, ppath, doc, findings)
-            _check_attr_names(expr, ppath, doc, findings)
-        _validate_type_specifics(r, base, doc, findings)
+            _check_intrinsics(expr, f"{base}.properties.{pname}", doc, findings)
 
     for o in doc.outputs.values():
-        path = f"outputs.{o.name}.value"
-        _check_refs(o.value, path, doc, findings)
-        _check_attr_names(o.value, path, doc, findings)
+        _check_intrinsics(o.value, f"outputs.{o.name}.value", doc, findings)
 
     return ValidationReport(findings)
-
-
-def _validate_type_specifics(r, base, doc, findings):
-    if r.resource_type == SERVER_TYPE:
-        fmt = r.properties.get("user_data_format")
-        if isinstance(fmt, Literal) and fmt.value != "RAW":
-            findings.append(
-                Finding("error", f"{base}.properties.user_data_format", "only RAW is supported")
-            )
-        networks = r.properties.get("networks")
-        if isinstance(networks, ListOf):
-            for i, item in enumerate(networks.items):
-                if not (isinstance(item, MapOf) and "network" in item.entries_map):
-                    findings.append(
-                        Finding(
-                            "error",
-                            f"{base}.properties.networks[{i}]",
-                            "each entry must be a map with a 'network' key",
-                        )
-                    )
-    elif r.resource_type == RANDOM_STRING_TYPE:
-        seq = r.properties.get("sequence")
-        if isinstance(seq, Literal) and seq.value not in SEQUENCES:
-            findings.append(
-                Finding("error", f"{base}.properties.sequence", f"unknown sequence {seq.value!r}")
-            )
-        length = r.properties.get("length")
-        if isinstance(length, Literal) and (not isinstance(length.value, int) or length.value < 1):
-            findings.append(
-                Finding("error", f"{base}.properties.length", "length must be a positive integer")
-            )
-    elif r.resource_type == WAIT_CONDITION_TYPE:
-        handle = r.properties.get("handle")
-        if isinstance(handle, GetResource) and handle.resource in doc.resources:
-            target = doc.resources[handle.resource]
-            if target.resource_type != WAIT_HANDLE_TYPE:
-                findings.append(
-                    Finding(
-                        "error",
-                        f"{base}.properties.handle",
-                        f"{handle.resource!r} is not a {WAIT_HANDLE_TYPE}",
-                    )
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -600,45 +469,23 @@ def _validate_type_specifics(r, base, doc, findings):
 
 
 def _coerce(value, ptype, name):
-    if ptype == "string":
-        if isinstance(value, str):
-            return value
-        raise TemplateError(f"parameter {name!r}: expected a string")
-    if ptype == "number":
-        if isinstance(value, bool):
-            raise TemplateError(f"parameter {name!r}: expected a number")
-        if isinstance(value, (int, float)):
-            return value
-        if isinstance(value, str):
-            text = value.strip()
+    """`value` as a parameter of type `ptype`; a number or a boolean may
+    also be given as text."""
+    if kind_of(value) == ptype:
+        return value
+    if ptype == "number" and isinstance(value, str):
+        for convert in (int, float):
             try:
-                return int(text)
+                return convert(value.strip())
             except ValueError:
                 pass
-            try:
-                return float(text)
-            except ValueError:
-                raise TemplateError(f"parameter {name!r}: {value!r} is not a number") from None
-        raise TemplateError(f"parameter {name!r}: expected a number")
+        raise TemplateError(f"parameter {name!r}: {value!r} is not a number")
     if ptype == "boolean":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str):
-            lowered = value.strip().lower()
-            if lowered in ("true", "1"):
-                return True
-            if lowered in ("false", "0"):
-                return False
+        text = value.strip().lower() if isinstance(value, str) else None
+        if text in ("true", "1", "false", "0"):
+            return text in ("true", "1")
         raise TemplateError(f"parameter {name!r}: {value!r} is not a boolean")
-    if ptype == "list":
-        if isinstance(value, list):
-            return value
-        raise TemplateError(f"parameter {name!r}: expected a list")
-    if ptype == "map":
-        if isinstance(value, dict):
-            return value
-        raise TemplateError(f"parameter {name!r}: expected a map")
-    raise TemplateError(f"parameter {name!r}: unknown type {ptype!r}")
+    raise TemplateError(f"parameter {name!r}: expected a {ptype}")
 
 
 def bind_parameters(doc: TemplateDoc, provided: dict) -> dict:

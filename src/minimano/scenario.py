@@ -40,7 +40,7 @@ import json
 from .codec import check, record
 from .errors import StateIOError, TemplateError
 from .nfvi import Flavor, Image, KeyPair, Network
-from .telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
+from .telemetry import AlarmDef, HealerConfig, LoadGenerator, ScalingGroup, check_schedule
 from .world import World
 
 
@@ -50,7 +50,7 @@ def load_scenario(path: str) -> dict:
             scenario = json.load(fh)
     except FileNotFoundError:
         raise StateIOError(f"scenario file {path!r} does not exist") from None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise StateIOError(f"cannot read scenario file {path!r}: {exc}") from None
     if not isinstance(scenario, dict) or "ticks" not in scenario:
         raise TemplateError("scenario must be a JSON object with a 'ticks' entry")
@@ -140,14 +140,10 @@ def build_world(scenario: dict, seed=None) -> World:
                         ["metric", "base", "amplitude", "period", "noise", "seed"],
                         group="group_name"):
         telemetry.add_generator(LoadGenerator(**gen))
-    for section, required in (("metrics", ["tick", "metric", "value"]), ("faults", ["tick"])):
-        _entries(scenario, section, MetricSample, required)
-        for index, entry in enumerate(scenario.get(section) or []):
-            if "group" not in entry and "resource" not in entry:
-                raise TemplateError(f"scenario {section!r} entry {index} "
-                                    "names neither a 'group' nor a 'resource'")
-    telemetry.scheduled_metrics = list(scenario.get("metrics") or [])
-    telemetry.scheduled_faults = list(scenario.get("faults") or [])
+    for section, name in (("metrics", "scheduled_metrics"), ("faults", "scheduled_faults")):
+        entries = list(scenario.get(section) or [])
+        setattr(telemetry, name, check_schedule(name, entries, f"scenario {section!r} entry",
+                                                TemplateError))
     return world
 
 

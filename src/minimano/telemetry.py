@@ -94,6 +94,44 @@ class LoadGenerator:
     seed: int = 0
 
 
+@record
+class ScheduledEntry:
+    """A scheduled metric sample or fault at `tick`, on `resource`, on each
+    active member of `group` or on its member at `member_index`; stored as
+    the scenario's JSON object, where a null value counts as absent."""
+
+    tick: int
+    resource: str | None
+    group: str | None
+    member_index: int | None
+    metric: str | None
+    value: float | None
+    kind: str | None
+
+
+# each schedule -> the keys its entries require, besides a 'group' or a 'resource'
+SCHEDULES = {"scheduled_metrics": ("tick", "metric", "value"), "scheduled_faults": ("tick",)}
+
+
+def check_schedule(name, entries, label, error=ValueError) -> list:
+    """`entries` of the schedule `name`, once each is an object with the
+    keys it requires, a target, the kinds `ScheduledEntry` declares and a
+    known fault kind; otherwise `error` naming `label` and the index."""
+    for index, entry in enumerate(entries):
+        where = f"{label} {index}"
+        if type(entry) is not dict:
+            raise error(f"{where} must be an object, got {entry!r}")
+        for key in SCHEDULES[name]:
+            if entry.get(key) is None:
+                raise error(f"{where} lacks {key!r}")
+        check(ScheduledEntry, entry, where, error)
+        if entry.get("group") is None and entry.get("resource") is None:
+            raise error(f"{where} names neither a 'group' nor a 'resource'")
+        if entry.get("kind") not in (None, *FAULT_KINDS):
+            raise error(f"{where} has an unknown fault kind {entry['kind']!r}")
+    return entries
+
+
 # the persisted layout, in snapshot order
 _SCHEMA = {
     "samples": listed(MetricSample),
@@ -336,7 +374,7 @@ class TelemetryService:
             if entry["tick"] != tick:
                 continue
             for resource_id in self._schedule_targets(entry):
-                self.inject_fault(resource_id, entry.get("kind", "instance_crash"))
+                self.inject_fault(resource_id, entry.get("kind") or "instance_crash")
         if self.generators:
             from hashlib import sha256  # a CLI call that runs no generator does not pay for it
         for gen in self.generators:
@@ -351,17 +389,17 @@ class TelemetryService:
                 self.record_metric(member_id, gen.metric, round(value, 6), tick)
 
     def _schedule_targets(self, entry):
-        if "group" in entry:
-            group = self.groups.get(entry["group"])
-            if group is None:
-                raise NotFoundError(f"scaling group {entry['group']!r} not found")
-            if "member_index" in entry:
-                idx = entry["member_index"]
-                if idx >= len(group.members):
-                    raise NotFoundError(f"group {group.name!r} has no member {idx}")
-                return [group.members[idx]]
-            return [m for m in self._active_members(group)]
-        return [entry["resource"]]
+        if entry.get("group") is None:
+            return [entry["resource"]]
+        group = self.groups.get(entry["group"])
+        if group is None:
+            raise NotFoundError(f"scaling group {entry['group']!r} not found")
+        idx = entry.get("member_index")
+        if idx is None:
+            return self._active_members(group)
+        if idx >= len(group.members):
+            raise NotFoundError(f"group {group.name!r} has no member {idx}")
+        return [group.members[idx]]
 
     def on_tick(self, tick):
         """Per-tick pipeline step: injections, then alarms, then healing."""
@@ -376,6 +414,8 @@ class TelemetryService:
 
     def load_dict(self, data):
         load_attrs(self, _SCHEMA, data)
+        for name in SCHEDULES:
+            check_schedule(name, getattr(self, name), f"{name} entry")
         for alarm in self.alarms.values():
             unknown = _unknown_setting(alarm.aggregate, alarm.comparison, alarm.action)
             if unknown:

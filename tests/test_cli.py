@@ -104,6 +104,45 @@ def test_exit_code_contract(runner, tmp_path):
     assert code == 2 and err.startswith("error: signal payload is not valid JSON: ")
     # 6: unknown wait handle
     assert runner("signal", "mm://wait/x", '{"status": "SUCCESS"}')[0] == 6
+    # 4: a property whose parameter is of a kind it does not take (each was a TypeError)
+    for name, (ptype, default, reason) in KIND_MISMATCHES.items():
+        template = tmp_path / f"{name}.yaml"
+        template.write_text(KIND_MISMATCH.format(ptype=ptype, default=default, **reason))
+        code, _, err = runner("stack-create", name, "-f", str(template))
+        assert (code, err) == (4, f"error: resource r: {reason['property']}: {reason['message']}\n")
+    # 5: a scenario file nested past the parser's depth
+    scenario = tmp_path / "deep.json"
+    scenario.write_text("[" * 200_000)
+    code, _, err = runner("scenario-run", str(scenario))
+    assert code == 5 and err.startswith(f"error: cannot read scenario file {str(scenario)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+KIND_MISMATCH = """heat_template_version: 2013-05-23
+parameters:
+  p:
+    type: {ptype}
+    default: {default}
+resources:
+  r:
+    type: {type}
+    properties:
+{fixed}      {property}: {{ get_param: p }}
+"""
+SERVER = {"type": "OS::Nova::Server",
+          "fixed": "      image: ubuntu_cloud14\n      flavor: m1.small\n"}
+RANDOM_STRING = {"type": "OS::Heat::RandomString", "fixed": ""}
+# stack name -> (parameter type, its default, the resource and its refusal)
+KIND_MISMATCHES = {
+    "networks-number": ("number", "5", {**SERVER, "property": "networks",
+                                        "message": "expected a list"}),
+    "security_groups-number": ("number", "5", {**SERVER, "property": "security_groups",
+                                               "message": "expected a list"}),
+    "sequence-list": ("list", "\n      - digits", {**RANDOM_STRING, "property": "sequence",
+                                                   "message": "expected a string"}),
+    "sequence-map": ("map", "\n      digits: 1", {**RANDOM_STRING, "property": "sequence",
+                                                  "message": "expected a string"}),
+}
 
 
 NESTS_A_FILE = "heat_template_version: 2013-05-23\nresources:\n  child:\n    type: file.yaml\n"
@@ -301,11 +340,15 @@ def _with(section, key, value):
     {"ticks": 1, "seed": "x"},
     _with("groups", "member", 5),
     _with("alarms", "threshold", "x"),
+    _with("metrics", "group", []),
+    _with("faults", "member_index", "x"),
+    _with("faults", "kind", "reboot"),
 ], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer",
         "setup-not-an-object", "images-not-a-list", "healer-not-an-object",
         "hosts-not-a-list", "host-without-vcpus", "healer-interval-zero",
         "healer-interval-not-an-integer", "host-with-negative-vcpus",
-        "seed-not-an-integer", "group-member-not-an-object", "alarm-threshold-not-a-number"])
+        "seed-not-an-integer", "group-member-not-an-object", "alarm-threshold-not-a-number",
+        "metric-group-a-list", "fault-member_index-not-an-integer", "fault-kind-unknown"])
 def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -313,6 +356,19 @@ def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: scenario ") and "Traceback" not in err
+
+
+def test_a_null_in_a_schedule_entry_counts_as_absent(tmp_path, capsys):
+    """A null `member_index` was a TypeError at the fault's tick."""
+    logs = []
+    for scenario in (_without("faults", "member_index"), _with("faults", "member_index", None)):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        events = tmp_path / "events.jsonl"
+        assert cli.main(["scenario-run", str(path), "--events-out", str(events)]) == 0
+        logs.append(events.read_text())
+    assert logs[0] == logs[1] and '"kind":"fault.inject"' in logs[0]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, files", [

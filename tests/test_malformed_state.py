@@ -10,6 +10,9 @@ one `error:` line, never with an exception out of `cli.main`.
 """
 
 import json
+
+import pytest
+
 from conftest import make_env
 from minimano import cli
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
@@ -173,3 +176,32 @@ def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
                 assert code in EXIT_CODES, where
                 assert code == 0 or len(lines) == 1 and lines[0].startswith("error: "), where
     assert refusals > 600
+
+
+@pytest.mark.parametrize("schedule, entries", [
+    ("scheduled_metrics", [{"tick": "T+1"}]),
+    ("scheduled_metrics", [{"tick": "T+1", "metric": "cpu_util", "value": 0.5}]),
+    ("scheduled_metrics", [{"tick": "T+1", "group": [], "metric": "cpu_util", "value": 0.5}]),
+    ("scheduled_metrics", [{"tick": "T+1", "group": "g", "metric": "cpu_util", "value": "x"}]),
+    ("scheduled_faults", [{"tick": "T+1", "group": "g", "member_index": "x"}]),
+    ("scheduled_faults", [{"tick": "T+1", "group": "g", "kind": "reboot"}]),
+    ("scheduled_faults", [["T+1", "g"]]),
+    ("scheduled_faults", {"tick": "T+1"}),
+], ids=["metric-lacks-metric", "metric-names-no-target", "metric-group-a-list",
+        "metric-value-not-a-number", "fault-member_index-not-an-integer", "fault-kind-unknown",
+        "fault-not-an-object", "faults-not-a-list"])
+def test_a_malformed_schedule_entry_is_refused_on_load(tmp_path, monkeypatch, capsys, schedule,
+                                                       entries):
+    """An entry for the next tick: each made `clock-advance` end in an
+    exception, or fail there on every later call."""
+    path = tmp_path / "state.json"
+    token, _ = build_state(path)
+    data = json.loads(path.read_text())
+    text = json.dumps(entries).replace('"T+1"', str(data["tick"] + 1))
+    data["telemetry"][schedule] = json.loads(text)
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv(cli.TOKEN_ENV, token)
+    code = cli.main(["clock-advance", "2", "--state", str(path), "--tick-ms", "0"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 5 and len(lines) == 1
+    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: {schedule} ")

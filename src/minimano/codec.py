@@ -38,18 +38,32 @@ kind checked on load, in each table column and `one` object, and through
 takes an int, a bool is no number, and ``field(positive=True)`` takes only
 an integer above zero. A nested table is checked by its own codec.
 
-A flat row (no nested field) dumps as a tuple from one C-level
-`operator.attrgetter` and loads as ``cls(*row)``. A dump is for
-`json.dumps` only: its rows are tuples, which a load refuses, and it
-shares the lists and dicts inside the objects, so serialise it at once,
-before the world changes again.
+A table column declared ``field(ref=True)`` holds an id, the row's own
+or one it refers to (snapshot v5 and later). A save interns its strings
+in one `Ids` table, which the snapshot stores once as its top-level
+``ids`` list, and writes each cell as the string's index there (None
+stays null). The table is passed explicitly: every codec dumps as
+``dump(value, ids)`` and loads as ``load(data, ids)``. Within a table,
+nested tables are dumped first, in row order, then each ref column, left
+to right and top to bottom, so the same world always gives the same
+``ids``. A load resolves each index through `id_index` before it checks
+the column's kind: a cell that is no integer, or that names no entry (a
+negative index among them), is refused.
+
+A flat row without ref columns dumps as a tuple from one C-level
+`operator.attrgetter` and loads as ``cls(*row)``; a table with ref
+columns is read and written column by column. A dump is for `json.dumps`
+(or, within an upgrade, a load) only: its rows are tuples, and it shares
+the lists and dicts inside the objects, so serialise it at once, before
+the world changes again.
 
 Each codec also carries `upgrade`, which turns its snapshot v2 form, one
 object per row, into its v3 form; `upgrade_attrs` applies it to a schema
 table. A v2 row whose keys are not exactly the declared fields is an
-error, never dropped or filled. Older snapshots upgrade on load through
-a chain, v1 to v2 to v3 to v4 (`world._upgrade_v1`, `world._upgrade_v2`,
-`world._upgrade_v3`).
+error, never dropped or filled. A table codec names its record class as
+`row`. Older snapshots upgrade on load through a chain, v1 to v2 to v3
+to v4 to v5 (`world._upgrade_v1` to `world._upgrade_v4`); `layout` reads
+and writes the tables of the older versions.
 """
 
 from collections import namedtuple
@@ -57,27 +71,27 @@ from functools import cached_property
 from itertools import starmap
 from operator import attrgetter, itemgetter
 
-# `upgrade` takes the v2 form to the v3 form
-Codec = namedtuple("Codec", "dump load upgrade")
+# `upgrade` takes the v2 form to the v3 form; `row` is a table's record class
+Codec = namedtuple("Codec", "dump load upgrade row", defaults=(None,))
 
 
-def _same(value):
+def _same(value, ids=None):
     return value
 
 
 PLAIN = Codec(_same, _same, _same)
 _MISSING = object()
 # one field of a `record` class, as `fields` lists it
-Field = namedtuple("Field", "name default default_factory codec compare positive",
-                   defaults=(_MISSING, None, PLAIN, True, False))
+Field = namedtuple("Field", "name default default_factory codec compare positive ref",
+                   defaults=(_MISSING, None, PLAIN, True, False, False))
 
 
 def field(*, default=_MISSING, default_factory=None, codec=PLAIN, compare=True,
-          positive=False) -> Field:
+          positive=False, ref=False) -> Field:
     """A field's default, or the factory called for each new object, the
-    codec of a nested row collection, whether ``eq`` compares it, and
-    whether its integer must be above zero."""
-    return Field("", default, default_factory, codec, compare, positive)
+    codec of a nested row collection, whether ``eq`` compares it, whether
+    its integer must be above zero, and whether a table stores it in `Ids`."""
+    return Field("", default, default_factory, codec, compare, positive, ref)
 
 
 class FrozenInstanceError(AttributeError):
@@ -220,29 +234,94 @@ def _object(label, names, row, error=ValueError) -> dict:
 def one(cls, label=None, error=ValueError) -> Codec:
     """A single `cls` row, an object of exactly its fields (a missing one
     is an error, never a default), each of its kind; a bad one raises
-    `error` naming `label`."""
+    `error` naming `label`. Only its nested tables read `ids`."""
     specs = _specs(cls)
     names = [name for name, _ in specs]
     nested = [(name, codec) for name, codec in specs if codec is not PLAIN]
     label = label or cls.__name__
     return Codec(
-        lambda obj: {name: codec.dump(getattr(obj, name)) for name, codec in specs},
-        lambda row: cls(**{**check(cls, _object(label, names, row, error), label, error),
-                           **{name: codec.load(row[name]) for name, codec in nested}}),
+        lambda obj, ids: {name: codec.dump(getattr(obj, name), ids) for name, codec in specs},
+        lambda row, ids: cls(**{**check(cls, _object(label, names, row, error), label, error),
+                                **{name: codec.load(row[name], ids) for name, codec in nested}}),
         lambda row: {**row, **{name: codec.upgrade(row[name]) for name, codec in nested}},
     )
 
 
+class Ids(dict):
+    """The ``ids`` table a save fills: each interned string -> its index,
+    in the order first interned; None stays None."""
+
+    def __missing__(self, key):
+        if key is None:
+            return None
+        index = self[key] = len(self)
+        return index
+
+
+def id_index(table) -> dict:
+    """Index -> string of a snapshot's ``ids`` list, and None -> None: what
+    a load resolves ref cells through."""
+    if type(table) is not list or not set(map(type, table)) <= {str}:
+        raise ValueError("snapshot ids must be a list of strings")
+    return {**dict(enumerate(table)), None: None}
+
+
+def _refs(cls, names) -> list:
+    """The positions in `names` of the ref fields of `cls`."""
+    refs = {f.name for f in fields(cls) if f.ref}
+    return [i for i, name in enumerate(names) if name in refs]
+
+
+def _resolved(ids, column, label, name) -> list:
+    """The strings that the indices in `column` name in `ids`."""
+    try:
+        if set(map(type, column)) <= {int, type(None)}:
+            return list(map(ids.__getitem__, column))
+    except KeyError:
+        pass
+    bad = next(v for v in column if type(v) not in (int, type(None)) or v not in ids)
+    raise ValueError(f"{label} {name} must be an index into ids, got {bad!r}")
+
+
 def _checked_rows(label, names, data) -> list:
     """The rows of a table, checked against the header `names`."""
-    rows, width = data["rows"], len(names)
+    rows, width = _object(f"{label} table", ["fields", "rows"], data)["rows"], len(names)
     if data["fields"] != names:
         raise ValueError(f"{label} table fields {data['fields']!r} are not {names!r}")
-    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+    if type(rows) is not list or not set(map(type, rows)) <= {list, tuple}:
         raise ValueError(f"{label} table rows must be a list of lists")
     if not set(map(len, rows)) <= {width}:
         raise ValueError(f"{label} table rows must each hold {width} values")
     return rows
+
+
+def _loaded(cls, names, data, ids, refs, nested=()) -> list:
+    """The rows of a table of `cls` under the header `names`: the ref cells
+    at `refs` resolved through `ids`, each column checked by its field's
+    kind, and each nested table, (column, codec) in `nested`, loaded."""
+    rows = _checked_rows(cls.__name__, names, data)
+    if not rows:
+        return rows
+    columns = list(zip(*rows))
+    for i in refs:
+        columns[i] = _resolved(ids, columns[i], cls.__name__, names[i])
+    for name, column in zip(names, columns):
+        check_column(cls, name, column, cls.__name__)
+    for i, codec in nested:
+        columns[i] = [codec.load(value, ids) for value in columns[i]]
+    return list(zip(*columns)) if refs or nested else rows
+
+
+def _dumped(objs, getters, ids, refs, nested=()) -> list:
+    """The rows of `objs`, one column from each of `getters`: each nested
+    table, (column, codec) in `nested`, dumped, then each ref column at
+    `refs` interned in `ids`, column by column."""
+    columns = [map(getter, objs) for getter in getters]
+    for i, codec in nested:
+        columns[i] = [codec.dump(value, ids) for value in columns[i]]
+    for i in refs:
+        columns[i] = list(map(ids.__getitem__, columns[i]))
+    return list(zip(*columns))
 
 
 def _upgraded_rows(label, specs, rows) -> dict:
@@ -250,44 +329,34 @@ def _upgraded_rows(label, specs, rows) -> dict:
     names = [name for name, _ in specs]
     table = []
     for row in rows:
-        row = _object(f"a v2 {label} row", names, row)
+        row = _object(f"{label} row", names, row)
         table.append([codec.upgrade(row[name]) for name, codec in specs])
     return {"fields": names, "rows": table}
 
 
 class _Table:
     """The rows of `cls` as one table: `dump` takes the objects, `rows`
-    checks a table's rows for `load_row`, and `upgrade` takes the v2 row
-    objects."""
+    gives a table's rows checked and resolved for ``cls(*row)``, and
+    `upgrade` takes the v2 row objects."""
 
     def __init__(self, cls):
         self.cls = cls
         self.specs = specs = _specs(cls)
         self.names = [name for name, _ in specs]
-        self.nested = [(i, name, codec) for i, (name, codec) in enumerate(specs)
-                       if codec is not PLAIN]
-        if self.nested:
-            self.dump_row = lambda obj: [codec.dump(getattr(obj, name)) for name, codec in specs]
-            self.load_row = self._load_nested
+        self.getter = _tuple_getter(self.names)
+        self.getters = list(map(attrgetter, self.names))
+        self.nested = [(i, codec) for i, (_, codec) in enumerate(specs) if codec is not PLAIN]
+        self.refs = _refs(cls, self.names)
+
+    def dump(self, objs, ids) -> dict:
+        if self.refs or self.nested:
+            rows = _dumped(objs, self.getters, ids, self.refs, self.nested)
         else:
-            self.dump_row = _tuple_getter(self.names)
-            self.load_row = cls
+            rows = list(map(self.getter, objs))
+        return {"fields": list(self.names), "rows": rows}
 
-    def _load_nested(self, *row):
-        obj = self.cls(*row)
-        for i, name, codec in self.nested:
-            setattr(obj, name, codec.load(row[i]))
-        return obj
-
-    def dump(self, objs) -> dict:
-        return {"fields": list(self.names), "rows": list(map(self.dump_row, objs))}
-
-    def rows(self, data) -> list:
-        """The rows of a v3 table, each column checked by its field's kind."""
-        rows = _checked_rows(self.cls.__name__, self.names, data)
-        for name, column in zip(self.names, zip(*rows)):
-            check_column(self.cls, name, column, self.cls.__name__)
-        return rows
+    def rows(self, data, ids) -> list:
+        return _loaded(self.cls, self.names, data, ids, self.refs, self.nested)
 
     def upgrade(self, rows) -> dict:
         return _upgraded_rows(self.cls.__name__, self.specs, rows)
@@ -298,42 +367,47 @@ def layout(cls, names) -> Codec:
     older snapshot's (a name `cls` lacks is plain JSON), read and written
     as one dict per row: `load` checks a table and gives its rows as
     dicts, `dump` takes such dicts back to a table, and `upgrade` takes
-    v2 row objects to one. Nested tables stay JSON."""
+    v2 row objects to one. Given `ids`, the ref columns hold indices into
+    it; without, as before v5, the strings. Nested tables stay JSON."""
     codecs = dict(_specs(cls))
     specs = [(name, codecs.get(name, PLAIN)) for name in names]
-    label = cls.__name__
-    return Codec(
-        lambda rows: {"fields": list(names), "rows": [[row[name] for name in names]
-                                                      for row in rows]},
-        lambda data: [dict(zip(names, row)) for row in _checked_rows(label, names, data)],
-        lambda rows: _upgraded_rows(label, specs, rows),
-    )
+    refs, getters = _refs(cls, names), list(map(itemgetter, names))
+
+    def dump(rows, ids=None):
+        table = _dumped(rows, getters, ids, () if ids is None else refs)
+        return {"fields": list(names), "rows": table}
+
+    def load(data, ids=None):
+        rows = _loaded(cls, names, data, ids, () if ids is None else refs)
+        return [dict(zip(names, row)) for row in rows]
+
+    return Codec(dump, load, lambda rows: _upgraded_rows(cls.__name__, specs, rows))
 
 
 def keyed(cls, key) -> Codec:
     table = _Table(cls)
     key_of = itemgetter(table.names.index(key))
 
-    def load(data):
-        rows = table.rows(data)
-        return dict(zip(map(key_of, rows), starmap(table.load_row, rows)))
+    def load(data, ids):
+        rows = table.rows(data, ids)
+        return dict(zip(map(key_of, rows), starmap(cls, rows)))
 
-    return Codec(lambda rows: table.dump(rows.values()), load, table.upgrade)
+    return Codec(lambda rows, ids: table.dump(rows.values(), ids), load, table.upgrade, cls)
 
 
 def listed(cls) -> Codec:
     table = _Table(cls)
-    return Codec(table.dump, lambda data: list(starmap(table.load_row, table.rows(data))),
-                 table.upgrade)
+    return Codec(table.dump, lambda data, ids: list(starmap(cls, table.rows(data, ids))),
+                 table.upgrade, cls)
 
 
-def dump_attrs(owner, schema) -> dict:
-    return {name: codec.dump(getattr(owner, name)) for name, codec in schema.items()}
+def dump_attrs(owner, schema, ids) -> dict:
+    return {name: codec.dump(getattr(owner, name), ids) for name, codec in schema.items()}
 
 
-def load_attrs(owner, schema, data):
+def load_attrs(owner, schema, data, ids):
     for name, codec in schema.items():
-        setattr(owner, name, codec.load(data[name]))
+        setattr(owner, name, codec.load(data[name], ids))
 
 
 def upgrade_attrs(schema, data) -> dict:

@@ -63,19 +63,19 @@ _BLOCKED = object()
 @record
 class ResourceRecord:
     name: str
-    uuid: str
+    uuid: str = field(ref=True)
     type: str
     state: str  # IN_PROGRESS | COMPLETE | FAILED | DELETED
     attributes: dict = field(default_factory=dict)
-    physical_id: str | None = None
+    physical_id: str | None = field(default=None, ref=True)
     failure: str | None = None
 
 
 @record
 class Stack:
-    id: str
+    id: str = field(ref=True)
     name: str
-    tenant_id: str
+    tenant_id: str = field(ref=True)
     status: str
     bound: dict
     waves: list
@@ -101,8 +101,8 @@ class Stack:
 
 @record
 class StackRun:
-    stack_id: str
-    token_id: str
+    stack_id: str = field(ref=True)
+    token_id: str = field(ref=True)
     wave_idx: int = 0
     pos_idx: int = 0
     blocker: list | None = None  # ["wait", handle_id] | ["child", stack_id]
@@ -125,17 +125,15 @@ class StackRun:
 
 @record
 class WaitHandle:
-    id: str
-    stack_id: str
-    resource_name: str
+    id: str = field(ref=True)
+    stack_id: str = field(ref=True)
     signals: dict = field(default_factory=dict)  # signal id -> payload
 
 
 @record
 class WaitCondition:
-    handle_id: str
-    stack_id: str
-    resource_name: str
+    handle_id: str = field(ref=True)
+    stack_id: str = field(ref=True)
     required: int
     deadline: int
     outcome: str = "PENDING"  # PENDING | SUCCESS | TIMEOUT | FAILURE_SIGNALED
@@ -395,7 +393,7 @@ class StackEngine:
         return record
 
     def _deploy_wait_handle(self, run, stack, rdef, record, props):
-        handle = WaitHandle(id=record.uuid, stack_id=stack.id, resource_name=rdef.name)
+        handle = WaitHandle(id=record.uuid, stack_id=stack.id)
         self.handles[handle.id] = handle
         record.attributes = {"curl_cli": handle_url(handle.id), "handle_id": handle.id}
         return record
@@ -409,7 +407,6 @@ class StackEngine:
         condition = WaitCondition(
             handle_id=handle_id,
             stack_id=stack.id,
-            resource_name=rdef.name,
             required=props["count"],
             deadline=self.core.tick + props["timeout"],
         )
@@ -625,11 +622,11 @@ class StackEngine:
 
     # -- persistence ------------------------------------------------------------------------------------
 
-    def to_dict(self):
-        return dump_attrs(self, _SCHEMA)
+    def to_dict(self, ids):
+        return dump_attrs(self, _SCHEMA, ids)
 
-    def load_dict(self, data):
-        load_attrs(self, _SCHEMA, data)
+    def load_dict(self, data, ids):
+        load_attrs(self, _SCHEMA, data, ids)
         for stack in self.stacks.values():
             if any(type(wave) is not list or any(type(name) is not str for name in wave)
                    for wave in stack.waves):

@@ -64,13 +64,13 @@ def default_policy() -> dict:
 
 @record
 class Tenant:
-    id: str
+    id: str = field(ref=True)
     name: str
 
 
 @record
 class User:
-    id: str
+    id: str = field(ref=True)
     name: str
     salt: str
     digest: str
@@ -78,9 +78,8 @@ class User:
 
 @record
 class Token:
-    id: str
-    user_id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     roles: list
     expires_at: int
 
@@ -192,7 +191,6 @@ class IdentityService:
             raise AuthError(f"no role in tenant {tenant_name!r}")
         token = Token(
             id=self.core.new_hex(32),
-            user_id=user.id,
             tenant_id=tenant.id,
             roles=sorted(roles),
             expires_at=self.core.tick + DEFAULT_TOKEN_TTL,
@@ -238,11 +236,11 @@ class IdentityService:
 
     # -- persistence -------------------------------------------------------------
 
-    def to_dict(self):
-        return _STATE.dump(self.state)
+    def to_dict(self, ids):
+        return _STATE.dump(self.state, ids)
 
-    def load_dict(self, data):
-        self.state = _STATE.load(data)
+    def load_dict(self, data, ids):
+        self.state = _STATE.load(data, ids)
         for row in self.state.assignments:
             if type(row) is not list or len(row) != 3 or any(type(v) is not str for v in row):
                 raise ValueError(f"identity assignment {row!r} must be [user id, tenant id, role]")

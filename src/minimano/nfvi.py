@@ -43,7 +43,7 @@ _SIGNAL_RE = re.compile(r"^signal (\S+) (.+)$")
 
 @record
 class Host:
-    id: str
+    id: str = field(ref=True)
     vcpus: int = field(positive=True)
     ram_mib: int = field(positive=True)
     disk_gib: int = field(positive=True)
@@ -51,8 +51,8 @@ class Host:
 
 @record
 class Image:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
     payload_b64: str
     generic: bool = True
@@ -61,8 +61,8 @@ class Image:
 
 @record
 class Flavor:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
     vcpus: int = field(positive=True)
     ram_mib: int = field(positive=True)
@@ -71,8 +71,8 @@ class Flavor:
 
 @record
 class KeyPair:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
     public_key: str
     # the private half is returned once at creation and never stored
@@ -90,48 +90,47 @@ class SecurityGroupRule:
 
 @record
 class SecurityGroup:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
     rules: list = field(default_factory=list, codec=listed(SecurityGroupRule))
 
 
 @record
 class Instance:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
-    image_id: str
+    image_id: str = field(ref=True)
     flavor_name: str
-    host_id: str
+    host_id: str = field(ref=True)
     state: str  # BUILD | ACTIVE | FAILED | DELETED
     fixed_ips: dict  # network name -> address
     key_name: str | None
     security_groups: list
     user_data: str | None
     authorized_keys: list = field(default_factory=list)
-    ephemeral_image_b64: str | None = None
     ephemeral_files: dict = field(default_factory=dict)  # path -> text
     guest_log: list = field(default_factory=list)
-    created_at: int = 0
     attached_volumes: list = field(default_factory=list)
 
 
 @record
 class Network:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
     cidr: str
     gateway: str
     service_address: str
-    router_id: str | None = None  # a subnet attaches to at most one router
+    # a subnet attaches to at most one router
+    router_id: str | None = field(default=None, ref=True)
 
 
 @record
 class Router:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     name: str
     interfaces: list = field(default_factory=list)  # network ids
     external_gateway: bool = False
@@ -139,26 +138,26 @@ class Router:
 
 @record
 class FloatingIp:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     address: str
-    associated_instance: str | None = None
+    associated_instance: str | None = field(default=None, ref=True)
 
 
 @record
 class VolumeSnapshot:
-    id: str
+    id: str = field(ref=True)
     taken_at: int
     payload_b64: str
 
 
 @record
 class Volume:
-    id: str
-    tenant_id: str
+    id: str = field(ref=True)
+    tenant_id: str = field(ref=True)
     size_gib: int
     payload_b64: str = ""
-    attached_to: str | None = None
+    attached_to: str | None = field(default=None, ref=True)
     snapshots: list = field(default_factory=list, codec=listed(VolumeSnapshot))
 
 
@@ -277,7 +276,7 @@ class CloudProvider:
         if not isinstance(hosts, list):
             raise TemplateError(f"host inventory must be a list of objects, got {hosts!r}")
         for spec in hosts:
-            host = _HOST.load(spec)
+            host = _HOST.load(spec, None)  # an input row: no snapshot ids
             if host.id in self.hosts:
                 raise ConflictError(f"duplicate host id {host.id!r}")
             self.hosts[host.id] = host
@@ -569,11 +568,9 @@ class CloudProvider:
             key_name=key.name if key else None,
             security_groups=groups,
             user_data=spec.get("user_data"),
-            created_at=self.core.tick,
         )
         self.instances[instance.id] = instance
         self._charge(instance, 1)
-        instance.ephemeral_image_b64 = image.payload_b64
         if key is not None:
             # generic images carry no identity; keys land per instance
             instance.authorized_keys.append(key.public_key)
@@ -646,7 +643,6 @@ class CloudProvider:
         self._release_fixed_ips(instance.tenant_id, instance.fixed_ips)
         instance.state = "DELETED"
         instance.ephemeral_files = {}
-        instance.ephemeral_image_b64 = None
         instance.fixed_ips = {}
         for volume in self.volumes.values():
             if volume.attached_to == instance_id:
@@ -900,11 +896,11 @@ class CloudProvider:
 
     # -- persistence --------------------------------------------------------------------------------
 
-    def to_dict(self):
-        return dump_attrs(self, _SCHEMA)
+    def to_dict(self, ids):
+        return dump_attrs(self, _SCHEMA, ids)
 
-    def load_dict(self, data):
-        load_attrs(self, _SCHEMA, data)
+    def load_dict(self, data, ids):
+        load_attrs(self, _SCHEMA, data, ids)
         if type(self.objects) is not dict or any(type(v) is not str for v in self.objects.values()):
             raise ValueError("provider objects must be an object of base64 text")
         self._forget_derived()

@@ -40,7 +40,7 @@ def _unknown_setting(aggregate, comparison, action):
 class MetricSample:
     """One recorded value, never mutated once recorded."""
 
-    resource_id: str
+    resource_id: str = field(ref=True)
     metric: str
     value: float
     tick: int
@@ -48,7 +48,7 @@ class MetricSample:
 
 @record
 class AlarmDef:
-    id: str
+    id: str = field(ref=True)
     name: str
     metric: str
     aggregate: str
@@ -63,16 +63,15 @@ class AlarmDef:
 
 @record
 class ScalingGroup:
-    id: str
+    id: str = field(ref=True)
     name: str
-    tenant_id: str
+    tenant_id: str = field(ref=True)
     member_spec: dict  # instance launch spec
     min_size: int
     max_size: int
     desired: int
     members: list = field(default_factory=list)  # instance ids, oldest first
     member_seq: int = 0
-    stack_id: str | None = None
 
 
 @record
@@ -115,7 +114,8 @@ SCHEDULES = {"scheduled_metrics": ("tick", "metric", "value"), "scheduled_faults
 
 def check_schedule(name, entries, label, error=ValueError) -> list:
     """`entries` of the schedule `name`, once each is an object with the
-    keys it requires, a target, the kinds `ScheduledEntry` declares and a
+    keys it requires, a target, the kinds `ScheduledEntry` declares, a
+    `member_index` of 0 or more (never one counted from the end) and a
     known fault kind; otherwise `error` naming `label` and the index."""
     for index, entry in enumerate(entries):
         where = f"{label} {index}"
@@ -125,6 +125,8 @@ def check_schedule(name, entries, label, error=ValueError) -> list:
             if entry.get(key) is None:
                 raise error(f"{where} lacks {key!r}")
         check(ScheduledEntry, entry, where, error)
+        if (entry.get("member_index") or 0) < 0:
+            raise error(f"{where} member_index must not be negative, got {entry['member_index']}")
         if entry.get("group") is None and entry.get("resource") is None:
             raise error(f"{where} names neither a 'group' nor a 'resource'")
         if entry.get("kind") not in (None, *FAULT_KINDS):
@@ -249,8 +251,7 @@ class TelemetryService:
 
     # -- scaling groups -----------------------------------------------------------
 
-    def create_group(self, name, tenant_id, member_spec, min_size, max_size, desired,
-                     stack_id=None):
+    def create_group(self, name, tenant_id, member_spec, min_size, max_size, desired):
         if name in self.groups:
             raise ConflictError(f"scaling group {name!r} already exists")
         check(ScalingGroup, {"member_spec": member_spec}, f"scaling group {name!r}", ConflictError)
@@ -259,7 +260,7 @@ class TelemetryService:
         group = ScalingGroup(
             id=self.core.new_uuid(), name=name, tenant_id=tenant_id,
             member_spec=dict(member_spec), min_size=min_size, max_size=max_size,
-            desired=desired, stack_id=stack_id,
+            desired=desired,
         )
         self.groups[name] = group
         for _ in range(desired):
@@ -409,11 +410,11 @@ class TelemetryService:
 
     # -- persistence -------------------------------------------------------------------------
 
-    def to_dict(self):
-        return dump_attrs(self, _SCHEMA)
+    def to_dict(self, ids):
+        return dump_attrs(self, _SCHEMA, ids)
 
-    def load_dict(self, data):
-        load_attrs(self, _SCHEMA, data)
+    def load_dict(self, data, ids):
+        load_attrs(self, _SCHEMA, data, ids)
         for name in SCHEDULES:
             check_schedule(name, getattr(self, name), f"{name} entry")
         for alarm in self.alarms.values():

@@ -315,7 +315,7 @@ def test_connectivity_check_verb(runner):
 def _without(section, key):
     data = TEMPLATES.parent / "tests" / "data"
     scenario = json.loads((data / "autonomic_scenario.json").read_text())
-    del scenario[section][0][key]
+    scenario[section][0].pop(key, None)
     return scenario
 
 
@@ -343,12 +343,15 @@ def _with(section, key, value):
     _with("metrics", "group", []),
     _with("faults", "member_index", "x"),
     _with("faults", "kind", "reboot"),
+    _with("faults", "member_index", -1),
+    _with("metrics", "member_index", -1),
 ], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer",
         "setup-not-an-object", "images-not-a-list", "healer-not-an-object",
         "hosts-not-a-list", "host-without-vcpus", "healer-interval-zero",
         "healer-interval-not-an-integer", "host-with-negative-vcpus",
         "seed-not-an-integer", "group-member-not-an-object", "alarm-threshold-not-a-number",
-        "metric-group-a-list", "fault-member_index-not-an-integer", "fault-kind-unknown"])
+        "metric-group-a-list", "fault-member_index-not-an-integer", "fault-kind-unknown",
+        "fault-member_index-negative", "metric-member_index-negative"])
 def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -399,7 +402,7 @@ def _state_v1(edit):
 
 
 def _state_v3(edit):
-    """The v1 fixture as v3 saves it, then edited."""
+    """The v1 fixture as the package saves it, then edited."""
     world = load_world(str(TEMPLATES.parent / "tests" / "data" / "state_v1.json"))
     state = json.loads(json.dumps(world.to_snapshot()))
     edit(state)
@@ -505,7 +508,7 @@ def test_identity_without_policy_is_malformed_not_unauthorized(tmp_path, monkeyp
     path = tmp_path / "state.json"
     monkeypatch.setenv(cli.STATE_ENV, str(path))
     state = _state_v3(lambda s: None)
-    monkeypatch.setenv(cli.TOKEN_ENV, state["identity"]["tokens"]["rows"][0][0])
+    monkeypatch.setenv(cli.TOKEN_ENV, state["ids"][state["identity"]["tokens"]["rows"][0][0]])
     path.write_text(json.dumps(state))
     assert cli.main(["stack-list"]) == 0
     del state["identity"]["policy"]
@@ -567,9 +570,13 @@ def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column,
     rows = state["provider"][table]
     if column is None:  # a plain object of base64 text
         rows.update(dict.fromkeys(rows, "!!!x"))
-    else:  # a list column gets one name of nothing
+    else:  # a list column gets one name of nothing, an id column the index of one
         row, at = rows["rows"][0], rows["fields"].index(column)
-        row[at] = ["x"] if type(row[at]) is list else "x"
+        if column.endswith("_id"):
+            state["ids"].append("x")
+            row[at] = len(state["ids"]) - 1
+        else:
+            row[at] = ["x"] if type(row[at]) is list else "x"
     runner._state.write_text(json.dumps(state))
     argv = {"group-create": ("group-create", "db", *group),
             "net-create": ("net-create", "n2", "--cidr", "10.9.0.0/24"),
@@ -750,7 +757,7 @@ def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, te
     state = json.loads(runner._state.read_text())
     runs = state["engine"]["runs"]
     id_col, source_col = runs["fields"].index("stack_id"), runs["fields"].index("source")
-    (stored,) = [row for row in runs["rows"] if row[id_col] == stack_id]
+    (stored,) = [row for row in runs["rows"] if state["ids"][row[id_col]] == stack_id]
     stored[source_col] = "resources: ["
     runner._state.write_text(json.dumps(state, separators=(",", ":")))
     before = runner._state.read_bytes()
@@ -771,11 +778,11 @@ def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, te
 
 def _stored_sources(runner) -> dict:
     """Stack id -> the template text its run row holds in the saved file."""
-    saved = json.loads(runner._state.read_text())["engine"]
-    assert "source" not in saved["stacks"]["fields"]
-    runs = saved["runs"]
+    state = json.loads(runner._state.read_text())
+    assert "source" not in state["engine"]["stacks"]["fields"]
+    runs = state["engine"]["runs"]
     stack_col, source_col = runs["fields"].index("stack_id"), runs["fields"].index("source")
-    return {row[stack_col]: row[source_col] for row in runs["rows"]}
+    return {state["ids"][row[stack_col]]: row[source_col] for row in runs["rows"]}
 
 
 def _status(runner, stack_id) -> str:

@@ -17,7 +17,17 @@ from functools import cached_property
 import pytest
 
 from conftest import TEMPLATES
-from minimano.codec import PLAIN, FrozenInstanceError, field, fields, keyed, listed, record
+from minimano.codec import (
+    PLAIN,
+    FrozenInstanceError,
+    Ids,
+    field,
+    fields,
+    id_index,
+    keyed,
+    listed,
+    record,
+)
 from minimano.errors import MiniManoError
 from minimano.hot import parse_template
 from minimano.world import World
@@ -127,7 +137,7 @@ WORLDS = {"empty": empty_world, "fixture": fixture_world, "cached-doc": cached_d
 @pytest.mark.parametrize("name", WORLDS)
 def test_world_snapshot_round_trips_with_declared_headers(name):
     snapshot = round_trip(WORLDS[name]())
-    assert snapshot["v"] == 4
+    assert snapshot["v"] == 5
     assert_headers(snapshot)
 
 
@@ -175,17 +185,17 @@ def test_codec_nests_tables_and_keeps_one_field_rows():
         "a": Node("a", {"x": Leaf("x", 3), "y": Leaf("y")}, [Tag("t1"), Tag("t2")], "note"),
         "b": Node("b"),
     }
-    text = json.dumps(NODES.dump(nodes))
+    text = json.dumps(NODES.dump(nodes, Ids()))
     assert json.loads(text) == {"fields": ["id", "leaves", "tags", "note"], "rows": [
         ["a", {"fields": ["name", "size"], "rows": [["x", 3], ["y", 0]]},
          {"fields": ["label"], "rows": [["t1"], ["t2"]]}, "note"],
         ["b", {"fields": ["name", "size"], "rows": []}, {"fields": ["label"], "rows": []}, "-"],
     ]}
-    loaded = NODES.load(json.loads(text))
+    loaded = NODES.load(json.loads(text), {})
     assert list(loaded) == ["a", "b"]
     assert type(loaded["a"].leaves["x"]) is Leaf
     assert type(loaded["a"].tags[1]) is Tag and loaded["a"].tags[1].label == "t2"
-    assert json.dumps(NODES.dump(loaded)) == text
+    assert json.dumps(NODES.dump(loaded, Ids())) == text
 
 
 @pytest.mark.parametrize("table", [
@@ -199,7 +209,7 @@ def test_codec_nests_tables_and_keeps_one_field_rows():
         "row-a-string", "rows-not-a-list"])
 def test_a_table_that_is_not_the_declared_one_is_refused(table):
     with pytest.raises(ValueError):
-        listed(Leaf).load(table)
+        listed(Leaf).load(table, {})
 
 
 def test_v2_rows_upgrade_only_with_exactly_the_declared_fields():
@@ -331,9 +341,57 @@ def test_a_cached_property_field_is_computed_when_first_read_unless_given():
     assert lazy.text == "xxx" and lazy.computed
     given = Lazy("b", 3, "given")
     assert given.text == "given" and not hasattr(given, "computed")
-    table = listed(Lazy).dump([Lazy("c", 2), given])
+    table = listed(Lazy).dump([Lazy("c", 2), given], Ids())
     assert json.loads(json.dumps(table)) == {"fields": ["id", "size", "text"],
                                              "rows": [["c", 2, "xx"], ["b", 3, "given"]]}
-    loaded = listed(Lazy).load(json.loads(json.dumps(table)))
+    loaded = listed(Lazy).load(json.loads(json.dumps(table)), {})
     assert [(obj.id, obj.text) for obj in loaded] == [("c", "xx"), ("b", "given")]
     assert not any(hasattr(obj, "computed") for obj in loaded)
+
+
+@record
+class Part:
+    id: str = field(ref=True)
+    owner: str | None = field(default=None, ref=True)
+
+
+@record
+class Whole:
+    name: str
+    id: str = field(ref=True)
+    parts: list = field(default_factory=list, codec=listed(Part))
+
+
+WHOLES = listed(Whole)
+
+
+def test_ref_columns_store_each_string_once_nested_tables_first():
+    wholes = [Whole("w1", "a", [Part("p", "a"), Part("q")]), Whole("w2", "b", [Part("p", "b")])]
+    ids = Ids()
+    table = json.loads(json.dumps(WHOLES.dump(wholes, ids)))
+    # the nested tables in row order, each column by column, then the
+    # `id` column; a null is no id
+    assert list(ids) == ["p", "q", "a", "b"]
+    assert table == {"fields": ["name", "id", "parts"], "rows": [
+        ["w1", 2, {"fields": ["id", "owner"], "rows": [[0, 2], [1, None]]}],
+        ["w2", 3, {"fields": ["id", "owner"], "rows": [[0, 3]]}],
+    ]}
+    loaded = WHOLES.load(table, id_index(list(ids)))
+    assert [(w.name, w.id, [(p.id, p.owner) for p in w.parts]) for w in loaded] == [
+        ("w1", "a", [("p", "a"), ("q", None)]), ("w2", "b", [("p", "b")])]
+
+
+@pytest.mark.parametrize("cell", [-1, 4, True, 1.0, "a", None, [0]],
+                         ids=["negative", "past-the-end", "bool", "float", "text", "null",
+                              "list"])
+def test_a_ref_cell_that_names_no_entry_is_refused(cell):
+    table = {"fields": ["name", "id", "parts"], "rows": [["w", cell, {"fields": ["id", "owner"],
+                                                                     "rows": []}]]}
+    with pytest.raises(ValueError, match="Whole id must be"):
+        WHOLES.load(table, id_index(["p", "a", "q", "b"]))
+
+
+@pytest.mark.parametrize("ids", [["a", 1], ["a", None], "ab", {"0": "a"}])
+def test_an_ids_table_of_anything_but_strings_is_refused(ids):
+    with pytest.raises(ValueError, match="ids must be a list of strings"):
+        id_index(ids)

@@ -1,7 +1,10 @@
 """Behaviour digests: the sha256 of the event log and of the snapshot of
 whole scenario runs. The event-log digests were pinned from the package
-before its telemetry index existed. The snapshot digests are of the v4
-snapshot: the v3 snapshot of the same run passed through
+before its telemetry index existed. The snapshot digests are of the v5
+snapshot: the v4 snapshot of the same run passed through
+`world._upgrade_v4`, which drops six unread fields, stores the events as
+a table and each id once, in the `ids` table the id columns index into.
+The v4 digests were of the v3 snapshot passed through
 `world._upgrade_v3`, which moves the `source` column from the stacks
 table to the runs table (these runs create no stack, so only the two
 headers move). The v3 digests were of the v2 snapshot passed through
@@ -9,7 +12,9 @@ headers move). The v3 digests were of the v2 snapshot passed through
 the v2 digests of the v1 snapshot with `v` set to 2 and the three fields
 v2 dropped removed. The engine digest is of one seeded run of stacks
 whose wait conditions and nested stacks end in every way, pinned before
-the deployment walk settled each blocked resource in one step. A change
+the deployment walk settled each blocked resource in one step; its
+snapshot digest too is of the v4 snapshot passed through
+`world._upgrade_v4`. A change
 that alters what a run does, or what it saves, moves a digest.
 """
 
@@ -83,11 +88,11 @@ LONG_SCENARIO = {
 DIGESTS = {
     "autonomic_scenario": (
         "101400baec5e3d60dc36819277b005c6645e7904148e15f17036af1c053c0e9c",
-        "6c8d43b2881076970144b551d02773514fde23b930208c786ec29d015ac9298d",
+        "f0da65bf1f927b94de8de8675180697a8cbc4307359f839c4cdfa94a0b8d7344",
     ),
     "long_scenario": (
         "16a5c51574c813064b5721ec61ca7d896322bd2c940a5fc08f44f7c6c55827fd",
-        "2293631ad534bcd8245d49e91d4de2f3733bae1be50ad35109e3280d9d6250f3",
+        "a8a3bac89d166ebabe9efc6a953f7949ebf0514025b0a2f77736b3b926ffae03",
     ),
 }
 
@@ -253,7 +258,7 @@ resources:
 
 ENGINE_DIGEST = (
     "1eadc9bc458c87be4f137d518ed748db124f690f0123e8a362051e8ece71eed4",
-    "5aa559a3efec03c823516795acbdd6682e00bd3ca33c6c233c28ae6687b6ad40",
+    "2f5f0da774c177b5f4e7a0ec00b3aa67b55571e279c688ce2837e4cb37f5d5d2",
 )
 
 

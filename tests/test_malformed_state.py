@@ -1,12 +1,16 @@
 """Malformed state files, generated: every table cell of a small seeded
-state is set in turn to each of a few JSON values, and each mutated file
-is driven through `cli.main` for a fixed list of verbs.
+state, the events table's among them, and every entry of its `ids` table
+is set in turn to each of a few JSON values, and each mutated file is
+driven through `cli.main` for a fixed list of verbs.
 
 A value whose JSON kind its field's annotation rules out (or a size the
 field declares positive that is not) must be refused on load by every
-verb: exit 5 and one `error: state file ... is malformed:` line. Any other
-value may be accepted or refused, but only with a documented exit code and
-one `error:` line, never with an exception out of `cli.main`.
+verb: exit 5 and one `error: state file ... is malformed:` line. An id
+column (`REFS`) is read by its kind in the file, an index into `ids`: it
+admits an integer from 0 to the last entry, and null where the field
+admits None. An `ids` entry admits only text. Any other value may be
+accepted or refused, but only with a documented exit code and one
+`error:` line, never with an exception out of `cli.main`.
 """
 
 import json
@@ -33,6 +37,8 @@ from minimano.nfvi import (
 )
 from minimano.statefile import save_world
 from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
+from minimano.world import Event
+from test_state_v1 import REFS
 
 VALUES = ["x", -1, 0, None, 1.5, [], {}]
 EXIT_CODES = {0, 2, 3, 4, 5, 6}  # the documented ones
@@ -62,11 +68,17 @@ KINDS = {"str": {str}, "int": {int}, "float": {float, int}, "bool": {bool}, "lis
          "dict": {dict}, "None": {type(None)}}
 
 
-def admits(cls, name, value) -> bool:
+def admits(cls, name, value, ids) -> bool:
+    if cls is None:  # an entry of `ids`
+        return type(value) is str
     annotation = cls.__annotations__[name]
     text = annotation if isinstance(annotation, str) else getattr(
         annotation, "__name__", str(annotation))
     kinds = set().union(*(KINDS[part.strip()] for part in text.split("|")))
+    if name in REFS.get(cls, ()):
+        if value is None:
+            return type(None) in kinds
+        return type(value) is int and 0 <= value < len(ids)
     if type(value) not in kinds:
         return False
     return (cls, name) not in POSITIVE or value > 0
@@ -107,7 +119,8 @@ def verbs(ids) -> list:
 
 
 def cells(data):
-    """(label, class, field, row, column) of every table cell, nested tables too."""
+    """(label, class, field, row, column) of every table cell, nested tables
+    too, and of every `ids` entry, whose class is None."""
     def table(label, cls, data):
         for row in data["rows"]:
             for column, name in enumerate(data["fields"]):
@@ -119,9 +132,12 @@ def cells(data):
 
     for (section, name), cls in TABLES.items():
         yield from table(f"{section}.{name}", cls, data[section][name])
+    yield from table("events", Event, data["events"])
     healer = data["telemetry"]["healer"]
     for name in healer:
         yield "telemetry.healer", HealerConfig, name, healer, name
+    for index in range(len(data["ids"])):
+        yield "ids", None, "entry", data["ids"], index
 
 
 def mutations(data):
@@ -133,7 +149,7 @@ def mutations(data):
     for label, cls, name, row, column in cells(data):
         original = row[column]
         for value in VALUES:
-            refused = not admits(cls, name, value)
+            refused = not admits(cls, name, value, data["ids"])
             key = (label, name, json.dumps(value))
             if refused and key in tried:
                 continue
@@ -185,15 +201,17 @@ def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
     ("scheduled_metrics", [{"tick": "T+1", "group": "g", "metric": "cpu_util", "value": "x"}]),
     ("scheduled_faults", [{"tick": "T+1", "group": "g", "member_index": "x"}]),
     ("scheduled_faults", [{"tick": "T+1", "group": "g", "kind": "reboot"}]),
+    ("scheduled_faults", [{"tick": "T+1", "group": "g", "member_index": -1}]),
     ("scheduled_faults", [["T+1", "g"]]),
     ("scheduled_faults", {"tick": "T+1"}),
 ], ids=["metric-lacks-metric", "metric-names-no-target", "metric-group-a-list",
         "metric-value-not-a-number", "fault-member_index-not-an-integer", "fault-kind-unknown",
-        "fault-not-an-object", "faults-not-a-list"])
+        "fault-member_index-negative", "fault-not-an-object", "faults-not-a-list"])
 def test_a_malformed_schedule_entry_is_refused_on_load(tmp_path, monkeypatch, capsys, schedule,
                                                        entries):
     """An entry for the next tick: each made `clock-advance` end in an
-    exception, or fail there on every later call."""
+    exception, or fail there on every later call; a negative
+    `member_index` silently targeted the youngest member."""
     path = tmp_path / "state.json"
     token, _ = build_state(path)
     data = json.loads(path.read_text())

@@ -13,9 +13,12 @@ fixture. Its v3 form stores each registry as a table: `fields` lists the
 record fields in order and each row the values in that order, nested
 tables included; a v3 stack kept its template `source` after its
 `status`. Its v4 form moves each stack's `source` to the end of its
-pending run's row, and drops it from a stack whose run has ended. Every
-registry value and nested row must load as its record class (a decoder
-that left rows as dicts would still round-trip the bytes).
+pending run's row, and drops it from a stack whose run has ended. Its v5
+form drops six fields that nothing read, stores the events as one table,
+and writes each id column's cell as an index into one `ids` list (see
+`v5_text`). Every registry value and nested row must load as its record
+class (a decoder that left rows as dicts would still round-trip the
+bytes).
 """
 
 import copy
@@ -43,7 +46,7 @@ from minimano.nfvi import (
 )
 from minimano.statefile import load_world, save_world
 from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
-from minimano.world import World, _upgrade_v1, _upgrade_v2
+from minimano.world import Event, World, _upgrade_v1, _upgrade_v2, _upgrade_v3
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 FIXTURE = Path(__file__).resolve().parent / "data" / "state_v1.json"
@@ -63,6 +66,32 @@ REGISTRIES = {
                "handles": (WaitHandle, {}), "conditions": (WaitCondition, {})},
     "telemetry": {"samples": (MetricSample, {}), "alarms": (AlarmDef, {}),
                   "groups": (ScalingGroup, {}), "generators": (LoadGenerator, {})},
+}
+
+
+# the columns v5 stores as indices into its `ids` list: every id, and
+# every column that names a row by its id
+REFS = {
+    Tenant: {"id"}, User: {"id"}, Token: {"id", "tenant_id"},
+    Host: {"id"}, Image: {"id", "tenant_id"}, Flavor: {"id", "tenant_id"},
+    KeyPair: {"id", "tenant_id"}, SecurityGroup: {"id", "tenant_id"}, SecurityGroupRule: set(),
+    Instance: {"id", "tenant_id", "image_id", "host_id"},
+    Network: {"id", "tenant_id", "router_id"}, Router: {"id", "tenant_id"},
+    FloatingIp: {"id", "tenant_id", "associated_instance"}, VolumeSnapshot: {"id"},
+    Volume: {"id", "tenant_id", "attached_to"},
+    Stack: {"id", "tenant_id"}, ResourceRecord: {"uuid", "physical_id"},
+    StackRun: {"stack_id", "token_id"}, WaitHandle: {"id", "stack_id"},
+    WaitCondition: {"handle_id", "stack_id"},
+    MetricSample: {"resource_id"}, AlarmDef: {"id"}, ScalingGroup: {"id", "tenant_id"},
+    LoadGenerator: set(), Event: {"subject"},
+}
+# the fields that v5 dropped, as v2 to v4 held them: the field each followed
+V4_DROPPED = {
+    Token: {"user_id": "id"},
+    Instance: {"ephemeral_image_b64": "authorized_keys", "created_at": "guest_log"},
+    ScalingGroup: {"stack_id": "member_seq"},
+    WaitHandle: {"resource_name": "stack_id"},
+    WaitCondition: {"resource_name": "stack_id"},
 }
 
 
@@ -141,8 +170,11 @@ def v2_text(v1_text) -> str:
 
 def v3_names(cls) -> list:
     """The v3 header of a `cls` table: v3 kept a stack's `source` after its
-    `status`, and none in a run."""
-    names = [f.name for f in fields(cls)]
+    `status`, none in a run, and the fields v5 dropped."""
+    names = []
+    for f in fields(cls):
+        names += [f.name, *(name for name, prior in V4_DROPPED.get(cls, {}).items()
+                            if prior == f.name)]
     if cls is Stack:
         names.insert(names.index("status") + 1, "source")
     if cls is StackRun:
@@ -184,23 +216,61 @@ def v4_text(v3) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
+def v5_text(v4) -> str:
+    """A v4 snapshot's text as v5 writes it. Each table keeps the fields
+    v5 declares, which drops the six that nothing read, and the events
+    become a table of the same four keys. Each `REFS` cell then becomes an
+    index into one `ids` list, which ends the snapshot, and null stays
+    null. A string is listed where it is first seen: table by table in
+    snapshot order, the events last, a table's nested tables before its
+    own columns, and each column from top to bottom."""
+    data = json.loads(v4)
+    data["v"] = 5
+    ids = {}
+
+    def table(data, cls, nested):
+        names = [f.name for f in fields(cls)]
+        rows = [dict(zip(data["fields"], row)) for row in data["rows"]]
+        for column, row_cls in nested.items():
+            for row in rows:
+                row[column] = table(row[column], row_cls, {})
+        for name in names:
+            for row in rows:
+                if name in REFS[cls] and row[name] is not None:
+                    row[name] = ids.setdefault(row[name], len(ids))
+        return {"fields": names, "rows": [[row[name] for name in names] for row in rows]}
+
+    for section, registries in REGISTRIES.items():
+        for name, (cls, nested) in registries.items():
+            data[section][name] = table(data[section][name], cls, nested)
+    keys = ["tick", "kind", "subject", "detail"]
+    events = {"fields": keys, "rows": [[event[key] for key in keys] for event in data["events"]]}
+    data["events"] = table(events, Event, {})
+    data["ids"] = list(ids)
+    return json.dumps(data, separators=(",", ":"))
+
+
 def fixture_texts() -> tuple:
-    """The v1 fixture, the v2 fixture, and the v3 and v4 forms of both."""
+    """The v1 fixture, the v2 fixture, and the v3, v4 and v5 forms of both."""
     v1, v2 = FIXTURE.read_text(encoding="utf-8"), FIXTURE_V2.read_text(encoding="utf-8")
     v3 = v3_text(v2)
-    return v1, v2, v3, v4_text(v3)
+    v4 = v4_text(v3)
+    return v1, v2, v3, v4, v5_text(v4)
 
 
 def test_fixture_upgrades_to_v3_on_load():
-    v1, v2, v3, _ = fixture_texts()
+    v1, v2, v3, *_ = fixture_texts()
     assert v2_text(v1) == v2  # the v2 fixture is what the v1 fixture means
     assert json.dumps(_upgrade_v1(json.loads(v1)), separators=(",", ":")) == v2
     assert json.dumps(_upgrade_v2(json.loads(v2)), separators=(",", ":")) == v3
 
 
 def test_fixture_upgrades_to_v4_on_load():
-    v1, _, _, v4 = fixture_texts()
-    assert dump(World.from_snapshot(json.loads(v1))) == v4
+    """On its way to v5: `state_v4`'s tests take it from there."""
+    v1, _, _, v4, v5 = fixture_texts()
+    upgraded = _upgrade_v3(_upgrade_v2(_upgrade_v1(json.loads(v1))))
+    assert json.dumps(upgraded, separators=(",", ":")) == v4
+    assert dump(World.from_snapshot(json.loads(v1))) == v5
     data = json.loads(v4)["engine"]
     assert "source" not in data["stacks"]["fields"]
     assert len(data["runs"]["rows"]) == 1  # the stack parked on its wait condition
@@ -214,7 +284,7 @@ def test_upgrade_v2_leaves_its_input_as_it_was():
 
 
 def test_fixture_is_what_the_builder_writes():
-    assert dump(build_fixture_world()) == fixture_texts()[3]
+    assert dump(build_fixture_world()) == fixture_texts()[4]
 
 
 def _assert_rows(registry, cls, key):
@@ -279,9 +349,9 @@ def saved_back(fixture, tmp_path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def test_a_v1_state_file_is_saved_back_as_v4(tmp_path):
-    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[3]
+def test_a_v1_state_file_is_saved_back_as_v5(tmp_path):
+    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[4]
 
 
-def test_a_v2_state_file_is_saved_back_as_v4(tmp_path):
-    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[3]
+def test_a_v2_state_file_is_saved_back_as_v5(tmp_path):
+    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[4]

@@ -510,6 +510,17 @@ def _noop(parser):
     pass
 
 
+def _count(text) -> int:
+    """An argparse type: an integer of 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _init_args(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hosts", help="JSON host inventory file")
@@ -665,7 +676,7 @@ VERBS = {
         lambda p: p.add_argument("ticks", type=int),
         "advance the logical clock"),
     "events-tail": (cmd_events_tail, False, "events:read",
-        lambda p: p.add_argument("-n", "--count", type=int, default=20),
+        lambda p: p.add_argument("-n", "--count", type=_count, default=20),
         "print the tail of the event log"),
     "scenario-run": (cmd_scenario_run, None, None,
         lambda p: (p.add_argument("file"),
@@ -681,7 +692,7 @@ def _common_parser():
     common.add_argument("--state", default=None, help="state file path (or MINIMANO_STATE)")
     common.add_argument("--token", default=None, help="auth token (or MINIMANO_TOKEN)")
     common.add_argument("--format", choices=["table", "machine"], default="table")
-    common.add_argument("--tick-ms", type=int, default=100,
+    common.add_argument("--tick-ms", type=_count, default=100,
                         help="wall milliseconds per tick while blocking")
     return common
 

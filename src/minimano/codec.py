@@ -21,15 +21,14 @@ maps each attribute to a `Codec`. The kinds:
 - `listed(cls)`: a list of rows, stored as a table;
 - `PLAIN`: JSON data, stored as it is.
 
-A table (snapshot v3 and later) is ``{"fields": [...], "rows": [[...], ...]}``.
-`fields` names the record's fields in declaration order, taken from
-`fields(cls)` (so a cached property in an object's ``__dict__`` is
-stored only when it is a declared field), and each row lists one
-object's values in that order. A nested table, the value of a field
-with a `keyed` or `listed` codec, sits in its row's column. Loading
-checks that `fields` is exactly the declared list and that every row is
-a list of that many values: a dict or a string row of the right length
-would otherwise load.
+A table is ``{"fields": [...], "rows": [[...], ...]}``. `fields` names
+the record's fields in declaration order, taken from `fields(cls)` (so a
+cached property in an object's ``__dict__`` is stored only when it is a
+declared field), and each row lists one object's values in that order.
+A nested table, the value of a field with a `keyed` or `listed` codec,
+sits in its row's column. Loading checks that `fields` is exactly the
+declared list and that every row is a list of that many values: a dict
+or a string row of the right length would otherwise load.
 
 A field's annotation (``str``, ``int``, ``float``, ``bool``, ``list``,
 ``dict``, or a ``|`` union of them and ``None``, also as text) is the JSON
@@ -39,31 +38,27 @@ takes an int, a bool is no number, and ``field(positive=True)`` takes only
 an integer above zero. A nested table is checked by its own codec.
 
 A table column declared ``field(ref=True)`` holds an id, the row's own
-or one it refers to (snapshot v5 and later). A save interns its strings
-in one `Ids` table, which the snapshot stores once as its top-level
-``ids`` list, and writes each cell as the string's index there (None
-stays null). The table is passed explicitly: every codec dumps as
-``dump(value, ids)`` and loads as ``load(data, ids)``. Within a table,
-nested tables are dumped first, in row order, then each ref column, left
-to right and top to bottom, so the same world always gives the same
-``ids``. A load resolves each index through `id_index` before it checks
-the column's kind: a cell that is no integer, or that names no entry (a
-negative index among them), is refused.
+or one it refers to. A save interns its strings in one `Ids` table,
+which the snapshot stores once as its top-level ``ids`` list, and writes
+each cell as the string's index there (None stays null). The table is
+passed explicitly: every codec dumps as ``dump(value, ids)`` and loads
+as ``load(data, ids)``. Within a table, nested tables are dumped first,
+in row order, then each ref column, left to right and top to bottom, so
+the same world always gives the same ``ids``. A load resolves each index
+through `id_index` before it checks the column's kind: a cell that is
+no integer, or that names no entry (a negative index among them), is
+refused.
 
-A flat row without ref columns dumps as a tuple from one C-level
-`operator.attrgetter` and loads as ``cls(*row)``; a table with ref
-columns is read and written column by column. A dump is for `json.dumps`
-(or, within an upgrade, a load) only: its rows are tuples, and it shares
-the lists and dicts inside the objects, so serialise it at once, before
-the world changes again.
+Every table, `keyed`, `listed` and `layout` alike, is read and written
+by one table codec, column by column; `keyed` and `listed` build objects
+from its rows and `layout` builds dicts. A dump is for `json.dumps` (or a
+load) only: its rows are tuples, and it shares the lists and dicts
+inside the objects, so serialise it at once, before the world changes
+again. A table codec names its record class as `row`.
 
-Each codec also carries `upgrade`, which turns its snapshot v2 form, one
-object per row, into its v3 form; `upgrade_attrs` applies it to a schema
-table. A v2 row whose keys are not exactly the declared fields is an
-error, never dropped or filled. A table codec names its record class as
-`row`. Older snapshots upgrade on load through a chain, v1 to v2 to v3
-to v4 to v5 (`world._upgrade_v1` to `world._upgrade_v4`); `layout` reads
-and writes the tables of the older versions.
+The codec knows only the current snapshot format. The layouts of older
+snapshots, and the chain that upgrades them on load, live in `world`;
+`layout` reads and writes their tables.
 """
 
 from collections import namedtuple
@@ -71,15 +66,15 @@ from functools import cached_property
 from itertools import starmap
 from operator import attrgetter, itemgetter
 
-# `upgrade` takes the v2 form to the v3 form; `row` is a table's record class
-Codec = namedtuple("Codec", "dump load upgrade row", defaults=(None,))
+# `row` is a table's record class
+Codec = namedtuple("Codec", "dump load row", defaults=(None,))
 
 
 def _same(value, ids=None):
     return value
 
 
-PLAIN = Codec(_same, _same, _same)
+PLAIN = Codec(_same, _same)
 _MISSING = object()
 # one field of a `record` class, as `fields` lists it
 Field = namedtuple("Field", "name default default_factory codec compare positive ref",
@@ -223,7 +218,7 @@ def check(cls, row: dict, label: str, error=ValueError) -> dict:
     return row
 
 
-def _object(label, names, row, error=ValueError) -> dict:
+def exact_object(label, names, row, error=ValueError) -> dict:
     """`row`, a JSON object of exactly the keys `names`."""
     if type(row) is not dict or row.keys() != set(names):
         got = sorted(row) if type(row) is dict else type(row).__name__
@@ -241,9 +236,8 @@ def one(cls, label=None, error=ValueError) -> Codec:
     label = label or cls.__name__
     return Codec(
         lambda obj, ids: {name: codec.dump(getattr(obj, name), ids) for name, codec in specs},
-        lambda row, ids: cls(**{**check(cls, _object(label, names, row, error), label, error),
+        lambda row, ids: cls(**{**check(cls, exact_object(label, names, row, error), label, error),
                                 **{name: codec.load(row[name], ids) for name, codec in nested}}),
-        lambda row: {**row, **{name: codec.upgrade(row[name]) for name, codec in nested}},
     )
 
 
@@ -285,7 +279,7 @@ def _resolved(ids, column, label, name) -> list:
 
 def _checked_rows(label, names, data) -> list:
     """The rows of a table, checked against the header `names`."""
-    rows, width = _object(f"{label} table", ["fields", "rows"], data)["rows"], len(names)
+    rows, width = exact_object(f"{label} table", ["fields", "rows"], data)["rows"], len(names)
     if data["fields"] != names:
         raise ValueError(f"{label} table fields {data['fields']!r} are not {names!r}")
     if type(rows) is not list or not set(map(type, rows)) <= {list, tuple}:
@@ -295,110 +289,76 @@ def _checked_rows(label, names, data) -> list:
     return rows
 
 
-def _loaded(cls, names, data, ids, refs, nested=()) -> list:
-    """The rows of a table of `cls` under the header `names`: the ref cells
-    at `refs` resolved through `ids`, each column checked by its field's
-    kind, and each nested table, (column, codec) in `nested`, loaded."""
-    rows = _checked_rows(cls.__name__, names, data)
-    if not rows:
-        return rows
-    columns = list(zip(*rows))
-    for i in refs:
-        columns[i] = _resolved(ids, columns[i], cls.__name__, names[i])
-    for name, column in zip(names, columns):
-        check_column(cls, name, column, cls.__name__)
-    for i, codec in nested:
-        columns[i] = [codec.load(value, ids) for value in columns[i]]
-    return list(zip(*columns)) if refs or nested else rows
+def _table(cls, names, get, nested=()) -> Codec:
+    """The one table codec: rows of `cls` under the header `names`, read
+    and written column by column. `dump` reads each column from the rows
+    through `get(name)`, dumps each nested table, (column, codec) in
+    `nested`, then interns each ref column in `ids`; `load` gives the rows
+    as tuples, each ref cell resolved through `ids`, each column checked
+    by its field's kind and each nested table loaded. Without `ids` the
+    ref columns hold the strings themselves."""
+    refs, getters = _refs(cls, names), list(map(get, names))
+
+    def dump(objs, ids=None):
+        columns = [map(getter, objs) for getter in getters]
+        for i, codec in nested:
+            columns[i] = [codec.dump(value, ids) for value in columns[i]]
+        if ids is not None:
+            for i in refs:
+                columns[i] = list(map(ids.__getitem__, columns[i]))
+        return {"fields": list(names), "rows": list(zip(*columns))}
+
+    def load(data, ids=None):
+        rows = _checked_rows(cls.__name__, names, data)
+        if not rows:
+            return rows
+        columns = list(zip(*rows))
+        if ids is not None:
+            for i in refs:
+                columns[i] = _resolved(ids, columns[i], cls.__name__, names[i])
+        for name, column in zip(names, columns):
+            check_column(cls, name, column, cls.__name__)
+        for i, codec in nested:
+            columns[i] = [codec.load(value, ids) for value in columns[i]]
+        return list(zip(*columns))
+
+    return Codec(dump, load, cls)
 
 
-def _dumped(objs, getters, ids, refs, nested=()) -> list:
-    """The rows of `objs`, one column from each of `getters`: each nested
-    table, (column, codec) in `nested`, dumped, then each ref column at
-    `refs` interned in `ids`, column by column."""
-    columns = [map(getter, objs) for getter in getters]
-    for i, codec in nested:
-        columns[i] = [codec.dump(value, ids) for value in columns[i]]
-    for i in refs:
-        columns[i] = list(map(ids.__getitem__, columns[i]))
-    return list(zip(*columns))
-
-
-def _upgraded_rows(label, specs, rows) -> dict:
-    """v2 row objects as the table of the (name, codec) columns `specs`."""
-    names = [name for name, _ in specs]
-    table = []
-    for row in rows:
-        row = _object(f"{label} row", names, row)
-        table.append([codec.upgrade(row[name]) for name, codec in specs])
-    return {"fields": names, "rows": table}
-
-
-class _Table:
-    """The rows of `cls` as one table: `dump` takes the objects, `rows`
-    gives a table's rows checked and resolved for ``cls(*row)``, and
-    `upgrade` takes the v2 row objects."""
-
-    def __init__(self, cls):
-        self.cls = cls
-        self.specs = specs = _specs(cls)
-        self.names = [name for name, _ in specs]
-        self.getter = _tuple_getter(self.names)
-        self.getters = list(map(attrgetter, self.names))
-        self.nested = [(i, codec) for i, (_, codec) in enumerate(specs) if codec is not PLAIN]
-        self.refs = _refs(cls, self.names)
-
-    def dump(self, objs, ids) -> dict:
-        if self.refs or self.nested:
-            rows = _dumped(objs, self.getters, ids, self.refs, self.nested)
-        else:
-            rows = list(map(self.getter, objs))
-        return {"fields": list(self.names), "rows": rows}
-
-    def rows(self, data, ids) -> list:
-        return _loaded(self.cls, self.names, data, ids, self.refs, self.nested)
-
-    def upgrade(self, rows) -> dict:
-        return _upgraded_rows(self.cls.__name__, self.specs, rows)
+def _objects(cls) -> Codec:
+    """The table of `cls` objects under its declared fields, each nested
+    table by its field's codec."""
+    specs = _specs(cls)
+    nested = [(i, codec) for i, (_, codec) in enumerate(specs) if codec is not PLAIN]
+    return _table(cls, [name for name, _ in specs], attrgetter, nested)
 
 
 def layout(cls, names) -> Codec:
     """A table of `cls` rows under the header `names`, which may be an
     older snapshot's (a name `cls` lacks is plain JSON), read and written
     as one dict per row: `load` checks a table and gives its rows as
-    dicts, `dump` takes such dicts back to a table, and `upgrade` takes
-    v2 row objects to one. Given `ids`, the ref columns hold indices into
-    it; without, as before v5, the strings. Nested tables stay JSON."""
-    codecs = dict(_specs(cls))
-    specs = [(name, codecs.get(name, PLAIN)) for name in names]
-    refs, getters = _refs(cls, names), list(map(itemgetter, names))
-
-    def dump(rows, ids=None):
-        table = _dumped(rows, getters, ids, () if ids is None else refs)
-        return {"fields": list(names), "rows": table}
-
-    def load(data, ids=None):
-        rows = _loaded(cls, names, data, ids, () if ids is None else refs)
-        return [dict(zip(names, row)) for row in rows]
-
-    return Codec(dump, load, lambda rows: _upgraded_rows(cls.__name__, specs, rows))
+    dicts, and `dump` takes such dicts back to a table. Given `ids`, the
+    ref columns hold indices into it; without, the strings. Nested tables
+    stay JSON."""
+    table = _table(cls, names, itemgetter)
+    return Codec(table.dump,
+                 lambda data, ids=None: [dict(zip(names, row)) for row in table.load(data, ids)])
 
 
 def keyed(cls, key) -> Codec:
-    table = _Table(cls)
-    key_of = itemgetter(table.names.index(key))
+    table = _objects(cls)
+    key_of = itemgetter([f.name for f in fields(cls)].index(key))
 
     def load(data, ids):
-        rows = table.rows(data, ids)
+        rows = table.load(data, ids)
         return dict(zip(map(key_of, rows), starmap(cls, rows)))
 
-    return Codec(lambda rows, ids: table.dump(rows.values(), ids), load, table.upgrade, cls)
+    return Codec(lambda rows, ids: table.dump(rows.values(), ids), load, cls)
 
 
 def listed(cls) -> Codec:
-    table = _Table(cls)
-    return Codec(table.dump, lambda data, ids: list(starmap(cls, table.rows(data, ids))),
-                 table.upgrade, cls)
+    table = _objects(cls)
+    return Codec(table.dump, lambda data, ids: list(starmap(cls, table.load(data, ids))), cls)
 
 
 def dump_attrs(owner, schema, ids) -> dict:
@@ -408,7 +368,3 @@ def dump_attrs(owner, schema, ids) -> dict:
 def load_attrs(owner, schema, data, ids):
     for name, codec in schema.items():
         setattr(owner, name, codec.load(data[name], ids))
-
-
-def upgrade_attrs(schema, data) -> dict:
-    return {**data, **{name: codec.upgrade(data[name]) for name, codec in schema.items()}}

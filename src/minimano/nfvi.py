@@ -396,6 +396,9 @@ class CloudProvider:
             raise ConflictError(f"unknown protocol {protocol!r}")
         if direction not in DIRECTIONS:
             raise ConflictError(f"unknown direction {direction!r}")
+        if not 0 <= port_min <= port_max <= 65535:
+            raise ConflictError(f"port range {port_min}-{port_max} matches no port: it must "
+                                f"run upward within 0-65535")
         remote_cidr = remote_group = None
         try:
             ipaddress.ip_network(remote)

@@ -15,7 +15,8 @@ reference frees it at once, without waiting for the cycle collector.
 import random
 import weakref
 
-from .codec import Ids, check, check_column, field, fields, id_index, layout, record, upgrade_attrs
+from .codec import (Ids, check, check_column, exact_object, field, fields, id_index, layout,
+                    record)
 from .engine import _SCHEMA as _ENGINE_SCHEMA
 from .engine import Stack, StackEngine, StackRun, WaitCondition, WaitHandle
 from .errors import ConflictError
@@ -29,6 +30,10 @@ SNAPSHOT_VERSION = 5
 _IDENTITY_SCHEMA = {f.name: f.codec for f in fields(IdentityState)}
 
 
+def _names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
 @record
 class Event:
     """One entry of the event log, kept in memory as a dict of its fields."""
@@ -38,7 +43,7 @@ class Event:
     detail: dict
 
 
-_EVENTS = layout(Event, [f.name for f in fields(Event)])
+_EVENTS = layout(Event, _names(Event))
 
 
 def format_uuid4(n: int) -> str:
@@ -65,58 +70,72 @@ def _upgrade_v1(data: dict) -> dict:
     }
 
 
-def _layout_with(cls, **after):
-    """The layout of a `cls` table as an older version held it: each field
+def _header(cls, **after) -> list:
+    """The header of a `cls` table as an older version held it: each field
     it has since dropped sits after the field `after` names for it."""
     names = []
-    for f in fields(cls):
-        names += [f.name, *(dropped for dropped, prior in after.items() if prior == f.name)]
-    return layout(cls, names)
+    for name in _names(cls):
+        names += [name, *(dropped for dropped, prior in after.items() if prior == name)]
+    return names
 
 
 # the five tables whose unread fields v5 dropped, as v2 to v4 held them
-_V4_LAYOUTS = {
-    Token: _layout_with(Token, user_id="id"),
-    Instance: _layout_with(Instance, ephemeral_image_b64="authorized_keys",
-                           created_at="guest_log"),
-    ScalingGroup: _layout_with(ScalingGroup, stack_id="member_seq"),
-    WaitHandle: _layout_with(WaitHandle, resource_name="stack_id"),
-    WaitCondition: _layout_with(WaitCondition, resource_name="stack_id"),
+_V4_HEADERS = {
+    Token: _header(Token, user_id="id"),
+    Instance: _header(Instance, ephemeral_image_b64="authorized_keys", created_at="guest_log"),
+    ScalingGroup: _header(ScalingGroup, stack_id="member_seq"),
+    WaitHandle: _header(WaitHandle, resource_name="stack_id"),
+    WaitCondition: _header(WaitCondition, resource_name="stack_id"),
 }
+# and the two tables v4 changed, as v2 and v3 held them: a stack kept its
+# template `source` after its `status`, and a run kept none
+_V3_HEADERS = {
+    **_V4_HEADERS,
+    Stack: _header(Stack, source="status"),
+    StackRun: [name for name in _names(StackRun) if name != "source"],
+}
+# the snapshot's sections, each a World attribute and its subsystem's
+# schema, in the order a save interns their ids
+_SECTIONS = {"identity": _IDENTITY_SCHEMA, "provider": _PROVIDER_SCHEMA,
+             "engine": _ENGINE_SCHEMA, "telemetry": _TELEMETRY_SCHEMA}
 
 
-def _v4(schema) -> dict:
-    """A subsystem's schema as v2 to v4 held it."""
-    return {name: _V4_LAYOUTS.get(codec.row, codec) for name, codec in schema.items()}
+def _tables(data, upgrade) -> dict:
+    """The four sections of a snapshot, each of their tables turned by
+    `upgrade(row class, table)`."""
+    return {name: {**data[name], **{key: upgrade(codec.row, data[name][key])
+                                    for key, codec in schema.items() if codec.row is not None}}
+            for name, schema in _SECTIONS.items()}
 
 
-_STACK_FIELDS = [f.name for f in fields(Stack)]
-_RUN_FIELDS = [f.name for f in fields(StackRun)]
-# the two tables v4 changed, as v3 held them: a stack kept its template
-# `source` after its `status`, and a run kept none
-_V3_STACKS = _layout_with(Stack, source="status")
-_V3_RUNS = layout(StackRun, [name for name in _RUN_FIELDS if name != "source"])
+def _object_table(cls, rows) -> dict:
+    """Rows of `cls`, one object each as v2 stored every table (and v4 the
+    events), as one table under the header v3 held, each nested table
+    turned the same way. A row whose keys are not exactly the header is
+    an error, never dropped or filled."""
+    names = _V3_HEADERS.get(cls) or _names(cls)
+    nested = {f.name: f.codec.row for f in fields(cls) if f.codec.row is not None}
+    table = []
+    for row in rows:
+        row = exact_object(f"{cls.__name__} row", names, row)
+        table.append([_object_table(nested[name], row[name]) if name in nested else row[name]
+                      for name in names])
+    return {"fields": list(names), "rows": table}
 
 
 def _upgrade_v2(data: dict) -> dict:
     """A v2 snapshot in v3 form: v3 stores each registry as one table of
-    rows under a `fields` header, by the same layouts that load it (the
-    stacks and runs by their v3 layouts)."""
-    engine_schema = {**_v4(_ENGINE_SCHEMA), "stacks": _V3_STACKS, "runs": _V3_RUNS}
-    return {
-        **data, "v": 3,
-        "identity": upgrade_attrs(_v4(_IDENTITY_SCHEMA), data["identity"]),
-        "provider": upgrade_attrs(_v4(_PROVIDER_SCHEMA), data["provider"]),
-        "engine": upgrade_attrs(engine_schema, data["engine"]),
-        "telemetry": upgrade_attrs(_v4(_TELEMETRY_SCHEMA), data["telemetry"]),
-    }
+    rows under a `fields` header (the stacks and runs by their v3
+    headers)."""
+    return {**data, "v": 3, **_tables(data, _object_table)}
 
 
 def _upgrade_v3(data: dict) -> dict:
     """A v3 snapshot in v4 form: v4 keeps a stack's template `source` in
     the row of its pending run, and drops it where the run has ended."""
     engine = data["engine"]
-    stacks, runs = _V3_STACKS.load(engine["stacks"]), _V3_RUNS.load(engine["runs"])
+    stacks = layout(Stack, _V3_HEADERS[Stack]).load(engine["stacks"])
+    runs = layout(StackRun, _V3_HEADERS[StackRun]).load(engine["runs"])
     sources = {stack["id"]: stack.pop("source") for stack in stacks}
     check_column(StackRun, "source", sources.values(), "v3 stack")
     for run in runs:
@@ -125,8 +144,8 @@ def _upgrade_v3(data: dict) -> dict:
         run["source"] = sources[run["stack_id"]]
     return {**data, "v": 4, "engine": {
         **engine,
-        "stacks": layout(Stack, _STACK_FIELDS).dump(stacks),
-        "runs": layout(StackRun, _RUN_FIELDS).dump(runs),
+        "stacks": layout(Stack, _names(Stack)).dump(stacks),
+        "runs": layout(StackRun, _names(StackRun)).dump(runs),
     }}
 
 
@@ -134,18 +153,13 @@ def _v5_table(cls, data, ids) -> dict:
     """A v4 table of `cls` rows in v5 form: without the fields v5 dropped,
     each nested table in v5 form first, then each ref cell interned in
     `ids`, in the order a save interns them."""
-    names = [f.name for f in fields(cls)]
-    rows = _V4_LAYOUTS.get(cls, layout(cls, names)).load(data)
+    names = _names(cls)
+    rows = layout(cls, _V4_HEADERS.get(cls, names)).load(data)
     for f in fields(cls):
         if f.codec.row is not None:
             for row in rows:
                 row[f.name] = _v5_table(f.codec.row, row[f.name], ids)
     return layout(cls, names).dump(rows, ids)
-
-
-def _v5_tables(schema, data, ids) -> dict:
-    return {**data, **{name: _v5_table(codec.row, data[name], ids)
-                       for name, codec in schema.items() if codec.row is not None}}
 
 
 def _upgrade_v4(data: dict) -> dict:
@@ -155,11 +169,8 @@ def _upgrade_v4(data: dict) -> dict:
     ids = Ids()
     return {
         **data, "v": 5,
-        "identity": _v5_tables(_IDENTITY_SCHEMA, data["identity"], ids),
-        "provider": _v5_tables(_PROVIDER_SCHEMA, data["provider"], ids),
-        "engine": _v5_tables(_ENGINE_SCHEMA, data["engine"], ids),
-        "telemetry": _v5_tables(_TELEMETRY_SCHEMA, data["telemetry"], ids),
-        "events": _v5_table(Event, _EVENTS.upgrade(data["events"]), ids),
+        **_tables(data, lambda cls, table: _v5_table(cls, table, ids)),
+        "events": _v5_table(Event, _object_table(Event, data["events"]), ids),
         "ids": list(ids),
     }
 
@@ -221,17 +232,14 @@ class World:
 
     def to_snapshot(self) -> dict:
         state = self.rng.getstate()
-        ids = Ids()  # filled in the order of the sections below
+        ids = Ids()  # filled in the order of `_SECTIONS`, then the events
         return {
             "v": SNAPSHOT_VERSION,
             "seed": self.seed,
             "tick": self.tick,
             "rng_state": [state[0], list(state[1]), state[2]],
             "template_dir": self.engine.template_dir,
-            "identity": self.identity.to_dict(ids),
-            "provider": self.provider.to_dict(ids),
-            "engine": self.engine.to_dict(ids),
-            "telemetry": self.telemetry.to_dict(ids),
+            **{name: getattr(self, name).to_dict(ids) for name in _SECTIONS},
             "events": _EVENTS.dump(self.events, ids),
             "ids": list(ids),
         }
@@ -252,11 +260,12 @@ class World:
         ids = id_index(data["ids"])
         world = cls(seed=data["seed"], template_dir=data["template_dir"], _bootstrap=False)
         version, internal, gauss = data["rng_state"]
-        world.rng.setstate((version, tuple(internal), gauss))
+        try:
+            world.rng.setstate((version, tuple(internal), gauss))
+        except OverflowError:  # a word below zero or past 32 bits
+            raise ValueError("snapshot rng_state words must each fit in 32 bits") from None
         world.tick = data["tick"]
         world.events = _EVENTS.load(data["events"], ids)
-        world.identity.load_dict(data["identity"], ids)
-        world.provider.load_dict(data["provider"], ids)
-        world.engine.load_dict(data["engine"], ids)
-        world.telemetry.load_dict(data["telemetry"], ids)
+        for name in _SECTIONS:
+            getattr(world, name).load_dict(data[name], ids)
         return world

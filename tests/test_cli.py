@@ -211,6 +211,57 @@ def test_invalid_invocations_never_exit_zero(runner):
         assert code != 0, argv
 
 
+GATED_7 = ("heat_template_version: 2013-05-23\nresources:\n  handle:\n"
+           "    type: OS::Heat::WaitConditionHandle\n  gate:\n"
+           "    type: OS::Heat::WaitCondition\n    properties:\n"
+           "      handle: { get_resource: handle }\n      timeout: 7\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("stack-create", "gated", "-f", "{gated}", "--tick-ms", "-5"),
+    ("events-tail", "--count", "-1"),
+    ("events-tail", "-n", "-3", "--format", "machine"),
+], ids=["stack-create-tick-ms", "events-tail-count", "events-tail-n"])
+def test_a_negative_count_or_tick_length_is_a_usage_error(runner, tmp_path, capsys, argv):
+    """A negative `--tick-ms` ended a blocking create in a `time.sleep`
+    traceback, and `events-tail --count -1` printed every event but the
+    first."""
+    gated = tmp_path / "gated.yaml"
+    gated.write_text(GATED_7)
+    before = runner._state.read_bytes()
+    code = cli.main([arg.format(gated=gated) for arg in argv])  # no trailing --tick-ms 0
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert code == 2 and captured.out == "", captured
+    assert len(errors) == 1 and "must not be negative" in errors[0], captured.err
+    assert runner._state.read_bytes() == before
+
+
+def test_events_tail_count_zero_prints_every_event(runner):
+    assert runner("stack-create", "demo", "-f", str(TEMPLATES / "example2.yaml"))[0] == 0
+    events = load_world(str(runner._state)).events
+    assert len(events) > 1
+    code, out, _ = runner("events-tail", "-n", "0", "--format", "machine")
+    assert code == 0 and [json.loads(line) for line in out.splitlines()] == events
+    code, out, _ = runner("events-tail", "-n", "1", "--format", "machine")
+    assert code == 0 and [json.loads(line) for line in out.splitlines()] == events[-1:]
+
+
+@pytest.mark.parametrize("low, high", [(-5, 70000), (90, 10), (0, 65536), (-1, 22)],
+                         ids=["both-outside", "downward", "past-the-top", "below-zero"])
+def test_a_rule_whose_port_range_matches_nothing_is_refused(runner, low, high):
+    before = runner._state.read_bytes()
+    code, _, err = runner("secgroup-rule-add", "default", "--protocol", "tcp",
+                          "--port-min", str(low), "--port-max", str(high))
+    assert code == 2 and err.startswith("error: port range ") and err.count("\n") == 1, err
+    assert runner._state.read_bytes() == before
+    # the ranges criterion 7 draws rules from stay valid
+    for low, high in ((22, 22), (0, 65535), (80, 80)):
+        code, _, err = runner("secgroup-rule-add", "default", "--protocol", "tcp",
+                              "--port-min", str(low), "--port-max", str(high))
+        assert code == 0, err
+
+
 def test_private_key_shown_exactly_once(runner):
     code, out, _ = runner("keypair-create", "my_key2")
     assert out.count("SIMULATED PRIVATE KEY") == 2  # BEGIN and END of one block

@@ -212,15 +212,6 @@ def test_a_table_that_is_not_the_declared_one_is_refused(table):
         listed(Leaf).load(table, {})
 
 
-def test_v2_rows_upgrade_only_with_exactly_the_declared_fields():
-    codec = listed(Leaf)
-    assert codec.upgrade([{"size": 3, "name": "x"}]) == {"fields": ["name", "size"],
-                                                          "rows": [["x", 3]]}
-    for row in ({"name": "x"}, {"name": "x", "size": 3, "colour": "red"}, ["x", 3]):
-        with pytest.raises(ValueError):
-            codec.upgrade([row])
-
-
 def test_record_takes_positional_and_keyword_arguments_and_fills_defaults():
     node = Node("a", note="n")
     assert (node.id, node.leaves, node.tags, node.note) == ("a", {}, [], "n")

@@ -209,6 +209,18 @@ def test_remote_group_rule():
     assert not world.provider.check_connectivity(web.id, lb.id, "tcp", 8080).allowed
 
 
+@pytest.mark.parametrize("low, high", [(-5, 70000), (90, 10), (0, 65536), (-1, 0)])
+def test_a_rule_whose_port_range_matches_nothing_is_refused(low, high):
+    world, tenant = cloud()
+    (group,) = world.provider.secgroups.values()
+    rules = list(group.rules)
+    with pytest.raises(ConflictError, match="port range"):
+        world.provider.add_security_group_rule(tenant, "default", "tcp", low, high)
+    assert group.rules == rules
+    world.provider.add_security_group_rule(tenant, "default", "tcp", 0, 0)
+    world.provider.add_security_group_rule(tenant, "default", "tcp", 65535, 65535)
+
+
 def test_no_route_between_disconnected_networks():
     world, tenant = cloud()
     world.provider.create_network(tenant, "n1", "10.0.0.0/24")

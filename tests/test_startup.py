@@ -56,7 +56,7 @@ def _representative(verb):
         if action.choices:
             value = action.choices[-1]
         else:
-            value = "7" if action.type in (int, float) else f"{action.dest}-value"
+            value = "7" if action.type in (int, float, cli._count) else f"{action.dest}-value"
         if not action.option_strings:
             positionals.append(value)
         elif action.nargs == 0:

@@ -26,6 +26,9 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
+from minimano import cli
 from minimano.codec import fields
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
 from minimano.hot import Literal, TemplateDoc, parse_template
@@ -355,3 +358,54 @@ def test_a_v1_state_file_is_saved_back_as_v5(tmp_path):
 
 def test_a_v2_state_file_is_saved_back_as_v5(tmp_path):
     assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[4]
+
+
+# a top-level row and the two kinds of nested row of the v2 fixture: the
+# list that holds each
+V2_ROWS = {
+    "instance": lambda data: data["provider"]["instances"],
+    "secgroup-rule": lambda data: data["provider"]["secgroups"][0]["rules"],
+    "stack-record": lambda data: data["engine"]["stacks"][0]["records"],
+}
+V2_EDITS = {
+    "lacks-a-key": lambda row: dict(list(row.items())[1:]),
+    "extra-key": lambda row: {**row, "colour": "red"},
+    "a-list": lambda row: list(row.values()),
+}
+
+
+def v2_edited(edit) -> dict:
+    """The v2 fixture with the first row of each list in `V2_ROWS` that
+    `edit` names replaced by `edit[which](row)`."""
+    data = json.loads(FIXTURE_V2.read_text(encoding="utf-8"))
+    for which, change in edit.items():
+        rows = V2_ROWS[which](data)
+        rows[0] = change(rows[0])
+    return data
+
+
+@pytest.mark.parametrize("edit", V2_EDITS)
+@pytest.mark.parametrize("which", V2_ROWS)
+def test_a_v2_row_loads_only_with_exactly_its_header(tmp_path, monkeypatch, capsys, which,
+                                                      edit):
+    """A v2 row whose keys are not exactly its table's header is refused,
+    never dropped or filled, nested rows too."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(v2_edited({which: V2_EDITS[edit]})), encoding="utf-8")
+    monkeypatch.setenv(cli.STATE_ENV, str(path))
+    monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+    code = cli.main(["stack-list"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 5 and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: "), lines
+    assert "must be an object of exactly the fields" in lines[0], lines
+
+
+def test_v2_rows_with_their_keys_in_another_order_load(tmp_path):
+    """Only the set of keys must match the header: the rows above, each
+    with its keys reversed, save back as the fixture does."""
+    reverse = {which: lambda row: dict(reversed(row.items())) for which in V2_ROWS}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(v2_edited(reverse)), encoding="utf-8")
+    save_world(load_world(str(path)), str(path))
+    assert path.read_text(encoding="utf-8") == fixture_texts()[4]

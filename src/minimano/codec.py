@@ -33,7 +33,8 @@ or a string row of the right length would otherwise load.
 A field's annotation (``str``, ``int``, ``float``, ``bool``, ``list``,
 ``dict``, or a ``|`` union of them and ``None``, also as text) is the JSON
 kind checked on load, in each table column and `one` object, and through
-`check` at the other input boundaries, never in ``__init__``. A float
+`check` at the other input boundaries (`entries` decodes a list of input
+objects, such as a scenario section, by it), never in ``__init__``. A float
 takes an int, a bool is no number, and ``field(positive=True)`` takes only
 an integer above zero. A nested table is checked by its own codec.
 
@@ -216,6 +217,30 @@ def check(cls, row: dict, label: str, error=ValueError) -> dict:
         if kind and (type(value) not in kind[0] or kind[2] and value < 1):
             check_column(cls, name, (value,), label, error)
     return row
+
+
+def entries(data, cls, label, required, optional=(), error=ValueError, **rename) -> list:
+    """Each entry of the list `data` as keyword arguments of `cls`: its
+    `required` and `optional` keys, where a null value is absent and
+    `rename` maps a key to a field of another name, each of its field's
+    kind. Other keys are dropped. A bad entry raises `error` naming
+    `label` and the entry's index."""
+    if type(data) is not list:
+        raise error(f"{label} must be a list, got {data!r}")
+    keys = [(key, rename.get(key, key)) for key in (*required, *optional)]
+    decoded = []
+    for index, entry in enumerate(data):
+        where = f"{label} entry {index}"
+        if type(entry) is not dict:
+            raise error(f"{where} must be an object, got {entry!r}")
+        values = {}
+        for key, name in keys:
+            if (value := entry.get(key)) is not None:
+                values[name] = value
+            elif key in required:
+                raise error(f"{where} lacks {key!r}")
+        decoded.append(check(cls, values, where, error))
+    return decoded
 
 
 def exact_object(label, names, row, error=ValueError) -> dict:

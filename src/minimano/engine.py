@@ -201,7 +201,7 @@ class StackEngine:
             created_at=self.core.tick,
         )
         self.stacks[stack.id] = stack
-        self.core.emit("stack.create.start", stack.id, stack=stack.id, name=name)
+        self.core.emit("stack.create.start", stack=stack.id, name=name)
         run = StackRun(stack_id=stack.id, token_id=token, template_dir=template_dir)
         run.doc = doc
         self.runs[stack.id] = run
@@ -233,10 +233,8 @@ class StackEngine:
                     type=rdef.resource_type,
                     state="IN_PROGRESS",
                 )
-                self.core.emit(
-                    "resource.create.start", f"{stack.id}/{rname}",
-                    stack=stack.id, resource=rname, type=rdef.resource_type,
-                )
+                self.core.emit("resource.create.start",
+                               stack=stack.id, resource=rname, type=rdef.resource_type)
             record = stack.records[rname]
             try:
                 if run.blocker is None:
@@ -246,10 +244,8 @@ class StackEngine:
             except MiniManoError as exc:
                 record.state = "FAILED"
                 record.failure = exc.message
-                self.core.emit(
-                    "resource.create.failed", f"{stack.id}/{rname}",
-                    stack=stack.id, resource=rname, reason=exc.message,
-                )
+                self.core.emit("resource.create.failed",
+                               stack=stack.id, resource=rname, reason=exc.message)
                 self._end_create(stack, CREATE_FAILED, f"resource {rname}: {exc.message}")
                 return
             if result is _BLOCKED:
@@ -287,12 +283,12 @@ class StackEngine:
             record.attributes = {"data": json.dumps(
                 {sid: p.get("data", "") for sid, p in signals.items() if p["status"] == "SUCCESS"}
             )}
-            self.core.emit("wait.success", ref, **detail)
+            self.core.emit("wait.success", **detail)
             return record
         if condition.outcome == "FAILURE_SIGNALED":
-            self.core.emit("wait.failure", ref, **detail)
+            self.core.emit("wait.failure", **detail)
             raise DeployError("wait condition received a FAILURE signal")
-        self.core.emit("wait.timeout", ref, **detail)
+        self.core.emit("wait.timeout", **detail)
         raise DeployError("wait condition timed out")
 
     def _resume(self, stack_id, blocker):
@@ -313,10 +309,8 @@ class StackEngine:
         ids, attrs = stack.deployed
         ids[record.name] = record.uuid
         attrs[record.name] = record.attributes
-        self.core.emit(
-            "resource.create.complete", f"{stack.id}/{record.name}",
-            stack=stack.id, resource=record.name, type=record.type,
-        )
+        self.core.emit("resource.create.complete",
+                       stack=stack.id, resource=record.name, type=record.type)
 
     def _finalize_create(self, run: StackRun, stack: Stack):
         outputs = run.doc.outputs  # a source that fails to parse is not an output failure
@@ -333,10 +327,10 @@ class StackEngine:
         parent run that may be blocked on it."""
         stack.status = status
         if status == CREATE_COMPLETE:
-            self.core.emit("stack.create.complete", stack.id, stack=stack.id, name=stack.name)
+            self.core.emit("stack.create.complete", stack=stack.id, name=stack.name)
         else:
             stack.failure_reason = reason
-            self.core.emit("stack.create.failed", stack.id, stack=stack.id, reason=reason)
+            self.core.emit("stack.create.failed", stack=stack.id, reason=reason)
         self.runs.pop(stack.id, None)
         if stack.parent is not None:
             self._resume(stack.parent[0], ["child", stack.id])
@@ -469,17 +463,11 @@ class StackEngine:
         payload = self._validate_signal_payload(payload)
         condition = self.conditions.get(handle_id)
         if condition is not None and condition.outcome != "PENDING":
-            self.core.emit(
-                "wait.signal.ignored", handle_id,
-                handle=handle_id, reason="already resolved",
-            )
+            self.core.emit("wait.signal.ignored", handle=handle_id, reason="already resolved")
             return "ignored-already-resolved"
         signal_id = payload.get("id") or str(len(handle.signals) + 1)
         handle.signals[signal_id] = payload
-        self.core.emit(
-            "wait.signal", handle_id,
-            handle=handle_id, id=signal_id, status=payload["status"],
-        )
+        self.core.emit("wait.signal", handle=handle_id, id=signal_id, status=payload["status"])
         if condition is not None:
             self._resume(condition.stack_id, ["wait", handle_id])
         return "recorded"
@@ -519,7 +507,7 @@ class StackEngine:
 
     def _delete(self, stack: Stack, token) -> str:
         stack.status = DELETE_IN_PROGRESS
-        self.core.emit("stack.delete.start", stack.id, stack=stack.id, name=stack.name)
+        self.core.emit("stack.delete.start", stack=stack.id, name=stack.name)
         problems = []
         for wave in reversed(stack.waves):
             for rname in reversed(wave):
@@ -535,10 +523,10 @@ class StackEngine:
         if problems:
             stack.status = DELETE_FAILED
             stack.failure_reason = "; ".join(problems)
-            self.core.emit("stack.delete.failed", stack.id, stack=stack.id, reason=stack.failure_reason)
+            self.core.emit("stack.delete.failed", stack=stack.id, reason=stack.failure_reason)
         else:
             stack.status = DELETE_COMPLETE
-            self.core.emit("stack.delete.complete", stack.id, stack=stack.id, name=stack.name)
+            self.core.emit("stack.delete.complete", stack=stack.id, name=stack.name)
         return stack.status
 
     def _destroy_resource(self, record, token):

@@ -88,6 +88,13 @@ class SecurityGroupRule:
     remote_group: str | None = None
 
 
+def port_range_problem(port_min, port_max) -> str | None:
+    """Why a rule's port range matches no port, or None."""
+    if not 0 <= port_min <= port_max <= 65535:
+        return (f"port range {port_min}-{port_max} matches no port: it must run upward "
+                f"within 0-65535")
+
+
 @record
 class SecurityGroup:
     id: str = field(ref=True)
@@ -113,6 +120,30 @@ class Instance:
     ephemeral_files: dict = field(default_factory=dict)  # path -> text
     guest_log: list = field(default_factory=list)
     attached_volumes: list = field(default_factory=list)
+
+
+@record
+class LaunchSpec:
+    """The keys of an instance spec that `launch_instance` reads, each with
+    its kind: `networks` and `security_groups` list names."""
+    image: str
+    flavor: str
+    networks: list = field(default_factory=list)
+    key_name: str | None = None
+    security_groups: list | None = None
+    user_data: str | None = None
+
+
+def check_launch_spec(spec, label, error=ValueError) -> dict:
+    """`spec`, once it is an object that names an image and a flavor and
+    whose keys that `LaunchSpec` declares are each of their kind (it reads
+    no other); otherwise `error` naming `label`."""
+    if type(spec) is not dict:
+        raise error(f"{label} must be dict, got {spec!r}")
+    for required in ("image", "flavor"):
+        if not spec.get(required):
+            raise error(f"{label} requires {required!r}")
+    return check(LaunchSpec, spec, label, error)
 
 
 @record
@@ -396,9 +427,9 @@ class CloudProvider:
             raise ConflictError(f"unknown protocol {protocol!r}")
         if direction not in DIRECTIONS:
             raise ConflictError(f"unknown direction {direction!r}")
-        if not 0 <= port_min <= port_max <= 65535:
-            raise ConflictError(f"port range {port_min}-{port_max} matches no port: it must "
-                                f"run upward within 0-65535")
+        problem = port_range_problem(port_min, port_max)
+        if problem:
+            raise ConflictError(problem)
         remote_cidr = remote_group = None
         try:
             ipaddress.ip_network(remote)
@@ -523,8 +554,9 @@ class CloudProvider:
     def launch_instance(self, tenant_id, spec, name=None, signal_sink=None) -> Instance:
         """Place, address, and boot one instance.
 
-        `spec` carries image, flavor, optional key_name, networks (list of
-        network names), optional security_groups, optional user_data.
+        `spec` holds the keys `LaunchSpec` declares. It is not checked
+        here: a scaling group's spec is checked when it is stored, and a
+        server's properties by its resource type.
         """
         for required in ("image", "flavor"):
             if not spec.get(required):
@@ -906,4 +938,9 @@ class CloudProvider:
         load_attrs(self, _SCHEMA, data, ids)
         if type(self.objects) is not dict or any(type(v) is not str for v in self.objects.values()):
             raise ValueError("provider objects must be an object of base64 text")
+        for group in self.secgroups.values():
+            for rule in group.rules:
+                problem = port_range_problem(rule.port_min, rule.port_max)
+                if problem:
+                    raise ValueError(f"security group {group.id!r} has a rule whose {problem}")
         self._forget_derived()

@@ -37,10 +37,11 @@ Metric/fault entries target either a literal "resource" id, a whole
 
 import json
 
-from .codec import check, record
+from .codec import check, entries, record
 from .errors import StateIOError, TemplateError
 from .nfvi import Flavor, Image, KeyPair, Network
-from .telemetry import AlarmDef, HealerConfig, LoadGenerator, ScalingGroup, check_schedule
+from .telemetry import (AlarmDef, HealerConfig, LoadGenerator, ScalingGroup, ScheduledFault,
+                        ScheduledMetric, target_problem)
 from .world import World
 
 
@@ -80,23 +81,9 @@ class Sections:
 
 def _entries(parent, section, cls, required, optional=(), **rename) -> list:
     """Each entry of the list section `parent[section]` as keyword
-    arguments of `cls`: its `required` and `optional` keys, where a null
-    value is absent and `rename` maps a key to a field of another name,
-    each of its field's kind."""
-    keys = [(key, rename.get(key, key)) for key in (*required, *optional)]
-    decoded, entry_label = [], f"scenario {section!r} entry "
-    for index, entry in enumerate(parent.get(section) or []):
-        label = entry_label + str(index)
-        if type(entry) is not dict:
-            raise TemplateError(f"{label} must be an object, got {entry!r}")
-        values = {}
-        for key, name in keys:
-            if (value := entry.get(key)) is not None:
-                values[name] = value
-            elif key in required:
-                raise TemplateError(f"{label} lacks {key!r}")
-        decoded.append(check(cls, values, label, TemplateError))
-    return decoded
+    arguments of `cls` (see `codec.entries`)."""
+    return entries(parent.get(section) or [], cls, f"scenario {section!r}", required, optional,
+                   TemplateError, **rename)
 
 
 def build_world(scenario: dict, seed=None) -> World:
@@ -140,10 +127,15 @@ def build_world(scenario: dict, seed=None) -> World:
                         ["metric", "base", "amplitude", "period", "noise", "seed"],
                         group="group_name"):
         telemetry.add_generator(LoadGenerator(**gen))
-    for section, name in (("metrics", "scheduled_metrics"), ("faults", "scheduled_faults")):
-        entries = list(scenario.get(section) or [])
-        setattr(telemetry, name, check_schedule(name, entries, f"scenario {section!r} entry",
-                                                TemplateError))
+    targets = ["resource", "group", "member_index"]
+    for section, cls, required, optional in (
+            ("metrics", ScheduledMetric, ["tick", "metric", "value"], targets),
+            ("faults", ScheduledFault, ["tick"], ["kind", *targets])):
+        schedule = [cls(**entry) for entry in _entries(scenario, section, cls, required, optional)]
+        for index, entry in enumerate(schedule):
+            if problem := target_problem(entry):
+                raise TemplateError(f"scenario {section!r} entry {index} {problem}")
+        setattr(telemetry, f"scheduled_{section}", schedule)
     return world
 
 

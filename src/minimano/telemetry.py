@@ -14,8 +14,9 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 
-from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, record
+from .codec import dump_attrs, field, keyed, listed, load_attrs, one, record
 from .errors import CapacityError, ConflictError, NotFoundError
+from .nfvi import check_launch_spec
 
 
 AGGREGATES = {"avg": lambda v: sum(v) / len(v), "max": max, "min": min}
@@ -66,7 +67,7 @@ class ScalingGroup:
     id: str = field(ref=True)
     name: str
     tenant_id: str = field(ref=True)
-    member_spec: dict  # instance launch spec
+    member_spec: dict  # instance launch spec, checked by `nfvi.check_launch_spec`
     min_size: int
     max_size: int
     desired: int
@@ -94,44 +95,42 @@ class LoadGenerator:
 
 
 @record
-class ScheduledEntry:
-    """A scheduled metric sample or fault at `tick`, on `resource`, on each
-    active member of `group` or on its member at `member_index`; stored as
-    the scenario's JSON object, where a null value counts as absent."""
+class ScheduledMetric:
+    """A metric sample scheduled for `tick`, on `resource`, on each active
+    member of `group` or on its member at `member_index`."""
 
     tick: int
-    resource: str | None
-    group: str | None
-    member_index: int | None
-    metric: str | None
-    value: float | None
-    kind: str | None
+    metric: str
+    value: float
+    resource: str | None = field(default=None, ref=True)
+    group: str | None = None
+    member_index: int | None = None
 
 
-# each schedule -> the keys its entries require, besides a 'group' or a 'resource'
-SCHEDULES = {"scheduled_metrics": ("tick", "metric", "value"), "scheduled_faults": ("tick",)}
+@record
+class ScheduledFault:
+    """A fault scheduled for `tick`, on a target named as a
+    `ScheduledMetric` names one."""
+
+    tick: int
+    kind: str = "instance_crash"
+    resource: str | None = field(default=None, ref=True)
+    group: str | None = None
+    member_index: int | None = None
 
 
-def check_schedule(name, entries, label, error=ValueError) -> list:
-    """`entries` of the schedule `name`, once each is an object with the
-    keys it requires, a target, the kinds `ScheduledEntry` declares, a
+def target_problem(entry) -> str | None:
+    """What is wrong with the target of a `ScheduledMetric` or
+    `ScheduledFault`, or None: it names a group or a resource, a
     `member_index` of 0 or more (never one counted from the end) and a
-    known fault kind; otherwise `error` naming `label` and the index."""
-    for index, entry in enumerate(entries):
-        where = f"{label} {index}"
-        if type(entry) is not dict:
-            raise error(f"{where} must be an object, got {entry!r}")
-        for key in SCHEDULES[name]:
-            if entry.get(key) is None:
-                raise error(f"{where} lacks {key!r}")
-        check(ScheduledEntry, entry, where, error)
-        if (entry.get("member_index") or 0) < 0:
-            raise error(f"{where} member_index must not be negative, got {entry['member_index']}")
-        if entry.get("group") is None and entry.get("resource") is None:
-            raise error(f"{where} names neither a 'group' nor a 'resource'")
-        if entry.get("kind") not in (None, *FAULT_KINDS):
-            raise error(f"{where} has an unknown fault kind {entry['kind']!r}")
-    return entries
+    known fault kind."""
+    if entry.group is None and entry.resource is None:
+        return "names neither a 'group' nor a 'resource'"
+    if (entry.member_index or 0) < 0:
+        return f"member_index must not be negative, got {entry.member_index}"
+    if type(entry) is ScheduledFault and entry.kind not in FAULT_KINDS:
+        return f"has an unknown fault kind {entry.kind!r}"
+    return None
 
 
 # the persisted layout, in snapshot order
@@ -141,8 +140,8 @@ _SCHEMA = {
     "groups": keyed(ScalingGroup, "name"),
     "healer": one(HealerConfig, "telemetry healer"),
     "generators": listed(LoadGenerator),
-    "scheduled_metrics": PLAIN,
-    "scheduled_faults": PLAIN,
+    "scheduled_metrics": listed(ScheduledMetric),
+    "scheduled_faults": listed(ScheduledFault),
 }
 
 
@@ -158,8 +157,8 @@ class TelemetryService:
         self.groups = {}  # name -> ScalingGroup
         self.healer = HealerConfig()
         self.generators = []
-        self.scheduled_metrics = []  # {"tick", ...} entries, see scenario module
-        self.scheduled_faults = []
+        self.scheduled_metrics = []  # ScheduledMetric
+        self.scheduled_faults = []  # ScheduledFault
 
     # -- metrics ---------------------------------------------------------------
 
@@ -241,8 +240,7 @@ class TelemetryService:
             alarm.last_fire_tick = tick
             fired.append(alarm)
             self.core.emit(
-                "alarm.fire", alarm.name,
-                alarm=alarm.name, metric=alarm.metric, aggregate=round(aggregate, 6),
+                "alarm.fire", alarm=alarm.name, metric=alarm.metric, aggregate=round(aggregate, 6),
                 threshold=alarm.threshold, target=alarm.target, action=alarm.action,
             )
             if alarm.action in ("scale_out", "scale_in") and group is not None:
@@ -254,7 +252,7 @@ class TelemetryService:
     def create_group(self, name, tenant_id, member_spec, min_size, max_size, desired):
         if name in self.groups:
             raise ConflictError(f"scaling group {name!r} already exists")
-        check(ScalingGroup, {"member_spec": member_spec}, f"scaling group {name!r}", ConflictError)
+        check_launch_spec(member_spec, f"scaling group {name!r} member_spec", ConflictError)
         if not (0 <= min_size <= desired <= max_size):
             raise ConflictError("sizes must satisfy min <= desired <= max")
         group = ScalingGroup(
@@ -289,21 +287,18 @@ class TelemetryService:
             raise NotFoundError(f"scaling group {group_name!r} not found")
         if direction == "out":
             if group.desired + 1 > group.max_size:
-                self.core.emit("scale.clamped", group.name, group=group.name, at="max")
+                self.core.emit("scale.clamped", group=group.name, at="max")
                 return group.desired
             try:
                 instance = self._launch_member(group)
             except CapacityError as exc:
-                self.core.emit("scale.blocked", group.name, group=group.name, reason=exc.message)
+                self.core.emit("scale.blocked", group=group.name, reason=exc.message)
                 return group.desired
             group.desired += 1
-            self.core.emit(
-                "scale.out", group.name,
-                group=group.name, desired=group.desired, member=instance.id,
-            )
+            self.core.emit("scale.out", group=group.name, desired=group.desired, member=instance.id)
         elif direction == "in":
             if group.desired - 1 < group.min_size:
-                self.core.emit("scale.clamped", group.name, group=group.name, at="min")
+                self.core.emit("scale.clamped", group=group.name, at="min")
                 return group.desired
             group.desired -= 1
             victim = group.members.pop()  # youngest member
@@ -311,10 +306,7 @@ class TelemetryService:
                 self.provider.terminate_instance(victim)
             except NotFoundError:
                 pass
-            self.core.emit(
-                "scale.in", group.name,
-                group=group.name, desired=group.desired, member=victim,
-            )
+            self.core.emit("scale.in", group=group.name, desired=group.desired, member=victim)
         else:
             raise ConflictError(f"unknown scaling direction {direction!r}")
         return group.desired
@@ -325,7 +317,7 @@ class TelemetryService:
         if kind not in FAULT_KINDS:
             raise ConflictError(f"unknown fault kind {kind!r}")
         self.provider.crash_instance(target_id)
-        self.core.emit("fault.inject", target_id, target=target_id, fault_kind=kind)
+        self.core.emit("fault.inject", target=target_id, fault_kind=kind)
 
     # -- the monitor-detect-correct loop ------------------------------------------------
 
@@ -352,12 +344,9 @@ class TelemetryService:
         try:
             replacement = self._launch_member(group)
         except CapacityError as exc:
-            self.core.emit("heal.blocked", group.name, group=group.name, reason=exc.message)
+            self.core.emit("heal.blocked", group=group.name, reason=exc.message)
             return False
-        self.core.emit(
-            "heal.replace", group.name,
-            group=group.name, failed=failed, replacement=replacement.id,
-        )
+        self.core.emit("heal.replace", group=group.name, failed=failed, replacement=replacement.id)
         return True
 
     # -- scheduled scenario input and generators ------------------------------------------
@@ -367,15 +356,15 @@ class TelemetryService:
 
     def run_scheduled(self, tick):
         for entry in self.scheduled_metrics:
-            if entry["tick"] != tick:
+            if entry.tick != tick:
                 continue
             for resource_id in self._schedule_targets(entry):
-                self.record_metric(resource_id, entry["metric"], entry["value"], tick)
+                self.record_metric(resource_id, entry.metric, entry.value, tick)
         for entry in self.scheduled_faults:
-            if entry["tick"] != tick:
+            if entry.tick != tick:
                 continue
             for resource_id in self._schedule_targets(entry):
-                self.inject_fault(resource_id, entry.get("kind") or "instance_crash")
+                self.inject_fault(resource_id, entry.kind)
         if self.generators:
             from hashlib import sha256  # a CLI call that runs no generator does not pay for it
         for gen in self.generators:
@@ -390,12 +379,12 @@ class TelemetryService:
                 self.record_metric(member_id, gen.metric, round(value, 6), tick)
 
     def _schedule_targets(self, entry):
-        if entry.get("group") is None:
-            return [entry["resource"]]
-        group = self.groups.get(entry["group"])
+        if entry.group is None:
+            return [entry.resource]
+        group = self.groups.get(entry.group)
         if group is None:
-            raise NotFoundError(f"scaling group {entry['group']!r} not found")
-        idx = entry.get("member_index")
+            raise NotFoundError(f"scaling group {entry.group!r} not found")
+        idx = entry.member_index
         if idx is None:
             return self._active_members(group)
         if idx >= len(group.members):
@@ -415,8 +404,11 @@ class TelemetryService:
 
     def load_dict(self, data, ids):
         load_attrs(self, _SCHEMA, data, ids)
-        for name in SCHEDULES:
-            check_schedule(name, getattr(self, name), f"{name} entry")
+        for entry in (*self.scheduled_metrics, *self.scheduled_faults):
+            if problem := target_problem(entry):
+                raise ValueError(f"{type(entry).__name__} {problem}")
+        for group in self.groups.values():
+            check_launch_spec(group.member_spec, f"scaling group {group.name!r} member_spec")
         for alarm in self.alarms.values():
             unknown = _unknown_setting(alarm.aggregate, alarm.comparison, alarm.action)
             if unknown:

@@ -5,7 +5,8 @@ Time is a logical tick counter. Advancing it processes, per tick and in
 this order: wait-condition deadlines, scheduled scenario injections,
 alarm evaluation, healer scan. With a fixed seed the whole world is
 bit-reproducible: UUIDs, addresses, random strings, tokens, and the event
-log all come from one seeded stream.
+log all come from one seeded stream. Each event kind is declared once, in
+`EVENTS`, and a load checks every stored event against it.
 
 Subsystems refer back to their World through a `weakref.proxy`, so a
 World holds no reference cycle through them: dropping the last
@@ -14,9 +15,12 @@ reference frees it at once, without waiting for the cycle collector.
 
 import random
 import weakref
+from collections import namedtuple
+from functools import cache
+from operator import itemgetter
 
-from .codec import (Ids, check, check_column, exact_object, field, fields, id_index, layout,
-                    record)
+from .codec import (Ids, check, check_column, entries, exact_object, field, fields, id_index,
+                    layout, record)
 from .engine import _SCHEMA as _ENGINE_SCHEMA
 from .engine import Stack, StackEngine, StackRun, WaitCondition, WaitHandle
 from .errors import ConflictError
@@ -24,9 +28,9 @@ from .identity import IdentityService, IdentityState, Token
 from .nfvi import _SCHEMA as _PROVIDER_SCHEMA
 from .nfvi import CloudProvider, Instance
 from .telemetry import _SCHEMA as _TELEMETRY_SCHEMA
-from .telemetry import ScalingGroup, TelemetryService
+from .telemetry import ScalingGroup, ScheduledFault, ScheduledMetric, TelemetryService
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 _IDENTITY_SCHEMA = {f.name: f.codec for f in fields(IdentityState)}
 
 
@@ -44,6 +48,93 @@ class Event:
 
 
 _EVENTS = layout(Event, _names(Event))
+
+
+@record
+class EventDetail:
+    """Every key an event's `detail` may hold, each with the JSON kind of
+    its value."""
+    stack: str
+    name: str
+    resource: str
+    type: str
+    reason: str
+    handle: str
+    id: str
+    status: str
+    alarm: str
+    metric: str
+    aggregate: float
+    threshold: float
+    target: str
+    action: str
+    group: str
+    at: str
+    desired: int
+    member: str
+    fault_kind: str
+    failed: str | None
+    replacement: str
+
+
+# an event kind: the detail keys, joined with "/", that its subject is
+# made of, and its detail keys in the order `emit` is given them
+EventKind = namedtuple("EventKind", "subject detail")
+_WAIT = EventKind("handle", ("stack", "resource", "handle"))
+EVENTS = {
+    "stack.create.start": EventKind("stack", ("stack", "name")),
+    "stack.create.complete": EventKind("stack", ("stack", "name")),
+    "stack.create.failed": EventKind("stack", ("stack", "reason")),
+    "stack.delete.start": EventKind("stack", ("stack", "name")),
+    "stack.delete.complete": EventKind("stack", ("stack", "name")),
+    "stack.delete.failed": EventKind("stack", ("stack", "reason")),
+    "resource.create.start": EventKind("stack/resource", ("stack", "resource", "type")),
+    "resource.create.complete": EventKind("stack/resource", ("stack", "resource", "type")),
+    "resource.create.failed": EventKind("stack/resource", ("stack", "resource", "reason")),
+    "wait.signal": EventKind("handle", ("handle", "id", "status")),
+    "wait.signal.ignored": EventKind("handle", ("handle", "reason")),
+    "wait.success": _WAIT,
+    "wait.failure": _WAIT,
+    "wait.timeout": _WAIT,
+    "alarm.fire": EventKind("alarm", ("alarm", "metric", "aggregate", "threshold", "target",
+                                      "action")),
+    "scale.out": EventKind("group", ("group", "desired", "member")),
+    "scale.in": EventKind("group", ("group", "desired", "member")),
+    "scale.clamped": EventKind("group", ("group", "at")),
+    "scale.blocked": EventKind("group", ("group", "reason")),
+    "fault.inject": EventKind("target", ("target", "fault_kind")),
+    "heal.replace": EventKind("group", ("group", "failed", "replacement")),
+    "heal.blocked": EventKind("group", ("group", "reason")),
+}
+
+
+def _subject_of(subject):
+    """The function that gives an event's subject from its detail."""
+    get = itemgetter(*subject.split("/"))
+    return get if "/" not in subject else lambda detail: "/".join(get(detail))
+
+
+_SUBJECT_OF = {kind: _subject_of(spec.subject) for kind, spec in EVENTS.items()}
+
+
+def check_events(events):
+    """Raise ValueError unless each loaded `Event` row is of a declared
+    kind, with exactly its detail keys, each of its `EventDetail` kind, and
+    the subject they give; checked column by column, kind by kind."""
+    by_kind = {}
+    for event in events:
+        by_kind.setdefault(event["kind"], []).append(event)
+    for kind, rows in by_kind.items():
+        if kind not in EVENTS:
+            raise ValueError(f"Event kind {kind!r} is not a declared kind")
+        keys, label, subject_of = EVENTS[kind].detail, f"Event {kind} detail", _SUBJECT_OF[kind]
+        details = [exact_object(label, keys, row["detail"]) for row in rows]
+        for key in keys:
+            check_column(EventDetail, key, [detail[key] for detail in details], label)
+        for row in rows:
+            if row["subject"] != subject_of(row["detail"]):
+                raise ValueError(f"Event {kind} subject {row['subject']!r} is not "
+                                 f"{subject_of(row['detail'])!r}, which its detail gives")
 
 
 def format_uuid4(n: int) -> str:
@@ -100,11 +191,24 @@ _SECTIONS = {"identity": _IDENTITY_SCHEMA, "provider": _PROVIDER_SCHEMA,
              "engine": _ENGINE_SCHEMA, "telemetry": _TELEMETRY_SCHEMA}
 
 
+# the schedules, which v2 to v5 stored as JSON objects: each entry's
+# record, and the keys an entry needed
+_V5_SCHEDULES = {"scheduled_metrics": (ScheduledMetric, ("tick", "metric", "value")),
+                 "scheduled_faults": (ScheduledFault, ("tick",))}
+
+
+@cache
+def _layout(cls, *names):
+    """The layout of a `cls` table under the header `names`, built once."""
+    return layout(cls, list(names))
+
+
 def _tables(data, upgrade) -> dict:
-    """The four sections of a snapshot, each of their tables turned by
-    `upgrade(row class, table)`."""
+    """The four sections of a v2 to v4 snapshot, each of their tables
+    turned by `upgrade(row class, table)`."""
     return {name: {**data[name], **{key: upgrade(codec.row, data[name][key])
-                                    for key, codec in schema.items() if codec.row is not None}}
+                                    for key, codec in schema.items()
+                                    if codec.row is not None and key not in _V5_SCHEDULES}}
             for name, schema in _SECTIONS.items()}
 
 
@@ -134,8 +238,8 @@ def _upgrade_v3(data: dict) -> dict:
     """A v3 snapshot in v4 form: v4 keeps a stack's template `source` in
     the row of its pending run, and drops it where the run has ended."""
     engine = data["engine"]
-    stacks = layout(Stack, _V3_HEADERS[Stack]).load(engine["stacks"])
-    runs = layout(StackRun, _V3_HEADERS[StackRun]).load(engine["runs"])
+    stacks = _layout(Stack, *_V3_HEADERS[Stack]).load(engine["stacks"])
+    runs = _layout(StackRun, *_V3_HEADERS[StackRun]).load(engine["runs"])
     sources = {stack["id"]: stack.pop("source") for stack in stacks}
     check_column(StackRun, "source", sources.values(), "v3 stack")
     for run in runs:
@@ -144,8 +248,8 @@ def _upgrade_v3(data: dict) -> dict:
         run["source"] = sources[run["stack_id"]]
     return {**data, "v": 4, "engine": {
         **engine,
-        "stacks": layout(Stack, _names(Stack)).dump(stacks),
-        "runs": layout(StackRun, _names(StackRun)).dump(runs),
+        "stacks": _layout(Stack, *_names(Stack)).dump(stacks),
+        "runs": _layout(StackRun, *_names(StackRun)).dump(runs),
     }}
 
 
@@ -154,12 +258,12 @@ def _v5_table(cls, data, ids) -> dict:
     each nested table in v5 form first, then each ref cell interned in
     `ids`, in the order a save interns them."""
     names = _names(cls)
-    rows = layout(cls, _V4_HEADERS.get(cls, names)).load(data)
+    rows = _layout(cls, *_V4_HEADERS.get(cls, names)).load(data)
     for f in fields(cls):
         if f.codec.row is not None:
             for row in rows:
                 row[f.name] = _v5_table(f.codec.row, row[f.name], ids)
-    return layout(cls, names).dump(rows, ids)
+    return _layout(cls, *names).dump(rows, ids)
 
 
 def _upgrade_v4(data: dict) -> dict:
@@ -173,6 +277,30 @@ def _upgrade_v4(data: dict) -> dict:
         "events": _v5_table(Event, _object_table(Event, data["events"]), ids),
         "ids": list(ids),
     }
+
+
+def _upgrade_v5(data: dict) -> dict:
+    """A v5 snapshot in v6 form: v6 stores each schedule as a table. An
+    entry keeps the keys its record declares, as a scenario's does, and
+    its `resource` is appended to `ids`."""
+    telemetry, ids = data["telemetry"], data["ids"]
+    if type(ids) is not list:
+        raise ValueError("snapshot ids must be a list of strings")
+    ids, tables = list(ids), {}
+    for name, (cls, required) in _V5_SCHEDULES.items():
+        optional = [key for key in _names(cls) if key not in required]
+        rows = [cls(**row) for row in
+                entries(telemetry[name], cls, f"v5 {name}", required, optional)]
+        for row in rows:
+            if row.resource is not None:
+                ids.append(row.resource)
+                row.resource = len(ids) - 1
+        tables[name] = _TELEMETRY_SCHEMA[name].dump(rows)
+    return {**data, "v": 6, "telemetry": {**telemetry, **tables}, "ids": ids}
+
+
+# each older snapshot version -> the step that takes it one version on
+_UPGRADES = {1: _upgrade_v1, 2: _upgrade_v2, 3: _upgrade_v3, 4: _upgrade_v4, 5: _upgrade_v5}
 
 
 @record
@@ -214,8 +342,10 @@ class World:
 
     # -- events ---------------------------------------------------------------
 
-    def emit(self, kind, subject, **detail):
-        self.events.append({"tick": self.tick, "kind": kind, "subject": subject, "detail": detail})
+    def emit(self, kind, **detail):
+        """Log an event of `kind`: `EVENTS` gives its subject; a load checks it."""
+        self.events.append({"tick": self.tick, "kind": kind,
+                            "subject": _SUBJECT_OF[kind](detail), "detail": detail})
 
     # -- the clock --------------------------------------------------------------
 
@@ -246,16 +376,14 @@ class World:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "World":
-        if data.get("v") == 1:
-            data = _upgrade_v1(data)
-        if data.get("v") == 2:
-            data = _upgrade_v2(data)
-        if data.get("v") == 3:
-            data = _upgrade_v3(data)
-        if data.get("v") == 4:
-            data = _upgrade_v4(data)
-        if data.get("v") != SNAPSHOT_VERSION:
-            raise ConflictError(f"unsupported state snapshot version {data.get('v')!r}")
+        version = data.get("v")
+        while type(version) is int and version in _UPGRADES:
+            data = _UPGRADES[version](data)
+            version = data["v"]
+        if type(version) is not int or version != SNAPSHOT_VERSION:
+            # a version of no integer kind is malformed, an unknown one unsupported
+            error = ConflictError if type(version) is int else ValueError
+            raise error(f"unsupported state snapshot version {version!r}")
         check(_Header, data, "snapshot")
         ids = id_index(data["ids"])
         world = cls(seed=data["seed"], template_dir=data["template_dir"], _bootstrap=False)
@@ -266,6 +394,7 @@ class World:
             raise ValueError("snapshot rng_state words must each fit in 32 bits") from None
         world.tick = data["tick"]
         world.events = _EVENTS.load(data["events"], ids)
+        check_events(world.events)
         for name in _SECTIONS:
             getattr(world, name).load_dict(data[name], ids)
         return world

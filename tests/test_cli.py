@@ -652,6 +652,56 @@ def test_group_create_refuses_a_member_spec_that_is_no_object(runner, member):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+LAUNCH = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
+
+
+@pytest.mark.parametrize("desired, change, message", [
+    ("1", {"networks": 5}, "networks must be list, got 5"),
+    ("1", {"networks": None}, "networks must be list, got None"),
+    ("1", {"user_data": 5}, "user_data must be str | None, got 5"),
+    ("0", {"security_groups": 7}, "security_groups must be list | None, got 7"),
+    ("0", {"key_name": []}, "key_name must be str | None, got []"),
+    ("0", {"image": 5}, "image must be str, got 5"),
+    ("0", {"flavor": None}, "requires 'flavor'"),
+], ids=["networks-a-number", "networks-null", "user_data-a-number",
+        "security_groups-a-number-kept-for-a-scale-out", "key_name-a-list", "image-a-number",
+        "flavor-null"])
+def test_group_create_checks_the_member_spec_against_its_declaration(runner, desired, change,
+                                                                     message):
+    """Each spec ended in a traceback from `launch_instance`, at once or,
+    with `--desired 0`, at the first scale-out after it was saved."""
+    before = runner._state.read_text()
+    code, out, err = runner("group-create", "g", "--min", "0", "--max", "2", "--desired",
+                            desired, "--member", json.dumps({**LAUNCH, **change}))
+    assert code == 2 and out == ""
+    assert err == f"error: scaling group 'g' member_spec {message}\n"
+    assert runner._state.read_text() == before
+
+
+def test_a_member_spec_keeps_the_keys_it_does_not_declare(runner):
+    code, _, err = runner("group-create", "g", "--min", "1", "--max", "2", "--desired", "1",
+                          "--member", json.dumps({**LAUNCH, "user_data": None, "colour": 1}))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("change", [{"networks": 5}, {"image": None}, {"user_data": []}],
+                         ids=["networks-a-number", "image-null", "user_data-a-list"])
+def test_a_stored_member_spec_of_the_wrong_kind_is_a_state_error(runner, change):
+    code, _, err = runner("group-create", "g", "--min", "0", "--max", "2", "--desired", "0",
+                          "--member", json.dumps(LAUNCH))
+    assert code == 0, err
+    state = json.loads(runner._state.read_text())
+    groups = state["telemetry"]["groups"]
+    spec = groups["rows"][0][groups["fields"].index("member_spec")]
+    spec.update(change)
+    runner._state.write_text(json.dumps(state))
+    code, out, err = runner("stack-list")
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: state file {str(runner._state)!r} is malformed: "
+                          "scaling group 'g' member_spec ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("gateway", ["bogus", "8.8.8.8", "10.7.1.1", "::1", "10.7.0.0", "10.7.0.2",
                                      "10.7.0.255"])
 def test_net_create_rejects_a_gateway_outside_the_cidr(runner, gateway):

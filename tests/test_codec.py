@@ -30,8 +30,8 @@ from minimano.codec import (
 )
 from minimano.errors import MiniManoError
 from minimano.hot import parse_template
-from minimano.world import World
-from test_state_v1 import REGISTRIES, build_fixture_world
+from minimano.world import SNAPSHOT_VERSION, World
+from test_state_v1 import REGISTRIES, SCHEDULES, build_fixture_world
 
 
 def names(cls) -> list:
@@ -58,6 +58,10 @@ def assert_headers(snapshot):
                     assert row[i]["fields"] == names(row_cls), (section, name, column)
                     assert all(len(inner) == len(names(row_cls)) for inner in row[i]["rows"])
             assert all(len(row) == len(names(cls)) for row in table["rows"])
+    for name, cls in SCHEDULES.items():
+        table = snapshot["telemetry"][name]
+        assert table["fields"] == names(cls), name
+        assert all(len(row) == len(names(cls)) for row in table["rows"])
 
 
 def empty_world():
@@ -137,7 +141,7 @@ WORLDS = {"empty": empty_world, "fixture": fixture_world, "cached-doc": cached_d
 @pytest.mark.parametrize("name", WORLDS)
 def test_world_snapshot_round_trips_with_declared_headers(name):
     snapshot = round_trip(WORLDS[name]())
-    assert snapshot["v"] == 5
+    assert snapshot["v"] == SNAPSHOT_VERSION
     assert_headers(snapshot)
 
 

@@ -1,7 +1,9 @@
 """Behaviour digests: the sha256 of the event log and of the snapshot of
 whole scenario runs. The event-log digests were pinned from the package
-before its telemetry index existed. The snapshot digests are of the v5
-snapshot: the v4 snapshot of the same run passed through
+before its telemetry index existed. The snapshot digests are of the v6
+snapshot: the v5 snapshot of the same run passed through
+`world._upgrade_v5`, which stores each schedule as a table of its
+record. The v5 digests were of the v4 snapshot passed through
 `world._upgrade_v4`, which drops six unread fields, stores the events as
 a table and each id once, in the `ids` table the id columns index into.
 The v4 digests were of the v3 snapshot passed through
@@ -13,8 +15,8 @@ the v2 digests of the v1 snapshot with `v` set to 2 and the three fields
 v2 dropped removed. The engine digest is of one seeded run of stacks
 whose wait conditions and nested stacks end in every way, pinned before
 the deployment walk settled each blocked resource in one step; its
-snapshot digest too is of the v4 snapshot passed through
-`world._upgrade_v4`. A change
+snapshot digest too is of the v5 snapshot passed through
+`world._upgrade_v5`. A change
 that alters what a run does, or what it saves, moves a digest.
 """
 
@@ -88,11 +90,11 @@ LONG_SCENARIO = {
 DIGESTS = {
     "autonomic_scenario": (
         "101400baec5e3d60dc36819277b005c6645e7904148e15f17036af1c053c0e9c",
-        "f0da65bf1f927b94de8de8675180697a8cbc4307359f839c4cdfa94a0b8d7344",
+        "813f966ff6df1f508586be37fe994dbd57a7364de677c9104364ce1d756c01b6",
     ),
     "long_scenario": (
         "16a5c51574c813064b5721ec61ca7d896322bd2c940a5fc08f44f7c6c55827fd",
-        "a8a3bac89d166ebabe9efc6a953f7949ebf0514025b0a2f77736b3b926ffae03",
+        "a28a3fd8e3395703d486da663826c7afcb600c705f311d1962611f9be80ae20c",
     ),
 }
 
@@ -258,7 +260,7 @@ resources:
 
 ENGINE_DIGEST = (
     "1eadc9bc458c87be4f137d518ed748db124f690f0123e8a362051e8ece71eed4",
-    "2f5f0da774c177b5f4e7a0ec00b3aa67b55571e279c688ce2837e4cb37f5d5d2",
+    "2eef9376e433d1b48e35eaa84dd7133b08164cf859164d2a1ed65d2c9b5b6e2a",
 )
 
 
@@ -345,12 +347,17 @@ def engine_run(seed):
     return world, ids
 
 
-def test_engine_digest(tmp_path, monkeypatch):
-    (tmp_path / "tpl").mkdir()
+def engine_templates(directory):
+    """Write the `tpl/` directory `engine_run` reads into `directory`."""
+    (directory / "tpl").mkdir()
     for path in TEMPLATES.iterdir():
-        (tmp_path / "tpl" / path.name).write_text(path.read_text())
+        (directory / "tpl" / path.name).write_text(path.read_text())
     for name, text in ENGINE_TEMPLATES.items():
-        (tmp_path / "tpl" / name).write_text(text)
+        (directory / "tpl" / name).write_text(text)
+
+
+def test_engine_digest(tmp_path, monkeypatch):
+    engine_templates(tmp_path)
     monkeypatch.chdir(tmp_path)
     world, ids = engine_run(seed=1)
     statuses = {name: world.engine.stacks[stack_id].status for name, stack_id in ids.items()}

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import make_env
 from minimano import cli
+from minimano.codec import fields
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
 from minimano.identity import Tenant, Token, User
 from minimano.nfvi import (
@@ -36,7 +37,15 @@ from minimano.nfvi import (
     VolumeSnapshot,
 )
 from minimano.statefile import save_world
-from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
+from minimano.telemetry import (
+    AlarmDef,
+    HealerConfig,
+    LoadGenerator,
+    MetricSample,
+    ScalingGroup,
+    ScheduledFault,
+    ScheduledMetric,
+)
 from minimano.world import Event
 from test_state_v1 import REFS
 
@@ -56,6 +65,8 @@ TABLES = {
     ("engine", "handles"): WaitHandle, ("engine", "conditions"): WaitCondition,
     ("telemetry", "samples"): MetricSample, ("telemetry", "alarms"): AlarmDef,
     ("telemetry", "groups"): ScalingGroup, ("telemetry", "generators"): LoadGenerator,
+    ("telemetry", "scheduled_metrics"): ScheduledMetric,
+    ("telemetry", "scheduled_faults"): ScheduledFault,
 }
 NESTED = {(SecurityGroup, "rules"): SecurityGroupRule, (Volume, "snapshots"): VolumeSnapshot,
           (Stack, "records"): ResourceRecord}
@@ -86,8 +97,9 @@ def admits(cls, name, value, ids) -> bool:
 
 def build_state(path):
     """A seeded state with a row in most tables: a stack, a one-member
-    scaling group with an alarm and a sample, a floating address, a volume
-    and two ticks. Returns the ids the verbs name."""
+    scaling group with an alarm, a sample and a metric and a fault
+    scheduled past the ticks the verbs advance, a floating address, a
+    volume and two ticks. Returns the ids the verbs name."""
     env = make_env(seed=1)
     world = env.world
     stack = world.engine.create_stack("s1", env.parse("example1.yaml"), token=env.token)
@@ -95,6 +107,9 @@ def build_state(path):
     group = world.telemetry.create_group("g", env.tenant_id, member, 1, 1, 1)
     world.telemetry.create_alarm("hot", "cpu_util", "avg", "gt", 0.8, 2, "g", "scale_out")
     world.telemetry.record_metric(group.members[0], "cpu_util", 0.5)
+    world.telemetry.scheduled_metrics.append(
+        ScheduledMetric(tick=100, metric="cpu_util", value=0.5, resource=group.members[0]))
+    world.telemetry.scheduled_faults.append(ScheduledFault(tick=100, group="g", member_index=0))
     world.telemetry.healer = HealerConfig(True, 1)
     fip = world.provider.allocate_floating_ip(env.tenant_id)
     volume = world.provider.create_volume(env.tenant_id, 1)
@@ -194,32 +209,73 @@ def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert refusals > 600
 
 
-@pytest.mark.parametrize("schedule, entries", [
-    ("scheduled_metrics", [{"tick": "T+1"}]),
-    ("scheduled_metrics", [{"tick": "T+1", "metric": "cpu_util", "value": 0.5}]),
-    ("scheduled_metrics", [{"tick": "T+1", "group": [], "metric": "cpu_util", "value": 0.5}]),
-    ("scheduled_metrics", [{"tick": "T+1", "group": "g", "metric": "cpu_util", "value": "x"}]),
-    ("scheduled_faults", [{"tick": "T+1", "group": "g", "member_index": "x"}]),
-    ("scheduled_faults", [{"tick": "T+1", "group": "g", "kind": "reboot"}]),
-    ("scheduled_faults", [{"tick": "T+1", "group": "g", "member_index": -1}]),
+# a schedule -> its record, and the values of a valid row for the next tick
+SCHEDULE_ROWS = {
+    "scheduled_metrics": (ScheduledMetric, {"tick": "T+1", "metric": "cpu_util", "value": 0.5,
+                                            "resource": None, "group": "g",
+                                            "member_index": None}),
+    "scheduled_faults": (ScheduledFault, {"tick": "T+1", "kind": "instance_crash",
+                                          "resource": None, "group": "g", "member_index": None}),
+}
+
+
+def schedule_row(schedule, **change) -> list:
+    """A row of `schedule`'s table, in its header's order, with `change`."""
+    return list({**SCHEDULE_ROWS[schedule][1], **change}.values())
+
+
+@pytest.mark.parametrize("schedule, rows", [
+    ("scheduled_metrics", [schedule_row("scheduled_metrics", metric=None)]),
+    ("scheduled_metrics", [schedule_row("scheduled_metrics", group=None)]),
+    ("scheduled_metrics", [schedule_row("scheduled_metrics", group=[])]),
+    ("scheduled_metrics", [schedule_row("scheduled_metrics", value="x")]),
+    ("scheduled_faults", [schedule_row("scheduled_faults", member_index="x")]),
+    ("scheduled_faults", [schedule_row("scheduled_faults", kind="reboot")]),
+    ("scheduled_faults", [schedule_row("scheduled_faults", member_index=-1)]),
     ("scheduled_faults", [["T+1", "g"]]),
     ("scheduled_faults", {"tick": "T+1"}),
 ], ids=["metric-lacks-metric", "metric-names-no-target", "metric-group-a-list",
         "metric-value-not-a-number", "fault-member_index-not-an-integer", "fault-kind-unknown",
         "fault-member_index-negative", "fault-not-an-object", "faults-not-a-list"])
 def test_a_malformed_schedule_entry_is_refused_on_load(tmp_path, monkeypatch, capsys, schedule,
-                                                       entries):
-    """An entry for the next tick: each made `clock-advance` end in an
-    exception, or fail there on every later call; a negative
+                                                       rows):
+    """A row for the next tick, in the schedule's table: each made
+    `clock-advance` end in an exception, or fail there on every later
+    call, when schedules were stored as JSON objects; a negative
     `member_index` silently targeted the youngest member."""
     path = tmp_path / "state.json"
     token, _ = build_state(path)
     data = json.loads(path.read_text())
-    text = json.dumps(entries).replace('"T+1"', str(data["tick"] + 1))
-    data["telemetry"][schedule] = json.loads(text)
+    cls = SCHEDULE_ROWS[schedule][0]
+    text = json.dumps(rows).replace('"T+1"', str(data["tick"] + 1))
+    data["telemetry"][schedule] = {"fields": [f.name for f in fields(cls)],
+                                   "rows": json.loads(text)}
     path.write_text(json.dumps(data))
     monkeypatch.setenv(cli.TOKEN_ENV, token)
     code = cli.main(["clock-advance", "2", "--state", str(path), "--tick-ms", "0"])
     lines = capsys.readouterr().err.splitlines()
     assert code == 5 and len(lines) == 1
-    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: {schedule} ")
+    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: {cls.__name__} ")
+
+
+@pytest.mark.parametrize("port_min, port_max", [(-1, 22), (90, 10), (22, 65536)],
+                         ids=["below-zero", "downward", "past-65535"])
+def test_a_rule_whose_port_range_matches_no_port_is_refused_on_load(tmp_path, monkeypatch,
+                                                                    capsys, port_min, port_max):
+    """`connectivity-check` silently never matched such a rule, which
+    `secgroup-rule-add` refuses."""
+    path = tmp_path / "state.json"
+    token, ids = build_state(path)
+    data = json.loads(path.read_text())
+    secgroups = data["provider"]["secgroups"]
+    rules = secgroups["rows"][0][secgroups["fields"].index("rules")]
+    rules["rows"].append(["ingress", "tcp", port_min, port_max, "0.0.0.0/0", None])
+    assert rules["fields"] == [f.name for f in fields(SecurityGroupRule)]
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv(cli.TOKEN_ENV, token)
+    code = cli.main(["connectivity-check", ids["member"], ids["server"], "--protocol", "tcp",
+                     "--port", "22", "--state", str(path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 5 and len(lines) == 1
+    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: security group ")
+    assert f"port range {port_min}-{port_max} matches no port" in lines[0]

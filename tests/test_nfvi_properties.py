@@ -11,8 +11,10 @@ network name exists in two tenants with different CIDRs.
 `WorldMachine` walks the whole `World` API the same way: launch,
 terminate, crash, scale, floating addresses, volumes, stack create and
 delete, wait signals and the clock. After each step the same oracles
-hold, each tenant holds a name once, and the world's snapshot survives a
-JSON round trip exactly.
+hold, each tenant holds a name once, the world's snapshot survives a
+JSON round trip exactly (its load checks every event against
+`world.EVENTS`), and each event holds its kind's detail keys in their
+declared order.
 """
 
 import ipaddress
@@ -23,7 +25,7 @@ import pytest
 from minimano.errors import CapacityError
 from minimano.nfvi import FLOATING_POOL_CIDR
 from minimano.telemetry import HealerConfig
-from minimano.world import World
+from minimano.world import EVENTS, World
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -335,6 +337,11 @@ class WorldMachine(stateful.RuleBasedStateMachine):
     def snapshot_round_trips(self):
         text = json.dumps(self.world.to_snapshot())
         assert json.dumps(World.from_snapshot(json.loads(text)).to_snapshot()) == text
+
+    @stateful.invariant()
+    def events_keep_their_declared_key_order(self):
+        for event in self.world.events:
+            assert tuple(event["detail"]) == EVENTS[event["kind"]].detail, event
 
 
 TestWorldMachine = WorldMachine.TestCase

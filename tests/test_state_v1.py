@@ -16,9 +16,10 @@ tables included; a v3 stack kept its template `source` after its
 pending run's row, and drops it from a stack whose run has ended. Its v5
 form drops six fields that nothing read, stores the events as one table,
 and writes each id column's cell as an index into one `ids` list (see
-`v5_text`). Every registry value and nested row must load as its record
-class (a decoder that left rows as dicts would still round-trip the
-bytes).
+`v5_text`). Its v6 form stores each schedule as a table of its record
+(see `v6_text`). Every registry value and nested row must load as its
+record class (a decoder that left rows as dicts would still round-trip
+the bytes).
 """
 
 import copy
@@ -48,7 +49,15 @@ from minimano.nfvi import (
     VolumeSnapshot,
 )
 from minimano.statefile import load_world, save_world
-from minimano.telemetry import AlarmDef, HealerConfig, LoadGenerator, MetricSample, ScalingGroup
+from minimano.telemetry import (
+    AlarmDef,
+    HealerConfig,
+    LoadGenerator,
+    MetricSample,
+    ScalingGroup,
+    ScheduledFault,
+    ScheduledMetric,
+)
 from minimano.world import Event, World, _upgrade_v1, _upgrade_v2, _upgrade_v3
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
@@ -71,6 +80,8 @@ REGISTRIES = {
                   "groups": (ScalingGroup, {}), "generators": (LoadGenerator, {})},
 }
 
+# the schedules, which v6 stores as tables and v2 to v5 as JSON objects
+SCHEDULES = {"scheduled_metrics": ScheduledMetric, "scheduled_faults": ScheduledFault}
 
 # the columns v5 stores as indices into its `ids` list: every id, and
 # every column that names a row by its id
@@ -87,6 +98,7 @@ REFS = {
     WaitCondition: {"handle_id", "stack_id"},
     MetricSample: {"resource_id"}, AlarmDef: {"id"}, ScalingGroup: {"id", "tenant_id"},
     LoadGenerator: set(), Event: {"subject"},
+    ScheduledMetric: {"resource"}, ScheduledFault: {"resource"},
 }
 # the fields that v5 dropped, as v2 to v4 held them: the field each followed
 V4_DROPPED = {
@@ -147,8 +159,8 @@ def build_fixture_world() -> World:
     telemetry.healer = HealerConfig(enabled=True, detect_interval=2)
     telemetry.add_generator(LoadGenerator("web", seed=5))
     telemetry.scheduled_metrics.append(
-        {"tick": 50, "group": "web", "metric": "cpu_util", "value": 0.9})
-    telemetry.scheduled_faults.append({"tick": 60, "group": "web", "member_index": 0})
+        ScheduledMetric(tick=50, group="web", metric="cpu_util", value=0.9))
+    telemetry.scheduled_faults.append(ScheduledFault(tick=60, group="web", member_index=0))
     world.advance_clock(3)
 
     # the fixture names no checkout path
@@ -253,12 +265,37 @@ def v5_text(v4) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
+def v6_text(v5) -> str:
+    """A v5 snapshot's text as v6 writes it: each schedule becomes a table
+    of its record's fields, where a key an entry lacks (or holds as null)
+    is its field's default, and nothing else moves. No fixture schedules
+    a `resource`, so the `ids` list stays as it is."""
+    data = json.loads(v5)
+    data["v"] = 6
+    telemetry = data["telemetry"]
+    for name, cls in SCHEDULES.items():
+        names = [f.name for f in fields(cls)]
+        defaults = {"kind": "instance_crash"} if cls is ScheduledFault else {}
+        rows = [[entry.get(key) if entry.get(key) is not None else defaults.get(key)
+                 for key in names] for entry in telemetry[name]]
+        assert all(row[names.index("resource")] is None for row in rows)
+        telemetry[name] = {"fields": names, "rows": rows}
+    return json.dumps(data, separators=(",", ":"))
+
+
+def current_text(v4) -> str:
+    """A v4 snapshot's text as the package now writes it."""
+    return v6_text(v5_text(v4))
+
+
 def fixture_texts() -> tuple:
-    """The v1 fixture, the v2 fixture, and the v3, v4 and v5 forms of both."""
+    """The v1 fixture, the v2 fixture, and the v3, v4, v5 and v6 forms of
+    both."""
     v1, v2 = FIXTURE.read_text(encoding="utf-8"), FIXTURE_V2.read_text(encoding="utf-8")
     v3 = v3_text(v2)
     v4 = v4_text(v3)
-    return v1, v2, v3, v4, v5_text(v4)
+    v5 = v5_text(v4)
+    return v1, v2, v3, v4, v5, v6_text(v5)
 
 
 def test_fixture_upgrades_to_v3_on_load():
@@ -269,11 +306,12 @@ def test_fixture_upgrades_to_v3_on_load():
 
 
 def test_fixture_upgrades_to_v4_on_load():
-    """On its way to v5: `state_v4`'s tests take it from there."""
-    v1, _, _, v4, v5 = fixture_texts()
+    """On its way to v6: `state_v4`'s and `state_v5`'s tests take it from
+    there."""
+    v1, _, _, v4, _, v6 = fixture_texts()
     upgraded = _upgrade_v3(_upgrade_v2(_upgrade_v1(json.loads(v1))))
     assert json.dumps(upgraded, separators=(",", ":")) == v4
-    assert dump(World.from_snapshot(json.loads(v1))) == v5
+    assert dump(World.from_snapshot(json.loads(v1))) == v6
     data = json.loads(v4)["engine"]
     assert "source" not in data["stacks"]["fields"]
     assert len(data["runs"]["rows"]) == 1  # the stack parked on its wait condition
@@ -287,7 +325,7 @@ def test_upgrade_v2_leaves_its_input_as_it_was():
 
 
 def test_fixture_is_what_the_builder_writes():
-    assert dump(build_fixture_world()) == fixture_texts()[4]
+    assert dump(build_fixture_world()) == fixture_texts()[-1]
 
 
 def _assert_rows(registry, cls, key):
@@ -352,12 +390,12 @@ def saved_back(fixture, tmp_path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def test_a_v1_state_file_is_saved_back_as_v5(tmp_path):
-    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[4]
+def test_a_v1_state_file_is_saved_back_at_the_current_version(tmp_path):
+    assert saved_back(FIXTURE, tmp_path) == fixture_texts()[-1]
 
 
-def test_a_v2_state_file_is_saved_back_as_v5(tmp_path):
-    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[4]
+def test_a_v2_state_file_is_saved_back_at_the_current_version(tmp_path):
+    assert saved_back(FIXTURE_V2, tmp_path) == fixture_texts()[-1]
 
 
 # a top-level row and the two kinds of nested row of the v2 fixture: the
@@ -408,4 +446,4 @@ def test_v2_rows_with_their_keys_in_another_order_load(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(v2_edited(reverse)), encoding="utf-8")
     save_world(load_world(str(path)), str(path))
-    assert path.read_text(encoding="utf-8") == fixture_texts()[4]
+    assert path.read_text(encoding="utf-8") == fixture_texts()[-1]

@@ -23,7 +23,7 @@ from minimano import world as world_mod
 from minimano.hot import parse_template
 from minimano.statefile import load_world
 from minimano.world import World
-from test_state_v1 import dump, fixture_texts, v4_text, v5_text
+from test_state_v1 import current_text, dump, fixture_texts, v4_text
 
 FIXTURE_V3 = Path(__file__).resolve().parent / "data" / "state_v3.json"
 
@@ -99,12 +99,12 @@ def test_v3_fixture_holds_a_finished_a_waiting_and_a_nested_waiting_stack():
 
 
 def test_v3_fixture_upgrades_to_v4_on_load():
-    """On its way to v5, which is what a load of it saves."""
+    """On its way to the current version, which is what a load of it saves."""
     v3 = fixture_text()
     v4 = v4_text(v3)
-    assert dump(World.from_snapshot(json.loads(v3))) == v5_text(v4)
+    assert dump(World.from_snapshot(json.loads(v3))) == current_text(v4)
     # what the v3 fixture means is what the builder writes now
-    assert dump(build_v3_fixture_world()) == v5_text(v4)
+    assert dump(build_v3_fixture_world()) == current_text(v4)
     data = json.loads(v4)["engine"]
     assert "source" not in data["stacks"]["fields"]
     assert len(data["runs"]["rows"]) == 3

@@ -4,8 +4,8 @@
 `state_v1`'s `build_fixture_world`, so it is the v1 fixture's v4 form. It
 holds the six fields that v5 drops, each id as text in every cell that
 names it, and the events as one object each. `world._upgrade_v4` must
-turn it into exactly what the package now writes for the same world,
-which is `state_v1`'s `v5_text` of it.
+turn it into exactly what the package wrote for the same world at v5,
+which is `state_v1`'s `v5_text` of it and the v5 fixture.
 
 A v5 id cell is an index into the `ids` list: one that is no integer,
 that is negative or that is past the list's end names nothing, and a
@@ -21,9 +21,17 @@ import pytest
 
 from minimano import cli
 from minimano.world import World, _upgrade_v4
-from test_state_v1 import build_fixture_world, dump, fixture_texts, saved_back, v5_text
+from test_state_v1 import (
+    build_fixture_world,
+    current_text,
+    dump,
+    fixture_texts,
+    saved_back,
+    v5_text,
+)
 
 FIXTURE_V4 = Path(__file__).resolve().parent / "data" / "state_v4.json"
+FIXTURE_V5 = FIXTURE_V4.with_name("state_v5.json")
 DROPPED = {("identity", "tokens"): ["user_id"],
            ("provider", "instances"): ["ephemeral_image_b64", "created_at"],
            ("telemetry", "groups"): ["stack_id"],
@@ -51,12 +59,12 @@ def test_upgrade_v4_gives_what_the_package_writes_and_leaves_its_input_as_it_was
     v5 = json.dumps(_upgrade_v4(data), separators=(",", ":"))
     assert data == before
     assert v5 == v5_text(fixture_text())
-    assert v5 == dump(build_fixture_world())
-    assert dump(World.from_snapshot(json.loads(fixture_text()))) == v5
+    assert v5 == FIXTURE_V5.read_text(encoding="utf-8")
+    assert dump(World.from_snapshot(json.loads(fixture_text()))) == dump(build_fixture_world())
 
 
-def test_a_v4_state_file_is_saved_back_as_v5(tmp_path):
-    assert saved_back(FIXTURE_V4, tmp_path) == v5_text(fixture_text())
+def test_a_v4_state_file_is_saved_back_at_the_current_version(tmp_path):
+    assert saved_back(FIXTURE_V4, tmp_path) == current_text(fixture_text())
 
 
 def test_v5_stores_each_id_once_and_drops_the_unread_fields():
@@ -72,11 +80,11 @@ def test_v5_stores_each_id_once_and_drops_the_unread_fields():
     assert data["events"]["fields"] == ["tick", "kind", "subject", "detail"]
 
 
-def _state(tmp_path, edit, version=5):
-    """The fixture's world saved at `version` (the v4 fixture, or its v5
-    form), edited; and its token."""
+def _state(tmp_path, edit, version="current"):
+    """The fixture's world saved at `version` (the v4 fixture, or its form
+    at the current version), edited; and its token."""
     data = json.loads(fixture_text())
-    if version == 5:
+    if version == "current":
         data = json.loads(dump(World.from_snapshot(data)))
     edit(data)
     path = tmp_path / "state.json"
@@ -123,11 +131,11 @@ def test_a_ref_cell_or_ids_entry_that_names_nothing_is_a_state_error(
 @pytest.mark.parametrize("events, version", [
     ([5], 4),
     ([{"tick": 0, "kind": "k", "subject": "s"}], 4),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", 0]]}, 5),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", 0, 5]]}, 5),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [["x", "k", 0, {}]]}, 5),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", -1, {}]]}, 5),
-    ([5], 5),
+    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", 0]]}, "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", 0, 5]]}, "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [["x", "k", 0, {}]]}, "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", -1, {}]]}, "current"),
+    ([5], "current"),
 ], ids=["v4-event-a-number", "v4-event-lacks-detail", "row-too-short", "detail-a-number",
         "tick-text", "subject-negative", "v5-events-a-list"])
 def test_a_malformed_event_is_a_state_error(tmp_path, monkeypatch, capsys, events, version):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from minimano.errors import ConflictError, NotFoundError
-from minimano.telemetry import HealerConfig
+from minimano.telemetry import HealerConfig, ScheduledFault, ScheduledMetric
 from minimano.world import World
 
 MEMBER = {"image": "img", "flavor": "f1", "networks": ["n1"]}
@@ -307,7 +307,7 @@ def test_same_tick_order_deadlines_then_alarms_then_healer():
     group = world.telemetry.create_group("web", tenant, spec, 1, 3, 2)
     world.telemetry.create_alarm("cpu-high", "cpu_util", "avg", "gt", 0.8, 1, "web", "notify")
     world.telemetry.scheduled_metrics = [
-        {"tick": 10, "group": "web", "metric": "cpu_util", "value": 0.9}
+        ScheduledMetric(tick=10, group="web", metric="cpu_util", value=0.9)
     ]
     from minimano.hot import parse_template
 
@@ -337,9 +337,9 @@ def test_identical_inputs_produce_identical_event_logs():
         group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 1)
         world.telemetry.create_alarm("cpu-high", "cpu_util", "avg", "gt", 0.8, 3, "web", "scale_out")
         world.telemetry.scheduled_metrics = [
-            {"tick": t, "group": "web", "metric": "cpu_util", "value": 0.9} for t in range(1, 8)
+            ScheduledMetric(t, "cpu_util", 0.9, group="web") for t in range(1, 8)
         ]
-        world.telemetry.scheduled_faults = [{"tick": 12, "group": "web", "member_index": 0}]
+        world.telemetry.scheduled_faults = [ScheduledFault(tick=12, group="web", member_index=0)]
         world.advance_clock(25)
         return world.events
 

@@ -35,8 +35,10 @@ A field's annotation (``str``, ``int``, ``float``, ``bool``, ``list``,
 kind checked on load, in each table column and `one` object, and through
 `check` at the other input boundaries (`entries` decodes a list of input
 objects, such as a scenario section, by it), never in ``__init__``. A float
-takes an int, a bool is no number, and ``field(positive=True)`` takes only
-an integer above zero. A nested table is checked by its own codec.
+takes an int, a bool is no number, and ``field(rule=...)`` names a function
+of a value of the kind that gives its refusal or None (`rule`, `positive`,
+`one_of`, `each`), ``record(rule=...)`` one of a row as a dict: a load and
+`check` apply them after the kinds. A nested table is checked by its own codec.
 
 A table column declared ``field(ref=True)`` holds an id, the row's own
 or one it refers to. A save interns its strings in one `Ids` table,
@@ -78,16 +80,42 @@ def _same(value, ids=None):
 PLAIN = Codec(_same, _same)
 _MISSING = object()
 # one field of a `record` class, as `fields` lists it
-Field = namedtuple("Field", "name default default_factory codec compare positive ref",
-                   defaults=(_MISSING, None, PLAIN, True, False, False))
+Field = namedtuple("Field", "name default default_factory codec compare rule ref",
+                   defaults=(_MISSING, None, PLAIN, True, None, False))
 
 
 def field(*, default=_MISSING, default_factory=None, codec=PLAIN, compare=True,
-          positive=False, ref=False) -> Field:
+          rule=None, ref=False) -> Field:
     """A field's default, or the factory called for each new object, the
-    codec of a nested row collection, whether ``eq`` compares it, whether
-    its integer must be above zero, and whether a table stores it in `Ids`."""
-    return Field("", default, default_factory, codec, compare, positive, ref)
+    codec of a nested row collection, whether ``eq`` compares it, the rule
+    its value keeps, and whether a table stores it in `Ids`."""
+    return Field("", default, default_factory, codec, compare, rule, ref)
+
+
+def rule(holds, message):
+    """The rule refusing what `holds` does not take with `message`, which
+    formats the value (``{!r}``, or ``{0[key]}`` of a row)."""
+    return lambda value: None if holds(value) else message.format(value)
+
+
+def positive(message="must be a positive integer, got {!r}"):
+    """The rule that takes only an integer above zero."""
+    return rule(lambda value: type(value) is int and value >= 1, message)
+
+
+def one_of(choices):
+    """The rule that takes only one of `choices`."""
+    return rule(choices.__contains__, "must be one of " + ", ".join(choices) + ", got {!r}")
+
+
+def each(entry_rule):
+    """The rule of a list, or a dict's values: the first entry's refusal."""
+    return lambda value: next(filter(None, map(
+        entry_rule, value.values() if type(value) is dict else value)), None)
+
+
+# the rule of a list of names or ids
+strings = each(rule(lambda entry: type(entry) is str, "must hold only strings, got {!r}"))
 
 
 class FrozenInstanceError(AttributeError):
@@ -108,11 +136,11 @@ def _tuple_getter(names):
     return lambda obj: (getter(obj),)
 
 
-def record(cls=None, /, *, eq=False, frozen=False):
+def record(cls=None, /, *, eq=False, frozen=False, rule=None):
     """Give `cls` an ``__init__`` that takes its annotated fields in order,
     positional or keyword, and list them for `fields`. A list, dict or set
     default is refused, as `dataclass` refuses it: every object would
-    share it.
+    share it. `rule` is the row rule that `check` and a load apply.
 
     With `eq`, two objects are equal when they are of the same class and
     their fields, but for those declared ``field(compare=False)``, are
@@ -120,7 +148,7 @@ def record(cls=None, /, *, eq=False, frozen=False):
     `frozen`, setting or deleting an attribute raises
     `FrozenInstanceError`, and an object hashes by its compared fields."""
     if cls is None:
-        return lambda cls: record(cls, eq=eq, frozen=frozen)
+        return lambda cls: record(cls, eq=eq, frozen=frozen, rule=rule)
     declared, params, body = [], [], []
     env = {"_MISSING": _MISSING, "_set": object.__setattr__}
     assign = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
@@ -152,6 +180,7 @@ def record(cls=None, /, *, eq=False, frozen=False):
     cls.__init__ = env["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__record_fields__ = tuple(declared)
+    cls.__record_rule__ = rule
     if eq:
         key = _tuple_getter([f.name for f in declared if f.compare])
 
@@ -182,40 +211,48 @@ _TYPES = {"str": {str}, "int": {int}, "float": {float, int}, "bool": {bool}, "li
 
 
 def _kinds(cls) -> dict:
-    """Field name -> (admitted types, what an error calls them, positive),
-    or None for a nested table; read when `cls` is first checked."""
+    """Field name -> (admitted types, what an error calls them, rule), or
+    None for a nested table; read when `cls` is first checked."""
     if "__record_kinds__" not in cls.__dict__:
         cls.__record_kinds__ = {}
         for f in fields(cls):
             text = cls.__annotations__[f.name]
             text = text if type(text) is str else getattr(text, "__name__", None) or str(text)
             types = frozenset().union(*(_TYPES[name.strip()] for name in text.split("|")))
-            cls.__record_kinds__[f.name] = None if f.codec is not PLAIN else (
-                types, "a positive integer" if f.positive else text, f.positive)
+            cls.__record_kinds__[f.name] = None if f.codec is not PLAIN else (types, text, f.rule)
     return cls.__record_kinds__
 
 
+def _refused(kind, name, value) -> str | None:
+    types, what, holds = kind
+    if type(value) not in types:
+        return f"{name} must be {what}, got {value!r}"
+    message = holds and holds(value)
+    return message and f"{name} {message}"
+
+
 def check_column(cls, name, values, label, error=ValueError):
-    """Raise `error`, naming `label`, the field and a value, unless every
-    one of `values` is of the kind the field `name` of `cls` declares; a
-    name that is no plain field is not checked."""
+    """Raise `error`, naming `label`, the field and a value, unless each of
+    `values` keeps the kind and rule of field `name` of `cls`, if plain."""
     kind = _kinds(cls).get(name)
-    if not kind:
-        return
-    types, what, positive = kind
-    if not set(map(type, values)) <= types or positive and min(values, default=1) < 1:
-        bad = next(v for v in values if type(v) not in types or positive and v < 1)
-        raise error(f"{label} {name} must be {what}, got {bad!r}")
+    if kind and (not set(map(type, values)) <= kind[0] or kind[2] and any(map(kind[2], values))):
+        raise error(f"{label} {next(filter(None, (_refused(kind, name, v) for v in values)))}")
 
 
-def check(cls, row: dict, label: str, error=ValueError) -> dict:
-    """`row`, once each value under a plain field of `cls` is of the kind
-    the field declares; otherwise `error` naming `label` and the field."""
+def refusal(cls, row: dict) -> str | None:
+    """Why `row`, some fields of a `cls` object, breaks a kind or rule, or None."""
     kinds = _kinds(cls)
     for name, value in row.items():
         kind = kinds.get(name)
-        if kind and (type(value) not in kind[0] or kind[2] and value < 1):
-            check_column(cls, name, (value,), label, error)
+        if kind and (type(value) not in kind[0] or kind[2] and kind[2](value)):
+            return _refused(kind, name, value)
+    return cls.__record_rule__ and cls.__record_rule__(row)
+
+
+def check(cls, row: dict, label: str, error=ValueError) -> dict:
+    """`row`, unless `refusal` finds why not: then `error` naming `label`."""
+    if (message := refusal(cls, row)) is not None:
+        raise error(f"{label} {message}")
     return row
 
 
@@ -320,9 +357,9 @@ def _table(cls, names, get, nested=()) -> Codec:
     through `get(name)`, dumps each nested table, (column, codec) in
     `nested`, then interns each ref column in `ids`; `load` gives the rows
     as tuples, each ref cell resolved through `ids`, each column checked
-    by its field's kind and each nested table loaded. Without `ids` the
-    ref columns hold the strings themselves."""
-    refs, getters = _refs(cls, names), list(map(get, names))
+    by its field's kind and rule, each nested table loaded, each row by the
+    record's rule. Without `ids` the ref columns hold the strings themselves."""
+    refs, getters, row_rule = _refs(cls, names), list(map(get, names)), cls.__record_rule__
 
     def dump(objs, ids=None):
         columns = [map(getter, objs) for getter in getters]
@@ -345,7 +382,11 @@ def _table(cls, names, get, nested=()) -> Codec:
             check_column(cls, name, column, cls.__name__)
         for i, codec in nested:
             columns[i] = [codec.load(value, ids) for value in columns[i]]
-        return list(zip(*columns))
+        rows = list(zip(*columns))
+        for row in rows if row_rule else ():
+            if message := row_rule(dict(zip(names, row))):
+                raise ValueError(f"{cls.__name__} {message}")
+        return rows
 
     return Codec(dump, load, cls)
 

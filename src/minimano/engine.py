@@ -19,7 +19,8 @@ import os
 import random
 from functools import cached_property
 
-from .codec import dump_attrs, field, keyed, load_attrs, record
+from .codec import (dump_attrs, each, field, keyed, load_attrs, one_of, record, refusal, rule,
+                    strings)
 from .errors import (
     ConflictError,
     DeployError,
@@ -65,7 +66,7 @@ class ResourceRecord:
     name: str
     uuid: str = field(ref=True)
     type: str
-    state: str  # IN_PROGRESS | COMPLETE | FAILED | DELETED
+    state: str = field(rule=one_of(("IN_PROGRESS", "COMPLETE", "FAILED", "DELETED")))
     attributes: dict = field(default_factory=dict)
     physical_id: str | None = field(default=None, ref=True)
     failure: str | None = None
@@ -76,12 +77,16 @@ class Stack:
     id: str = field(ref=True)
     name: str
     tenant_id: str = field(ref=True)
-    status: str
+    status: str = field(rule=one_of((CREATE_IN_PROGRESS, CREATE_COMPLETE, CREATE_FAILED,
+                                     DELETE_IN_PROGRESS, DELETE_COMPLETE, DELETE_FAILED)))
     bound: dict
-    waves: list
+    waves: list = field(rule=each(rule(lambda wave: type(wave) is list and not strings(wave),
+                                       "must be lists of resource names, got {!r}")))
     records: dict = field(default_factory=dict, codec=keyed(ResourceRecord, "name"))
     outputs: dict = field(default_factory=dict)
-    parent: list | None = None  # [stack_id, resource_name]
+    parent: list | None = field(default=None, rule=rule(  # [stack id, resource name]
+        lambda parent: parent is None or len(parent) == 2 and not strings(parent),
+        "must be null or [stack id, resource name], got {!r}"))
     depth: int = 0
     created_at: int = 0
     failure_reason: str | None = None
@@ -124,10 +129,25 @@ class StackRun:
 
 
 @record
+class SignalPayload:
+    """A confirmation signal: a status, and optional text `id` and `data`."""
+    status: str = field(rule=one_of(("SUCCESS", "FAILURE")))
+    id: str = ""
+    data: str = ""
+
+
+def signal_refusal(payload) -> str | None:
+    """Why `payload` is no `SignalPayload` object, or None."""
+    if type(payload) is not dict or payload.keys() - {"status", "id", "data"}:
+        return f"payload must be an object of status, id and data, got {payload!r}"
+    return refusal(SignalPayload, {"status": None, **payload})
+
+
+@record
 class WaitHandle:
     id: str = field(ref=True)
     stack_id: str = field(ref=True)
-    signals: dict = field(default_factory=dict)  # signal id -> payload
+    signals: dict = field(default_factory=dict, rule=each(signal_refusal))  # signal id -> payload
 
 
 @record
@@ -136,7 +156,8 @@ class WaitCondition:
     stack_id: str = field(ref=True)
     required: int
     deadline: int
-    outcome: str = "PENDING"  # PENDING | SUCCESS | TIMEOUT | FAILURE_SIGNALED
+    outcome: str = field(default="PENDING",
+                         rule=one_of(("PENDING", "SUCCESS", "TIMEOUT", "FAILURE_SIGNALED")))
 
 
 # the persisted layout, in snapshot order
@@ -460,7 +481,8 @@ class StackEngine:
         handle = self.handles.get(handle_id)
         if handle is None:
             raise NotFoundError(f"unknown wait handle {handle_id!r}")
-        payload = self._validate_signal_payload(payload)
+        if (problem := signal_refusal(payload)) is not None:
+            raise TemplateError(f"signal {problem}")
         condition = self.conditions.get(handle_id)
         if condition is not None and condition.outcome != "PENDING":
             self.core.emit("wait.signal.ignored", handle=handle_id, reason="already resolved")
@@ -471,21 +493,6 @@ class StackEngine:
         if condition is not None:
             self._resume(condition.stack_id, ["wait", handle_id])
         return "recorded"
-
-    @staticmethod
-    def _validate_signal_payload(payload) -> dict:
-        if not isinstance(payload, dict):
-            raise TemplateError("signal payload must be a JSON object")
-        unknown = set(payload) - {"status", "id", "data"}
-        if unknown:
-            raise TemplateError(f"signal payload has unknown fields: {sorted(unknown)}")
-        status = payload.get("status")
-        if status not in ("SUCCESS", "FAILURE"):
-            raise TemplateError("signal status must be SUCCESS or FAILURE")
-        for key in ("id", "data"):
-            if key in payload and not isinstance(payload[key], str):
-                raise TemplateError(f"signal {key} must be a string")
-        return payload
 
     def process_deadlines(self):
         """Called once per tick, before alarms and the healer."""
@@ -615,10 +622,6 @@ class StackEngine:
 
     def load_dict(self, data, ids):
         load_attrs(self, _SCHEMA, data, ids)
-        for stack in self.stacks.values():
-            if any(type(wave) is not list or any(type(name) is not str for name in wave)
-                   for wave in stack.waves):
-                raise ValueError(f"stack {stack.id!r} waves must be lists of resource names")
         for run in self.runs.values():
             stack = self.stacks.get(run.stack_id)
             if stack is None:

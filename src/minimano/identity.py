@@ -7,7 +7,7 @@ table mapping action names to the role they require ("any" accepts every
 valid token). Unknown actions are denied.
 """
 
-from .codec import field, keyed, one, record
+from .codec import each, field, keyed, one, record, rule, strings
 from .errors import AuthError, ConflictError, NotFoundError
 
 
@@ -88,7 +88,9 @@ class Token:
 class IdentityState:
     tenants: dict = field(default_factory=dict, codec=keyed(Tenant, "id"))
     users: dict = field(default_factory=dict, codec=keyed(User, "id"))
-    assignments: list = field(default_factory=list)  # [user_id, tenant_id, role]
+    assignments: list = field(default_factory=list, rule=each(rule(
+        lambda row: type(row) is list and len(row) == 3 and not strings(row),
+        "must each be [user id, tenant id, role], got {!r}")))
     tokens: dict = field(default_factory=dict, codec=keyed(Token, "id"))
     catalog: dict = field(default_factory=dict)  # service name -> url
     policy: dict = field(default_factory=dict)  # action -> required role
@@ -241,6 +243,3 @@ class IdentityService:
 
     def load_dict(self, data, ids):
         self.state = _STATE.load(data, ids)
-        for row in self.state.assignments:
-            if type(row) is not list or len(row) != 3 or any(type(v) is not str for v in row):
-                raise ValueError(f"identity assignment {row!r} must be [user id, tenant id, role]")

@@ -25,7 +25,8 @@ import json
 import re
 from heapq import heappop, heappush
 
-from .codec import PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, record
+from .codec import (PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, one_of,
+                    positive, record, refusal, rule, strings)
 from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
 
 
@@ -44,9 +45,9 @@ _SIGNAL_RE = re.compile(r"^signal (\S+) (.+)$")
 @record
 class Host:
     id: str = field(ref=True)
-    vcpus: int = field(positive=True)
-    ram_mib: int = field(positive=True)
-    disk_gib: int = field(positive=True)
+    vcpus: int = field(rule=positive())
+    ram_mib: int = field(rule=positive())
+    disk_gib: int = field(rule=positive())
 
 
 @record
@@ -64,9 +65,9 @@ class Flavor:
     id: str = field(ref=True)
     tenant_id: str = field(ref=True)
     name: str
-    vcpus: int = field(positive=True)
-    ram_mib: int = field(positive=True)
-    disk_gib: int = field(positive=True)
+    vcpus: int = field(rule=positive())
+    ram_mib: int = field(rule=positive())
+    disk_gib: int = field(rule=positive())
 
 
 @record
@@ -78,21 +79,24 @@ class KeyPair:
     # the private half is returned once at creation and never stored
 
 
-@record
+def _network_or_null(cidr) -> str | None:
+    """The rule of a rule's remote CIDR: null or a network."""
+    try:
+        cidr is None or ipaddress.ip_network(cidr)
+    except ValueError:
+        return f"must be null or a network, got {cidr!r}"
+
+
+@record(rule=rule(lambda row: 0 <= row["port_min"] <= row["port_max"] <= 65535,
+                  "port range {0[port_min]}-{0[port_max]} matches no port: it must run upward "
+                  "within 0-65535"))
 class SecurityGroupRule:
-    direction: str  # ingress | egress
-    protocol: str
+    direction: str = field(rule=one_of(DIRECTIONS))
+    protocol: str = field(rule=one_of(PROTOCOLS))
     port_min: int
     port_max: int
-    remote_cidr: str | None = None
+    remote_cidr: str | None = field(default=None, rule=_network_or_null)
     remote_group: str | None = None
-
-
-def port_range_problem(port_min, port_max) -> str | None:
-    """Why a rule's port range matches no port, or None."""
-    if not 0 <= port_min <= port_max <= 65535:
-        return (f"port range {port_min}-{port_max} matches no port: it must run upward "
-                f"within 0-65535")
 
 
 @record
@@ -111,7 +115,7 @@ class Instance:
     image_id: str = field(ref=True)
     flavor_name: str
     host_id: str = field(ref=True)
-    state: str  # BUILD | ACTIVE | FAILED | DELETED
+    state: str = field(rule=one_of(("BUILD", "ACTIVE", "FAILED", "DELETED")))
     fixed_ips: dict  # network name -> address
     key_name: str | None
     security_groups: list
@@ -134,16 +138,13 @@ class LaunchSpec:
     user_data: str | None = None
 
 
-def check_launch_spec(spec, label, error=ValueError) -> dict:
-    """`spec`, once it is an object that names an image and a flavor and
-    whose keys that `LaunchSpec` declares are each of their kind (it reads
-    no other); otherwise `error` naming `label`."""
-    if type(spec) is not dict:
-        raise error(f"{label} must be dict, got {spec!r}")
+def launch_spec_refusal(spec: dict) -> str | None:
+    """Why `spec` is no instance spec `launch_instance` can read: it names an
+    image and a flavor, each key `LaunchSpec` declares of its kind; or None."""
     for required in ("image", "flavor"):
         if not spec.get(required):
-            raise error(f"{label} requires {required!r}")
-    return check(LaunchSpec, spec, label, error)
+            return f"requires {required!r}"
+    return refusal(LaunchSpec, spec)
 
 
 @record
@@ -163,7 +164,7 @@ class Router:
     id: str = field(ref=True)
     tenant_id: str = field(ref=True)
     name: str
-    interfaces: list = field(default_factory=list)  # network ids
+    interfaces: list = field(default_factory=list, rule=strings)  # network ids
     external_gateway: bool = False
 
 
@@ -186,7 +187,7 @@ class VolumeSnapshot:
 class Volume:
     id: str = field(ref=True)
     tenant_id: str = field(ref=True)
-    size_gib: int
+    size_gib: int = field(rule=positive())
     payload_b64: str = ""
     attached_to: str | None = field(default=None, ref=True)
     snapshots: list = field(default_factory=list, codec=listed(VolumeSnapshot))
@@ -423,20 +424,11 @@ class CloudProvider:
         remote="0.0.0.0/0", direction="ingress",
     ) -> SecurityGroupRule:
         group = self._named(self.secgroups, tenant_id, group_name, "security group")
-        if protocol not in PROTOCOLS:
-            raise ConflictError(f"unknown protocol {protocol!r}")
-        if direction not in DIRECTIONS:
-            raise ConflictError(f"unknown direction {direction!r}")
-        problem = port_range_problem(port_min, port_max)
-        if problem:
-            raise ConflictError(problem)
-        remote_cidr = remote_group = None
-        try:
-            ipaddress.ip_network(remote)
-            remote_cidr = remote
-        except ValueError:
-            remote_group = remote
-        rule = SecurityGroupRule(direction, protocol, port_min, port_max, remote_cidr, remote_group)
+        remote_cidr, remote_group = (None, remote) if _network_or_null(remote) else (remote, None)
+        rule = SecurityGroupRule(**check(SecurityGroupRule, {
+            "direction": direction, "protocol": protocol, "port_min": port_min,
+            "port_max": port_max, "remote_cidr": remote_cidr, "remote_group": remote_group,
+        }, f"security group {group_name!r} rule", ConflictError))
         group.rules.append(rule)
         return rule
 
@@ -734,8 +726,7 @@ class CloudProvider:
     # -- volumes -----------------------------------------------------------------------
 
     def create_volume(self, tenant_id, size_gib) -> Volume:
-        if size_gib <= 0:
-            raise ConflictError("volume size must be positive")
+        check(Volume, {"size_gib": size_gib}, "volume", ConflictError)
         volume = Volume(self.core.new_uuid(), tenant_id, size_gib)
         self.volumes[volume.id] = volume
         return volume
@@ -938,9 +929,4 @@ class CloudProvider:
         load_attrs(self, _SCHEMA, data, ids)
         if type(self.objects) is not dict or any(type(v) is not str for v in self.objects.values()):
             raise ValueError("provider objects must be an object of base64 text")
-        for group in self.secgroups.values():
-            for rule in group.rules:
-                problem = port_range_problem(rule.port_min, rule.port_max)
-                if problem:
-                    raise ValueError(f"security group {group.id!r} has a rule whose {problem}")
         self._forget_derived()

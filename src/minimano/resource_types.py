@@ -14,7 +14,7 @@ Deleting a stack reads only the type names, so this module imports no
 template layer: a delete imports no template parser.
 """
 
-from .codec import field, record
+from .codec import field, positive, record, rule
 
 SERVER_TYPE = "OS::Nova::Server"
 RANDOM_STRING_TYPE = "OS::Heat::RandomString"
@@ -53,14 +53,6 @@ def kind_of(value) -> str:
     return "null"
 
 
-def _rule(holds, message):
-    return lambda value: None if holds(value) else message
-
-
-def _positive(message):
-    return _rule(lambda value: type(value) is int and value >= 1, message)
-
-
 @record
 class ResourceType:
     mandatory: dict  # property -> kind
@@ -89,8 +81,8 @@ class ResourceType:
             return []
         if kind_of(value) != kind:
             return [(name, f"expected a {kind}")]
-        rule, entry_rule = self.rules.get(name), self.entry_rules.get(name)
-        found = [(name, rule(value))] if rule else []
+        value_rule, entry_rule = self.rules.get(name), self.entry_rules.get(name)
+        found = [(name, value_rule(value))] if value_rule else []
         if entry_rule:
             found += [(f"{name}[{i}]", entry_rule(entry))
                       for i, entry in enumerate(value) if entry is not UNKNOWN]
@@ -104,8 +96,8 @@ TYPES = {
                   "user_data": "string", "user_data_format": "string"},
         attributes=("first_address", "instance_id", "name"),
         defaults={"user_data_format": "RAW"},
-        rules={"user_data_format": _rule(lambda value: value == "RAW", "only RAW is supported")},
-        entry_rules={"networks": _rule(lambda entry: isinstance(entry, dict) and "network" in entry,
+        rules={"user_data_format": rule(lambda value: value == "RAW", "only RAW is supported")},
+        entry_rules={"networks": rule(lambda entry: isinstance(entry, dict) and "network" in entry,
                                        "each entry must be a map with a 'network' key")},
     ),
     RANDOM_STRING_TYPE: ResourceType(
@@ -113,17 +105,16 @@ TYPES = {
         optional={"length": "number", "sequence": "string"},
         attributes=("value",),
         defaults={"length": 32, "sequence": "alphanumeric"},
-        rules={"length": _positive("length must be a positive integer"),
-               "sequence": lambda value: (None if value in SEQUENCES
-                                          else f"unknown sequence {value!r}")},
+        rules={"length": positive("length must be a positive integer"),
+               "sequence": rule(SEQUENCES.__contains__, "unknown sequence {!r}")},
     ),
     WAIT_CONDITION_TYPE: ResourceType(
         mandatory={"handle": WAIT_HANDLE_TYPE, "timeout": "number"},
         optional={"count": "number"},
         attributes=("data",),
         defaults={"count": 1},
-        rules={"timeout": _positive("timeout must be a positive tick count"),
-               "count": _positive("count must be a positive integer")},
+        rules={"timeout": positive("timeout must be a positive tick count"),
+               "count": positive("count must be a positive integer")},
     ),
     WAIT_HANDLE_TYPE: ResourceType(mandatory={}, optional={}, attributes=("curl_cli", "handle_id")),
 }

@@ -41,7 +41,7 @@ from .codec import check, entries, record
 from .errors import StateIOError, TemplateError
 from .nfvi import Flavor, Image, KeyPair, Network
 from .telemetry import (AlarmDef, HealerConfig, LoadGenerator, ScalingGroup, ScheduledFault,
-                        ScheduledMetric, target_problem)
+                        ScheduledMetric)
 from .world import World
 
 
@@ -133,8 +133,9 @@ def build_world(scenario: dict, seed=None) -> World:
             ("faults", ScheduledFault, ["tick"], ["kind", *targets])):
         schedule = [cls(**entry) for entry in _entries(scenario, section, cls, required, optional)]
         for index, entry in enumerate(schedule):
-            if problem := target_problem(entry):
-                raise TemplateError(f"scenario {section!r} entry {index} {problem}")
+            if entry.group is not None and entry.group not in telemetry.groups:
+                raise TemplateError(f"scenario {section!r} entry {index} names scaling group "
+                                    f"{entry.group!r}, which does not exist")
         setattr(telemetry, f"scheduled_{section}", schedule)
     return world
 

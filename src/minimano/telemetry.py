@@ -13,10 +13,12 @@ when capacity is short.
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 
-from .codec import dump_attrs, field, keyed, listed, load_attrs, one, record
+from .codec import (check, dump_attrs, field, keyed, listed, load_attrs, one, one_of, positive,
+                    record, rule, strings)
 from .errors import CapacityError, ConflictError, NotFoundError
-from .nfvi import check_launch_spec
+from .nfvi import launch_spec_refusal
 
 
 AGGREGATES = {"avg": lambda v: sum(v) / len(v), "max": max, "min": min}
@@ -24,17 +26,6 @@ COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
                "ge": lambda a, b: a >= b, "le": lambda a, b: a <= b}
 ACTIONS = ("scale_out", "scale_in", "notify")
 FAULT_KINDS = ("instance_crash",)
-
-
-def _unknown_setting(aggregate, comparison, action):
-    """'unknown <setting> <value>' for the first alarm setting outside its
-    choices, or None."""
-    for setting, value, choices in (("aggregate", aggregate, AGGREGATES),
-                                    ("comparison", comparison, COMPARISONS),
-                                    ("action", action, ACTIONS)):
-        if value not in choices:
-            return f"unknown {setting} {value!r}"
-    return None
 
 
 @record
@@ -52,33 +43,36 @@ class AlarmDef:
     id: str = field(ref=True)
     name: str
     metric: str
-    aggregate: str
-    comparison: str
+    aggregate: str = field(rule=one_of(AGGREGATES))
+    comparison: str = field(rule=one_of(COMPARISONS))
     threshold: float
-    window: int
+    window: int = field(rule=positive())
     target: str  # scaling group name or resource id
-    action: str
-    state: str = "insufficient_data"  # ok | alarm | insufficient_data
+    action: str = field(rule=one_of(ACTIONS))
+    state: str = field(default="insufficient_data",
+                       rule=one_of(("ok", "alarm", "insufficient_data")))
     last_fire_tick: int | None = None
 
 
-@record
+@record(rule=rule(lambda group: 0 <= group["min_size"] <= group["desired"] <= group["max_size"],
+                  "sizes must satisfy 0 <= min_size <= desired <= max_size, got "
+                  "{0[min_size]}, {0[desired]}, {0[max_size]}"))
 class ScalingGroup:
     id: str = field(ref=True)
     name: str
     tenant_id: str = field(ref=True)
-    member_spec: dict  # instance launch spec, checked by `nfvi.check_launch_spec`
+    member_spec: dict = field(rule=launch_spec_refusal)  # instance launch spec
     min_size: int
     max_size: int
     desired: int
-    members: list = field(default_factory=list)  # instance ids, oldest first
+    members: list = field(default_factory=list, rule=strings)  # instance ids, oldest first
     member_seq: int = 0
 
 
 @record
 class HealerConfig:
     enabled: bool = False
-    detect_interval: int = field(default=5, positive=True)  # divides the tick
+    detect_interval: int = field(default=5, rule=positive())  # divides the tick
 
 
 @record
@@ -89,12 +83,18 @@ class LoadGenerator:
     metric: str = "cpu_util"
     base: float = 0.5
     amplitude: float = 0.3
-    period: int = field(default=20, positive=True)  # divides the tick
+    period: int = field(default=20, rule=positive())  # divides the tick
     noise: float = 0.05
     seed: int = 0
 
 
-@record
+# an entry's target (an absent key is null), and a member never counted from the end
+_NAMES_A_TARGET = rule(lambda entry: (entry.get("group"), entry.get("resource")) != (None, None),
+                       "names neither a 'group' nor a 'resource'")
+_MEMBER_INDEX = rule(lambda index: index is None or index >= 0, "must not be negative, got {!r}")
+
+
+@record(rule=_NAMES_A_TARGET)
 class ScheduledMetric:
     """A metric sample scheduled for `tick`, on `resource`, on each active
     member of `group` or on its member at `member_index`."""
@@ -104,33 +104,19 @@ class ScheduledMetric:
     value: float
     resource: str | None = field(default=None, ref=True)
     group: str | None = None
-    member_index: int | None = None
+    member_index: int | None = field(default=None, rule=_MEMBER_INDEX)
 
 
-@record
+@record(rule=_NAMES_A_TARGET)
 class ScheduledFault:
     """A fault scheduled for `tick`, on a target named as a
     `ScheduledMetric` names one."""
 
     tick: int
-    kind: str = "instance_crash"
+    kind: str = field(default="instance_crash", rule=one_of(FAULT_KINDS))
     resource: str | None = field(default=None, ref=True)
     group: str | None = None
-    member_index: int | None = None
-
-
-def target_problem(entry) -> str | None:
-    """What is wrong with the target of a `ScheduledMetric` or
-    `ScheduledFault`, or None: it names a group or a resource, a
-    `member_index` of 0 or more (never one counted from the end) and a
-    known fault kind."""
-    if entry.group is None and entry.resource is None:
-        return "names neither a 'group' nor a 'resource'"
-    if (entry.member_index or 0) < 0:
-        return f"member_index must not be negative, got {entry.member_index}"
-    if type(entry) is ScheduledFault and entry.kind not in FAULT_KINDS:
-        return f"has an unknown fault kind {entry.kind!r}"
-    return None
+    member_index: int | None = field(default=None, rule=_MEMBER_INDEX)
 
 
 # the persisted layout, in snapshot order
@@ -150,9 +136,6 @@ class TelemetryService:
         self.core = core
         self.provider = provider
         self.samples = []  # MetricSample, in record order; kept for the world's lifetime
-        # metric -> (ticks, positions): indexes into `samples`, sorted by
-        # (tick, position), so a window is two bisections
-        self._series = {}
         self.alarms = {}  # name -> AlarmDef
         self.groups = {}  # name -> ScalingGroup
         self.healer = HealerConfig()
@@ -168,14 +151,25 @@ class TelemetryService:
             raise NotFoundError(f"unknown resource {resource_id!r}")
         sample = MetricSample(resource_id, metric, float(value), self.core.tick if tick is None else tick)
         self.samples.append(sample)
-        self._index(sample, len(self.samples) - 1)
+        if "_series" in self.__dict__:  # once built, the index is kept a sample at a time
+            self._index(self._series, sample, len(self.samples) - 1)
         return sample
 
-    def _index(self, sample, position):
-        series = self._series.get(sample.metric)
-        if series is None:
-            series = self._series[sample.metric] = (array("q"), array("q"))
-        ticks, positions = series
+    @cached_property
+    def _series(self) -> dict:
+        """metric -> (ticks, positions): indexes into `samples`, sorted by (tick,
+        position), so a window is two bisections; built when first read."""
+        series = {}
+        for position, sample in enumerate(self.samples):
+            self._index(series, sample, position)
+        return series
+
+    @staticmethod
+    def _index(series, sample, position):
+        entry = series.get(sample.metric)
+        if entry is None:
+            entry = series[sample.metric] = (array("q"), array("q"))
+        ticks, positions = entry
         # `position` is the largest so far, so it goes after every equal tick
         at = bisect_right(ticks, sample.tick)
         ticks.insert(at, sample.tick)
@@ -201,14 +195,11 @@ class TelemetryService:
     def create_alarm(self, name, metric, aggregate, comparison, threshold, window, target, action):
         if name in self.alarms:
             raise ConflictError(f"alarm {name!r} already exists")
-        unknown = _unknown_setting(aggregate, comparison, action)
-        if unknown:
-            raise ConflictError(unknown)
-        if window < 1:
-            raise ConflictError("window must be at least 1 tick")
+        check(AlarmDef, {"aggregate": aggregate, "comparison": comparison, "threshold": threshold,
+                         "window": window, "action": action}, f"alarm {name!r}", ConflictError)
         alarm = AlarmDef(
             id=self.core.new_uuid(), name=name, metric=metric, aggregate=aggregate,
-            comparison=comparison, threshold=float(threshold), window=int(window),
+            comparison=comparison, threshold=float(threshold), window=window,
             target=target, action=action,
         )
         self.alarms[name] = alarm
@@ -252,9 +243,9 @@ class TelemetryService:
     def create_group(self, name, tenant_id, member_spec, min_size, max_size, desired):
         if name in self.groups:
             raise ConflictError(f"scaling group {name!r} already exists")
-        check_launch_spec(member_spec, f"scaling group {name!r} member_spec", ConflictError)
-        if not (0 <= min_size <= desired <= max_size):
-            raise ConflictError("sizes must satisfy min <= desired <= max")
+        check(ScalingGroup, {"member_spec": member_spec, "min_size": min_size,
+                             "max_size": max_size, "desired": desired},
+              f"scaling group {name!r}", ConflictError)
         group = ScalingGroup(
             id=self.core.new_uuid(), name=name, tenant_id=tenant_id,
             member_spec=dict(member_spec), min_size=min_size, max_size=max_size,
@@ -355,16 +346,18 @@ class TelemetryService:
         self.generators.append(generator)
 
     def run_scheduled(self, tick):
-        for entry in self.scheduled_metrics:
+        """Each entry scheduled for `tick`; an unavailable target gets `schedule.skipped`."""
+        for entry in (*self.scheduled_metrics, *self.scheduled_faults):
             if entry.tick != tick:
                 continue
-            for resource_id in self._schedule_targets(entry):
-                self.record_metric(resource_id, entry.metric, entry.value, tick)
-        for entry in self.scheduled_faults:
-            if entry.tick != tick:
-                continue
-            for resource_id in self._schedule_targets(entry):
-                self.inject_fault(resource_id, entry.kind)
+            for target in self._schedule_targets(entry):
+                try:
+                    if type(entry) is ScheduledFault:
+                        self.inject_fault(target, entry.kind)
+                    else:
+                        self.record_metric(target, entry.metric, entry.value, tick)
+                except (ConflictError, NotFoundError) as exc:
+                    self.core.emit("schedule.skipped", target=target, reason=exc.message)
         if self.generators:
             from hashlib import sha256  # a CLI call that runs no generator does not pay for it
         for gen in self.generators:
@@ -381,14 +374,14 @@ class TelemetryService:
     def _schedule_targets(self, entry):
         if entry.group is None:
             return [entry.resource]
-        group = self.groups.get(entry.group)
-        if group is None:
-            raise NotFoundError(f"scaling group {entry.group!r} not found")
+        group = self.groups[entry.group]  # a load and a scenario refuse a missing one
         idx = entry.member_index
         if idx is None:
             return self._active_members(group)
         if idx >= len(group.members):
-            raise NotFoundError(f"group {group.name!r} has no member {idx}")
+            self.core.emit("schedule.skipped", target=group.name,
+                           reason=f"group {group.name!r} has no member {idx}")
+            return []
         return [group.members[idx]]
 
     def on_tick(self, tick):
@@ -405,22 +398,6 @@ class TelemetryService:
     def load_dict(self, data, ids):
         load_attrs(self, _SCHEMA, data, ids)
         for entry in (*self.scheduled_metrics, *self.scheduled_faults):
-            if problem := target_problem(entry):
-                raise ValueError(f"{type(entry).__name__} {problem}")
-        for group in self.groups.values():
-            check_launch_spec(group.member_spec, f"scaling group {group.name!r} member_spec")
-        for alarm in self.alarms.values():
-            unknown = _unknown_setting(alarm.aggregate, alarm.comparison, alarm.action)
-            if unknown:
-                raise ValueError(f"alarm {alarm.name!r} has an {unknown}")
-        # the order `_index` keeps, in one stable sort per metric
-        samples = self.samples
-        ticks = [sample.tick for sample in samples]
-        by_metric = {}
-        for position, sample in enumerate(samples):
-            by_metric.setdefault(sample.metric, []).append(position)
-        self._series = {}
-        for metric, positions in by_metric.items():
-            positions.sort(key=ticks.__getitem__)
-            self._series[metric] = (array("q", map(ticks.__getitem__, positions)),
-                                    array("q", positions))
+            if entry.group is not None and entry.group not in self.groups:
+                raise ValueError(f"{type(entry).__name__} names scaling group {entry.group!r}, "
+                                 "which does not exist")

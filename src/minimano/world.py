@@ -103,6 +103,7 @@ EVENTS = {
     "scale.clamped": EventKind("group", ("group", "at")),
     "scale.blocked": EventKind("group", ("group", "reason")),
     "fault.inject": EventKind("target", ("target", "fault_kind")),
+    "schedule.skipped": EventKind("target", ("target", "reason")),
     "heal.replace": EventKind("group", ("group", "failed", "replacement")),
     "heal.blocked": EventKind("group", ("group", "reason")),
 }

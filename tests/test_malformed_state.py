@@ -1,5 +1,6 @@
 """Malformed state files, generated: every table cell of a small seeded
-state, the events table's among them, and every entry of its `ids` table
+state, the events table's among them, every entry of its `ids` table and,
+one level down, every entry of a list cell and every value of a dict cell
 is set in turn to each of a few JSON values, and each mutated file is
 driven through `cli.main` for a fixed list of verbs.
 
@@ -21,6 +22,7 @@ from conftest import make_env
 from minimano import cli
 from minimano.codec import fields
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
+from minimano.hot import parse_template
 from minimano.identity import Tenant, Token, User
 from minimano.nfvi import (
     FloatingIp,
@@ -73,7 +75,7 @@ NESTED = {(SecurityGroup, "rules"): SecurityGroupRule, (Volume, "snapshots"): Vo
 # the fields whose sizes feed arithmetic, declared positive
 POSITIVE = {(Host, "vcpus"), (Host, "ram_mib"), (Host, "disk_gib"), (Flavor, "vcpus"),
             (Flavor, "ram_mib"), (Flavor, "disk_gib"), (HealerConfig, "detect_interval"),
-            (LoadGenerator, "period")}
+            (LoadGenerator, "period"), (Volume, "size_gib"), (AlarmDef, "window")}
 # the test's own reading of an annotation: the JSON kinds it admits
 KINDS = {"str": {str}, "int": {int}, "float": {float, int}, "bool": {bool}, "list": {list},
          "dict": {dict}, "None": {type(None)}}
@@ -95,16 +97,42 @@ def admits(cls, name, value, ids) -> bool:
     return (cls, name) not in POSITIVE or value > 0
 
 
+# a wait that two signals end, long after the ticks the verbs advance
+WAIT_TEMPLATE = """heat_template_version: 2013-05-23
+resources:
+  handle:
+    type: OS::Heat::WaitConditionHandle
+  gate:
+    type: OS::Heat::WaitCondition
+    properties:
+      handle: { get_resource: handle }
+      timeout: 50
+      count: 2
+"""
+
+
 def build_state(path):
     """A seeded state with a row in most tables: a stack, a one-member
     scaling group with an alarm, a sample and a metric and a fault
-    scheduled past the ticks the verbs advance, a floating address, a
-    volume and two ticks. Returns the ids the verbs name."""
+    scheduled past the ticks the verbs advance, a router with an external
+    gateway on the member's network, a rule with a CIDR remote, a floating
+    address and one associated with the member, a volume, a stack blocked
+    on a wait whose handle holds one signal, and two ticks. Returns the
+    ids the verbs name."""
     env = make_env(seed=1)
     world = env.world
     stack = world.engine.create_stack("s1", env.parse("example1.yaml"), token=env.token)
     member = {"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}
     group = world.telemetry.create_group("g", env.tenant_id, member, 1, 1, 1)
+    world.provider.create_router(env.tenant_id, "edge", external=True)
+    world.provider.attach_subnet(env.tenant_id, "edge", "my_net1")
+    world.provider.add_security_group_rule(env.tenant_id, "default", "tcp", 22, 22,
+                                           remote="10.0.0.0/24")
+    world.provider.associate_floating_ip(world.provider.allocate_floating_ip(env.tenant_id).id,
+                                         group.members[0])
+    wait = world.engine.create_stack("w", parse_template(WAIT_TEMPLATE), token=env.token)
+    url = wait.records["handle"].attributes["curl_cli"]
+    world.engine.signal(url, {"status": "SUCCESS"}, token=env.token)
     world.telemetry.create_alarm("hot", "cpu_util", "avg", "gt", 0.8, 2, "g", "scale_out")
     world.telemetry.record_metric(group.members[0], "cpu_util", 0.5)
     world.telemetry.scheduled_metrics.append(
@@ -117,7 +145,8 @@ def build_state(path):
     save_world(world, str(path))
     server = next(iter(stack.records.values())).physical_id
     return env.token, {"stack": stack.id, "member": group.members[0], "server": server,
-                       "fip": fip.id, "volume": volume.id, "member_spec": json.dumps(member)}
+                       "fip": fip.id, "volume": volume.id, "member_spec": json.dumps(member),
+                       "url": url}
 
 
 def verbs(ids) -> list:
@@ -129,6 +158,8 @@ def verbs(ids) -> list:
         ["metric-push", ids["member"], "cpu_util", "0.7"],
         ["volume-attach", ids["volume"], ids["member"]],
         ["connectivity-check", ids["member"], ids["server"], "--protocol", "tcp", "--port", "22"],
+        ["connectivity-check", "external", ids["member"], "--protocol", "tcp", "--port", "22"],
+        ["signal", ids["url"], '{"status": "SUCCESS"}'],
         ["stack-delete", ids["stack"]], ["net-create", "n2", "--cidr", "10.9.0.0/24"],
     ]
 
@@ -178,11 +209,12 @@ def mutations(data):
 
 
 def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
-    """A value that is accepted is tried under every verb. A state file is
-    refused on load, before the verb runs, so a field's first refused
-    value is tried under every verb and each other one under the next verb
-    in turn: every (field, value) and every (field, verb) is refused,
-    in well under 10 s."""
+    """A value of the field's kind is tried under every verb, unless the
+    first verb refuses it on load (by a field's rule, say). A state file
+    is refused on load, before the verb runs, so a field's first value of
+    another kind is tried under every verb and each other one under the
+    next verb in turn: every (field, value) and every (field, verb) is
+    refused, in under 10 s."""
     base = tmp_path / "base.json"
     token, ids = build_state(base)
     monkeypatch.setenv(cli.TOKEN_ENV, token)
@@ -206,7 +238,53 @@ def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
             else:
                 assert code in EXIT_CODES, where
                 assert code == 0 or len(lines) == 1 and lines[0].startswith("error: "), where
+                if lines and lines[0].startswith(malformed):
+                    break
     assert refusals > 600
+
+
+def entries(data):
+    """(label, container, key) of each entry of a list cell and each value
+    of a dict cell of every table, nested tables too."""
+    for label, cls, name, row, column in cells(data):
+        value = row[column]
+        if cls is not None and type(value) in (list, dict):
+            for key in (value if type(value) is dict else range(len(value))):
+                yield f"{label}.{name}[{key!r}]", value, key
+
+
+def test_every_malformed_entry_exits_cleanly(tmp_path, monkeypatch, capsys):
+    """One level down: each entry of a list cell and each value of a dict
+    cell set to each value, and tried under every verb. A refusal on load
+    comes before the verb runs, so a case refused under the first verb is
+    tried under no other. Each ended in a traceback from some verb when
+    only the cell's kind was checked on load: a router interface or a
+    group member of `[]`, a rule's `remote_cidr` of `"not-a-cidr"`, or a
+    pending handle's signal payload that is no signal."""
+    base = tmp_path / "base.json"
+    token, ids = build_state(base)
+    monkeypatch.setenv(cli.TOKEN_ENV, token)
+    state = tmp_path / "state.json"
+    malformed = f"error: state file {str(state)!r} is malformed: "
+    data = json.loads(base.read_text())
+    cases = 0
+    for case, container, key in list(entries(data)):
+        original = container[key]
+        for value in VALUES:
+            container[key] = value
+            text = json.dumps(data)
+            cases += 1
+            for argv in verbs(ids):
+                state.write_text(text)
+                code = cli.main([*argv, "--state", str(state), "--tick-ms", "0"])
+                lines = capsys.readouterr().err.splitlines()
+                where = f"{case} = {value!r} under {argv[0]}: exit {code}, {lines}"
+                assert code in EXIT_CODES, where
+                assert code == 0 or len(lines) == 1 and lines[0].startswith("error: "), where
+                if lines and lines[0].startswith(malformed):
+                    break
+        container[key] = original
+    assert cases > 300
 
 
 # a schedule -> its record, and the values of a valid row for the next tick
@@ -277,5 +355,5 @@ def test_a_rule_whose_port_range_matches_no_port_is_refused_on_load(tmp_path, mo
                      "--port", "22", "--state", str(path)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 5 and len(lines) == 1
-    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: security group ")
-    assert f"port range {port_min}-{port_max} matches no port" in lines[0]
+    assert lines[0].startswith(f"error: state file {str(path)!r} is malformed: SecurityGroupRule "
+                               f"port range {port_min}-{port_max} matches no port")

@@ -87,11 +87,11 @@ def test_a_v5_entry_keeps_its_declared_keys_and_its_resource_is_appended_to_ids(
      "v5 scheduled_metrics entry 0 value must be float"),
     ({"scheduled_faults": [{"tick": 1, "resource": 5}]},
      "v5 scheduled_faults entry 0 resource must be str | None"),
-    ({"scheduled_faults": [{"tick": 1}]}, "ScheduledFault names neither"),
+    ({"scheduled_faults": [{"tick": 1}]}, "v5 scheduled_faults entry 0 names neither"),
     ({"scheduled_faults": [{"tick": 1, "group": "web", "member_index": -1}]},
-     "ScheduledFault member_index must not be negative"),
+     "v5 scheduled_faults entry 0 member_index must not be negative, got -1"),
     ({"scheduled_faults": [{"tick": 1, "group": "web", "kind": "reboot"}]},
-     "ScheduledFault has an unknown fault kind 'reboot'"),
+     "v5 scheduled_faults entry 0 kind must be one of instance_crash, got 'reboot'"),
 ], ids=["schedule-not-a-list", "entry-not-an-object", "entry-lacks-tick", "value-text",
         "resource-a-number", "no-target", "member_index-negative", "kind-unknown"])
 def test_a_malformed_v5_schedule_is_a_state_error(tmp_path, monkeypatch, capsys, schedules,

@@ -2,12 +2,18 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from minimano.errors import ConflictError, NotFoundError
+from minimano import cli
+from minimano.errors import ConflictError, NotFoundError, TemplateError
+from minimano.scenario import build_world
+from minimano.statefile import load_world, save_world
 from minimano.telemetry import HealerConfig, ScheduledFault, ScheduledMetric
 from minimano.world import World
+
+SCENARIO = Path(__file__).resolve().parent / "data" / "autonomic_scenario.json"
 
 MEMBER = {"image": "img", "flavor": "f1", "networks": ["n1"]}
 
@@ -344,3 +350,64 @@ def test_identical_inputs_produce_identical_event_logs():
         return world.events
 
     assert run() == run()
+
+
+def test_a_scheduled_fault_on_a_member_that_is_not_active_is_skipped(tmp_path, monkeypatch,
+                                                                      capsys):
+    """A one-member group, a fault scheduled on its member at tick 3, then
+    `fault-inject` on the member: each `clock-advance 3` exited 2 (`is not
+    ACTIVE`) and the stored tick stayed 0."""
+    world, tenant = autoscale_world()
+    member = world.telemetry.create_group("web", tenant, MEMBER, 1, 1, 1).members[0]
+    world.telemetry.scheduled_faults = [ScheduledFault(tick=3, group="web", member_index=0)]
+    token = world.identity.authenticate("admin", "admin", "admin").id
+    path = str(tmp_path / "state.json")
+    save_world(world, path)
+    monkeypatch.setenv(cli.TOKEN_ENV, token)
+    assert cli.main(["fault-inject", member, "--state", path]) == 0
+    assert cli.main(["clock-advance", "3", "--state", path, "--tick-ms", "0"]) == 0
+    capsys.readouterr()
+    world = load_world(path)
+    assert world.tick == 3
+    assert [event for event in world.events if event["kind"] == "schedule.skipped"] == [
+        {"tick": 3, "kind": "schedule.skipped", "subject": member,
+         "detail": {"target": member, "reason": f"instance {member!r} is not ACTIVE"}}]
+
+
+def test_a_scheduled_entry_on_a_gone_resource_or_a_missing_member_is_skipped():
+    world, tenant = autoscale_world()
+    world.telemetry.create_group("web", tenant, MEMBER, 1, 1, 1)
+    gone = world.provider.launch_instance(tenant, MEMBER).id
+    world.provider.terminate_instance(gone)
+    world.telemetry.scheduled_metrics = [
+        ScheduledMetric(tick=1, metric="m", value=1.0, resource=gone),
+        ScheduledMetric(tick=1, metric="m", value=1.0, group="web", member_index=3)]
+    world.telemetry.scheduled_faults = [ScheduledFault(tick=2, group="web", member_index=1),
+                                        ScheduledFault(tick=2, resource="no-such-instance")]
+    world.advance_clock(2)
+    assert [(event["tick"], event["detail"]) for event in world.events
+            if event["kind"] == "schedule.skipped"] == [
+        (1, {"target": gone, "reason": f"unknown resource {gone!r}"}),
+        (1, {"target": "web", "reason": "group 'web' has no member 3"}),
+        (2, {"target": "web", "reason": "group 'web' has no member 1"}),
+        (2, {"target": "no-such-instance", "reason": "instance 'no-such-instance' not found"})]
+    assert world.telemetry.samples == []
+    World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))  # the events load
+
+
+def test_a_schedule_on_a_group_that_does_not_exist_is_refused(tmp_path, monkeypatch, capsys):
+    scenario = json.loads(SCENARIO.read_text(encoding="utf-8"))
+    scenario["faults"][0]["group"] = "nope"
+    with pytest.raises(TemplateError, match="^scenario 'faults' entry 0 names scaling group "
+                                            "'nope', which does not exist$"):
+        build_world(scenario)
+    world, _ = autoscale_world()
+    world.telemetry.scheduled_metrics = [ScheduledMetric(tick=5, metric="m", value=1.0,
+                                                         group="nope")]
+    path = str(tmp_path / "state.json")
+    save_world(world, path)
+    monkeypatch.setenv(cli.STATE_ENV, path)
+    assert cli.main(["stack-list"]) == 5
+    assert capsys.readouterr().err == (
+        f"error: state file {path!r} is malformed: ScheduledMetric names scaling group 'nope', "
+        "which does not exist\n")

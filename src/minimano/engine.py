@@ -116,8 +116,7 @@ class StackRun:
 
     @cached_property
     def source(self) -> str:
-        """The canonical text of `doc`, serialised when the run is first
-        saved: a stack that completes within its call is never serialised."""
+        """The text `doc` was parsed from, read when the run is first saved."""
         return serialize_template(self.doc)  # looked up at call time, so wrappers see it
 
     @cached_property
@@ -195,6 +194,8 @@ class StackEngine:
     def create_stack(self, name, doc: TemplateDoc, provided=None, token=None,
                      template_dir=None, parent=None, depth=0) -> Stack:
         claims = self.identity.require(token, "stacks:create")
+        if doc.source is None:  # a pending run stores the text it was parsed from
+            raise TemplateError("template has no source text: parse it with parse_template")
         _TEMPLATE.bind()
         report = validate_template(doc)
         if not report.ok:

@@ -105,12 +105,16 @@ class OutputDef:
 
 @record(eq=True)
 class TemplateDoc:
+    """A parsed template and the text it was parsed from. A pending run
+    stores that text, so a document changed after parsing resumes as its
+    text says."""
     version: str
     description: str | None
     parameters: dict  # name -> ParameterDef
     resources: dict  # name -> ResourceDef
     outputs: dict  # name -> OutputDef
     warnings: list = field(default_factory=list, compare=False)
+    source: str | None = field(default=None, compare=False)  # None for a document built in code
 
 
 @record(eq=True)
@@ -304,72 +308,14 @@ def parse_template(source: str) -> TemplateDoc:
         resources=_parse_resources(root["resources"], warnings),
         outputs=_parse_outputs(root.get("outputs"), warnings),
         warnings=warnings,
+        source=source,
     )
 
 
-# ---------------------------------------------------------------------------
-# canonical serialization
-
-
-def _expr_to_node(expr):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, GetParam):
-        return yamlite.Flow({"get_param": expr.name})
-    if isinstance(expr, GetAttr):
-        return yamlite.Flow({"get_attr": [expr.resource, expr.attribute]})
-    if isinstance(expr, GetResource):
-        return yamlite.Flow({"get_resource": expr.resource})
-    if isinstance(expr, StrReplace):
-        return {
-            "str_replace": {
-                "params": {marker: _expr_to_node(v) for marker, v in expr.params},
-                "template": expr.template,
-            }
-        }
-    if isinstance(expr, ListOf):
-        return [_expr_to_node(item) for item in expr.items]
-    if isinstance(expr, MapOf):
-        return {k: _expr_to_node(v) for k, v in expr.entries}
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def serialize_template(doc: TemplateDoc) -> str:
-    """Canonical text form; parse(serialize(doc)) is structurally equal."""
-    root = {VERSION_KEY: doc.version}
-    if doc.description is not None:
-        root["description"] = doc.description
-    if doc.parameters:
-        params = {}
-        for p in doc.parameters.values():
-            body = {"type": p.type}
-            if p.label is not None:
-                body["label"] = p.label
-            if p.description is not None:
-                body["description"] = p.description
-            if p.has_default:
-                body["default"] = p.default
-            params[p.name] = body
-        root["parameters"] = params
-    resources = {}
-    for r in doc.resources.values():
-        body = {"type": r.resource_type}
-        if r.depends_on:  # absent stays absent, so stored sources do not move
-            body["depends_on"] = list(r.depends_on)
-        if r.properties:
-            body["properties"] = {k: _expr_to_node(v) for k, v in r.properties.items()}
-        resources[r.name] = body
-    root["resources"] = resources
-    if doc.outputs:
-        outputs = {}
-        for o in doc.outputs.values():
-            body = {}
-            if o.description is not None:
-                body["description"] = o.description
-            body["value"] = _expr_to_node(o.value)
-            outputs[o.name] = body
-        root["outputs"] = outputs
-    return yamlite.dump(root)
+    """The text `doc` was parsed from. The name stays only because the
+    bench harness (`bench/spans.py`) patches it in `engine`."""
+    return doc.source
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Strict reader/writer for the template document syntax.
+"""Strict reader for the template document syntax.
 
 The supported language is a small YAML subset: block mappings, block
 sequences, plain/quoted scalars, literal block scalars (``|`` and ``|-``),
@@ -8,9 +8,7 @@ aliases, tags, directives, folded scalars, and multi-document streams are
 rejected with position-annotated errors. Mapping keys are always strings
 and duplicates are errors.
 
-`dump` produces the canonical form: two-space indentation, keys in
-insertion order, multi-line strings as literal blocks. Wrap a mapping or
-sequence in `Flow` to have it emitted inline.
+There is no writer: a template is kept as the text it was read from.
 """
 
 import re
@@ -19,7 +17,6 @@ from .errors import TemplateSyntaxError
 
 _INT_RE = re.compile(r"^[-+]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[-+]?([0-9]+\.[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?$")
-_PLAIN_KEY_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.:/-]*")
 # flow tokens: blanks; a plain scalar in a flow mapping or sequence; a flow
 # mapping key; a quoted string (a double-quoted one's body, then '"', a
 # lone trailing backslash, or nothing when the line ends first)
@@ -34,30 +31,11 @@ _ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itse
 # the part of a line before its comment: quoted spans are skipped whole, and
 # '#' starts a comment at the start of the line or after a blank
 _UNCOMMENTED = re.compile(r"""(?:[^'"#]+|'[^']*'|"(?:[^"\\]|\\.)*"|(?<=[^ \t])#)*""", re.DOTALL)
-# a string that dump must quote: one that starts with an indicator or a
-# blank, ends with a blank or ':', or holds ': ', ' #', a tab, a line break
-# or a bracket
-_NOT_PLAIN = re.compile(r"""^[\s\-?#{}\[\]"'&*!%@`|>,]|\s\Z|:\Z|: | #|[\n\t{}\[\]]""")
 
 _INFINITIES = (float("inf"), float("-inf"))
 
 # characters that cannot start a plain scalar in this subset
 _RESERVED_LEAD = "&*!%@`|>"
-
-
-class Flow:
-    """Marks a mapping or sequence for inline (flow-style) emission."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        if isinstance(other, Flow):
-            return self.value == other.value
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Flow({self.value!r})"
 
 
 def _scalar_from_plain(text):
@@ -413,125 +391,3 @@ class _Parser:
 def parse(source: str):
     """Parse document text; raises TemplateSyntaxError outside the subset."""
     return _Parser(source).parse_document()
-
-
-def _plain_safe(text):
-    return text != "" and _NOT_PLAIN.search(text) is None and _scalar_from_plain(text) is text
-
-
-def _quoted(text):
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{escaped}"'
-
-
-def _dump_scalar(value):
-    if isinstance(value, str):
-        return value if _plain_safe(value) else _quoted(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, float)):
-        if value in _INFINITIES or value != value:
-            raise ValueError(f"cannot serialize the float {value!r}: parse never reads one back")
-        text = repr(value)
-        # `parse` reads an exponent as part of a float only after a '.'
-        return text.replace("e", ".0e") if "e" in text and "." not in text else text
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _dump_key(key, flow=False):
-    """`key` as `parse` reads it back: a block key ends at its first ': ',
-    a flow key at its first ':'."""
-    if not isinstance(key, str):
-        raise TypeError("mapping keys must be strings")
-    if flow:
-        return key if _PLAIN_KEY_RE.fullmatch(key) and ":" not in key else _quoted(key)
-    if _PLAIN_KEY_RE.fullmatch(key) and not key.endswith(":"):
-        return key
-    return _dump_scalar(key)
-
-
-def _dump_flow(value):
-    if isinstance(value, Flow):
-        value = value.value
-    if isinstance(value, dict):
-        inner = ", ".join([f"{_dump_key(k, flow=True)}: {_dump_flow(v)}" for k, v in value.items()])
-        return "{ " + inner + " }" if inner else "{}"
-    if isinstance(value, list):
-        return "[" + ", ".join([_dump_flow(v) for v in value]) + "]"
-    if isinstance(value, str) and "," in value:  # a plain flow scalar ends at ','
-        return _quoted(value)
-    return _dump_scalar(value)
-
-
-def _literal_safe(text):
-    """True when a clip/strip literal block reproduces `text` exactly."""
-    if "\n" not in text or text.endswith("\n\n") or text == "\n":
-        return False
-    body = text[:-1] if text.endswith("\n") else text
-    for line in body.split("\n"):
-        if line and not line.strip():
-            return False  # whitespace-only line would collapse to empty
-        if line.startswith("\t"):
-            return False  # a leading tab would terminate the block
-    return True
-
-
-def _literal_lines(lines, key_prefix, text, indent):
-    body = text[:-1] if text.endswith("\n") else text
-    lines.append(key_prefix + (" |" if text.endswith("\n") else " |-"))
-    pad = " " * (indent + 2)
-    for part in body.split("\n"):
-        lines.append(pad + part if part else "")
-
-
-def _dump_block(value, indent, lines):
-    """Append the lines of `value` at `indent` to `lines`."""
-    pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            lines.append(pad + "{}")
-        for k, v in value.items():
-            key = _dump_key(k)
-            if isinstance(v, Flow):
-                lines.append(f"{pad}{key}: {_dump_flow(v)}")
-            elif isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{key}:")
-                _dump_block(v, indent + 2, lines)
-            elif isinstance(v, str) and _literal_safe(v):
-                _literal_lines(lines, f"{pad}{key}:", v, indent)
-            elif isinstance(v, (dict, list)):
-                lines.append(f"{pad}{key}: {_dump_flow(v)}")
-            else:
-                lines.append(f"{pad}{key}: {_dump_scalar(v)}")
-    elif isinstance(value, list):
-        if not value:
-            lines.append(pad + "[]")
-        for item in value:
-            if isinstance(item, Flow):
-                lines.append(f"{pad}- {_dump_flow(item)}")
-            elif isinstance(item, dict) and item:
-                first = len(lines)
-                _dump_block(item, indent + 2, lines)
-                lines[first] = pad + "- " + lines[first][indent + 2 :]
-            elif isinstance(item, list) and item:
-                lines.append(pad + "-")
-                _dump_block(item, indent + 2, lines)
-            elif isinstance(item, str) and _literal_safe(item):
-                _literal_lines(lines, f"{pad}-", item, indent)
-            elif isinstance(item, (dict, list)):
-                lines.append(f"{pad}- {_dump_flow(item)}")
-            else:
-                lines.append(f"{pad}- {_dump_scalar(item)}")
-    else:
-        lines.append(pad + _dump_scalar(value))
-
-
-def dump(value) -> str:
-    """Serialize to canonical text: 2-space indent, insertion order kept."""
-    lines = []
-    _dump_block(value, 0, lines)
-    return "\n".join(lines) + "\n"

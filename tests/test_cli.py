@@ -782,6 +782,20 @@ GATED = (
     "      handle: { get_resource: handle }\n"
     "      timeout: 50\n"
 )
+# GATED as a user may write it and no canonical writer would: a comment
+# line, a quoted type and a flow mapping without blanks
+GATED_AS_WRITTEN = (
+    "heat_template_version: 2013-05-23\n"
+    "# one signal opens the gate\n"
+    "resources:\n"
+    "  handle:\n"
+    "    type: \"OS::Heat::WaitConditionHandle\"\n"
+    "  gate:\n"
+    "    type: OS::Heat::WaitCondition\n"
+    "    properties:\n"
+    "      handle: {get_resource: handle}\n"
+    "      timeout: 50\n"
+)
 AFTER_GATE = (
     "  after:\n"
     "    type: OS::Nova::Server\n"
@@ -876,7 +890,8 @@ def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, te
     assert runner._state.read_bytes() == before  # a failed verb saves nothing
 
 
-# -- snapshot v4: a stack's template is stored only while its run is pending
+# -- snapshot v4: a stack's template is stored only while its run is pending,
+# as the text of its file
 
 
 def _stored_sources(runner) -> dict:
@@ -911,7 +926,7 @@ def serializes(monkeypatch):
 
 def test_a_no_wait_stack_keeps_its_source_until_its_signal_completes_it(
         runner, tmp_path, serializes):
-    template = GATED + AFTER_GATE + OUTPUTS
+    template = GATED_AS_WRITTEN + AFTER_GATE + OUTPUTS
     stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
     assert len(serializes) == 1  # saved once, by the create that left it pending
     assert _stored_sources(runner) == {stack_id: template}
@@ -927,7 +942,7 @@ def test_a_no_wait_stack_keeps_its_source_until_its_signal_completes_it(
 
 def test_a_nested_stack_and_its_waiting_parent_keep_their_sources_until_done(
         runner, tmp_path):
-    child = GATED + OUTPUTS
+    child = GATED_AS_WRITTEN + OUTPUTS
     (tmp_path / "gated.yaml").write_text(child)
     outer = (
         "heat_template_version: 2013-05-23\n"

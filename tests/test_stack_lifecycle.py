@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_env
 from minimano.errors import AuthError, ConflictError, NotFoundError, TemplateError
-from minimano.hot import parse_template
+from minimano.hot import TemplateDoc, parse_template
 
 
 def test_example2_deploys_with_defaults(env):
@@ -56,6 +56,22 @@ def test_validation_errors_block_creation(env):
     with pytest.raises(TemplateError, match="missing mandatory property 'image'"):
         env.world.engine.create_stack("nope", doc, {}, token=env.token)
     assert env.world.engine.stacks == {}
+
+
+def test_a_document_built_in_code_is_refused_before_anything_changes(env):
+    """A pending run stores the text its document was parsed from, so a
+    document that has none is refused before any event, random draw or
+    registry entry."""
+    parsed = env.parse("example1.yaml")
+    doc = TemplateDoc(parsed.version, parsed.description, parsed.parameters, parsed.resources,
+                      parsed.outputs)
+    world = env.world
+    events, rng = list(world.events), world.rng.getstate()
+    with pytest.raises(TemplateError, match="no source text"):
+        world.engine.create_stack("built", doc, {}, token=env.token)
+    assert world.events == events
+    assert world.rng.getstate() == rng
+    assert world.engine.stacks == world.engine.runs == {}
 
 
 def test_name_collision_within_tenant(env):

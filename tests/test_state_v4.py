@@ -22,6 +22,7 @@ import pytest
 from minimano import cli
 from minimano.world import World, _upgrade_v4
 from test_state_v1 import (
+    assert_same_snapshot,
     build_fixture_world,
     current_text,
     dump,
@@ -60,7 +61,8 @@ def test_upgrade_v4_gives_what_the_package_writes_and_leaves_its_input_as_it_was
     assert data == before
     assert v5 == v5_text(fixture_text())
     assert v5 == FIXTURE_V5.read_text(encoding="utf-8")
-    assert dump(World.from_snapshot(json.loads(fixture_text()))) == dump(build_fixture_world())
+    assert_same_snapshot(dump(World.from_snapshot(json.loads(fixture_text()))),
+                         dump(build_fixture_world()))
 
 
 def test_a_v4_state_file_is_saved_back_at_the_current_version(tmp_path):

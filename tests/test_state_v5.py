@@ -24,7 +24,8 @@ import pytest
 from minimano import cli, world
 from minimano.telemetry import ScheduledFault, ScheduledMetric
 from minimano.world import World, _upgrade_v5
-from test_state_v1 import FIXTURE, build_fixture_world, dump, fixture_texts, saved_back, v6_text
+from test_state_v1 import (FIXTURE, assert_same_snapshot, build_fixture_world, dump, fixture_texts,
+                           saved_back, v6_text)
 
 FIXTURE_V5 = Path(__file__).resolve().parent / "data" / "state_v5.json"
 
@@ -48,7 +49,7 @@ def test_upgrade_v5_gives_what_the_package_writes_and_leaves_its_input_as_it_was
     v6 = json.dumps(_upgrade_v5(data), separators=(",", ":"))
     assert data == before
     assert v6 == v6_text(fixture_text())
-    assert v6 == dump(build_fixture_world())
+    assert_same_snapshot(dump(build_fixture_world()), v6)
     assert dump(World.from_snapshot(json.loads(fixture_text()))) == v6
 
 

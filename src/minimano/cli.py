@@ -67,10 +67,9 @@ class Printer:
                 value = json.dumps(value)
             print(f"{key}: {_cell(value)}")
 
-    def line(self, text, machine_obj=None):
+    def line(self, text, machine_obj):
         if self.mode == "machine":
-            print(json.dumps(machine_obj if machine_obj is not None else {"message": text},
-                             separators=(",", ":")))
+            print(json.dumps(machine_obj, separators=(",", ":")))
         else:
             print(text)
 

@@ -1,16 +1,16 @@
 """The snapshot codec: the one mapping between row objects and JSON data.
 
-A persisted row class, and a template value in `hot` and `plan`, is
-declared with `record` instead of `dataclass`: its annotated fields, in
-order, become the parameters of a generated ``__init__``, each taking a
-plain default or a `field` with a `default_factory`. A nested row
-collection names its codec in the same `field`
+A persisted row class, and a record of the template layer (`hot` and
+`plan`), is declared with `record` instead of `dataclass`: its annotated
+fields, in order, become the parameters of a generated ``__init__``,
+each taking a plain default or a `field` with a `default_factory`. A
+nested row collection names its codec in the same `field`
 (``field(default_factory=dict, codec=keyed(Row, "id"))``). A field
 declared as a `functools.cached_property` is computed when first read,
 unless ``__init__`` is given it. A record has the default repr and, by
-default, compares by identity. ``record(eq=True)`` compares by value and
-``record(frozen=True)`` refuses to be changed, as those `dataclass`
-options do, so no CLI call imports `dataclasses` or `inspect`.
+default, compares by identity. ``record(eq=True)`` compares by value, as
+that `dataclass` option does, so no CLI call imports `dataclasses` or
+`inspect`.
 
 A subsystem declares its persisted layout once, as a schema table that
 maps each attribute to a `Codec`. The kinds:
@@ -118,15 +118,6 @@ def each(entry_rule):
 strings = each(rule(lambda entry: type(entry) is str, "must hold only strings, got {!r}"))
 
 
-class FrozenInstanceError(AttributeError):
-    """A field of a ``frozen`` record was set or deleted."""
-
-
-def _refuse(self, name, *value):
-    raise FrozenInstanceError(f"cannot set or delete field {name!r} of a frozen "
-                              f"{type(self).__name__}")
-
-
 def _tuple_getter(names):
     """A function giving an object's `names` attributes as a tuple (an
     attrgetter of one name gives the bare value)."""
@@ -136,7 +127,7 @@ def _tuple_getter(names):
     return lambda obj: (getter(obj),)
 
 
-def record(cls=None, /, *, eq=False, frozen=False, rule=None):
+def record(cls=None, /, *, eq=False, rule=None):
     """Give `cls` an ``__init__`` that takes its annotated fields in order,
     positional or keyword, and list them for `fields`. A list, dict or set
     default is refused, as `dataclass` refuses it: every object would
@@ -144,19 +135,16 @@ def record(cls=None, /, *, eq=False, frozen=False, rule=None):
 
     With `eq`, two objects are equal when they are of the same class and
     their fields, but for those declared ``field(compare=False)``, are
-    equal; the class is then unhashable unless it is `frozen`. With
-    `frozen`, setting or deleting an attribute raises
-    `FrozenInstanceError`, and an object hashes by its compared fields."""
+    equal; the class is then unhashable."""
     if cls is None:
-        return lambda cls: record(cls, eq=eq, frozen=frozen, rule=rule)
+        return lambda cls: record(cls, eq=eq, rule=rule)
     declared, params, body = [], [], []
-    env = {"_MISSING": _MISSING, "_set": object.__setattr__}
-    assign = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
+    env = {"_MISSING": _MISSING}
     for name in cls.__annotations__:
         value = cls.__dict__.get(name, _MISSING)
         if type(value) is cached_property:  # computed when first read, unless given
             params.append(f"{name}=_MISSING")
-            body.append(f"if {name} is not _MISSING: " + assign.format(name, name))
+            body.append(f"if {name} is not _MISSING: self.{name} = {name}")
             declared.append(Field(name))
             continue
         if type(value) is Field:
@@ -170,11 +158,11 @@ def record(cls=None, /, *, eq=False, frozen=False, rule=None):
         if value.default_factory is not None:
             env[f"_factory_{name}"] = value.default_factory
             params.append(f"{name}=_MISSING")
-            body.append(assign.format(name, f"_factory_{name}() if {name} is _MISSING else {name}"))
+            body.append(f"self.{name} = _factory_{name}() if {name} is _MISSING else {name}")
         else:
             env[f"_default_{name}"] = value.default
             params.append(name if value.default is _MISSING else f"{name}=_default_{name}")
-            body.append(assign.format(name, name))
+            body.append(f"self.{name} = {name}")
         declared.append(value)
     exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body or ["pass"]), env)
     cls.__init__ = env["__init__"]
@@ -190,9 +178,7 @@ def record(cls=None, /, *, eq=False, frozen=False, rule=None):
             return key(self) == key(other)
 
         cls.__eq__ = __eq__
-        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = _refuse
+        cls.__hash__ = None
     return cls
 
 

@@ -112,12 +112,7 @@ class StackRun:
     pos_idx: int = 0
     blocker: list | None = None  # ["wait", handle_id] | ["child", stack_id]
     template_dir: str | None = None
-    source: str  # the stack's template, kept only while this run is pending
-
-    @cached_property
-    def source(self) -> str:
-        """The text `doc` was parsed from, read when the run is first saved."""
-        return serialize_template(self.doc)  # looked up at call time, so wrappers see it
+    source: str = ""  # the stack's template text, kept only while this run is pending
 
     @cached_property
     def doc(self) -> TemplateDoc:
@@ -224,7 +219,8 @@ class StackEngine:
         )
         self.stacks[stack.id] = stack
         self.core.emit("stack.create.start", stack=stack.id, name=name)
-        run = StackRun(stack_id=stack.id, token_id=token, template_dir=template_dir)
+        run = StackRun(stack_id=stack.id, token_id=token, template_dir=template_dir,
+                       source=serialize_template(doc))
         run.doc = doc
         self.runs[stack.id] = run
         self._pump_run(run)

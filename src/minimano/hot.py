@@ -1,11 +1,14 @@
 """Declarative template handling.
 
 A template document has a version tag, optional description, and three
-named sections: parameters, resources, outputs. Resource properties and
-output values are expression trees that may call the intrinsic functions
-``get_param``, ``get_attr``, ``get_resource`` and ``str_replace``. This
-module parses source text into `TemplateDoc`, validates documents against
-the declared resource types, binds parameters, evaluates expressions against
+named sections: parameters, resources, outputs. A resource property or
+an output value is kept as the node the text gave: a scalar, a list or a
+map. A map of one key naming an intrinsic function (``get_param``,
+``get_attr``, ``get_pattr`` read as ``get_attr``, ``get_resource`` or
+``str_replace``) is a call of it, recognised where the value is used;
+parsing refuses a call whose argument has the wrong shape. This module
+parses source text into `TemplateDoc`, validates documents against the
+declared resource types, binds parameters, evaluates values against
 deployed resources, and extracts the inter-resource dependency graph used
 for deployment planning.
 """
@@ -23,52 +26,34 @@ _UNSET = object()
 
 
 # ---------------------------------------------------------------------------
-# expression tree
+# intrinsic functions
+
+# each intrinsic function -> the function it is read as
+_INTRINSICS = {"get_param": "get_param", "get_attr": "get_attr", "get_pattr": "get_attr",
+              "get_resource": "get_resource", "str_replace": "str_replace"}
 
 
-class Expr:
-    """Base class for property/output expressions."""
+def _intrinsic(node):
+    """(function, argument) when `node` is a call of an intrinsic function,
+    a map of one key naming it, else None."""
+    if isinstance(node, dict) and len(node) == 1:
+        (key, arg), = node.items()
+        if key in _INTRINSICS:
+            return _INTRINSICS[key], arg
+    return None
 
 
-@record(eq=True, frozen=True)
-class Literal(Expr):
-    value: object
-
-
-@record(eq=True, frozen=True)
-class GetParam(Expr):
-    name: str
-
-
-@record(eq=True, frozen=True)
-class GetAttr(Expr):
-    resource: str
-    attribute: str
-
-
-@record(eq=True, frozen=True)
-class GetResource(Expr):
-    resource: str
-
-
-@record(eq=True, frozen=True)
-class StrReplace(Expr):
-    template: str
-    params: tuple  # of (marker, Expr) pairs, declaration order
-
-    @property
-    def params_map(self):
-        return dict(self.params)
-
-
-@record(eq=True, frozen=True)
-class ListOf(Expr):
-    items: tuple
-
-
-@record(eq=True, frozen=True)
-class MapOf(Expr):
-    entries: tuple  # of (key, Expr) pairs, declaration order
+def _calls(node):
+    """Each intrinsic call in `node`, as `_intrinsic` gives it, in the order
+    written, a call before the calls in its argument."""
+    call = _intrinsic(node)
+    if call is not None:
+        yield call
+        parts = call[1]["params"].values() if call[0] == "str_replace" else ()
+    else:
+        parts = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for part in parts:
+        yield from _calls(part)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +77,7 @@ class ParameterDef:
 class ResourceDef:
     name: str
     resource_type: str
-    properties: dict  # name -> Expr
+    properties: dict  # name -> value as parsed
     depends_on: tuple = ()  # resource names deployed before this one
 
 
@@ -100,7 +85,7 @@ class ResourceDef:
 class OutputDef:
     name: str
     description: str | None
-    value: Expr
+    value: object  # as parsed
 
 
 @record(eq=True)
@@ -148,56 +133,41 @@ class ValidationReport:
 # parsing
 
 
-def _expr_from_node(node, path, warnings):
-    if isinstance(node, dict):
-        if len(node) == 1:
-            (key, value), = node.items()
-            if key == "get_param":
-                if not isinstance(value, str):
-                    raise TemplateError(f"{path}: get_param takes a parameter name")
-                return GetParam(value)
-            if key in ("get_attr", "get_pattr"):
-                if key == "get_pattr":
-                    warnings.append(f"{path}: 'get_pattr' read as 'get_attr'")
-                if (
-                    not isinstance(value, list)
-                    or len(value) != 2
-                    or not all(isinstance(v, str) for v in value)
-                ):
-                    raise TemplateError(f"{path}: get_attr takes [resource, attribute]")
-                return GetAttr(value[0], value[1])
-            if key == "get_resource":
-                if not isinstance(value, str):
-                    raise TemplateError(f"{path}: get_resource takes a resource name")
-                return GetResource(value)
-            if key == "str_replace":
-                return _str_replace_from_node(value, path, warnings)
-        entries = tuple(
-            (k, _expr_from_node(v, f"{path}.{k}", warnings)) for k, v in node.items()
-        )
-        return MapOf(entries)
-    if isinstance(node, list):
-        return ListOf(tuple(_expr_from_node(v, f"{path}[{i}]", warnings) for i, v in enumerate(node)))
-    return Literal(node)
-
-
-def _str_replace_from_node(value, path, warnings):
-    if not isinstance(value, dict):
+def _check_value(node, path, warnings):
+    """Refuse each intrinsic call in `node` whose argument has the wrong
+    shape, and warn of each get_pattr."""
+    call = _intrinsic(node)
+    if call is None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                _check_value(value, f"{path}.{key}", warnings)
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                _check_value(value, f"{path}[{i}]", warnings)
+        return
+    function, arg = call
+    if "get_pattr" in node:
+        warnings.append(f"{path}: 'get_pattr' read as 'get_attr'")
+    if function == "get_param" and not isinstance(arg, str):
+        raise TemplateError(f"{path}: get_param takes a parameter name")
+    if function == "get_attr" and (
+        not isinstance(arg, list) or len(arg) != 2 or not all(isinstance(v, str) for v in arg)
+    ):
+        raise TemplateError(f"{path}: get_attr takes [resource, attribute]")
+    if function == "get_resource" and not isinstance(arg, str):
+        raise TemplateError(f"{path}: get_resource takes a resource name")
+    if function != "str_replace":
+        return
+    if not isinstance(arg, dict):
         raise TemplateError(f"{path}: str_replace takes a map with 'template' and 'params'")
-    unknown = set(value) - {"template", "params"}
-    if unknown or "template" not in value or "params" not in value:
+    if arg.keys() != {"template", "params"}:
         raise TemplateError(f"{path}: str_replace takes exactly 'template' and 'params'")
-    template = value["template"]
-    if not isinstance(template, str):
+    if not isinstance(arg["template"], str):
         raise TemplateError(f"{path}.template: must be a string")
-    params = value["params"]
-    if not isinstance(params, dict):
+    if not isinstance(arg["params"], dict):
         raise TemplateError(f"{path}.params: must be a map of marker to value")
-    pairs = tuple(
-        (marker, _expr_from_node(v, f"{path}.params.{marker}", warnings))
-        for marker, v in params.items()
-    )
-    return StrReplace(template=template, params=pairs)
+    for marker, value in arg["params"].items():
+        _check_value(value, f"{path}.params.{marker}", warnings)
 
 
 def _parse_parameters(node, warnings):
@@ -252,11 +222,9 @@ def _parse_resources(node, warnings):
         props_node = body.get("properties") or {}
         if not isinstance(props_node, dict):
             raise TemplateError(f"{path}.properties: must be a map")
-        properties = {
-            pname: _expr_from_node(pval, f"{path}.properties.{pname}", warnings)
-            for pname, pval in props_node.items()
-        }
-        out[name] = ResourceDef(name=name, resource_type=rtype, properties=properties,
+        for pname, pval in props_node.items():
+            _check_value(pval, f"{path}.properties.{pname}", warnings)
+        out[name] = ResourceDef(name=name, resource_type=rtype, properties=props_node,
                                 depends_on=tuple(depends_on))
     return out
 
@@ -274,11 +242,8 @@ def _parse_outputs(node, warnings):
         for key in body:
             if key not in ("value", "description"):
                 warnings.append(f"{path}: unknown attribute {key!r}")
-        out[name] = OutputDef(
-            name=name,
-            description=body.get("description"),
-            value=_expr_from_node(body["value"], f"{path}.value", warnings),
-        )
+        _check_value(body["value"], f"{path}.value", warnings)
+        out[name] = OutputDef(name=name, description=body.get("description"), value=body["value"])
     return out
 
 
@@ -322,53 +287,42 @@ def serialize_template(doc: TemplateDoc) -> str:
 # validation
 
 
-def _walk_expr(expr):
-    yield expr
-    if isinstance(expr, StrReplace):
-        for _, sub in expr.params:
-            yield from _walk_expr(sub)
-    elif isinstance(expr, ListOf):
-        for sub in expr.items:
-            yield from _walk_expr(sub)
-    elif isinstance(expr, MapOf):
-        for _, sub in expr.entries:
-            yield from _walk_expr(sub)
-
-
-def _literal(expr):
-    """The value `expr` writes out, with `UNKNOWN` for what an intrinsic
+def _literal(node):
+    """The value `node` writes out, with `UNKNOWN` for what an intrinsic
     function gives."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ListOf):
-        return [_literal(item) for item in expr.items]
-    if isinstance(expr, MapOf):
-        return {key: _literal(value) for key, value in expr.entries}
-    return UNKNOWN
+    if _intrinsic(node) is not None:
+        return UNKNOWN
+    if isinstance(node, dict):
+        return {key: _literal(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_literal(item) for item in node]
+    return node
 
 
-def _check_intrinsics(expr, path, doc, findings):
-    """Each intrinsic in `expr` names a declared parameter, resource and
-    attribute."""
-    for sub in _walk_expr(expr):
-        if isinstance(sub, GetParam) and sub.name not in doc.parameters:
-            findings.append(Finding("error", path, f"unknown parameter {sub.name!r}"))
-        elif isinstance(sub, (GetAttr, GetResource)) and sub.resource not in doc.resources:
-            findings.append(Finding("error", path, f"unknown resource {sub.resource!r}"))
-        elif isinstance(sub, GetAttr):
-            spec = TYPES.get(doc.resources[sub.resource].resource_type)
-            if spec is not None and sub.attribute not in spec.attributes:
-                findings.append(Finding("error", path, f"resource {sub.resource!r} has no "
-                                                       f"attribute {sub.attribute!r}"))
+def _check_intrinsics(node, path, doc, findings):
+    """Each intrinsic call in `node` names a declared parameter, resource
+    and attribute."""
+    for function, arg in _calls(node):
+        resource = arg[0] if function == "get_attr" else arg
+        if function == "get_param" and arg not in doc.parameters:
+            findings.append(Finding("error", path, f"unknown parameter {arg!r}"))
+        elif function in ("get_attr", "get_resource") and resource not in doc.resources:
+            findings.append(Finding("error", path, f"unknown resource {resource!r}"))
+        elif function == "get_attr":
+            spec = TYPES.get(doc.resources[resource].resource_type)
+            if spec is not None and arg[1] not in spec.attributes:
+                findings.append(Finding("error", path, f"resource {resource!r} has no "
+                                                       f"attribute {arg[1]!r}"))
 
 
-def _check_reference(expr, kind, path, doc, findings):
+def _check_reference(node, kind, path, doc, findings):
     """A property of a resource-type kind: a get_resource naming a resource
     of that type."""
-    if not isinstance(expr, GetResource):
+    function, resource = _intrinsic(node) or (None, None)
+    if function != "get_resource":
         findings.append(Finding("error", path, "must be a get_resource reference"))
-    elif expr.resource in doc.resources and doc.resources[expr.resource].resource_type != kind:
-        findings.append(Finding("error", path, f"{expr.resource!r} is not a {kind}"))
+    elif resource in doc.resources and doc.resources[resource].resource_type != kind:
+        findings.append(Finding("error", path, f"{resource!r} is not a {kind}"))
 
 
 def validate_template(doc: TemplateDoc) -> ValidationReport:
@@ -393,16 +347,16 @@ def validate_template(doc: TemplateDoc) -> ValidationReport:
         if spec is not None:
             props = f"{base}.properties"
             findings += [Finding("error", props, message) for message in spec.missing(r.properties)]
-            for pname, expr in r.properties.items():
+            for pname, value in r.properties.items():
                 if (kind := spec.kind(pname)) in TYPES:
-                    _check_reference(expr, kind, f"{props}.{pname}", doc, findings)
+                    _check_reference(value, kind, f"{props}.{pname}", doc, findings)
                 findings += [Finding("error", f"{props}.{path}", message)
-                             for path, message in spec.refusals(pname, _literal(expr))]
+                             for path, message in spec.refusals(pname, _literal(value))]
         for dep in r.depends_on:
             if dep not in doc.resources:
                 findings.append(Finding("error", f"{base}.depends_on", f"unknown resource {dep!r}"))
-        for pname, expr in r.properties.items():
-            _check_intrinsics(expr, f"{base}.properties.{pname}", doc, findings)
+        for pname, value in r.properties.items():
+            _check_intrinsics(value, f"{base}.properties.{pname}", doc, findings)
 
     for o in doc.outputs.values():
         _check_intrinsics(o.value, f"outputs.{o.name}.value", doc, findings)
@@ -456,7 +410,7 @@ def bind_parameters(doc: TemplateDoc, provided: dict) -> dict:
 
 @record(eq=True)
 class EvalContext:
-    """What expressions may see: bound parameters plus deployed resources."""
+    """What a value may call on: bound parameters plus deployed resources."""
 
     params: dict
     resource_ids: dict = field(default_factory=dict)  # name -> uuid
@@ -489,34 +443,35 @@ def str_replace_apply(template: str, markers: dict) -> str:
     return "".join(out)
 
 
-def evaluate_expr(expr: Expr, ctx: EvalContext):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, GetParam):
-        if expr.name not in ctx.params:
-            raise DeployError(f"parameter {expr.name!r} is not bound")
-        return ctx.params[expr.name]
-    if isinstance(expr, GetAttr):
-        if expr.resource not in ctx.resource_attrs:
-            raise DeployError(
-                f"attribute of {expr.resource!r} not yet available: resource not deployed"
-            )
-        attrs = ctx.resource_attrs[expr.resource]
-        if expr.attribute not in attrs:
-            raise DeployError(f"resource {expr.resource!r} has no attribute {expr.attribute!r}")
-        return attrs[expr.attribute]
-    if isinstance(expr, GetResource):
-        if expr.resource not in ctx.resource_ids:
-            raise DeployError(f"resource {expr.resource!r} not yet available: not deployed")
-        return ctx.resource_ids[expr.resource]
-    if isinstance(expr, StrReplace):
-        markers = {marker: evaluate_expr(sub, ctx) for marker, sub in expr.params}
-        return str_replace_apply(expr.template, markers)
-    if isinstance(expr, ListOf):
-        return [evaluate_expr(sub, ctx) for sub in expr.items]
-    if isinstance(expr, MapOf):
-        return {k: evaluate_expr(sub, ctx) for k, sub in expr.entries}
-    raise TypeError(f"not an expression: {expr!r}")
+def evaluate_expr(node, ctx: EvalContext):
+    """The value `node` gives in `ctx`: each intrinsic call replaced by its
+    result, in a new map or list for each map or list."""
+    call = _intrinsic(node)
+    if call is None:
+        if isinstance(node, dict):
+            return {key: evaluate_expr(value, ctx) for key, value in node.items()}
+        if isinstance(node, list):
+            return [evaluate_expr(item, ctx) for item in node]
+        return node
+    function, arg = call
+    if function == "get_param":
+        if arg not in ctx.params:
+            raise DeployError(f"parameter {arg!r} is not bound")
+        return ctx.params[arg]
+    if function == "get_attr":
+        resource, attribute = arg
+        if resource not in ctx.resource_attrs:
+            raise DeployError(f"attribute of {resource!r} not yet available: resource not deployed")
+        attrs = ctx.resource_attrs[resource]
+        if attribute not in attrs:
+            raise DeployError(f"resource {resource!r} has no attribute {attribute!r}")
+        return attrs[attribute]
+    if function == "get_resource":
+        if arg not in ctx.resource_ids:
+            raise DeployError(f"resource {arg!r} not yet available: not deployed")
+        return ctx.resource_ids[arg]
+    markers = {marker: evaluate_expr(value, ctx) for marker, value in arg["params"].items()}
+    return str_replace_apply(arg["template"], markers)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +480,10 @@ def evaluate_expr(expr: Expr, ctx: EvalContext):
 
 def _providers(rdef: ResourceDef):
     yield from rdef.depends_on
-    for expr in rdef.properties.values():
-        for sub in _walk_expr(expr):
-            if isinstance(sub, (GetAttr, GetResource)):
-                yield sub.resource
+    for value in rdef.properties.values():
+        for function, arg in _calls(value):
+            if function in ("get_attr", "get_resource"):
+                yield arg[0] if function == "get_attr" else arg
 
 
 def extract_dependencies(doc: TemplateDoc) -> list:

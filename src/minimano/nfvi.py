@@ -199,9 +199,6 @@ class ConnectivityResult:
     reason: str | None = None  # no-route | no-nat | sg-blocked
     observed_dst: str | None = None
 
-    def __bool__(self):
-        return self.allowed
-
 
 class _AddressPool:
     """The addresses one subnet hands out, as integer offsets from its base.

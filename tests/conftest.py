@@ -43,6 +43,30 @@ def env() -> Env:
     return make_env()
 
 
+_RESOURCE = "heat_template_version: 2013-05-23\nresources:\n  r:\n    type: OS::Heat::RandomString\n"
+_PROPERTY = _RESOURCE + "    properties:\n      p:\n"
+# where a template value may sit: the path a finding or refusal names, the
+# text before the value's block lines, and the indentation of its first
+# line and of the others
+VALUE_PLACES = {
+    "property": ("resources.r.properties.p", _PROPERTY, 8, 8),
+    "output": ("outputs.o.value", _RESOURCE + "outputs:\n  o:\n    value:\n", 6, 6),
+    "list-entry": ("resources.r.properties.p[1]", _PROPERTY + "        - x\n        - ", 0, 10),
+    "str-replace-param": ("resources.r.properties.p.params.M", _PROPERTY + "        str_replace:\n"
+                          "          template: M\n          params:\n            M:\n", 14, 14),
+}
+
+
+def place_value(where, lines) -> tuple:
+    """(path, template text) of a template holding the value written as
+    the block `lines` at `where`, one of `VALUE_PLACES`: resource `r`'s
+    property `p`, output `o`, the second entry of `p`, or the value of
+    marker `M` of a str_replace in `p`."""
+    path, before, first, rest = VALUE_PLACES[where]
+    return path, before + "".join(" " * (first if i == 0 else rest) + line + "\n"
+                                  for i, line in enumerate(lines))
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "acceptance(num, title): marks a test as one acceptance criterion"

@@ -18,7 +18,6 @@ from conftest import TEMPLATES, make_env
 from minimano import cli
 from minimano.errors import CapacityError, ConflictError, DependencyCycleError
 from minimano.hot import (
-    GetAttr,
     ResourceDef,
     TemplateDoc,
     parse_template,
@@ -166,7 +165,7 @@ def _doc_with_edges(names, edges):
         props = {}
         for i, (provider, consumer) in enumerate(edges):
             if consumer == name:
-                props[f"dep{i}"] = GetAttr(provider, "value")
+                props[f"dep{i}"] = {"get_attr": [provider, "value"]}
         resources[name] = ResourceDef(name, "OS::Heat::RandomString", props)
     return TemplateDoc("2013-05-23", None, {}, resources, {})
 

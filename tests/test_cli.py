@@ -344,6 +344,22 @@ def test_template_validate_verb(runner, tmp_path):
     assert "missing mandatory property" in out
 
 
+def test_template_validate_refuses_an_intrinsic_of_the_wrong_shape(runner, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "heat_template_version: 2013-05-23\n"
+        "resources:\n"
+        "  a:\n"
+        "    type: OS::Heat::RandomString\n"
+        "outputs:\n"
+        "  o:\n"
+        "    value: { get_attr: [a] }\n"
+    )
+    code, out, err = runner("template-validate", "-f", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: outputs.o.value: get_attr takes [resource, attribute]\n"
+
+
 def test_object_roundtrip_via_cli(runner, tmp_path):
     blob = tmp_path / "blob.bin"
     blob.write_bytes(b"\x00\x01binary\xff")
@@ -911,8 +927,8 @@ def _status(runner, stack_id) -> str:
 
 @pytest.fixture
 def serializes(monkeypatch):
-    """Counts calls of `engine.serialize_template`, the name a run's lazy
-    `source` looks up."""
+    """Counts calls of `engine.serialize_template`, the name through which
+    `create_stack` reads the text its run keeps."""
     calls = []
     real = engine.serialize_template
 
@@ -928,7 +944,7 @@ def test_a_no_wait_stack_keeps_its_source_until_its_signal_completes_it(
         runner, tmp_path, serializes):
     template = GATED_AS_WRITTEN + AFTER_GATE + OUTPUTS
     stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
-    assert len(serializes) == 1  # saved once, by the create that left it pending
+    assert len(serializes) == 1  # read once, by the create that left it pending
     assert _stored_sources(runner) == {stack_id: template}
     code, _, err = runner("clock-advance", "3")  # a reload that leaves it pending
     assert code == 0, err
@@ -988,11 +1004,10 @@ def test_a_stack_that_fails_mid_run_stores_no_source(runner, tmp_path, end):
     ("-f", str(TEMPLATES / "example4.yaml")),
     ("-f", str(TEMPLATES / "example2.yaml"), "--no-wait"),
 ], ids=["example2", "nested-example4", "example2-no-wait"])
-def test_a_create_that_completes_in_its_call_serialises_no_template(runner, serializes, argv):
+def test_a_create_that_completes_in_its_call_stores_no_template(runner, argv):
     code, out, err = runner("stack-create", "done", *argv, "--format", "machine")
     assert code == 0, err
     assert json.loads(out)["status"] == "CREATE_COMPLETE"
-    assert serializes == []
     assert _stored_sources(runner) == {}
 
 

@@ -5,9 +5,9 @@ left at and moved off their defaults, pending runs whose parsed template
 is cached, and seeded random operation walks: loading a world's JSON
 snapshot and dumping it again gives the same text, and every table's
 `fields` header is its record's field names in order. A `record` class
-takes its fields, and with `eq` and `frozen` compares, hashes and
-refuses changes, as a dataclass would; a field declared as a cached
-property is computed when first read unless it is given.
+takes its fields, and with `eq` compares by them, as a dataclass would;
+a field declared as a cached property is computed when first read unless
+it is given.
 """
 
 import json
@@ -19,7 +19,6 @@ import pytest
 from conftest import TEMPLATES
 from minimano.codec import (
     PLAIN,
-    FrozenInstanceError,
     Ids,
     field,
     fields,
@@ -278,12 +277,6 @@ class Point:
     note: str = field(default="", compare=False)
 
 
-@record(eq=True, frozen=True)
-class Pin:
-    label: str
-    at: tuple = ()
-
-
 @record(eq=True)
 class Other:
     x: int
@@ -302,19 +295,6 @@ def test_an_eq_record_compares_its_class_and_compared_fields():
     # a record without eq compares by identity and hashes
     assert Leaf("x") != Leaf("x")
     assert hash(Leaf("x")) is not None
-
-
-def test_a_frozen_record_refuses_changes_and_hashes_by_value():
-    pin = Pin("a", (1, 2))
-    assert (pin.label, pin.at) == ("a", (1, 2))
-    for change in (lambda: setattr(pin, "label", "b"), lambda: setattr(pin, "new", 1),
-                   lambda: delattr(pin, "at")):
-        with pytest.raises(FrozenInstanceError):
-            change()
-    assert issubclass(FrozenInstanceError, AttributeError)
-    assert (pin.label, pin.at) == ("a", (1, 2))
-    assert hash(pin) == hash(Pin("a", (1, 2))) and pin == Pin("a", (1, 2))
-    assert len({pin, Pin("a", (1, 2)), Pin("b")}) == 2
 
 
 @record

@@ -63,8 +63,7 @@ def test_blocked_stack_survives_reload(tmp_path):
     env = make_env()
     mysql = env.parse("mysql.yaml")
     # strip the boot script so the guest never signals and the stack parks
-    from minimano.hot import Literal
-    mysql.resources["mysql_server"].properties["user_data"] = Literal("#!/bin/sh\n")
+    mysql.resources["mysql_server"].properties["user_data"] = "#!/bin/sh\n"
     stack = env.world.engine.create_stack("db", mysql, {}, token=env.token)
     assert stack.status == "CREATE_IN_PROGRESS"
     url = stack.records["wait_handle"].attributes["curl_cli"]

@@ -7,7 +7,6 @@ import pytest
 
 from minimano.errors import DependencyCycleError, TemplateError
 from minimano.hot import (
-    GetAttr,
     ResourceDef,
     TemplateDoc,
     parse_template,
@@ -27,7 +26,7 @@ def doc_with_edges(names, edges):
         props = {}
         for i, (provider, consumer) in enumerate(edges):
             if consumer == name:
-                props[f"dep{i}"] = GetAttr(provider, "value")
+                props[f"dep{i}"] = {"get_attr": [provider, "value"]}
         resources[name] = ResourceDef(name=name, resource_type="OS::Heat::RandomString", properties=props)
     return TemplateDoc(version="2013-05-23", description=None, parameters={}, resources=resources, outputs={})
 

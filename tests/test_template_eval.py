@@ -1,4 +1,4 @@
-"""Parameter binding, expression evaluation, dependency extraction."""
+"""Parameter binding, value evaluation, dependency extraction."""
 
 import random
 
@@ -8,11 +8,6 @@ from minimano import yamlite
 from minimano.errors import DeployError, TemplateError
 from minimano.hot import (
     EvalContext,
-    GetAttr,
-    GetParam,
-    GetResource,
-    Literal,
-    StrReplace,
     bind_parameters,
     evaluate_expr,
     extract_dependencies,
@@ -95,12 +90,12 @@ def test_binding_is_idempotent(templates_dir):
 
 
 def test_str_replace_greeting_expansion():
-    expr = StrReplace(
-        template="Hello, my name is __name__. Here is a random number: __rnum__.",
-        params=(("__name__", Literal("Alice")), ("__rnum__", Literal("1234"))),
-    )
+    value = {"str_replace": {
+        "template": "Hello, my name is __name__. Here is a random number: __rnum__.",
+        "params": {"__name__": "Alice", "__rnum__": "1234"},
+    }}
     assert (
-        evaluate_expr(expr, EvalContext(params={}))
+        evaluate_expr(value, EvalContext(params={}))
         == "Hello, my name is Alice. Here is a random number: 1234."
     )
 
@@ -111,29 +106,29 @@ def test_get_attr_reads_deployed_attribute():
         resource_ids={"my_instance": "uuid-1"},
         resource_attrs={"my_instance": {"first_address": "10.0.0.3"}},
     )
-    assert evaluate_expr(GetAttr("my_instance", "first_address"), ctx) == "10.0.0.3"
+    assert evaluate_expr({"get_attr": ["my_instance", "first_address"]}, ctx) == "10.0.0.3"
 
 
 def test_get_param_from_bound_defaults(templates_dir):
     doc = parse(templates_dir, "example2.yaml")
     ctx = EvalContext(params=bind_parameters(doc, {}))
-    assert evaluate_expr(GetParam("flavor"), ctx) == "m1.small"
+    assert evaluate_expr({"get_param": "flavor"}, ctx) == "m1.small"
 
 
 def test_get_resource_returns_uuid():
     ctx = EvalContext(params={}, resource_ids={"h": "abc-123"}, resource_attrs={"h": {}})
-    assert evaluate_expr(GetResource("h"), ctx) == "abc-123"
+    assert evaluate_expr({"get_resource": "h"}, ctx) == "abc-123"
 
 
 def test_attribute_not_yet_available():
     with pytest.raises(DeployError, match="not yet available"):
-        evaluate_expr(GetAttr("later", "value"), EvalContext(params={}))
+        evaluate_expr({"get_attr": ["later", "value"]}, EvalContext(params={}))
 
 
 def test_unknown_attribute():
     ctx = EvalContext(params={}, resource_ids={"a": "u"}, resource_attrs={"a": {"value": "x"}})
     with pytest.raises(DeployError, match="no attribute 'other'"):
-        evaluate_expr(GetAttr("a", "other"), ctx)
+        evaluate_expr({"get_attr": ["a", "other"]}, ctx)
 
 
 def test_str_replace_empty_params_is_identity():

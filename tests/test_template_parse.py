@@ -4,17 +4,10 @@ import re
 
 import pytest
 
+from conftest import VALUE_PLACES, place_value
 from minimano import yamlite
 from minimano.errors import TemplateError, TemplateSyntaxError
-from minimano.hot import (
-    GetAttr,
-    GetParam,
-    Literal,
-    ListOf,
-    MapOf,
-    StrReplace,
-    parse_template,
-)
+from minimano.hot import EvalContext, evaluate_expr, parse_template
 
 
 def read(templates_dir, name):
@@ -28,11 +21,8 @@ def test_example1_structure(templates_dir):
     assert list(doc.resources) == ["my_instance"]
     inst = doc.resources["my_instance"]
     assert inst.resource_type == "OS::Nova::Server"
-    assert inst.properties["image"] == Literal("ubuntu_cloud14")
-    assert inst.properties["flavor"] == Literal("m1.small")
-    assert inst.properties["key_name"] == Literal("my_key1")
-    networks = inst.properties["networks"]
-    assert networks == ListOf((MapOf((("network", Literal("my_net1")),)),))
+    assert inst.properties == {"image": "ubuntu_cloud14", "flavor": "m1.small",
+                               "key_name": "my_key1", "networks": [{"network": "my_net1"}]}
     assert doc.parameters == {}
     assert doc.outputs == {}
 
@@ -48,9 +38,9 @@ def test_example2_structure(templates_dir):
     assert doc.parameters["key"].default == "my_key1"
     assert doc.parameters["private_network"].default == "my_net1"
     assert list(doc.resources) == ["my_instance"]
-    assert doc.resources["my_instance"].properties["image"] == GetParam("image")
+    assert doc.resources["my_instance"].properties["image"] == {"get_param": "image"}
     assert list(doc.outputs) == ["instance_ip"]
-    assert doc.outputs["instance_ip"].value == GetAttr("my_instance", "first_address")
+    assert doc.outputs["instance_ip"].value == {"get_attr": ["my_instance", "first_address"]}
 
 
 def test_missing_version_is_rejected():
@@ -101,23 +91,52 @@ def test_get_pattr_normalized_with_warning():
         "    value: { get_pattr: [a, value] }\n"
     )
     doc = parse_template(src)
-    assert doc.outputs["v"].value == GetAttr("a", "value")
-    assert any("get_pattr" in w for w in doc.warnings)
+    assert doc.outputs["v"].value == {"get_pattr": ["a", "value"]}  # kept as written
+    assert doc.warnings == ["outputs.v.value: 'get_pattr' read as 'get_attr'"]
+    ctx = EvalContext(params={}, resource_attrs={"a": {"value": "x"}})
+    assert evaluate_expr(doc.outputs["v"].value, ctx) == "x"
 
 
 def test_user_data_literal_block_is_verbatim(templates_dir):
     doc = parse_template(read(templates_dir, "example3.yaml"))
     simple = doc.resources["inst_simple"].properties["user_data"]
-    assert simple == Literal('#!/bin/sh\necho "Hello, World!" >> hello.txt\n')
+    assert simple == '#!/bin/sh\necho "Hello, World!" >> hello.txt\n'
     advanced = doc.resources["inst_advanced"].properties["user_data"]
-    assert isinstance(advanced, StrReplace)
-    assert advanced.template == (
-        '#!/bin/sh\n'
-        'echo "Hello, my name is __name__. Here is a random number: __rnum__." >> hello.txt\n'
-    )
-    markers = advanced.params_map
-    assert markers["__name__"] == GetParam("name")
-    assert markers["__rnum__"] == GetAttr("rng", "value")
+    assert advanced == {"str_replace": {
+        "template": (
+            '#!/bin/sh\n'
+            'echo "Hello, my name is __name__. Here is a random number: __rnum__." >> hello.txt\n'
+        ),
+        "params": {"__name__": {"get_param": "name"}, "__rnum__": {"get_attr": ["rng", "value"]}},
+    }}
+
+
+# each intrinsic call of the wrong shape, as block lines: the path below
+# the call that its refusal names, and the refusal
+WRONG_SHAPES = {
+    "get_param": (["get_param: [a]"], "", "get_param takes a parameter name"),
+    "get_attr": (["get_attr: [a]"], "", "get_attr takes [resource, attribute]"),
+    "get_pattr": (["get_pattr: [a, b, c]"], "", "get_attr takes [resource, attribute]"),
+    "get_resource": (["get_resource: [a]"], "", "get_resource takes a resource name"),
+    "str_replace-no-map": (["str_replace: x"], "",
+                           "str_replace takes a map with 'template' and 'params'"),
+    "str_replace-keys": (["str_replace:", "  template: x"], "",
+                         "str_replace takes exactly 'template' and 'params'"),
+    "str_replace-template": (["str_replace:", "  template: [x]", "  params: {}"], ".template",
+                             "must be a string"),
+    "str_replace-params": (["str_replace:", "  template: x", "  params: [a]"], ".params",
+                           "must be a map of marker to value"),
+}
+
+
+@pytest.mark.parametrize("where", list(VALUE_PLACES))
+@pytest.mark.parametrize("lines, below, message", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+def test_an_intrinsic_of_the_wrong_shape_is_refused_at_its_path(lines, below, message, where):
+    path, text = place_value(where, lines)
+    with pytest.raises(TemplateError) as err:
+        parse_template(text)
+    assert type(err.value) is TemplateError
+    assert err.value.message == f"{path}{below}: {message}"
 
 
 def test_syntax_error_is_position_annotated():

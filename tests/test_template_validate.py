@@ -1,6 +1,9 @@
 """Validation findings: references, mandatory properties, type checks."""
 
-from minimano.hot import parse_template, validate_template
+import pytest
+
+from conftest import VALUE_PLACES, place_value
+from minimano.hot import Finding, parse_template, validate_template
 
 
 def parse(templates_dir, name):
@@ -163,3 +166,33 @@ def test_parse_warnings_become_report_warnings():
     report = validate_template(doc)
     assert report.ok
     assert any("get_pattr" in f.message for f in report.warnings)
+
+
+@pytest.mark.parametrize("where", list(VALUE_PLACES))
+def test_an_unknown_parameter_is_found_at_its_property_or_output(where):
+    _, text = place_value(where, ["get_param: nope"])
+    # the finding names the property or output that holds the call
+    path = "outputs.o.value" if where == "output" else "resources.r.properties.p"
+    findings = validate_template(parse_template(text)).findings
+    assert [f for f in findings if "parameter" in f.message] == [
+        Finding("error", path, "unknown parameter 'nope'")]
+
+
+@pytest.mark.parametrize("handle", [
+    "handle", "{ get_param: h }", "{ get_attr: [handle, handle_id] }", "[handle]",
+], ids=["literal", "get_param", "get_attr", "list"])
+def test_a_handle_that_is_no_get_resource_is_found(handle):
+    doc = parse_template(
+        HEADER
+        + "parameters:\n  h:\n    type: string\n"
+        + "resources:\n"
+        + "  handle:\n"
+        + "    type: OS::Heat::WaitConditionHandle\n"
+        + "  gate:\n"
+        + "    type: OS::Heat::WaitCondition\n"
+        + "    properties:\n"
+        + f"      handle: {handle}\n"
+        + "      timeout: 5\n"
+    )
+    assert validate_template(doc).findings == [
+        Finding("error", "resources.gate.properties.handle", "must be a get_resource reference")]

@@ -5,15 +5,15 @@ A persisted row class, and a record of the template layer (`hot` and
 fields, in order, become the parameters of a generated ``__init__``,
 each taking a plain default or a `field` with a `default_factory`. A
 nested row collection names its codec in the same `field`
-(``field(default_factory=dict, codec=keyed(Row, "id"))``). A field
-declared as a `functools.cached_property` is computed when first read,
-unless ``__init__`` is given it. A record has the default repr and, by
-default, compares by identity. ``record(eq=True)`` compares by value, as
-that `dataclass` option does, so no CLI call imports `dataclasses` or
-`inspect`.
+(``field(default_factory=dict, codec=keyed(Row, "id"))``). A record
+has the default repr and, by default, compares by identity.
+``record(eq=True)`` compares by value, as that `dataclass` option does,
+so no CLI call imports `dataclasses` or `inspect`.
 
-A subsystem declares its persisted layout once, as a schema table that
-maps each attribute to a `Codec`. The kinds:
+A service declares its persisted state once, as a record with one field
+per registry, each naming its `Codec`: `one(cls, section)` stores it as
+the section's object, keyed in field order, and `set_fields` copies the
+fields of a new or loaded record onto the service. The kinds:
 
 - `one(cls)`: a single row, stored as an object of exactly its fields;
 - `keyed(cls, key)`: a registry dict, stored as a table of its rows in
@@ -22,13 +22,12 @@ maps each attribute to a `Codec`. The kinds:
 - `PLAIN`: JSON data, stored as it is.
 
 A table is ``{"fields": [...], "rows": [[...], ...]}``. `fields` names
-the record's fields in declaration order, taken from `fields(cls)` (so a
-cached property in an object's ``__dict__`` is stored only when it is a
-declared field), and each row lists one object's values in that order.
-A nested table, the value of a field with a `keyed` or `listed` codec,
-sits in its row's column. Loading checks that `fields` is exactly the
-declared list and that every row is a list of that many values: a dict
-or a string row of the right length would otherwise load.
+the record's fields in declaration order, taken from `fields(cls)`, and
+each row lists one object's values in that order. A nested table, the
+value of a field with a `keyed` or `listed` codec, sits in its row's
+column. Loading checks that `fields` is exactly the declared list and
+that every row is a list of that many values: a dict or a string row of
+the right length would otherwise load.
 
 A field's annotation (``str``, ``int``, ``float``, ``bool``, ``list``,
 ``dict``, or a ``|`` union of them and ``None``, also as text) is the JSON
@@ -65,7 +64,6 @@ snapshots, and the chain that upgrades them on load, live in `world`;
 """
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import starmap
 from operator import attrgetter, itemgetter
 
@@ -142,11 +140,6 @@ def record(cls=None, /, *, eq=False, rule=None):
     env = {"_MISSING": _MISSING}
     for name in cls.__annotations__:
         value = cls.__dict__.get(name, _MISSING)
-        if type(value) is cached_property:  # computed when first read, unless given
-            params.append(f"{name}=_MISSING")
-            body.append(f"if {name} is not _MISSING: self.{name} = {name}")
-            declared.append(Field(name))
-            continue
         if type(value) is Field:
             value = value._replace(name=name)
             delattr(cls, name)
@@ -185,6 +178,14 @@ def record(cls=None, /, *, eq=False, rule=None):
 def fields(cls) -> tuple:
     """The `Field`s of a `record` class, in declaration order."""
     return cls.__record_fields__
+
+
+def set_fields(owner, obj):
+    """Set each field of the record `obj` as an attribute of `owner`, one
+    at a time: `vars(owner).update` would leave every later read of an
+    attribute of `owner` several times slower."""
+    for f in fields(type(obj)):
+        setattr(owner, f.name, getattr(obj, f.name))
 
 
 def _specs(cls) -> list:
@@ -412,11 +413,3 @@ def listed(cls) -> Codec:
     table = _objects(cls)
     return Codec(table.dump, lambda data, ids: list(starmap(cls, table.load(data, ids))), cls)
 
-
-def dump_attrs(owner, schema, ids) -> dict:
-    return {name: codec.dump(getattr(owner, name), ids) for name, codec in schema.items()}
-
-
-def load_attrs(owner, schema, data, ids):
-    for name, codec in schema.items():
-        setattr(owner, name, codec.load(data[name], ids))

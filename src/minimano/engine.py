@@ -19,8 +19,7 @@ import os
 import random
 from functools import cached_property
 
-from .codec import (dump_attrs, each, field, keyed, load_attrs, one_of, record, refusal, rule,
-                    strings)
+from .codec import each, field, keyed, one, one_of, record, refusal, rule, set_fields, strings
 from .errors import (
     ConflictError,
     DeployError,
@@ -154,13 +153,16 @@ class WaitCondition:
                          rule=one_of(("PENDING", "SUCCESS", "TIMEOUT", "FAILURE_SIGNALED")))
 
 
-# the persisted layout, in snapshot order
-_SCHEMA = {
-    "stacks": keyed(Stack, "id"),
-    "runs": keyed(StackRun, "stack_id"),
-    "handles": keyed(WaitHandle, "id"),
-    "conditions": keyed(WaitCondition, "handle_id"),
-}
+@record
+class EngineState:
+    """The engine's registries, in snapshot order."""
+    stacks: dict = field(default_factory=dict, codec=keyed(Stack, "id"))
+    runs: dict = field(default_factory=dict, codec=keyed(StackRun, "stack_id"))
+    handles: dict = field(default_factory=dict, codec=keyed(WaitHandle, "id"))
+    conditions: dict = field(default_factory=dict, codec=keyed(WaitCondition, "handle_id"))
+
+
+_STATE = one(EngineState, "engine")
 
 
 def handle_url(handle_id: str) -> str:
@@ -179,10 +181,7 @@ class StackEngine:
         self.identity = identity
         self.provider = provider
         self.template_dir = template_dir
-        self.stacks = {}  # id -> Stack
-        self.runs = {}  # stack id -> StackRun
-        self.handles = {}  # handle id -> WaitHandle
-        self.conditions = {}  # handle id -> WaitCondition
+        set_fields(self, EngineState())
 
     # -- create -----------------------------------------------------------------
 
@@ -615,10 +614,10 @@ class StackEngine:
     # -- persistence ------------------------------------------------------------------------------------
 
     def to_dict(self, ids):
-        return dump_attrs(self, _SCHEMA, ids)
+        return _STATE.dump(self, ids)
 
     def load_dict(self, data, ids):
-        load_attrs(self, _SCHEMA, data, ids)
+        set_fields(self, _STATE.load(data, ids))
         for run in self.runs.values():
             stack = self.stacks.get(run.stack_id)
             if stack is None:

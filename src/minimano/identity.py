@@ -7,7 +7,7 @@ table mapping action names to the role they require ("any" accepts every
 valid token). Unknown actions are denied.
 """
 
-from .codec import each, field, keyed, one, record, rule, strings
+from .codec import each, field, keyed, one, record, rule, set_fields, strings
 from .errors import AuthError, ConflictError, NotFoundError
 
 
@@ -96,7 +96,7 @@ class IdentityState:
     policy: dict = field(default_factory=dict)  # action -> required role
 
 
-_STATE = one(IdentityState)
+_STATE = one(IdentityState, "identity")
 
 
 def _digest(salt: str, credential: str) -> str:
@@ -107,7 +107,8 @@ def _digest(salt: str, credential: str) -> str:
 class IdentityService:
     def __init__(self, core, policy=None):
         self.core = core
-        self.state = IdentityState(policy=dict(policy) if policy is not None else default_policy())
+        set_fields(self, IdentityState(
+            policy=dict(policy) if policy is not None else default_policy()))
 
     # -- bootstrap ----------------------------------------------------------
 
@@ -115,28 +116,28 @@ class IdentityService:
         """Create the initial admin tenant/user and the default services."""
         tenant = self._add_tenant("admin")
         user = self._add_user("admin", admin_credential)
-        self.state.assignments.append([user.id, tenant.id, "admin"])
-        self.state.assignments.append([user.id, tenant.id, "member"])
+        self.assignments.append([user.id, tenant.id, "admin"])
+        self.assignments.append([user.id, tenant.id, "member"])
         for service in ("identity", "image", "compute", "network", "volume",
                         "object-store", "telemetry", "orchestration"):
-            self.state.catalog[service] = f"local:///{service}"
+            self.catalog[service] = f"local:///{service}"
 
     # -- lookups ------------------------------------------------------------
 
     def tenant_by_name(self, name):
-        for tenant in self.state.tenants.values():
+        for tenant in self.tenants.values():
             if tenant.name == name:
                 return tenant
         return None
 
     def user_by_name(self, name):
-        for user in self.state.users.values():
+        for user in self.users.values():
             if user.name == name:
                 return user
         return None
 
     def roles_for(self, user_id, tenant_id):
-        return [r for (u, t, r) in self.state.assignments if u == user_id and t == tenant_id]
+        return [r for (u, t, r) in self.assignments if u == user_id and t == tenant_id]
 
     # -- admin-gated writes ---------------------------------------------------
 
@@ -144,7 +145,7 @@ class IdentityService:
         if self.tenant_by_name(name) is not None:
             raise ConflictError(f"tenant {name!r} already exists")
         tenant = Tenant(id=self.core.new_uuid(), name=name)
-        self.state.tenants[tenant.id] = tenant
+        self.tenants[tenant.id] = tenant
         self.core.tenant_created(tenant)
         return tenant
 
@@ -153,7 +154,7 @@ class IdentityService:
             raise ConflictError(f"user {name!r} already exists")
         salt = self.core.new_hex(16)
         user = User(id=self.core.new_uuid(), name=name, salt=salt, digest=_digest(salt, credential))
-        self.state.users[user.id] = user
+        self.users[user.id] = user
         return user
 
     def create_tenant(self, name, token_id):
@@ -173,9 +174,9 @@ class IdentityService:
         if tenant is None:
             raise NotFoundError(f"tenant {tenant_name!r} not found")
         entry = [user.id, tenant.id, role]
-        if entry in self.state.assignments:
+        if entry in self.assignments:
             raise ConflictError(f"role {role!r} already assigned")
-        self.state.assignments.append(entry)
+        self.assignments.append(entry)
         return entry
 
     # -- authentication and authorization -------------------------------------
@@ -197,17 +198,17 @@ class IdentityService:
             roles=sorted(roles),
             expires_at=self.core.tick + DEFAULT_TOKEN_TTL,
         )
-        self.state.tokens[token.id] = token
+        self.tokens[token.id] = token
         return token
 
     def validate_token(self, token_id) -> Token:
-        token = self.state.tokens.get(token_id or "")
+        token = self.tokens.get(token_id or "")
         if token is None or token.expires_at <= self.core.tick:
             raise AuthError("invalid or expired token")
         return token
 
     def _permits(self, token, action) -> bool:
-        required = self.state.policy.get(action)  # unknown actions default to deny
+        required = self.policy.get(action)  # unknown actions default to deny
         return required is not None and (required == "any" or required in token.roles)
 
     def authorize(self, token_id, action) -> bool:
@@ -227,11 +228,11 @@ class IdentityService:
 
     def register_service(self, name, url, token_id):
         self.require(token_id, "identity:register_service")
-        self.state.catalog[name] = url
+        self.catalog[name] = url
 
     def lookup_endpoint(self, token_id, name) -> str:
         self.require(token_id, "identity:lookup_endpoint")
-        url = self.state.catalog.get(name)
+        url = self.catalog.get(name)
         if url is None:
             raise NotFoundError(f"unknown service {name!r}")
         return url
@@ -239,7 +240,7 @@ class IdentityService:
     # -- persistence -------------------------------------------------------------
 
     def to_dict(self, ids):
-        return _STATE.dump(self.state, ids)
+        return _STATE.dump(self, ids)
 
     def load_dict(self, data, ids):
-        self.state = _STATE.load(data, ids)
+        set_fields(self, _STATE.load(data, ids))

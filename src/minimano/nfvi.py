@@ -25,8 +25,8 @@ import json
 import re
 from heapq import heappop, heappush
 
-from .codec import (PLAIN, check, dump_attrs, field, keyed, listed, load_attrs, one, one_of,
-                    positive, record, refusal, rule, strings)
+from .codec import (check, field, keyed, listed, one, one_of, positive, record, refusal, rule,
+                    set_fields, strings)
 from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
 
 
@@ -279,20 +279,25 @@ def _unb64(text: str) -> bytes:
 # one host inventory row, checked before anything places onto it
 _HOST = one(Host, "host inventory entry", TemplateError)
 
-# the persisted layout, in snapshot order
-_SCHEMA = {
-    "hosts": keyed(Host, "id"),
-    "images": keyed(Image, "id"),
-    "flavors": keyed(Flavor, "id"),
-    "keypairs": keyed(KeyPair, "id"),
-    "secgroups": keyed(SecurityGroup, "id"),
-    "instances": keyed(Instance, "id"),
-    "networks": keyed(Network, "id"),
-    "routers": keyed(Router, "id"),
-    "fips": keyed(FloatingIp, "id"),
-    "volumes": keyed(Volume, "id"),
-    "objects": PLAIN,
-}
+
+@record
+class ProviderState:
+    """The provider's registries, in snapshot order."""
+    hosts: dict = field(default_factory=dict, codec=keyed(Host, "id"))
+    images: dict = field(default_factory=dict, codec=keyed(Image, "id"))
+    flavors: dict = field(default_factory=dict, codec=keyed(Flavor, "id"))
+    keypairs: dict = field(default_factory=dict, codec=keyed(KeyPair, "id"))
+    secgroups: dict = field(default_factory=dict, codec=keyed(SecurityGroup, "id"))
+    instances: dict = field(default_factory=dict, codec=keyed(Instance, "id"))
+    networks: dict = field(default_factory=dict, codec=keyed(Network, "id"))
+    routers: dict = field(default_factory=dict, codec=keyed(Router, "id"))
+    fips: dict = field(default_factory=dict, codec=keyed(FloatingIp, "id"))
+    volumes: dict = field(default_factory=dict, codec=keyed(Volume, "id"))
+    # "tenant/container/name" -> payload b64
+    objects: dict = field(default_factory=dict, rule=strings)
+
+
+_STATE = one(ProviderState, "provider")
 
 
 class CloudProvider:
@@ -300,7 +305,7 @@ class CloudProvider:
 
     def __init__(self, core, hosts=None):
         self.core = core
-        self.hosts = {}
+        set_fields(self, ProviderState())
         hosts = hosts or [{"id": "host-1", "vcpus": 8, "ram_mib": 16384, "disk_gib": 160}]
         if not isinstance(hosts, list):
             raise TemplateError(f"host inventory must be a list of objects, got {hosts!r}")
@@ -309,16 +314,6 @@ class CloudProvider:
             if host.id in self.hosts:
                 raise ConflictError(f"duplicate host id {host.id!r}")
             self.hosts[host.id] = host
-        self.images = {}
-        self.flavors = {}
-        self.keypairs = {}
-        self.secgroups = {}
-        self.instances = {}
-        self.networks = {}
-        self.routers = {}
-        self.fips = {}
-        self.volumes = {}
-        self.objects = {}  # (tenant, container, name) -> payload b64
         self._forget_derived()
 
     def _forget_derived(self):
@@ -543,9 +538,10 @@ class CloudProvider:
     def launch_instance(self, tenant_id, spec, name=None, signal_sink=None) -> Instance:
         """Place, address, and boot one instance.
 
-        `spec` holds the keys `LaunchSpec` declares. It is not checked
-        here: a scaling group's spec is checked when it is stored, and a
-        server's properties by its resource type.
+        `spec` holds the keys `LaunchSpec` declares. Here it must name an
+        `image` and a `flavor`; the kinds of its keys are checked before:
+        a scaling group's spec when it is stored, and a server's
+        properties by its resource type.
         """
         for required in ("image", "flavor"):
             if not spec.get(required):
@@ -920,10 +916,8 @@ class CloudProvider:
     # -- persistence --------------------------------------------------------------------------------
 
     def to_dict(self, ids):
-        return dump_attrs(self, _SCHEMA, ids)
+        return _STATE.dump(self, ids)
 
     def load_dict(self, data, ids):
-        load_attrs(self, _SCHEMA, data, ids)
-        if type(self.objects) is not dict or any(type(v) is not str for v in self.objects.values()):
-            raise ValueError("provider objects must be an object of base64 text")
+        set_fields(self, _STATE.load(data, ids))
         self._forget_derived()

@@ -15,8 +15,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 
-from .codec import (check, dump_attrs, field, keyed, listed, load_attrs, one, one_of, positive,
-                    record, rule, strings)
+from .codec import (check, field, keyed, listed, one, one_of, positive, record, rule,
+                    set_fields, strings)
 from .errors import CapacityError, ConflictError, NotFoundError
 from .nfvi import launch_spec_refusal
 
@@ -119,29 +119,27 @@ class ScheduledFault:
     member_index: int | None = field(default=None, rule=_MEMBER_INDEX)
 
 
-# the persisted layout, in snapshot order
-_SCHEMA = {
-    "samples": listed(MetricSample),
-    "alarms": keyed(AlarmDef, "name"),
-    "groups": keyed(ScalingGroup, "name"),
-    "healer": one(HealerConfig, "telemetry healer"),
-    "generators": listed(LoadGenerator),
-    "scheduled_metrics": listed(ScheduledMetric),
-    "scheduled_faults": listed(ScheduledFault),
-}
+@record
+class TelemetryState:
+    """The telemetry registries, in snapshot order."""
+    # kept for the world's lifetime, in record order
+    samples: list = field(default_factory=list, codec=listed(MetricSample))
+    alarms: dict = field(default_factory=dict, codec=keyed(AlarmDef, "name"))
+    groups: dict = field(default_factory=dict, codec=keyed(ScalingGroup, "name"))
+    healer: dict = field(default_factory=HealerConfig, codec=one(HealerConfig, "telemetry healer"))
+    generators: list = field(default_factory=list, codec=listed(LoadGenerator))
+    scheduled_metrics: list = field(default_factory=list, codec=listed(ScheduledMetric))
+    scheduled_faults: list = field(default_factory=list, codec=listed(ScheduledFault))
+
+
+_STATE = one(TelemetryState, "telemetry")
 
 
 class TelemetryService:
     def __init__(self, core, provider):
         self.core = core
         self.provider = provider
-        self.samples = []  # MetricSample, in record order; kept for the world's lifetime
-        self.alarms = {}  # name -> AlarmDef
-        self.groups = {}  # name -> ScalingGroup
-        self.healer = HealerConfig()
-        self.generators = []
-        self.scheduled_metrics = []  # ScheduledMetric
-        self.scheduled_faults = []  # ScheduledFault
+        set_fields(self, TelemetryState())
 
     # -- metrics ---------------------------------------------------------------
 
@@ -393,10 +391,10 @@ class TelemetryService:
     # -- persistence -------------------------------------------------------------------------
 
     def to_dict(self, ids):
-        return dump_attrs(self, _SCHEMA, ids)
+        return _STATE.dump(self, ids)
 
     def load_dict(self, data, ids):
-        load_attrs(self, _SCHEMA, data, ids)
+        set_fields(self, _STATE.load(data, ids))
         for entry in (*self.scheduled_metrics, *self.scheduled_faults):
             if entry.group is not None and entry.group not in self.groups:
                 raise ValueError(f"{type(entry).__name__} names scaling group {entry.group!r}, "

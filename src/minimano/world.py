@@ -20,18 +20,15 @@ from functools import cache
 from operator import itemgetter
 
 from .codec import (Ids, check, check_column, entries, exact_object, field, fields, id_index,
-                    layout, record)
-from .engine import _SCHEMA as _ENGINE_SCHEMA
-from .engine import Stack, StackEngine, StackRun, WaitCondition, WaitHandle
+                    layout, listed, record)
+from .engine import EngineState, Stack, StackEngine, StackRun, WaitCondition, WaitHandle
 from .errors import ConflictError
 from .identity import IdentityService, IdentityState, Token
-from .nfvi import _SCHEMA as _PROVIDER_SCHEMA
-from .nfvi import CloudProvider, Instance
-from .telemetry import _SCHEMA as _TELEMETRY_SCHEMA
-from .telemetry import ScalingGroup, ScheduledFault, ScheduledMetric, TelemetryService
+from .nfvi import CloudProvider, Instance, ProviderState
+from .telemetry import (ScalingGroup, ScheduledFault, ScheduledMetric, TelemetryService,
+                        TelemetryState)
 
 SNAPSHOT_VERSION = 6
-_IDENTITY_SCHEMA = {f.name: f.codec for f in fields(IdentityState)}
 
 
 def _names(cls) -> list:
@@ -186,10 +183,12 @@ _V3_HEADERS = {
     Stack: _header(Stack, source="status"),
     StackRun: [name for name in _names(StackRun) if name != "source"],
 }
-# the snapshot's sections, each a World attribute and its subsystem's
-# schema, in the order a save interns their ids
-_SECTIONS = {"identity": _IDENTITY_SCHEMA, "provider": _PROVIDER_SCHEMA,
-             "engine": _ENGINE_SCHEMA, "telemetry": _TELEMETRY_SCHEMA}
+# the snapshot's sections, each a World attribute and its service's state
+# record, in the order a save interns their ids
+_SECTIONS = {"identity": IdentityState, "provider": ProviderState,
+             "engine": EngineState, "telemetry": TelemetryState}
+# the keys of a snapshot, in the order a save writes them
+_KEYS = ["v", "seed", "tick", "rng_state", "template_dir", *_SECTIONS, "events", "ids"]
 
 
 # the schedules, which v2 to v5 stored as JSON objects: each entry's
@@ -207,10 +206,10 @@ def _layout(cls, *names):
 def _tables(data, upgrade) -> dict:
     """The four sections of a v2 to v4 snapshot, each of their tables
     turned by `upgrade(row class, table)`."""
-    return {name: {**data[name], **{key: upgrade(codec.row, data[name][key])
-                                    for key, codec in schema.items()
-                                    if codec.row is not None and key not in _V5_SCHEDULES}}
-            for name, schema in _SECTIONS.items()}
+    return {name: {**data[name], **{f.name: upgrade(f.codec.row, data[name][f.name])
+                                    for f in fields(cls)
+                                    if f.codec.row is not None and f.name not in _V5_SCHEDULES}}
+            for name, cls in _SECTIONS.items()}
 
 
 def _object_table(cls, rows) -> dict:
@@ -296,7 +295,7 @@ def _upgrade_v5(data: dict) -> dict:
             if row.resource is not None:
                 ids.append(row.resource)
                 row.resource = len(ids) - 1
-        tables[name] = _TELEMETRY_SCHEMA[name].dump(rows)
+        tables[name] = listed(cls).dump(rows)
     return {**data, "v": 6, "telemetry": {**telemetry, **tables}, "ids": ids}
 
 
@@ -385,7 +384,7 @@ class World:
             # a version of no integer kind is malformed, an unknown one unsupported
             error = ConflictError if type(version) is int else ValueError
             raise error(f"unsupported state snapshot version {version!r}")
-        check(_Header, data, "snapshot")
+        check(_Header, exact_object("snapshot", _KEYS, data), "snapshot")
         ids = id_index(data["ids"])
         world = cls(seed=data["seed"], template_dir=data["template_dir"], _bootstrap=False)
         version, internal, gauss = data["rng_state"]

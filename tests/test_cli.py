@@ -545,6 +545,10 @@ def _as_dict(table):
     _state_v1(lambda s: s["telemetry"]["alarms"][0].update(aggregate="median")),
     _state_v1(lambda s: s["telemetry"]["alarms"][0].update(comparison="eq")),
     _state_v1(lambda s: s["telemetry"]["alarms"][0].update(action="reboot")),
+    _state_v3(lambda s: s["provider"].update(extra=1)),
+    _state_v3(lambda s: s["engine"].update(extra=1)),
+    _state_v3(lambda s: s["telemetry"].update(extra=1)),
+    _state_v3(lambda s: s.update(extra=1)),
 ], ids=["no-template-dir", "not-an-object", "bad-rng-state", "row-not-an-object",
         "nested-row-not-an-object", "row-missing-field", "nested-rows-missing",
         "row-unknown-field", "registry-missing", "seed-null", "tick-not-an-integer",
@@ -559,7 +563,8 @@ def _as_dict(table):
         "blocked-run-past-its-waves", "blocked-run-at-a-resource-not-created",
         "blocker-unknown-handle", "blocker-condition-not-pending", "blocker-child-finished",
         "blocker-not-a-pair", "alarm-aggregate-unknown", "alarm-comparison-unknown",
-        "alarm-action-unknown"])
+        "alarm-action-unknown", "v3-provider-unknown-field", "v3-engine-unknown-field",
+        "v3-telemetry-unknown-field", "v3-unknown-top-level-key"])
 def test_malformed_state_is_a_state_error(tmp_path, monkeypatch, capsys, state):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))

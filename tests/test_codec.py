@@ -5,14 +5,11 @@ left at and moved off their defaults, pending runs whose parsed template
 is cached, and seeded random operation walks: loading a world's JSON
 snapshot and dumping it again gives the same text, and every table's
 `fields` header is its record's field names in order. A `record` class
-takes its fields, and with `eq` compares by them, as a dataclass would;
-a field declared as a cached property is computed when first read unless
-it is given.
+takes its fields, and with `eq` compares by them, as a dataclass would.
 """
 
 import json
 import random
-from functools import cached_property
 
 import pytest
 
@@ -295,33 +292,6 @@ def test_an_eq_record_compares_its_class_and_compared_fields():
     # a record without eq compares by identity and hashes
     assert Leaf("x") != Leaf("x")
     assert hash(Leaf("x")) is not None
-
-
-@record
-class Lazy:
-    id: str
-    size: int = 0
-    text: str  # computed from `size` unless given
-
-    @cached_property
-    def text(self) -> str:
-        self.computed = True
-        return "x" * self.size
-
-
-def test_a_cached_property_field_is_computed_when_first_read_unless_given():
-    assert [f.name for f in fields(Lazy)] == ["id", "size", "text"]
-    lazy = Lazy("a", 3)
-    assert "text" not in vars(lazy)
-    assert lazy.text == "xxx" and lazy.computed
-    given = Lazy("b", 3, "given")
-    assert given.text == "given" and not hasattr(given, "computed")
-    table = listed(Lazy).dump([Lazy("c", 2), given], Ids())
-    assert json.loads(json.dumps(table)) == {"fields": ["id", "size", "text"],
-                                             "rows": [["c", 2, "xx"], ["b", 3, "given"]]}
-    loaded = listed(Lazy).load(json.loads(json.dumps(table)), {})
-    assert [(obj.id, obj.text) for obj in loaded] == [("c", "xx"), ("b", "given")]
-    assert not any(hasattr(obj, "computed") for obj in loaded)
 
 
 @record

@@ -64,7 +64,7 @@ def test_bad_credential_indistinguishable_from_unknown_user(world):
 
 
 def test_plaintext_credential_never_stored(world):
-    for user in world.identity.state.users.values():
+    for user in world.identity.users.values():
         assert "admin" != user.digest
         assert "admin" not in user.digest
 
@@ -81,7 +81,7 @@ def test_policy_evaluation_against_table_oracle(world, admin_token):
     world.identity.assign_role("alice", "demo", "member", admin_token)
     member_token = world.identity.authenticate("alice", "pw", "demo").id
 
-    policy = world.identity.state.policy
+    policy = world.identity.policy
     member_roles = ["member"]
     admin_roles = ["admin", "member"]
 
@@ -107,7 +107,7 @@ def test_member_may_create_stacks(world, admin_token):
 
 def test_unknown_action_default_deny(world, admin_token):
     rng = random.Random(3)
-    policy = set(world.identity.state.policy)
+    policy = set(world.identity.policy)
     for _ in range(50):
         action = "".join(rng.choice("abcdefgh:_") for _ in range(12))
         if action in policy:

@@ -358,7 +358,7 @@ def test_fixture_rows_load_as_dataclasses():
     world = World.from_snapshot(json.loads(FIXTURE.read_text(encoding="utf-8")))
     assert world.engine.template_dir is None
 
-    ident = world.identity.state
+    ident = world.identity
     _assert_rows(ident.tenants, Tenant, "id")
     _assert_rows(ident.users, User, "id")
     _assert_rows(ident.tokens, Token, "id")

@@ -145,7 +145,7 @@ def test_stacks_resumed_from_a_v3_file_parse_the_source_their_run_row_holds(
         tmp_path, monkeypatch, capsys):
     state = _v3_state(tmp_path)
     world = load_world(str(state))
-    monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.state.tokens)))
+    monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.tokens)))
     sources = {world.engine.stacks[sid].name: run.source for sid, run in world.engine.runs.items()}
     assert sources == {"gated": GATED, "outer": OUTER, "outer-child": GATED}
     parses = []
@@ -194,7 +194,7 @@ def _run_column(name, value):
 def test_a_malformed_v3_file_is_a_state_error(tmp_path, monkeypatch, capsys, edit):
     state = _v3_state(tmp_path, edit)
     world = World.from_snapshot(json.loads(fixture_text()))
-    monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.state.tokens)))
+    monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.tokens)))
     before = state.read_bytes()
     assert _cli(state, "stack-list") == 5
     err = capsys.readouterr().err
@@ -215,7 +215,7 @@ def test_a_v4_run_without_its_stack_or_source_text_is_a_state_error(
         value = len(data["ids"]) - 1
     _run_column(column, value)(data["engine"])
     state.write_text(json.dumps(data, separators=(",", ":")), encoding="utf-8")
-    monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.state.tokens)))
+    monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.tokens)))
     assert _cli(state, "stack-list") == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

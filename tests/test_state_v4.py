@@ -91,7 +91,7 @@ def _state(tmp_path, edit, version="current"):
     edit(data)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    token = next(iter(World.from_snapshot(json.loads(fixture_text())).identity.state.tokens))
+    token = next(iter(World.from_snapshot(json.loads(fixture_text())).identity.tokens))
     return path, token
 
 

@@ -14,7 +14,8 @@ from minimano.codec import check, fields
 from minimano.engine import ResourceRecord, SignalPayload, Stack, WaitCondition, WaitHandle
 from minimano.errors import ConflictError, MiniManoError
 from minimano.identity import IdentityState
-from minimano.nfvi import Flavor, Host, Instance, Router, SecurityGroupRule, Volume
+from minimano.nfvi import (Flavor, Host, Instance, ProviderState, Router, SecurityGroupRule,
+                           Volume)
 from minimano.scenario import build_world
 from minimano.statefile import load_world
 from minimano.telemetry import (AlarmDef, HealerConfig, LoadGenerator, ScalingGroup,
@@ -121,6 +122,8 @@ CASES = {
                           "must hold only strings, got []", None),
     "volume-size_gib": (Volume, "size_gib", {"size_gib": -4}, "must be a positive integer, got -4",
                         lambda env: env["world"].provider.create_volume(env["tenant"], -4)),
+    "provider-objects": (ProviderState, "objects", {"objects": {"t/c/o": 5}},
+                         "must hold only strings, got 5", None),
     "alarm-aggregate": (AlarmDef, "aggregate", {"aggregate": "median"},
                         "must be one of avg, max, min, got 'median'",
                         create_alarm(aggregate="median")),
@@ -178,6 +181,10 @@ CASES = {
 }
 
 
+# a section's state record -> the section
+SECTIONS = {IdentityState: "identity", ProviderState: "provider"}
+
+
 def table_of(data, cls):
     """The stored table of `cls` rows; a nested one is the first row's."""
     for (section, name), table_cls in TABLES.items():
@@ -192,8 +199,8 @@ def table_of(data, cls):
 
 def store(data, cls, change):
     """Set the `change`d fields of the first stored `cls` row."""
-    if cls is IdentityState:
-        data["identity"].update(change)
+    if cls in SECTIONS:
+        data[SECTIONS[cls]].update(change)
     elif cls is HealerConfig:
         data["telemetry"]["healer"].update(change)
     elif cls is SignalPayload:  # stored in its handle's signals
@@ -226,9 +233,9 @@ def test_a_rule_refuses_on_load_and_at_its_input(tmp_path, monkeypatch, capsys, 
     monkeypatch.setenv(cli.TOKEN_ENV, token)
     code = cli.main(["stack-list", "--state", str(path)])
     lines = capsys.readouterr().err.splitlines()
-    stored = {SignalPayload: f"WaitHandle signals {said}",
-              HealerConfig: f"telemetry healer {said}"}.get(cls, f"{cls.__name__} {said}")
-    assert code == 5 and lines == [f"error: state file {str(path)!r} is malformed: {stored}"]
+    where = {SignalPayload: "WaitHandle signals", HealerConfig: "telemetry healer",
+             **SECTIONS}.get(cls, cls.__name__)
+    assert code == 5 and lines == [f"error: state file {str(path)!r} is malformed: {where} {said}"]
 
     with pytest.raises(MiniManoError) as info:
         if make is None:  # only the program writes it: the input check of any row

@@ -6,9 +6,8 @@ fields, in order, become the parameters of a generated ``__init__``,
 each taking a plain default or a `field` with a `default_factory`. A
 nested row collection names its codec in the same `field`
 (``field(default_factory=dict, codec=keyed(Row, "id"))``). A record
-has the default repr and, by default, compares by identity.
-``record(eq=True)`` compares by value, as that `dataclass` option does,
-so no CLI call imports `dataclasses` or `inspect`.
+has the default repr and compares by identity, so no CLI call imports
+`dataclasses` or `inspect`.
 
 A service declares its persisted state once, as a record with one field
 per registry, each naming its `Codec`: `one(cls, section)` stores it as
@@ -78,16 +77,16 @@ def _same(value, ids=None):
 PLAIN = Codec(_same, _same)
 _MISSING = object()
 # one field of a `record` class, as `fields` lists it
-Field = namedtuple("Field", "name default default_factory codec compare rule ref",
-                   defaults=(_MISSING, None, PLAIN, True, None, False))
+Field = namedtuple("Field", "name default default_factory codec rule ref",
+                   defaults=(_MISSING, None, PLAIN, None, False))
 
 
-def field(*, default=_MISSING, default_factory=None, codec=PLAIN, compare=True,
-          rule=None, ref=False) -> Field:
+def field(*, default=_MISSING, default_factory=None, codec=PLAIN, rule=None,
+          ref=False) -> Field:
     """A field's default, or the factory called for each new object, the
-    codec of a nested row collection, whether ``eq`` compares it, the rule
-    its value keeps, and whether a table stores it in `Ids`."""
-    return Field("", default, default_factory, codec, compare, rule, ref)
+    codec of a nested row collection, the rule its value keeps, and
+    whether a table stores it in `Ids`."""
+    return Field("", default, default_factory, codec, rule, ref)
 
 
 def rule(holds, message):
@@ -116,26 +115,13 @@ def each(entry_rule):
 strings = each(rule(lambda entry: type(entry) is str, "must hold only strings, got {!r}"))
 
 
-def _tuple_getter(names):
-    """A function giving an object's `names` attributes as a tuple (an
-    attrgetter of one name gives the bare value)."""
-    if len(names) != 1:
-        return attrgetter(*names) if names else lambda obj: ()
-    getter = attrgetter(*names)
-    return lambda obj: (getter(obj),)
-
-
-def record(cls=None, /, *, eq=False, rule=None):
+def record(cls=None, /, *, rule=None):
     """Give `cls` an ``__init__`` that takes its annotated fields in order,
     positional or keyword, and list them for `fields`. A list, dict or set
     default is refused, as `dataclass` refuses it: every object would
-    share it. `rule` is the row rule that `check` and a load apply.
-
-    With `eq`, two objects are equal when they are of the same class and
-    their fields, but for those declared ``field(compare=False)``, are
-    equal; the class is then unhashable."""
+    share it. `rule` is the row rule that `check` and a load apply."""
     if cls is None:
-        return lambda cls: record(cls, eq=eq, rule=rule)
+        return lambda cls: record(cls, rule=rule)
     declared, params, body = [], [], []
     env = {"_MISSING": _MISSING}
     for name in cls.__annotations__:
@@ -162,16 +148,6 @@ def record(cls=None, /, *, eq=False, rule=None):
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__record_fields__ = tuple(declared)
     cls.__record_rule__ = rule
-    if eq:
-        key = _tuple_getter([f.name for f in declared if f.compare])
-
-        def __eq__(self, other):
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            return key(self) == key(other)
-
-        cls.__eq__ = __eq__
-        cls.__hash__ = None
     return cls
 
 
@@ -218,12 +194,12 @@ def _refused(kind, name, value) -> str | None:
     return message and f"{name} {message}"
 
 
-def check_column(cls, name, values, label, error=ValueError):
-    """Raise `error`, naming `label`, the field and a value, unless each of
-    `values` keeps the kind and rule of field `name` of `cls`, if plain."""
+def check_column(cls, name, values, label):
+    """Raise `ValueError`, naming `label`, the field and a value, unless each
+    of `values` keeps the kind and rule of field `name` of `cls`, if plain."""
     kind = _kinds(cls).get(name)
     if kind and (not set(map(type, values)) <= kind[0] or kind[2] and any(map(kind[2], values))):
-        raise error(f"{label} {next(filter(None, (_refused(kind, name, v) for v in values)))}")
+        raise ValueError(f"{label} {next(filter(None, (_refused(kind, name, v) for v in values)))}")
 
 
 def refusal(cls, row: dict) -> str | None:

@@ -165,10 +165,6 @@ class EngineState:
 _STATE = one(EngineState, "engine")
 
 
-def handle_url(handle_id: str) -> str:
-    return SIGNAL_URL_PREFIX + handle_id
-
-
 def _handle_id_from_ref(ref: str) -> str:
     if ref.startswith(SIGNAL_URL_PREFIX):
         return ref[len(SIGNAL_URL_PREFIX):]
@@ -406,7 +402,7 @@ class StackEngine:
     def _deploy_wait_handle(self, run, stack, rdef, record, props):
         handle = WaitHandle(id=record.uuid, stack_id=stack.id)
         self.handles[handle.id] = handle
-        record.attributes = {"curl_cli": handle_url(handle.id), "handle_id": handle.id}
+        record.attributes = {"curl_cli": SIGNAL_URL_PREFIX + handle.id, "handle_id": handle.id}
         return record
 
     def _deploy_wait_condition(self, run, stack, rdef, record, props):
@@ -467,12 +463,9 @@ class StackEngine:
 
     # -- wait conditions and signals ---------------------------------------------------------
 
-    def signal(self, handle_ref, payload, token=None) -> str:
-        self.identity.require(token, "stacks:signal")
-        return self.deliver_signal(handle_ref, payload)
-
     def deliver_signal(self, handle_ref, payload) -> str:
-        """Record one confirmation signal; returns an acknowledgment code."""
+        """Record one confirmation signal; returns an acknowledgment code.
+        The CLI requires `stacks:signal` first; a booting guest needs none."""
         handle_id = _handle_id_from_ref(handle_ref)
         handle = self.handles.get(handle_id)
         if handle is None:

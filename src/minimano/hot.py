@@ -60,7 +60,7 @@ def _calls(node):
 # document model
 
 
-@record(eq=True)
+@record
 class ParameterDef:
     name: str
     type: str
@@ -73,7 +73,7 @@ class ParameterDef:
         return self.default is not _UNSET
 
 
-@record(eq=True)
+@record
 class ResourceDef:
     name: str
     resource_type: str
@@ -81,14 +81,14 @@ class ResourceDef:
     depends_on: tuple = ()  # resource names deployed before this one
 
 
-@record(eq=True)
+@record
 class OutputDef:
     name: str
     description: str | None
     value: object  # as parsed
 
 
-@record(eq=True)
+@record
 class TemplateDoc:
     """A parsed template and the text it was parsed from. A pending run
     stores that text, so a document changed after parsing resumes as its
@@ -98,11 +98,11 @@ class TemplateDoc:
     parameters: dict  # name -> ParameterDef
     resources: dict  # name -> ResourceDef
     outputs: dict  # name -> OutputDef
-    warnings: list = field(default_factory=list, compare=False)
-    source: str | None = field(default=None, compare=False)  # None for a document built in code
+    warnings: list = field(default_factory=list)
+    source: str | None = None  # None for a document built in code
 
 
-@record(eq=True)
+@record
 class Finding:
     severity: str  # "error" | "warning"
     path: str
@@ -112,7 +112,7 @@ class Finding:
         return f"{self.severity}: {self.path}: {self.message}"
 
 
-@record(eq=True)
+@record
 class ValidationReport:
     findings: list
 
@@ -408,7 +408,7 @@ def bind_parameters(doc: TemplateDoc, provided: dict) -> dict:
 # evaluation
 
 
-@record(eq=True)
+@record
 class EvalContext:
     """What a value may call on: bound parameters plus deployed resources."""
 

@@ -5,7 +5,7 @@ from .errors import DependencyCycleError
 from .hot import TemplateDoc, extract_dependencies
 
 
-@record(eq=True)
+@record
 class DeploymentPlan:
     waves: list  # list of lists of resource names; wave i before wave i+1
     edges: list  # (provider, consumer) pairs the waves satisfy

@@ -126,7 +126,7 @@ def build_world(scenario: dict, seed=None) -> World:
     for gen in _entries(scenario, "generators", LoadGenerator, ["group"],
                         ["metric", "base", "amplitude", "period", "noise", "seed"],
                         group="group_name"):
-        telemetry.add_generator(LoadGenerator(**gen))
+        telemetry.generators.append(LoadGenerator(**gen))
     targets = ["resource", "group", "member_index"]
     for section, cls, required, optional in (
             ("metrics", ScheduledMetric, ["tick", "metric", "value"], targets),

@@ -1,11 +1,13 @@
 """State snapshot persistence with cross-process exclusion.
 
 The whole world serializes to one JSON file (schema version field "v").
-Writers take an exclusive flock on a sibling ``.lock`` file, write to a
-temp file named for their process, fsync it, rename it into place and
-fsync the directory, so concurrent CLI invocations serialize cleanly,
-readers never observe a torn snapshot, and a crash leaves either the old
-state or the new one (a rename alone is not durable).
+Writers take an exclusive flock on a sibling ``.lock`` file, write to the
+sibling ``.tmp`` file, fsync it, rename it into place and fsync the
+directory, so concurrent CLI invocations serialize cleanly, readers
+never observe a torn snapshot, and a crash leaves either the old state
+or the new one (a rename alone is not durable). Only the lock holder
+writes the temp file, so one name suffices: one left by a writer killed
+before its rename is overwritten and renamed by the next save.
 """
 
 import fcntl
@@ -21,7 +23,7 @@ DEFAULT_STATE_PATH = "./minimano-state.json"
 
 def save_world(world: World, path: str):
     data = json.dumps(world.to_snapshot(), separators=(",", ":"))
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(data)

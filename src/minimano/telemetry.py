@@ -340,9 +340,6 @@ class TelemetryService:
 
     # -- scheduled scenario input and generators ------------------------------------------
 
-    def add_generator(self, generator: LoadGenerator):
-        self.generators.append(generator)
-
     def run_scheduled(self, tick):
         """Each entry scheduled for `tick`; an unavailable target gets `schedule.skipped`."""
         for entry in (*self.scheduled_metrics, *self.scheduled_faults):

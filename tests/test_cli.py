@@ -2,6 +2,7 @@
 
 import json
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -1025,3 +1026,116 @@ def test_a_blocking_create_that_waits_serialises_its_template_once(runner, tmp_p
     # reloads that text and saves it back as it is
     assert len(serializes) == 1
     assert _stored_sources(runner) == {}
+
+
+SERVER_AND_HANDLE = (
+    "heat_template_version: 2013-05-23\n"
+    "resources:\n"
+    "  server:\n"
+    "    type: OS::Nova::Server\n"
+    "    properties:\n"
+    "      image: ubuntu_cloud14\n"
+    "      flavor: m1.small\n"
+    "      networks:\n"
+    "        - network: my_net1\n"
+    "  handle:\n"
+    "    type: OS::Heat::WaitConditionHandle\n"
+)
+
+
+def _stack(world):
+    return next(iter(world.engine.stacks.values()))
+
+
+def _server(world):
+    return _stack(world).records["server"].physical_id
+
+
+def _fip(world):
+    return next(iter(world.provider.fips))
+
+
+def _volume(world):
+    return next(iter(world.provider.volumes))
+
+# verb -> its arguments, each a string, or a function of the saved world
+# giving one, in the order they run; a verb that is missing here fails
+EVERY_VERB = {
+    "init": ("--state", "{dir}/other.json"),
+    "tenant-create": ("demo",),
+    "user-create": ("alice", "--password", "pw"),
+    "role-assign": ("alice", "demo", "member"),
+    "token-issue": ("--user", "alice", "--password", "pw", "--tenant", "demo"),
+    "service-register": ("dns", "local:///dns"),
+    "endpoint-lookup": ("dns",),
+    "image-create": ("cirros",),
+    "flavor-create": ("m1.tiny", "--vcpus", "1", "--ram", "512", "--disk", "1"),
+    "keypair-create": ("my_key2",),
+    "secgroup-create": ("web",),
+    "secgroup-rule-add": ("web", "--protocol", "tcp", "--port-min", "80", "--port-max", "80"),
+    "net-create": ("my_net2", "--cidr", "10.1.0.0/24"),
+    "router-create": ("r1",),
+    "router-attach": ("r1", "my_net1"),
+    "router-gateway-set": ("r1",),
+    "template-validate": ("-f", "{dir}/stack.yaml"),
+    "stack-create": ("s", "-f", "{dir}/stack.yaml"),
+    "stack-list": (),
+    "stack-show": (lambda world: _stack(world).id,),
+    "signal": (lambda world: _stack(world).records["handle"].attributes["curl_cli"],
+               '{"status": "SUCCESS"}'),
+    "fip-allocate": (),
+    "fip-associate": (_fip, _server),
+    "fip-disassociate": (_fip,),
+    "fip-release": (_fip,),
+    "volume-create": ("--size", "1"),
+    "volume-attach": (_volume, _server),
+    "volume-detach": (_volume,),
+    "volume-snapshot": (_volume,),
+    "object-put": ("c", "o", "--data", "hello"),
+    "object-get": ("c", "o"),
+    "connectivity-check": (_server, "external", "--protocol", "icmp"),
+    "group-create": ("g", "--min", "1", "--max", "2", "--desired", "1", "--member",
+                     '{"image": "ubuntu_cloud14", "flavor": "m1.small", "networks": ["my_net1"]}'),
+    "alarm-create": ("hot", "--metric", "cpu_util", "--aggregate", "avg", "--comparison", "gt",
+                     "--threshold", "0.8", "--window", "2", "--target", "g",
+                     "--action", "scale_out"),
+    "metric-push": (_server, "cpu_util", "0.5"),
+    "fault-inject": (lambda world: world.telemetry.groups["g"].members[0],),
+    "clock-advance": ("1",),
+    "events-tail": ("-n", "5"),
+    "stack-delete": (lambda world: _stack(world).id,),
+    "scenario-run": (str(Path(__file__).parent / "data" / "autonomic_scenario.json"),),
+}
+
+
+@pytest.mark.parametrize("mode", ["machine", "table"])
+def test_every_verb_succeeds_once(runner, tmp_path, mode):
+    assert EVERY_VERB.keys() == cli.VERBS.keys()
+    (tmp_path / "stack.yaml").write_text(SERVER_AND_HANDLE)
+    for verb, args in EVERY_VERB.items():
+        world = load_world(str(runner._state))
+        argv = [arg(world) if callable(arg) else arg.replace("{dir}", str(tmp_path))
+                for arg in args]
+        code, out, err = runner(verb, *argv, "--format", mode)
+        assert code == 0, (verb, err)
+        if mode == "machine":
+            assert out and all(json.loads(line) is not None for line in out.splitlines()), verb
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("connectivity-check", "a", "b", "--protocol", "tcp"), 2, "tcp requires a port"),
+    (("connectivity-check", "external", "external", "--protocol", "icmp"), 2,
+     "at least one endpoint must be an instance"),
+    (("init",), 5, "already exists (use --force)"),
+    (("stack-create", "s", "-f", str(TEMPLATES / "example1.yaml"), "--parameters", "nokey"), 2,
+     "parameters must be key=value pairs"),
+    (("net-create", "n", "--cidr", "10.9.0.0/30"), 2, "subnet too small"),
+    (("events-tail", "-n", "x"), 2, "argument -n/--count"),
+], ids=["tcp-without-port", "external-to-external", "init-without-force",
+        "parameters-without-equals", "subnet-too-small", "events-tail-count-not-a-number"])
+def test_a_refused_verb_changes_no_state(runner, argv, code, message):
+    before = runner._state.read_bytes()
+    got, out, err = runner(*argv)
+    assert (got, out) == (code, "") and message in err, err
+    assert err.count("\n") == 1 or err.startswith("usage: "), err
+    assert runner._state.read_bytes() == before

@@ -5,7 +5,7 @@ left at and moved off their defaults, pending runs whose parsed template
 is cached, and seeded random operation walks: loading a world's JSON
 snapshot and dumping it again gives the same text, and every table's
 `fields` header is its record's field names in order. A `record` class
-takes its fields, and with `eq` compares by them, as a dataclass would.
+takes its fields, as a dataclass would, and compares by identity.
 """
 
 import json
@@ -221,6 +221,9 @@ def test_record_takes_positional_and_keyword_arguments_and_fills_defaults():
     nodes = [Node("b", {"x": leaf}), Node(id="c", tags=[Tag("t")])]
     assert nodes[0].leaves == {"x": leaf} and nodes[0].tags == []
     assert nodes[1].leaves == {} and nodes[1].tags[0].label == "t"
+    # a record compares by identity and hashes
+    assert Leaf("x") != Leaf("x")
+    assert hash(Leaf("x")) is not None
 
 
 def test_record_calls_each_default_factory_afresh():
@@ -265,33 +268,6 @@ def test_record_refuses_a_mutable_default(default):
         @record
         class SharedField:
             items: object = field(default=default)
-
-
-@record(eq=True)
-class Point:
-    x: int
-    y: int = 0
-    note: str = field(default="", compare=False)
-
-
-@record(eq=True)
-class Other:
-    x: int
-    y: int = 0
-    note: str = ""
-
-
-def test_an_eq_record_compares_its_class_and_compared_fields():
-    assert Point(1, 2) == Point(x=1, y=2, note="ignored")
-    assert Point(1, 2) != Point(1, 3)
-    assert Point(1) != Other(1) and Other(1) != Point(1)
-    assert Point(1) != (1, 0)
-    assert Point.__hash__ is None
-    with pytest.raises(TypeError):
-        hash(Point(1))
-    # a record without eq compares by identity and hashes
-    assert Leaf("x") != Leaf("x")
-    assert hash(Leaf("x")) is not None
 
 
 @record

@@ -291,7 +291,7 @@ def engine_run(seed):
         for rname in path:  # down to a nested stack
             stack = world.engine.stacks[stack.records[rname].physical_id]
         url = stack.records[handle].attributes["curl_cli"]
-        world.engine.signal(url, {"status": status}, token=token)
+        world.engine.deliver_signal(url, {"status": status})
 
     # children that end within their parent's call
     for name in ("example1.yaml", "example2.yaml", "example3.yaml", "example4.yaml",

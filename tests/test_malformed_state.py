@@ -132,7 +132,7 @@ def build_state(path):
                                          group.members[0])
     wait = world.engine.create_stack("w", parse_template(WAIT_TEMPLATE), token=env.token)
     url = wait.records["handle"].attributes["curl_cli"]
-    world.engine.signal(url, {"status": "SUCCESS"}, token=env.token)
+    world.engine.deliver_signal(url, {"status": "SUCCESS"})
     world.telemetry.create_alarm("hot", "cpu_util", "avg", "gt", 0.8, 2, "g", "scale_out")
     world.telemetry.record_metric(group.members[0], "cpu_util", 0.5)
     world.telemetry.scheduled_metrics.append(

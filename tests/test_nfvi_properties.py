@@ -314,8 +314,7 @@ class WorldMachine(stateful.RuleBasedStateMachine):
     def signal(self, index, status):
         handle = self.pick(self.world.engine.handles.values(), index)
         if handle is not None:
-            self.world.engine.signal(f"mm://wait/{handle.id}", {"status": status},
-                                     token=self.token)
+            self.world.engine.deliver_signal(f"mm://wait/{handle.id}", {"status": status})
 
     @stateful.rule(ticks=st.integers(1, 4))
     def advance_clock(self, ticks):

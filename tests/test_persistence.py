@@ -116,6 +116,18 @@ def test_failed_rename_keeps_the_old_state(tmp_path, monkeypatch):
         save_world(world, path)
     monkeypatch.undo()
 
-    assert renamed == [f"{path}.{os.getpid()}.tmp"]
+    assert renamed == [f"{path}.tmp"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
     assert snapshot_text(load_world(path)) == before
+
+
+def test_a_leftover_temp_file_is_replaced_by_the_next_save(tmp_path):
+    path = str(tmp_path / "state.json")
+    world = World(seed=5)
+    save_world(world, path)
+    (tmp_path / "state.json.tmp").write_text("junk from a writer killed before its rename")
+
+    world.advance_clock(3)
+    save_world(world, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+    assert snapshot_text(load_world(path)) == snapshot_text(world)

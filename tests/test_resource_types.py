@@ -7,7 +7,7 @@ import re
 import pytest
 
 from conftest import TEMPLATES, make_env
-from minimano.hot import Finding, parse_template, validate_template
+from minimano.hot import parse_template, validate_template
 from minimano.resource_types import (
     RANDOM_STRING_TYPE,
     SERVER_TYPE,
@@ -81,7 +81,7 @@ RULES = {
 def test_validation_and_deploy_refuse_each_rule(rtype, name, literal, path, message, ptype,
                                                 value):
     report = validate_template(template(rtype, name, literal))
-    assert report.findings == [Finding("error", f"resources.r.properties.{path}", message)]
+    assert list(map(str, report.findings)) == [f"error: resources.r.properties.{path}: {message}"]
     env = make_env()
     doc = template(rtype, name, "{ get_param: p }", ptype)
     stack = env.world.engine.create_stack("s", doc, {"p": value}, token=env.token)
@@ -122,8 +122,8 @@ def test_each_deploy_step_sets_the_declared_attributes():
         "      handle: { get_resource: h }\n      timeout: 5\n"
     )
     stack = env.world.engine.create_stack("s", doc, token=env.token)
-    env.world.engine.signal(stack.records["h"].attributes["curl_cli"], {"status": "SUCCESS"},
-                            token=env.token)
+    env.world.engine.deliver_signal(stack.records["h"].attributes["curl_cli"],
+                                    {"status": "SUCCESS"})
     assert stack.status == "CREATE_COMPLETE"
     assert {record.type for record in stack.records.values()} == set(TYPES)
     for record in stack.records.values():

@@ -287,7 +287,7 @@ def test_synthetic_load_generator_is_deterministic():
     def run():
         world, tenant = autoscale_world(seed=3)
         world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 2)
-        world.telemetry.add_generator(
+        world.telemetry.generators.append(
             LoadGenerator(group_name="web", base=0.5, amplitude=0.3, period=10,
                           noise=0.05, seed=11)
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import VALUE_PLACES, place_value
-from minimano.hot import Finding, parse_template, validate_template
+from minimano.hot import parse_template, validate_template
 
 
 def parse(templates_dir, name):
@@ -174,8 +174,8 @@ def test_an_unknown_parameter_is_found_at_its_property_or_output(where):
     # the finding names the property or output that holds the call
     path = "outputs.o.value" if where == "output" else "resources.r.properties.p"
     findings = validate_template(parse_template(text)).findings
-    assert [f for f in findings if "parameter" in f.message] == [
-        Finding("error", path, "unknown parameter 'nope'")]
+    assert [str(f) for f in findings if "parameter" in f.message] == [
+        f"error: {path}: unknown parameter 'nope'"]
 
 
 @pytest.mark.parametrize("handle", [
@@ -194,5 +194,5 @@ def test_a_handle_that_is_no_get_resource_is_found(handle):
         + f"      handle: {handle}\n"
         + "      timeout: 5\n"
     )
-    assert validate_template(doc).findings == [
-        Finding("error", "resources.gate.properties.handle", "must be a get_resource reference")]
+    assert list(map(str, validate_template(doc).findings)) == [
+        "error: resources.gate.properties.handle: must be a get_resource reference"]

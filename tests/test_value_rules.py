@@ -86,7 +86,7 @@ def built(**change):
 
 
 def signal(payload):
-    return lambda env: env["world"].engine.signal(env["url"], payload, token=env["token"])
+    return lambda env: env["world"].engine.deliver_signal(env["url"], payload)
 
 
 # id -> (record, field or None for the row rule, the changed fields of the

@@ -41,14 +41,14 @@ def test_single_success_signal_completes(env):
     stack, url = create_gated(env, count=1, timeout=50)
     assert stack.status == "CREATE_IN_PROGRESS"
     env.world.advance_clock(10)
-    env.world.engine.signal(url, {"status": "SUCCESS"}, token=env.token)
+    env.world.engine.deliver_signal(url, {"status": "SUCCESS"})
     assert stack.status == "CREATE_COMPLETE"
     assert stack.records["gate"].state == "COMPLETE"
 
 
 def test_count_two_times_out_with_one_signal(env):
     stack, url = create_gated(env, count=2, timeout=50)
-    env.world.engine.signal(url, {"status": "SUCCESS", "id": "only"}, token=env.token)
+    env.world.engine.deliver_signal(url, {"status": "SUCCESS", "id": "only"})
     assert stack.status == "CREATE_IN_PROGRESS"
     env.world.advance_clock(50)
     assert stack.status == "CREATE_FAILED"
@@ -59,8 +59,8 @@ def test_count_two_times_out_with_one_signal(env):
 
 def test_distinct_ids_count_once_each(env):
     stack, url = create_gated(env, count=2)
-    env.world.engine.signal(url, {"status": "SUCCESS", "id": "1"}, token=env.token)
-    env.world.engine.signal(url, {"status": "SUCCESS", "id": "2"}, token=env.token)
+    env.world.engine.deliver_signal(url, {"status": "SUCCESS", "id": "1"})
+    env.world.engine.deliver_signal(url, {"status": "SUCCESS", "id": "2"})
     assert stack.status == "CREATE_COMPLETE"
     data = json.loads(stack.records["gate"].attributes["data"])
     assert set(data) == {"1", "2"}
@@ -68,29 +68,29 @@ def test_distinct_ids_count_once_each(env):
 
 def test_repeated_id_overwrites_not_accumulates(env):
     stack, url = create_gated(env, count=2)
-    env.world.engine.signal(url, {"status": "SUCCESS", "id": "1"}, token=env.token)
-    env.world.engine.signal(url, {"status": "SUCCESS", "id": "1"}, token=env.token)
+    env.world.engine.deliver_signal(url, {"status": "SUCCESS", "id": "1"})
+    env.world.engine.deliver_signal(url, {"status": "SUCCESS", "id": "1"})
     assert stack.status == "CREATE_IN_PROGRESS"  # still one distinct id
 
 
 def test_failure_resolves_immediately_regardless_of_count(env):
     stack, url = create_gated(env, count=5)
-    env.world.engine.signal(url, {"status": "FAILURE", "id": "x"}, token=env.token)
+    env.world.engine.deliver_signal(url, {"status": "FAILURE", "id": "x"})
     assert stack.status == "CREATE_FAILED"
     assert "FAILURE signal" in stack.records["gate"].failure
 
 
 def test_signal_after_resolution_is_ignored_with_warning(env):
     stack, url = create_gated(env, count=1)
-    assert env.world.engine.signal(url, {"status": "SUCCESS"}, token=env.token) == "recorded"
-    ack = env.world.engine.signal(url, {"status": "SUCCESS"}, token=env.token)
+    assert env.world.engine.deliver_signal(url, {"status": "SUCCESS"}) == "recorded"
+    ack = env.world.engine.deliver_signal(url, {"status": "SUCCESS"})
     assert ack == "ignored-already-resolved"
     assert stack.status == "CREATE_COMPLETE"
 
 
 def test_unknown_handle(env):
     with pytest.raises(NotFoundError, match="unknown wait handle"):
-        env.world.engine.signal("mm://wait/abcdef", {"status": "SUCCESS"}, token=env.token)
+        env.world.engine.deliver_signal("mm://wait/abcdef", {"status": "SUCCESS"})
 
 
 @pytest.mark.parametrize(
@@ -106,7 +106,7 @@ def test_unknown_handle(env):
 def test_malformed_payloads_rejected(env, payload):
     _, url = create_gated(env)
     with pytest.raises(TemplateError):
-        env.world.engine.signal(url, payload, token=env.token)
+        env.world.engine.deliver_signal(url, payload)
 
 
 def test_signals_arriving_before_condition_deploys_count(env):
@@ -142,13 +142,13 @@ def test_two_sequential_gates_resume_and_reblock(env):
     stack = env.world.engine.create_stack("double", doc, {}, token=env.token)
     assert stack.status == "CREATE_IN_PROGRESS"
     url1 = stack.records["h1"].attributes["curl_cli"]
-    env.world.engine.signal(url1, {"status": "SUCCESS"}, token=env.token)
+    env.world.engine.deliver_signal(url1, {"status": "SUCCESS"})
     # first gate opened; the walk resumed and parked on the second gate
     assert stack.status == "CREATE_IN_PROGRESS"
     assert stack.records["gate1"].state == "COMPLETE"
     assert stack.records["gate2"].state == "IN_PROGRESS"
     url2 = stack.records["h2"].attributes["curl_cli"]
-    env.world.engine.signal(url2, {"status": "SUCCESS"}, token=env.token)
+    env.world.engine.deliver_signal(url2, {"status": "SUCCESS"})
     assert stack.status == "CREATE_COMPLETE"
 
 
@@ -191,7 +191,7 @@ def test_outcome_totality_against_reference_machine(env):
                 sid = str(rng.randrange(0, 4))
                 status = "FAILURE" if rng.random() < 0.15 else "SUCCESS"
                 try:
-                    env.world.engine.signal(url, {"status": status, "id": sid}, token=env.token)
+                    env.world.engine.deliver_signal(url, {"status": status, "id": sid})
                 except TemplateError:
                     pass
                 reference.signal(sid, status)
@@ -206,5 +206,5 @@ def test_outcome_totality_against_reference_machine(env):
         expected_status = "CREATE_COMPLETE" if condition.outcome == "SUCCESS" else "CREATE_FAILED"
         assert stack.status == expected_status
         # resolution is permanent: late signals change nothing
-        env.world.engine.signal(url, {"status": "FAILURE"}, token=env.token)
+        env.world.engine.deliver_signal(url, {"status": "FAILURE"})
         assert condition.outcome == reference.outcome

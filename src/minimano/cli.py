@@ -26,7 +26,7 @@ from .identity import IdentityState
 from .lazy import LazyNames
 from .nfvi import DIRECTIONS, PROTOCOLS
 from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
-from .telemetry import ACTIONS, AGGREGATES, COMPARISONS, FAULT_KINDS, HealerConfig
+from .telemetry import ACTIONS, AGGREGATES, COMPARISONS, FAULT_KINDS, HealerConfig, MetricSample
 from .world import World
 
 # `hot` is imported only by the verbs that parse a template
@@ -426,6 +426,7 @@ def cmd_group_create(world, args, out, claims):
 
 
 def cmd_metric_push(world, args, out, claims):
+    check(MetricSample, {"value": args.value}, "sample", TemplateError)
     sample = world.telemetry.record_metric(args.resource, args.metric, args.value)
     out.line(f"recorded {args.metric}={args.value} at tick {sample.tick}",
              {"resource": args.resource, "metric": args.metric,

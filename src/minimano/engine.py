@@ -165,12 +165,6 @@ class EngineState:
 _STATE = one(EngineState, "engine")
 
 
-def _handle_id_from_ref(ref: str) -> str:
-    if ref.startswith(SIGNAL_URL_PREFIX):
-        return ref[len(SIGNAL_URL_PREFIX):]
-    return ref
-
-
 class StackEngine:
     def __init__(self, core, identity, provider, template_dir=None):
         self.core = core
@@ -466,7 +460,7 @@ class StackEngine:
     def deliver_signal(self, handle_ref, payload) -> str:
         """Record one confirmation signal; returns an acknowledgment code.
         The CLI requires `stacks:signal` first; a booting guest needs none."""
-        handle_id = _handle_id_from_ref(handle_ref)
+        handle_id = handle_ref.removeprefix(SIGNAL_URL_PREFIX)
         handle = self.handles.get(handle_id)
         if handle is None:
             raise NotFoundError(f"unknown wait handle {handle_id!r}")

@@ -1,12 +1,13 @@
 """Declarative template handling.
 
-A template document has a version tag, optional description, and three
-named sections: parameters, resources, outputs. A resource property or
-an output value is kept as the node the text gave: a scalar, a list or a
-map. A map of one key naming an intrinsic function (``get_param``,
-``get_attr``, ``get_pattr`` read as ``get_attr``, ``get_resource`` or
-``str_replace``) is a call of it, recognised where the value is used;
-parsing refuses a call whose argument has the wrong shape. This module
+A template's text has a version tag and an optional description, which
+parsing checks but does not keep, and three named sections: parameters,
+resources, outputs. A resource property or an output value is kept as
+the node the text gave: a scalar, a list or a map. A map of one key
+naming an intrinsic function (``get_param``, ``get_attr``, ``get_pattr``
+read as ``get_attr``, ``get_resource`` or ``str_replace``) is a call of
+it, recognised where the value is used; parsing refuses a call whose
+argument has the wrong shape. This module
 parses source text into `TemplateDoc`, validates documents against the
 declared resource types, binds parameters, evaluates values against
 deployed resources, and extracts the inter-resource dependency graph used
@@ -64,8 +65,6 @@ def _calls(node):
 class ParameterDef:
     name: str
     type: str
-    label: str | None = None
-    description: str | None = None
     default: object = _UNSET
 
     @property
@@ -84,7 +83,6 @@ class ResourceDef:
 @record
 class OutputDef:
     name: str
-    description: str | None
     value: object  # as parsed
 
 
@@ -93,8 +91,6 @@ class TemplateDoc:
     """A parsed template and the text it was parsed from. A pending run
     stores that text, so a document changed after parsing resumes as its
     text says."""
-    version: str
-    description: str | None
     parameters: dict  # name -> ParameterDef
     resources: dict  # name -> ResourceDef
     outputs: dict  # name -> OutputDef
@@ -190,13 +186,8 @@ def _parse_parameters(node, warnings):
         for key in body:
             if key not in ("type", "label", "description", "default"):
                 warnings.append(f"{path}: unknown attribute {key!r}")
-        out[name] = ParameterDef(
-            name=name,
-            type=ptype,
-            label=body.get("label"),
-            description=body.get("description"),
-            default=body["default"] if "default" in body else _UNSET,
-        )
+        out[name] = ParameterDef(name=name, type=ptype,
+                                 default=body["default"] if "default" in body else _UNSET)
     return out
 
 
@@ -243,7 +234,7 @@ def _parse_outputs(node, warnings):
             if key not in ("value", "description"):
                 warnings.append(f"{path}: unknown attribute {key!r}")
         _check_value(body["value"], f"{path}.value", warnings)
-        out[name] = OutputDef(name=name, description=body.get("description"), value=body["value"])
+        out[name] = OutputDef(name=name, value=body["value"])
     return out
 
 
@@ -254,8 +245,7 @@ def parse_template(source: str) -> TemplateDoc:
         raise TemplateError("template root must be a mapping")
     if VERSION_KEY not in root:
         raise TemplateError(f"missing {VERSION_KEY}")
-    version = root[VERSION_KEY]
-    if not isinstance(version, str) or not version:
+    if not isinstance(root[VERSION_KEY], str) or not root[VERSION_KEY]:
         raise TemplateError(f"{VERSION_KEY}: must be a non-empty version tag")
     warnings = []
     for key in root:
@@ -263,12 +253,9 @@ def parse_template(source: str) -> TemplateDoc:
             warnings.append(f"unknown top-level section {key!r}")
     if "resources" not in root:
         raise TemplateError("resources: at least one resource must be declared")
-    description = root.get("description")
-    if description is not None and not isinstance(description, str):
+    if root.get("description") is not None and not isinstance(root["description"], str):
         raise TemplateError("description: must be a string")
     return TemplateDoc(
-        version=version,
-        description=description,
         parameters=_parse_parameters(root.get("parameters"), warnings),
         resources=_parse_resources(root["resources"], warnings),
         outputs=_parse_outputs(root.get("outputs"), warnings),

@@ -136,9 +136,6 @@ class IdentityService:
                 return user
         return None
 
-    def roles_for(self, user_id, tenant_id):
-        return [r for (u, t, r) in self.assignments if u == user_id and t == tenant_id]
-
     # -- admin-gated writes ---------------------------------------------------
 
     def _add_tenant(self, name):
@@ -189,7 +186,7 @@ class IdentityService:
         tenant = self.tenant_by_name(tenant_name)
         if tenant is None:
             raise AuthError(f"no role in tenant {tenant_name!r}")
-        roles = self.roles_for(user.id, tenant.id)
+        roles = [r for (u, t, r) in self.assignments if u == user.id and t == tenant.id]
         if not roles:
             raise AuthError(f"no role in tenant {tenant_name!r}")
         token = Token(
@@ -207,20 +204,10 @@ class IdentityService:
             raise AuthError("invalid or expired token")
         return token
 
-    def _permits(self, token, action) -> bool:
-        required = self.policy.get(action)  # unknown actions default to deny
-        return required is not None and (required == "any" or required in token.roles)
-
-    def authorize(self, token_id, action) -> bool:
-        try:
-            token = self.validate_token(token_id)
-        except AuthError:
-            return False
-        return self._permits(token, action)
-
     def require(self, token_id, action) -> Token:
         token = self.validate_token(token_id)
-        if not self._permits(token, action):
+        required = self.policy.get(action)  # unknown actions default to deny
+        if required is None or (required != "any" and required not in token.roles):
             raise AuthError(f"not authorized for {action}")
         return token
 

@@ -350,9 +350,6 @@ class CloudProvider:
             raise NotFoundError(f"{what} {obj_id!r} not found")
         return obj
 
-    def image_by_name(self, tenant_id, name):
-        return self._by_name(self.images, tenant_id, name)
-
     def flavor_by_name(self, tenant_id, name):
         return self._by_name(self.flavors, tenant_id, name)
 
@@ -376,10 +373,6 @@ class CloudProvider:
         )
         self.images[image.id] = image
         return image
-
-    def image_payload_hash(self, image_id) -> str:
-        from hashlib import sha256  # a CLI call that hashes nothing does not pay for it
-        return sha256(_unb64(self.images[image_id].payload_b64)).hexdigest()
 
     # -- flavors / keypairs / security groups ------------------------------------
 
@@ -600,10 +593,8 @@ class CloudProvider:
         return instance
 
     def run_cloud_init(self, instance_id, signal_sink=None):
-        """Interpret the instance's user data; returns the new log lines."""
+        """Interpret the user data of an ACTIVE instance; returns the new log lines."""
         instance = self.get_instance(instance_id)
-        if instance.state != "ACTIVE":
-            raise ConflictError(f"instance {instance_id!r} is not ACTIVE")
         start = len(instance.guest_log)
         for raw in (instance.user_data or "").splitlines():
             line = raw.strip()
@@ -828,9 +819,8 @@ class CloudProvider:
         return None
 
     def check_connectivity(self, src, dst, protocol, port=None) -> ConnectivityResult:
-        """L3 reachability (routers, NAT) then security-group admission."""
-        if protocol not in PROTOCOLS:
-            raise ConflictError(f"unknown protocol {protocol!r}")
+        """L3 reachability (routers, NAT) then security-group admission, for a
+        `protocol` of `PROTOCOLS`."""
         if protocol != "icmp" and port is None:
             raise ConflictError(f"{protocol} requires a port")
         if src == EXTERNAL_LOCUS and dst == EXTERNAL_LOCUS:

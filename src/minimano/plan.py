@@ -8,16 +8,6 @@ from .hot import TemplateDoc, extract_dependencies
 @record
 class DeploymentPlan:
     waves: list  # list of lists of resource names; wave i before wave i+1
-    edges: list  # (provider, consumer) pairs the waves satisfy
-
-    def ordered_names(self):
-        return [name for wave in self.waves for name in wave]
-
-    def wave_of(self, name):
-        for i, wave in enumerate(self.waves):
-            if name in wave:
-                return i
-        raise KeyError(name)
 
 
 def _find_cycle(stuck, providers):
@@ -66,4 +56,4 @@ def build_plan(doc: TemplateDoc) -> DeploymentPlan:
             for consumer in consumers[name]:
                 remaining[consumer] -= 1
         waves.append(wave)
-    return DeploymentPlan(waves=waves, edges=edges)
+    return DeploymentPlan(waves=waves)

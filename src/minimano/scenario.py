@@ -123,20 +123,22 @@ def build_world(scenario: dict, seed=None) -> World:
     for alarm in _entries(scenario, "alarms", AlarmDef, ["name", "metric", "aggregate",
                           "comparison", "threshold", "window", "target", "action"]):
         telemetry.create_alarm(**alarm)
-    for gen in _entries(scenario, "generators", LoadGenerator, ["group"],
-                        ["metric", "base", "amplitude", "period", "noise", "seed"],
-                        group="group_name"):
-        telemetry.generators.append(LoadGenerator(**gen))
+    telemetry.generators = [LoadGenerator(**gen) for gen in _entries(
+        scenario, "generators", LoadGenerator, ["group"],
+        ["metric", "base", "amplitude", "period", "noise", "seed"], group="group_name")]
     targets = ["resource", "group", "member_index"]
     for section, cls, required, optional in (
             ("metrics", ScheduledMetric, ["tick", "metric", "value"], targets),
             ("faults", ScheduledFault, ["tick"], ["kind", *targets])):
-        schedule = [cls(**entry) for entry in _entries(scenario, section, cls, required, optional)]
+        setattr(telemetry, f"scheduled_{section}",
+                [cls(**entry) for entry in _entries(scenario, section, cls, required, optional)])
+    for section, schedule in (("generators", telemetry.generators),
+                              ("metrics", telemetry.scheduled_metrics),
+                              ("faults", telemetry.scheduled_faults)):
         for index, entry in enumerate(schedule):
             if entry.group is not None and entry.group not in telemetry.groups:
                 raise TemplateError(f"scenario {section!r} entry {index} names scaling group "
                                     f"{entry.group!r}, which does not exist")
-        setattr(telemetry, f"scheduled_{section}", schedule)
     return world
 
 

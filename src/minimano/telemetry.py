@@ -11,6 +11,7 @@ when capacity is short.
 """
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
@@ -26,6 +27,8 @@ COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
                "ge": lambda a, b: a >= b, "le": lambda a, b: a <= b}
 ACTIONS = ("scale_out", "scale_in", "notify")
 FAULT_KINDS = ("instance_crash",)
+# a number a float holds: not NaN, not infinite, no int beyond the float range
+_FINITE = rule(lambda value: abs(value) <= sys.float_info.max, "must be a finite number, got {!r}")
 
 
 @record
@@ -34,7 +37,7 @@ class MetricSample:
 
     resource_id: str = field(ref=True)
     metric: str
-    value: float
+    value: float = field(rule=_FINITE)
     tick: int
 
 
@@ -45,7 +48,7 @@ class AlarmDef:
     metric: str
     aggregate: str = field(rule=one_of(AGGREGATES))
     comparison: str = field(rule=one_of(COMPARISONS))
-    threshold: float
+    threshold: float = field(rule=_FINITE)
     window: int = field(rule=positive())
     target: str  # scaling group name or resource id
     action: str = field(rule=one_of(ACTIONS))
@@ -81,11 +84,16 @@ class LoadGenerator:
 
     group_name: str
     metric: str = "cpu_util"
-    base: float = 0.5
-    amplitude: float = 0.3
+    base: float = field(default=0.5, rule=_FINITE)
+    amplitude: float = field(default=0.3, rule=_FINITE)
     period: int = field(default=20, rule=positive())  # divides the tick
-    noise: float = 0.05
+    noise: float = field(default=0.05, rule=_FINITE)
     seed: int = 0
+
+    @property
+    def group(self):
+        """The scaling group it names, as a schedule entry names one."""
+        return self.group_name
 
 
 # an entry's target (an absent key is null), and a member never counted from the end
@@ -101,7 +109,7 @@ class ScheduledMetric:
 
     tick: int
     metric: str
-    value: float
+    value: float = field(rule=_FINITE)
     resource: str | None = field(default=None, ref=True)
     group: str | None = None
     member_index: int | None = field(default=None, rule=_MEMBER_INDEX)
@@ -270,10 +278,9 @@ class TelemetryService:
         ]
 
     def apply_scaling(self, group_name, direction) -> int:
-        """Move desired by one member; returns the new desired count."""
-        group = self.groups.get(group_name)
-        if group is None:
-            raise NotFoundError(f"scaling group {group_name!r} not found")
+        """Move the desired count of an existing group by one member, "out"
+        or "in"; returns the new desired count."""
+        group = self.groups[group_name]
         if direction == "out":
             if group.desired + 1 > group.max_size:
                 self.core.emit("scale.clamped", group=group.name, at="max")
@@ -285,7 +292,7 @@ class TelemetryService:
                 return group.desired
             group.desired += 1
             self.core.emit("scale.out", group=group.name, desired=group.desired, member=instance.id)
-        elif direction == "in":
+        else:
             if group.desired - 1 < group.min_size:
                 self.core.emit("scale.clamped", group=group.name, at="min")
                 return group.desired
@@ -296,15 +303,12 @@ class TelemetryService:
             except NotFoundError:
                 pass
             self.core.emit("scale.in", group=group.name, desired=group.desired, member=victim)
-        else:
-            raise ConflictError(f"unknown scaling direction {direction!r}")
         return group.desired
 
     # -- fault injection -------------------------------------------------------------
 
     def inject_fault(self, target_id, kind="instance_crash"):
-        if kind not in FAULT_KINDS:
-            raise ConflictError(f"unknown fault kind {kind!r}")
+        """Inject a fault of `kind`, one of `FAULT_KINDS`."""
         self.provider.crash_instance(target_id)
         self.core.emit("fault.inject", target=target_id, fault_kind=kind)
 
@@ -356,10 +360,7 @@ class TelemetryService:
         if self.generators:
             from hashlib import sha256  # a CLI call that runs no generator does not pay for it
         for gen in self.generators:
-            group = self.groups.get(gen.group_name)
-            if group is None:
-                continue
-            for member_id in self._active_members(group):
+            for member_id in self._active_members(self.groups[gen.group_name]):
                 phase = 2 * math.pi * (tick % gen.period) / gen.period
                 digest = sha256(f"{gen.seed}:{member_id}:{tick}".encode()).hexdigest()
                 noise_bits = int(digest[:8], 16) % 1000 / 1000 - 0.5
@@ -392,7 +393,7 @@ class TelemetryService:
 
     def load_dict(self, data, ids):
         set_fields(self, _STATE.load(data, ids))
-        for entry in (*self.scheduled_metrics, *self.scheduled_faults):
+        for entry in (*self.generators, *self.scheduled_metrics, *self.scheduled_faults):
             if entry.group is not None and entry.group not in self.groups:
                 raise ValueError(f"{type(entry).__name__} names scaling group {entry.group!r}, "
                                  "which does not exist")

@@ -414,13 +414,14 @@ def _with(section, key, value):
     _with("faults", "kind", "reboot"),
     _with("faults", "member_index", -1),
     _with("metrics", "member_index", -1),
+    {"seed": 1},
 ], ids=["group-without-member", "alarm-without-metric", "ticks-not-an-integer",
         "setup-not-an-object", "images-not-a-list", "healer-not-an-object",
         "hosts-not-a-list", "host-without-vcpus", "healer-interval-zero",
         "healer-interval-not-an-integer", "host-with-negative-vcpus",
         "seed-not-an-integer", "group-member-not-an-object", "alarm-threshold-not-a-number",
         "metric-group-a-list", "fault-member_index-not-an-integer", "fault-kind-unknown",
-        "fault-member_index-negative", "metric-member_index-negative"])
+        "fault-member_index-negative", "metric-member_index-negative", "without-ticks"])
 def test_malformed_scenario_is_a_template_error(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -441,6 +442,17 @@ def test_a_null_in_a_schedule_entry_counts_as_absent(tmp_path, capsys):
         logs.append(events.read_text())
     assert logs[0] == logs[1] and '"kind":"fault.inject"' in logs[0]
     capsys.readouterr()
+
+
+def test_a_scenario_creates_its_keypairs(tmp_path, capsys):
+    scenario = json.loads((Path(__file__).parent / "data" / "autonomic_scenario.json").read_text())
+    scenario["setup"]["keypairs"] = [{"name": "k1"}, {"name": "k2"}]
+    path, snapshot = tmp_path / "scenario.json", tmp_path / "snapshot.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["scenario-run", str(path), "--snapshot-out", str(snapshot)]) == 0, (
+        capsys.readouterr().err)
+    keypairs = json.loads(snapshot.read_text())["provider"]["keypairs"]
+    assert [row[keypairs["fields"].index("name")] for row in keypairs["rows"]] == ["k1", "k2"]
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -960,6 +972,9 @@ def test_a_no_wait_stack_keeps_its_source_until_its_signal_completes_it(
     assert _stored_sources(runner) == {}
     assert _status(runner, stack_id) == "CREATE_COMPLETE"
     assert len(serializes) == 1  # a loaded run saves the text it was loaded with
+    code, out, err = runner("signal", url, '{"status": "SUCCESS"}')
+    assert (code, out, err) == (0, "ignored-already-resolved\n",
+                                "warning: wait condition already resolved; signal ignored\n")
 
 
 def test_a_nested_stack_and_its_waiting_parent_keep_their_sources_until_done(
@@ -1131,11 +1146,35 @@ def test_every_verb_succeeds_once(runner, tmp_path, mode):
      "parameters must be key=value pairs"),
     (("net-create", "n", "--cidr", "10.9.0.0/30"), 2, "subnet too small"),
     (("events-tail", "-n", "x"), 2, "argument -n/--count"),
+    (("user-create", "admin", "--password", "pw"), 2, "user 'admin' already exists"),
+    (("role-assign", "ghost", "admin", "member"), 6, "user 'ghost' not found"),
+    (("role-assign", "admin", "nowhere", "member"), 6, "tenant 'nowhere' not found"),
+    (("token-issue", "--user", "admin", "--password", "admin", "--tenant", "nowhere"), 3,
+     "no role in tenant 'nowhere'"),
+    (("scenario-run", "no-such-scenario.json"), 5, "does not exist"),
 ], ids=["tcp-without-port", "external-to-external", "init-without-force",
-        "parameters-without-equals", "subnet-too-small", "events-tail-count-not-a-number"])
+        "parameters-without-equals", "subnet-too-small", "events-tail-count-not-a-number",
+        "user-exists", "role-for-an-unknown-user", "role-in-an-unknown-tenant",
+        "token-in-an-unknown-tenant", "scenario-file-missing"])
 def test_a_refused_verb_changes_no_state(runner, argv, code, message):
     before = runner._state.read_bytes()
     got, out, err = runner(*argv)
     assert (got, out) == (code, "") and message in err, err
     assert err.count("\n") == 1 or err.startswith("usage: "), err
+    assert runner._state.read_bytes() == before
+
+
+@pytest.mark.parametrize("setup, argv, code, message", [
+    (("user-create", "bob", "--password", "pw"),
+     ("token-issue", "--user", "bob", "--password", "pw", "--tenant", "admin"), 3,
+     "no role in tenant 'admin'"),
+    (("object-put", "c", "o", "--data", "hello"),
+     ("object-get", "c", "o", "--output", "{dir}/missing/o"), 5, "cannot write output file"),
+], ids=["token-in-a-tenant-without-a-role", "object-get-into-a-missing-directory"])
+def test_a_verb_refused_after_its_set_up_changes_no_state(runner, tmp_path, setup, argv, code,
+                                                         message):
+    assert runner(*setup)[0] == 0
+    before = runner._state.read_bytes()
+    got, out, err = runner(*(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    assert (got, out) == (code, "") and message in err and err.count("\n") == 1, err
     assert runner._state.read_bytes() == before

@@ -47,3 +47,15 @@ def test_every_malformed_value_of_a_scenario_exits_cleanly(tmp_path, capsys):
         parent[key] = original
     assert data == json.loads(SCENARIO.read_text(encoding="utf-8"))
     assert sum(codes.values()) > 700 and codes.get(2, 0) > 300 and codes.get(0, 0) > 50, codes
+
+
+def test_a_generator_on_a_group_the_scenario_does_not_create_is_refused(tmp_path, capsys):
+    """As a scheduled metric or fault is: exit 2 and one line, where the
+    run once exited 0 and the generator recorded nothing."""
+    data = json.loads(SCENARIO.read_text(encoding="utf-8"))
+    data["generators"] = [{"group": "web"}, {"group": "nosuch"}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["scenario-run", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: scenario 'generators' entry 1 names scaling group "
+                                       "'nosuch', which does not exist\n")

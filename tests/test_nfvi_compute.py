@@ -1,6 +1,7 @@
 """Compute side of the simulated infrastructure: images, placement,
 addressing, cloud-init, termination."""
 
+import base64
 import hashlib
 import random
 
@@ -18,6 +19,12 @@ def small_cloud(seed=42, hosts=None):
     world.provider.create_keypair(tenant.id, "my_key1")
     world.provider.create_network(tenant.id, "my_net1", "10.0.0.0/24")
     return world, tenant.id
+
+
+def image_hash(world, image_id) -> str:
+    """The sha256 of the image's payload."""
+    payload = base64.b64decode(world.provider.images[image_id].payload_b64)
+    return hashlib.sha256(payload).hexdigest()
 
 
 BASE_SPEC = {"image": "ubuntu_cloud14", "flavor": "m1.small", "key_name": "my_key1",
@@ -94,26 +101,25 @@ def test_launch_spec_missing_mandatory_keys_rejected():
 
 def test_generic_image_keys_are_per_instance():
     world, tenant = small_cloud()
-    image_hash = world.provider.image_payload_hash(
-        world.provider.image_by_name(tenant, "ubuntu_cloud14").id
-    )
+    image = world.provider._by_name(world.provider.images, tenant, "ubuntu_cloud14")
+    before = image_hash(world, image.id)
     a = world.provider.launch_instance(tenant, BASE_SPEC)
     b = world.provider.launch_instance(tenant, dict(BASE_SPEC, key_name=None))
     keypair = world.provider._by_name(world.provider.keypairs, tenant, "my_key1")
     assert a.authorized_keys == [keypair.public_key]
     assert b.authorized_keys == []  # nothing inherited from the image
     # image untouched by boots
-    assert world.provider.image_payload_hash(a.image_id) == image_hash
+    assert image_hash(world, a.image_id) == before
 
 
 def test_image_immutable_under_guest_writes():
     world, tenant = small_cloud()
-    image = world.provider.image_by_name(tenant, "ubuntu_cloud14")
+    image = world.provider._by_name(world.provider.images, tenant, "ubuntu_cloud14")
     before = hashlib.sha256(b"ubuntu cloud image").hexdigest()
     spec = dict(BASE_SPEC, user_data='#!/bin/sh\necho "scribble" >> notes.txt\n')
     for _ in range(3):
         world.provider.launch_instance(tenant, spec)
-    assert world.provider.image_payload_hash(image.id) == before
+    assert image_hash(world, image.id) == before
 
 
 def test_cloud_init_echo_writes_guest_file():

@@ -9,6 +9,7 @@ from minimano.errors import DependencyCycleError, TemplateError
 from minimano.hot import (
     ResourceDef,
     TemplateDoc,
+    extract_dependencies,
     parse_template,
     validate_template,
 )
@@ -28,7 +29,17 @@ def doc_with_edges(names, edges):
             if consumer == name:
                 props[f"dep{i}"] = {"get_attr": [provider, "value"]}
         resources[name] = ResourceDef(name=name, resource_type="OS::Heat::RandomString", properties=props)
-    return TemplateDoc(version="2013-05-23", description=None, parameters={}, resources=resources, outputs={})
+    return TemplateDoc(parameters={}, resources=resources, outputs={})
+
+
+def flattened(plan):
+    """The plan's resource names, wave by wave."""
+    return [name for wave in plan.waves for name in wave]
+
+
+def wave_index(plan):
+    """Resource name -> the index of its wave."""
+    return {name: i for i, wave in enumerate(plan.waves) for name in wave}
 
 
 def all_topological_orders(names, edges):
@@ -45,11 +56,11 @@ def test_example3_waves(templates_dir):
     plan = build_plan(doc)
     assert plan.waves == [["rng", "inst_simple"], ["inst_advanced"]]
     # oracle: every admissible order places rng before inst_advanced
-    orders = all_topological_orders(list(doc.resources), plan.edges)
+    orders = all_topological_orders(list(doc.resources), extract_dependencies(doc))
     assert orders
     for order in orders:
         assert order.index("rng") < order.index("inst_advanced")
-    assert plan.ordered_names() in orders
+    assert flattened(plan) in orders
 
 
 def test_single_resource_plan(templates_dir):
@@ -92,13 +103,14 @@ def test_random_dags_against_enumeration_oracle():
         edges = random_dag_edges(rng, names)
         plan = build_plan(doc_with_edges(names, edges))
         # layered soundness: every edge crosses waves forward
+        wave_of = wave_index(plan)
         for a, b in edges:
-            assert plan.wave_of(a) < plan.wave_of(b)
+            assert wave_of[a] < wave_of[b]
         # flattened order is a genuine topological order
         orders = all_topological_orders(names, edges)
-        assert plan.ordered_names() in orders
+        assert flattened(plan) in orders
         # every resource in exactly one wave
-        flat = plan.ordered_names()
+        flat = flattened(plan)
         assert sorted(flat) == sorted(names)
 
 
@@ -166,7 +178,7 @@ def test_depends_on_orders_waves():
     assert doc.resources["after"].depends_on == ("gate",)
     plan = build_plan(doc)
     assert plan.waves == [["handle"], ["gate"], ["after"]]
-    assert ("gate", "after") in plan.edges
+    assert ("gate", "after") in extract_dependencies(doc)
 
 
 def test_depends_on_takes_a_list_and_round_trips():

@@ -63,8 +63,7 @@ def test_a_document_built_in_code_is_refused_before_anything_changes(env):
     document that has none is refused before any event, random draw or
     registry entry."""
     parsed = env.parse("example1.yaml")
-    doc = TemplateDoc(parsed.version, parsed.description, parsed.parameters, parsed.resources,
-                      parsed.outputs)
+    doc = TemplateDoc(parsed.parameters, parsed.resources, parsed.outputs)
     world = env.world
     events, rng = list(world.events), world.rng.getstate()
     with pytest.raises(TemplateError, match="no source text"):

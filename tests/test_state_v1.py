@@ -115,12 +115,11 @@ def dump(world) -> str:
 
 
 def parsed_fields(source):
-    """The document `source` parses to, as its fields and each definition's
-    fields, but not its warnings or the text itself."""
+    """The document `source` parses to, as each definition's fields, but
+    not its warnings or the text itself."""
     doc = parse_template(source)
-    parts = doc.parameters, doc.resources, doc.outputs
-    return (doc.version, doc.description,
-            *({name: vars(d) for name, d in part.items()} for part in parts))
+    return tuple({name: vars(d) for name, d in part.items()}
+                 for part in (doc.parameters, doc.resources, doc.outputs))
 
 
 def assert_same_snapshot(text, expected):

@@ -10,7 +10,7 @@ from minimano import cli
 from minimano.errors import ConflictError, NotFoundError, TemplateError
 from minimano.scenario import build_world
 from minimano.statefile import load_world, save_world
-from minimano.telemetry import HealerConfig, ScheduledFault, ScheduledMetric
+from minimano.telemetry import HealerConfig, LoadGenerator, ScheduledFault, ScheduledMetric
 from minimano.world import World
 
 SCENARIO = Path(__file__).resolve().parent / "data" / "autonomic_scenario.json"
@@ -254,6 +254,27 @@ def test_healer_replaces_crashed_member_within_window():
     assert any(e["kind"] == "heal.replace" for e in world.events)
 
 
+def test_a_healer_without_a_host_waits_and_tops_up_on_a_later_interval():
+    """A replacement that finds no host is `heal.blocked`; the group stays
+    short until an interval where a host has room again."""
+    world, tenant = autoscale_world(hosts=[{"id": "host-1", "vcpus": 1, "ram_mib": 2048,
+                                            "disk_gib": 20}])
+    world.telemetry.healer = HealerConfig(enabled=True, detect_interval=2)
+    group = world.telemetry.create_group("web", tenant, MEMBER, 1, 1, 1)
+    victim = group.members[0]
+    world.provider.terminate_instance(victim)
+    squatter = world.provider.launch_instance(tenant, MEMBER)  # takes the only host's room
+    world.advance_clock(2)
+    blocked = [e for e in world.events if e["kind"] == "heal.blocked"]
+    assert {(e["tick"], e["detail"]["group"]) for e in blocked} == {(2, "web")}
+    assert group.members == []
+    world.provider.terminate_instance(squatter.id)
+    world.advance_clock(2)
+    replaced = [e for e in world.events if e["kind"] == "heal.replace"]
+    assert [(e["tick"], e["detail"]["failed"]) for e in replaced] == [(4, None)]
+    assert [world.provider.instances[m].state for m in group.members] == ["ACTIVE"]
+
+
 def test_disabled_healer_leaves_failure_in_place():
     world, tenant = autoscale_world()
     group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 2)
@@ -411,3 +432,20 @@ def test_a_schedule_on_a_group_that_does_not_exist_is_refused(tmp_path, monkeypa
     assert capsys.readouterr().err == (
         f"error: state file {path!r} is malformed: ScheduledMetric names scaling group 'nope', "
         "which does not exist\n")
+
+
+def test_a_generator_on_a_group_that_does_not_exist_is_refused_on_load(tmp_path, monkeypatch,
+                                                                       capsys):
+    """A generator is a stored schedule too: a load refuses one whose group
+    is missing (exit 5), where the tick loop once skipped it for good."""
+    world, _ = autoscale_world()
+    world.telemetry.generators.append(LoadGenerator(group_name="nope"))
+    path = tmp_path / "state.json"
+    save_world(world, str(path))
+    before = path.read_bytes()
+    monkeypatch.setenv(cli.STATE_ENV, str(path))
+    assert cli.main(["clock-advance", "1"]) == 5
+    assert capsys.readouterr().err == (
+        f"error: state file {str(path)!r} is malformed: LoadGenerator names scaling group "
+        "'nope', which does not exist\n")
+    assert path.read_bytes() == before

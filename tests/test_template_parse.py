@@ -16,8 +16,7 @@ def read(templates_dir, name):
 
 def test_example1_structure(templates_dir):
     doc = parse_template(read(templates_dir, "example1.yaml"))
-    assert doc.version == "2013-05-23"
-    assert doc.description == "Simple template to deploy a single compute instance"
+    assert doc.warnings == []  # the version and the description are read without a warning
     assert list(doc.resources) == ["my_instance"]
     inst = doc.resources["my_instance"]
     assert inst.resource_type == "OS::Nova::Server"
@@ -169,6 +168,12 @@ def test_duplicate_resource_names_rejected():
         ("key: >\n  folded\n", "unsupported block scalar"),
         ("key: { a: { b: c } }\n", "nested flow"),
         ("\tkey: x\n", "tab"),
+        ('key: "x\\', "unterminated escape"),
+        ("key: { : 1 }\n", "expected key in flow mapping"),
+        ("key: {a: 1, a: 2}\n", "duplicate key 'a' in flow mapping"),
+        ("key: [[1]]\n", "nested collections in flow sequences"),
+        ("- 1\n  - 2\n", "unexpected indentation"),
+        ("- --- x: 1\n", "multi-document"),
     ],
 )
 def test_rejected_syntax(snippet, message):
@@ -219,6 +224,7 @@ def test_literal_block_inside_an_inline_mapping_item():
 def test_yamlite_scalars():
     parsed = yamlite.parse(
         "a: 4\nb: 0.8\nc: true\nd: false\ne: null\nf: 2013-05-23\ng: \"quoted: text\"\nh: plain text\n"
+        "x: []\n"
     )
     assert parsed == {
         "a": 4,
@@ -229,6 +235,7 @@ def test_yamlite_scalars():
         "f": "2013-05-23",
         "g": "quoted: text",
         "h": "plain text",
+        "x": [],
     }
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import VALUE_PLACES, place_value
+from minimano import cli
 from minimano.hot import parse_template, validate_template
 
 
@@ -196,3 +197,52 @@ def test_a_handle_that_is_no_get_resource_is_found(handle):
     )
     assert list(map(str, validate_template(doc).findings)) == [
         "error: resources.gate.properties.handle: must be a get_resource reference"]
+
+
+RESOURCE = "resources:\n  r:\n    type: OS::Heat::RandomString\n"
+# id -> (template text, the one error line `template-validate` writes)
+REFUSED = {
+    "parameters-not-a-map": (HEADER + "parameters: 5\n" + RESOURCE,
+                             "parameters: must be a map"),
+    "parameter-body-a-list": (HEADER + "parameters:\n  p: [1]\n" + RESOURCE,
+                              "parameters.p: must be a map of attributes"),
+    "parameter-without-type": (HEADER + "parameters:\n  p:\n    default: 1\n" + RESOURCE,
+                               "parameters.p: the 'type' attribute is mandatory"),
+    "parameter-type-unknown": (HEADER + "parameters:\n  p:\n    type: float\n" + RESOURCE,
+                               "parameters.p.type: unknown type 'float'"),
+    "properties-a-list": (HEADER + RESOURCE + "    properties: [1]\n",
+                          "resources.r.properties: must be a map"),
+    "outputs-not-a-map": (HEADER + RESOURCE + "outputs: 5\n", "outputs: must be a map"),
+    "output-without-value": (HEADER + RESOURCE + "outputs:\n  o:\n    description: d\n",
+                             "outputs.o: must be a map with a 'value' entry"),
+    "root-a-list": ("- 1\n", "template root must be a mapping"),
+    "version-empty": ('heat_template_version: ""\n' + RESOURCE,
+                      "heat_template_version: must be a non-empty version tag"),
+    "description-a-list": (HEADER + "description: [1]\n" + RESOURCE,
+                           "description: must be a string"),
+}
+
+
+@pytest.mark.parametrize("text, message", list(REFUSED.values()), ids=list(REFUSED))
+def test_a_malformed_template_is_refused_in_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "t.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["template-validate", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_an_unknown_attribute_is_a_warning(tmp_path, capsys):
+    """On a parameter, a resource or an output; a parameter's `label` and
+    `description` and an output's `description` are no unknown ones."""
+    path = tmp_path / "t.yaml"
+    path.write_text(HEADER + "description: d\n"
+                    + "parameters:\n  p:\n    type: string\n    label: l\n    description: d\n"
+                    + "    colour: red\n"
+                    + RESOURCE + "    colour: red\n"
+                    + "outputs:\n  o:\n    value: 1\n    description: d\n    colour: red\n",
+                    encoding="utf-8")
+    assert cli.main(["template-validate", "-f", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"warning: template: {where}: unknown attribute 'colour'"
+        for where in ("parameters.p", "resources.r", "outputs.o")] + ["0 error(s), 3 warning(s)"]

@@ -2,8 +2,10 @@
 record's row rule, and applied both on load (exit 5) and at the input
 that makes the value (exit 2); the README's table lists them."""
 
+import argparse
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -18,8 +20,8 @@ from minimano.nfvi import (Flavor, Host, Instance, ProviderState, Router, Securi
                            Volume)
 from minimano.scenario import build_world
 from minimano.statefile import load_world
-from minimano.telemetry import (AlarmDef, HealerConfig, LoadGenerator, ScalingGroup,
-                                ScheduledFault, ScheduledMetric)
+from minimano.telemetry import (AlarmDef, HealerConfig, LoadGenerator, MetricSample,
+                                ScalingGroup, ScheduledFault, ScheduledMetric)
 from minimano.world import World
 from test_malformed_state import NESTED, TABLES, build_state
 
@@ -89,6 +91,15 @@ def signal(payload):
     return lambda env: env["world"].engine.deliver_signal(env["url"], payload)
 
 
+def generator(**change):
+    return lambda env: build_world({"ticks": 1, "generators": [{"group": "web", **change}]})
+
+
+def metric_push(value):
+    args = argparse.Namespace(resource="r", metric="cpu_util", value=value)
+    return lambda env: cli.cmd_metric_push(env["world"], args, None, None)
+
+
 # id -> (record, field or None for the row rule, the changed fields of the
 # first stored row, the refusal, and the input that makes such a value,
 # or None where only the program writes it)
@@ -124,11 +135,15 @@ CASES = {
                         lambda env: env["world"].provider.create_volume(env["tenant"], -4)),
     "provider-objects": (ProviderState, "objects", {"objects": {"t/c/o": 5}},
                          "must hold only strings, got 5", None),
+    "sample-value": (MetricSample, "value", {"value": math.nan},
+                     "must be a finite number, got nan", metric_push(math.nan)),
     "alarm-aggregate": (AlarmDef, "aggregate", {"aggregate": "median"},
                         "must be one of avg, max, min, got 'median'",
                         create_alarm(aggregate="median")),
     "alarm-comparison": (AlarmDef, "comparison", {"comparison": "eq"},
                          "must be one of gt, lt, ge, le, got 'eq'", create_alarm(comparison="eq")),
+    "alarm-threshold": (AlarmDef, "threshold", {"threshold": math.inf},
+                        "must be a finite number, got inf", create_alarm(threshold=math.inf)),
     "alarm-window": (AlarmDef, "window", {"window": 0}, "must be a positive integer, got 0",
                      create_alarm(window=0)),
     "alarm-action": (AlarmDef, "action", {"action": "reboot"},
@@ -146,10 +161,16 @@ CASES = {
     "healer-detect_interval": (HealerConfig, "detect_interval", {"detect_interval": 0},
                                "must be a positive integer, got 0",
                                built(healer={"detect_interval": 0})),
+    "generator-base": (LoadGenerator, "base", {"base": math.nan},
+                       "must be a finite number, got nan", generator(base=math.nan)),
+    "generator-amplitude": (LoadGenerator, "amplitude", {"amplitude": -math.inf},
+                            "must be a finite number, got -inf", generator(amplitude=-math.inf)),
     "generator-period": (LoadGenerator, "period", {"period": 0},
-                         "must be a positive integer, got 0",
-                         lambda env: build_world({"ticks": 1, "generators": [
-                             {"group": "web", "period": 0}]})),
+                         "must be a positive integer, got 0", generator(period=0)),
+    "generator-noise": (LoadGenerator, "noise", {"noise": 10 ** 400},
+                        f"must be a finite number, got {10 ** 400}", generator(noise=10 ** 400)),
+    "metric-value": (ScheduledMetric, "value", {"value": math.inf},
+                     "must be a finite number, got inf", built(metrics={"value": math.inf})),
     "metric-member_index": (ScheduledMetric, "member_index", {"member_index": -1},
                             "must not be negative, got -1", built(metrics={"member_index": -1})),
     "metric-target": (ScheduledMetric, None, {"resource": None, "group": None},
@@ -265,5 +286,7 @@ def test_the_readme_table_matches_the_declarations():
         rule = next(f.rule for f in fields(rules[record]) if f.name == field)
         if text == "a positive integer":
             assert rule(1) is None and rule(0) == "must be a positive integer, got 0", field
+        elif text == "a finite number":
+            assert rule(0.5) is None and rule(math.nan) == "must be a finite number, got nan", field
         elif text.startswith("one of "):
             assert rule("\0") == f"must be {text}, got '\\x00'", (record, field)

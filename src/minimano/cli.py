@@ -21,7 +21,7 @@ from contextlib import redirect_stdout, suppress
 from . import scenario as scenario_mod
 from .codec import check
 from .engine import CREATE_COMPLETE, CREATE_IN_PROGRESS, DELETE_COMPLETE
-from .errors import DeployError, MiniManoError, StateIOError, TemplateError
+from .errors import DependencyCycleError, DeployError, MiniManoError, StateIOError, TemplateError
 from .identity import IdentityState
 from .lazy import LazyNames
 from .nfvi import DIRECTIONS, PROTOCOLS
@@ -29,8 +29,9 @@ from .statefile import DEFAULT_STATE_PATH, load_world, locked_state, save_world
 from .telemetry import ACTIONS, AGGREGATES, COMPARISONS, FAULT_KINDS, HealerConfig, MetricSample
 from .world import World
 
-# `hot` is imported only by the verbs that parse a template
-_TEMPLATE = LazyNames(globals(), {".hot": ("parse_template", "validate_template")})
+# `hot` and `plan` are imported only by the verbs that parse a template
+_TEMPLATE = LazyNames(globals(), {".hot": ("Finding", "parse_template", "validate_template"),
+                                  ".plan": ("build_plan",)})
 __getattr__ = _TEMPLATE.attribute
 
 TOKEN_ENV = "MINIMANO_TOKEN"
@@ -343,6 +344,10 @@ def cmd_template_validate(world, args, out, claims):
     _TEMPLATE.bind()
     doc = parse_template(source)
     report = validate_template(doc)
+    try:
+        build_plan(doc)
+    except DependencyCycleError as exc:
+        report.findings.append(Finding("error", "resources", exc.message))
     for finding in report.findings:
         out.line(str(finding), {"severity": finding.severity, "path": finding.path,
                                 "message": finding.message})

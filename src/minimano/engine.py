@@ -493,9 +493,9 @@ class StackEngine:
             raise ConflictError(f"stack is {stack.status}; wait for a terminal status")
         if stack.status == DELETE_COMPLETE:
             raise ConflictError("stack is already deleted")
-        return self._delete(stack, token)
+        return self._delete(stack)
 
-    def _delete(self, stack: Stack, token) -> str:
+    def _delete(self, stack: Stack) -> str:
         stack.status = DELETE_IN_PROGRESS
         self.core.emit("stack.delete.start", stack=stack.id, name=stack.name)
         problems = []
@@ -505,7 +505,7 @@ class StackEngine:
                 if record is None or record.state == "DELETED":
                     continue
                 try:
-                    self._destroy_resource(record, token)
+                    self._destroy_resource(record)
                     record.state = "DELETED"
                 except MiniManoError as exc:
                     record.failure = exc.message
@@ -519,28 +519,28 @@ class StackEngine:
             self.core.emit("stack.delete.complete", stack=stack.id, name=stack.name)
         return stack.status
 
-    def _destroy_resource(self, record, token):
+    def _destroy_resource(self, record):
         if is_nested_type(record.type):
-            return self._destroy_nested(record, token)
+            return self._destroy_nested(record)
         _, destroy = self._STEPS.get(record.type, (None, None))
         if destroy is not None:
-            destroy(self, record, token)
+            destroy(self, record)
 
-    def _destroy_server(self, record, token):
+    def _destroy_server(self, record):
         if record.physical_id is not None:
             try:
                 self.provider.terminate_instance(record.physical_id)
             except NotFoundError:
                 pass  # already gone
 
-    def _destroy_nested(self, record, token):
+    def _destroy_nested(self, record):
         child = self.stacks.get(record.physical_id)
         if child is None or child.status == DELETE_COMPLETE:
             return
-        if self._delete(child, token) != DELETE_COMPLETE:
+        if self._delete(child) != DELETE_COMPLETE:
             raise DeployError(f"nested stack delete failed: {child.failure_reason}")
 
-    def _destroy_wait_handle(self, record, token):
+    def _destroy_wait_handle(self, record):
         self.handles.pop(record.uuid, None)
         self.conditions.pop(record.uuid, None)
 

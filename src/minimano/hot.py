@@ -14,6 +14,8 @@ deployed resources, and extracts the inter-resource dependency graph used
 for deployment planning.
 """
 
+import re
+
 from . import yamlite
 from .codec import field, record
 from .errors import DeployError, TemplateError
@@ -415,19 +417,11 @@ def _marker_text(value):
 def str_replace_apply(template: str, markers: dict) -> str:
     """One left-to-right pass; longest marker wins at each position and
     substituted text is never rescanned."""
-    ordered = sorted(markers, key=lambda m: (-len(m), m))
-    out = []
-    i = 0
-    while i < len(template):
-        for marker in ordered:
-            if marker and template.startswith(marker, i):
-                out.append(_marker_text(markers[marker]))
-                i += len(marker)
-                break
-        else:
-            out.append(template[i])
-            i += 1
-    return "".join(out)
+    ordered = sorted(filter(None, markers), key=len, reverse=True)
+    if not ordered:
+        return template
+    pattern = "|".join(map(re.escape, ordered))
+    return re.sub(pattern, lambda match: _marker_text(markers[match[0]]), template)
 
 
 def evaluate_expr(node, ctx: EvalContext):

@@ -318,29 +318,26 @@ class TelemetryService:
         if not self.healer.enabled or tick % self.healer.detect_interval != 0:
             return
         for group in self.groups.values():
+            failed = []
             for member_id in list(group.members):
                 instance = self.provider.instances.get(member_id)
                 if instance is not None and instance.state == "ACTIVE":
                     continue
-                # correct: remove the remnant, then replace it
+                # correct: remove each remnant, then launch in place of each
                 if instance is not None and instance.state != "DELETED":
                     self.provider.terminate_instance(member_id)
                 group.members.remove(member_id)
-                self._replace_member(group, member_id)
+                failed.append(member_id)
+            failed = iter(failed)
             while len(group.members) < group.desired:
-                if not self._replace_member(group, None):
+                try:
+                    replacement = self._launch_member(group)
+                except CapacityError as exc:
+                    # blocked until the next detect interval
+                    self.core.emit("heal.blocked", group=group.name, reason=exc.message)
                     break
-
-    def _replace_member(self, group: ScalingGroup, failed) -> bool:
-        """Launch one member in place of `failed` (None when topping up);
-        False when capacity blocks it until the next detect interval."""
-        try:
-            replacement = self._launch_member(group)
-        except CapacityError as exc:
-            self.core.emit("heal.blocked", group=group.name, reason=exc.message)
-            return False
-        self.core.emit("heal.replace", group=group.name, failed=failed, replacement=replacement.id)
-        return True
+                self.core.emit("heal.replace", group=group.name, failed=next(failed, None),
+                               replacement=replacement.id)
 
     # -- scheduled scenario input and generators ------------------------------------------
 

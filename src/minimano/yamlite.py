@@ -278,16 +278,15 @@ class _Parser:
         first = self.peek()
         if first is None:
             self.error("empty document", 1)
-        value = self.parse_block(first[1])
+        value = self.parse_block()
         rest = self.peek()
         if rest is not None:
             self.error("content after the end of the top-level block", rest[0], rest[3])
         return value
 
-    def parse_block(self, indent):
-        lineno, line_indent, content, column = self.peek()
-        if line_indent != indent:
-            self.error("unexpected indentation", lineno, column)
+    def parse_block(self):
+        """The sequence or mapping that starts at the next line, at its indent."""
+        _, indent, content, _ = self.peek()
         if _is_item(content):
             return self.parse_sequence(indent)
         return self.parse_mapping(indent)
@@ -296,7 +295,7 @@ class _Parser:
         nxt = self.peek()
         if nxt is None or nxt[1] <= parent_indent:
             return None
-        return self.parse_block(nxt[1])
+        return self.parse_block()
 
     def parse_mapping(self, indent):
         out = {}
@@ -348,7 +347,7 @@ class _Parser:
                 if rest.startswith("--- "):
                     self.error("document markers / multi-document streams are not supported", lineno)
                 self.pending = (lineno, indent + 2, rest, col)
-                out.append(self.parse_block(indent + 2))
+                out.append(self.parse_block())
             else:
                 out.append(self._entry_value(rest, indent, lineno, col))
 

@@ -361,6 +361,25 @@ def test_template_validate_refuses_an_intrinsic_of_the_wrong_shape(runner, tmp_p
     assert err == "error: outputs.o.value: get_attr takes [resource, attribute]\n"
 
 
+def test_template_validate_reports_the_cycle_that_stack_create_refuses(runner, tmp_path):
+    cyclic = tmp_path / "cycle.yaml"
+    cyclic.write_text(
+        "heat_template_version: 2013-05-23\n"
+        "resources:\n"
+        "  a:\n"
+        "    type: OS::Heat::RandomString\n"
+        "    depends_on: b\n"
+        "  b:\n"
+        "    type: OS::Heat::RandomString\n"
+        "    depends_on: a\n"
+    )
+    code, out, err = runner("template-validate", "-f", str(cyclic))
+    assert (code, err) == (2, "")
+    assert out == "error: resources: dependency cycle: a -> b -> a\n1 error(s), 0 warning(s)\n"
+    code, out, err = runner("stack-create", "c", "-f", str(cyclic))
+    assert (code, out, err) == (2, "", "error: dependency cycle: a -> b -> a\n")
+
+
 def test_object_roundtrip_via_cli(runner, tmp_path):
     blob = tmp_path / "blob.bin"
     blob.write_bytes(b"\x00\x01binary\xff")

@@ -135,8 +135,7 @@ def test_plan_order_makes_every_reference_resolvable():
                 attrs[name] = {"value": f"{name}-val"}
 
 
-def test_random_cycles_always_named():
-    rng = random.Random(405)
+def random_cycle_cases(rng):
     for _ in range(40):
         n = rng.randrange(2, 7)
         names = [f"r{i}" for i in range(n)]
@@ -146,12 +145,26 @@ def test_random_cycles_always_named():
         for a, b in zip(cycle_members, cycle_members[1:]):
             edges.append((a, b))
         edges.append((cycle_members[-1], cycle_members[0]))
+        yield names, edges
+
+
+# two disjoint cycles and a self-loop, with a consumer of the first cycle
+TWO_CYCLES_AND_A_SELF_LOOP = (
+    [f"r{i}" for i in range(7)],
+    [("r0", "r1"), ("r1", "r0"), ("r2", "r3"), ("r3", "r4"), ("r4", "r2"), ("r5", "r5"),
+     ("r1", "r6")],
+)
+
+
+def test_random_cycles_always_named():
+    rng = random.Random(405)
+    for names, edges in [*random_cycle_cases(rng), TWO_CYCLES_AND_A_SELF_LOOP]:
         assert all_topological_orders(names, set(edges)) == []
         with pytest.raises(DependencyCycleError) as err:
             build_plan(doc_with_edges(names, set(edges)))
         cycle = err.value.cycle
-        assert len(cycle) >= 1
-        # the named cycle is a real cycle in the edge set
+        assert len(cycle) >= 1 and len(set(cycle)) == len(cycle)
+        # the named cycle is a real cycle in the edge set, provider first
         edge_set = set(edges)
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert (a, b) in edge_set

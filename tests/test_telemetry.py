@@ -266,13 +266,40 @@ def test_a_healer_without_a_host_waits_and_tops_up_on_a_later_interval():
     squatter = world.provider.launch_instance(tenant, MEMBER)  # takes the only host's room
     world.advance_clock(2)
     blocked = [e for e in world.events if e["kind"] == "heal.blocked"]
-    assert {(e["tick"], e["detail"]["group"]) for e in blocked} == {(2, "web")}
+    assert [(e["tick"], e["detail"]["group"]) for e in blocked] == [(2, "web")]
     assert group.members == []
     world.provider.terminate_instance(squatter.id)
     world.advance_clock(2)
     replaced = [e for e in world.events if e["kind"] == "heal.replace"]
     assert [(e["tick"], e["detail"]["failed"]) for e in replaced] == [(4, None)]
     assert [world.provider.instances[m].state for m in group.members] == ["ACTIVE"]
+    # the blocked launch used one member number, so the replacement is the third
+    assert [world.provider.instances[m].name for m in group.members] == ["web-3"]
+
+
+def test_a_healer_replaces_failed_members_in_member_order_and_stops_at_the_first_block():
+    """Every failed member is removed before any launch; each replacement
+    names the next failed member in member order, and the first launch
+    that finds no host ends the group's scan with one `heal.blocked`."""
+    world, tenant = autoscale_world(hosts=[{"id": "host-1", "vcpus": 3, "ram_mib": 6144,
+                                            "disk_gib": 60}])
+    world.telemetry.healer = HealerConfig(enabled=True, detect_interval=2)
+    group = world.telemetry.create_group("web", tenant, MEMBER, 1, 3, 3)
+    gone, kept, crashed = group.members
+    world.provider.terminate_instance(gone)
+    squatter = world.provider.launch_instance(tenant, MEMBER)  # takes the freed room
+    world.telemetry.inject_fault(crashed)  # holds its room until the healer removes it
+    world.advance_clock(2)
+    heals = [(e["kind"], e["detail"].get("failed")) for e in world.events
+             if e["kind"].startswith("heal.")]
+    assert heals == [("heal.replace", gone), ("heal.blocked", None)]
+    assert world.provider.instances[crashed].state == "DELETED"
+    assert [world.provider.instances[m].name for m in group.members] == ["web-2", "web-4"]
+    world.provider.terminate_instance(squatter.id)
+    world.advance_clock(2)
+    replaced = [e["detail"]["failed"] for e in world.events if e["kind"] == "heal.replace"]
+    assert replaced == [gone, None]
+    assert [world.provider.instances[m].name for m in group.members] == ["web-2", "web-4", "web-6"]
 
 
 def test_disabled_healer_leaves_failure_in_place():

@@ -5,7 +5,8 @@ key naming an intrinsic function is a call of it. Whatever arguments the
 five intrinsic keys hold, parsing either refuses the value with a
 `TemplateError` or keeps it as given; a kept value then validates,
 yields its dependency edges and evaluates, in a context that binds every
-name it uses, without raising and without being changed.
+name it uses, without raising and without being changed. `str_replace`
+substitutes as a left-to-right scan, one character at a time, would.
 """
 
 import copy
@@ -20,6 +21,7 @@ from minimano.hot import (
     evaluate_expr,
     extract_dependencies,
     parse_template,
+    str_replace_apply,
     validate_template,
 )
 from minimano.resource_types import TYPES
@@ -88,3 +90,49 @@ def test_a_value_is_refused_or_kept_validated_and_evaluated(value, rtype, prop):
     extract_dependencies(doc)
     evaluate_expr(value, CONTEXT)
     assert value == written
+
+
+def scanned_str_replace(template, markers):
+    """`str_replace` as a scan one character at a time: at each position the
+    longest non-empty marker that starts there, else the character itself."""
+    ordered = sorted(markers, key=lambda m: (-len(m), m))
+    out = []
+    i = 0
+    while i < len(template):
+        for marker in ordered:
+            if marker and template.startswith(marker, i):
+                value = markers[marker]
+                out.append(("true" if value else "false") if isinstance(value, bool)
+                           else "" if value is None else str(value))
+                i += len(marker)
+                break
+        else:
+            out.append(template[i])
+            i += 1
+    return "".join(out)
+
+
+# regular expression metacharacters among plain ones
+MARKER_TEXT = st.text(alphabet="ab_.*+?[](){}|\\^$", max_size=4)
+
+
+@st.composite
+def marker_cases(draw):
+    """A template and markers, the empty marker and markers that prefix one
+    another among them; the template is pieced from markers and other text."""
+    value = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), MARKER_TEXT)
+    markers = draw(st.dictionaries(MARKER_TEXT, value, max_size=5))
+    for marker in list(markers):
+        if draw(st.booleans()):
+            markers[marker + draw(MARKER_TEXT)] = draw(value)
+    if draw(st.booleans()):
+        markers[""] = draw(value)
+    pieces = st.one_of(MARKER_TEXT, st.sampled_from(sorted(markers))) if markers else MARKER_TEXT
+    return "".join(draw(st.lists(pieces, max_size=8))), markers
+
+
+@hypothesis.settings(derandomize=True, max_examples=1000, deadline=None)
+@hypothesis.given(marker_cases())
+def test_str_replace_substitutes_as_a_scan_one_character_at_a_time_would(case):
+    template, markers = case
+    assert str_replace_apply(template, markers) == scanned_str_replace(template, markers)

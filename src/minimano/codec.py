@@ -113,6 +113,8 @@ def each(entry_rule):
 
 # the rule of a list of names or ids
 strings = each(rule(lambda entry: type(entry) is str, "must hold only strings, got {!r}"))
+# the rule of a name that a user gives
+non_empty = rule(bool, "must not be empty")
 
 
 def record(cls=None, /, *, rule=None):

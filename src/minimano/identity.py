@@ -7,7 +7,8 @@ table mapping action names to the role they require ("any" accepts every
 valid token). Unknown actions are denied.
 """
 
-from .codec import each, field, keyed, one, record, rule, set_fields, strings
+from .codec import (check, each, field, keyed, non_empty, one, record, rule, set_fields,
+                    strings)
 from .errors import AuthError, ConflictError, NotFoundError
 
 
@@ -65,7 +66,7 @@ def default_policy() -> dict:
 @record
 class Tenant:
     id: str = field(ref=True)
-    name: str
+    name: str = field(rule=non_empty)
 
 
 @record
@@ -139,6 +140,7 @@ class IdentityService:
     # -- admin-gated writes ---------------------------------------------------
 
     def _add_tenant(self, name):
+        check(Tenant, {"name": name}, "tenant", ConflictError)
         if self.tenant_by_name(name) is not None:
             raise ConflictError(f"tenant {name!r} already exists")
         tenant = Tenant(id=self.core.new_uuid(), name=name)

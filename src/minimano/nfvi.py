@@ -25,8 +25,8 @@ import json
 import re
 from heapq import heappop, heappush
 
-from .codec import (check, field, keyed, listed, one, one_of, positive, record, refusal, rule,
-                    set_fields, strings)
+from .codec import (check, field, keyed, listed, non_empty, one, one_of, positive, record,
+                    refusal, rule, set_fields, strings)
 from .errors import CapacityError, ConflictError, NotFoundError, StateIOError, TemplateError
 
 
@@ -74,7 +74,7 @@ class Flavor:
 class KeyPair:
     id: str = field(ref=True)
     tenant_id: str = field(ref=True)
-    name: str
+    name: str = field(rule=non_empty)
     public_key: str
     # the private half is returned once at creation and never stored
 
@@ -386,6 +386,7 @@ class CloudProvider:
 
     def create_keypair(self, tenant_id, name):
         """Returns (keypair, private_key); the private half is not kept."""
+        check(KeyPair, {"name": name}, "keypair", ConflictError)
         self._name_free(self.keypairs, tenant_id, name, "keypair")
         material = self.core.new_hex(32)
         public = f"ssh-rsa {material} {name}"

@@ -155,7 +155,10 @@ class TelemetryService:
         instance = self.provider.instances.get(resource_id)
         if instance is None or instance.state == "DELETED":
             raise NotFoundError(f"unknown resource {resource_id!r}")
-        sample = MetricSample(resource_id, metric, float(value), self.core.tick if tick is None else tick)
+        return self._append(MetricSample(resource_id, metric, float(value),
+                                         self.core.tick if tick is None else tick))
+
+    def _append(self, sample):
         self.samples.append(sample)
         if "_series" in self.__dict__:  # once built, the index is kept a sample at a time
             self._index(self._series, sample, len(self.samples) - 1)
@@ -176,6 +179,10 @@ class TelemetryService:
         if entry is None:
             entry = series[sample.metric] = (array("q"), array("q"))
         ticks, positions = entry
+        if not ticks or sample.tick >= ticks[-1]:  # the usual case: a sample of the latest tick
+            ticks.append(sample.tick)
+            positions.append(position)
+            return
         # `position` is the largest so far, so it goes after every equal tick
         at = bisect_right(ticks, sample.tick)
         ticks.insert(at, sample.tick)
@@ -190,7 +197,7 @@ class TelemetryService:
         ticks, positions = series
         lo = bisect_left(ticks, tick - window + 1)
         hi = bisect_right(ticks, tick)
-        samples = self.samples
+        samples, resource_ids = self.samples, set(resource_ids)
         return [
             s for s in map(samples.__getitem__, sorted(positions[lo:hi]))
             if s.resource_id in resource_ids
@@ -214,15 +221,22 @@ class TelemetryService:
     def _alarm_targets(self, alarm):
         group = self.groups.get(alarm.target)
         if group is not None:
-            return set(group.members), group
-        return {alarm.target}, None
+            return group.members, group
+        return (alarm.target,), None
 
     def evaluate_alarms(self, tick):
-        """One evaluation pass; returns the alarms that fired."""
-        fired = []
+        """One evaluation pass; returns the alarms that fired. No sample is
+        recorded during a pass, so alarms reading one metric over one
+        window of the same members (a group's scale-out and scale-in
+        alarms) read it once; a scaling action changes the members."""
+        fired, windows = [], {}
         for alarm in self.alarms.values():
             targets, group = self._alarm_targets(alarm)
-            values = [s.value for s in self.window_samples(targets, alarm.metric, tick, alarm.window)]
+            key = (alarm.metric, alarm.window, *targets)
+            values = windows.get(key)
+            if values is None:
+                values = windows[key] = [
+                    s.value for s in self.window_samples(targets, alarm.metric, tick, alarm.window)]
             if not values:
                 alarm.state = "insufficient_data"
                 continue
@@ -271,11 +285,9 @@ class TelemetryService:
         return instance
 
     def _active_members(self, group):
-        return [
-            m for m in group.members
-            if self.provider.instances.get(m) is not None
-            and self.provider.instances[m].state == "ACTIVE"
-        ]
+        instances = self.provider.instances
+        return [m for m in group.members
+                if (instance := instances.get(m)) is not None and instance.state == "ACTIVE"]
 
     def apply_scaling(self, group_name, direction) -> int:
         """Move the desired count of an existing group by one member, "out"
@@ -357,12 +369,14 @@ class TelemetryService:
         if self.generators:
             from hashlib import sha256  # a CLI call that runs no generator does not pay for it
         for gen in self.generators:
+            phase = 2 * math.pi * (tick % gen.period) / gen.period
+            wave = gen.base + gen.amplitude * math.sin(phase)
+            # each member was just found ACTIVE, so record_metric's check is skipped
             for member_id in self._active_members(self.groups[gen.group_name]):
-                phase = 2 * math.pi * (tick % gen.period) / gen.period
-                digest = sha256(f"{gen.seed}:{member_id}:{tick}".encode()).hexdigest()
-                noise_bits = int(digest[:8], 16) % 1000 / 1000 - 0.5
-                value = gen.base + gen.amplitude * math.sin(phase) + gen.noise * noise_bits
-                self.record_metric(member_id, gen.metric, round(value, 6), tick)
+                digest = sha256(f"{gen.seed}:{member_id}:{tick}".encode()).digest()
+                noise_bits = int.from_bytes(digest[:4], "big") % 1000 / 1000 - 0.5
+                value = round(wave + gen.noise * noise_bits, 6)
+                self._append(MetricSample(member_id, gen.metric, value, tick))
 
     def _schedule_targets(self, entry):
         if entry.group is None:

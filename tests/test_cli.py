@@ -1171,10 +1171,13 @@ def test_every_verb_succeeds_once(runner, tmp_path, mode):
     (("token-issue", "--user", "admin", "--password", "admin", "--tenant", "nowhere"), 3,
      "no role in tenant 'nowhere'"),
     (("scenario-run", "no-such-scenario.json"), 5, "does not exist"),
+    (("tenant-create", ""), 2, "tenant name must not be empty"),
+    (("keypair-create", ""), 2, "keypair name must not be empty"),
 ], ids=["tcp-without-port", "external-to-external", "init-without-force",
         "parameters-without-equals", "subnet-too-small", "events-tail-count-not-a-number",
         "user-exists", "role-for-an-unknown-user", "role-in-an-unknown-tenant",
-        "token-in-an-unknown-tenant", "scenario-file-missing"])
+        "token-in-an-unknown-tenant", "scenario-file-missing", "tenant-without-a-name",
+        "keypair-without-a-name"])
 def test_a_refused_verb_changes_no_state(runner, argv, code, message):
     before = runner._state.read_bytes()
     got, out, err = runner(*argv)

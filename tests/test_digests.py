@@ -1,6 +1,7 @@
 """Behaviour digests: the sha256 of the event log and of the snapshot of
 whole scenario runs. The event-log digests were pinned from the package
-before its telemetry index existed. The snapshot digests are of the v6
+before its telemetry index existed, and the twin scenario's digests
+before an alarm pass read a window shared by two alarms once. The snapshot digests are of the v6
 snapshot: the v5 snapshot of the same run passed through
 `world._upgrade_v5`, which stores each schedule as a table of its
 record. The v5 digests were of the v4 snapshot passed through
@@ -87,6 +88,13 @@ LONG_SCENARIO = {
     ],
 }
 
+# LONG_SCENARIO with each group's scale-out and scale-in alarms on one
+# metric over one window, so that the two read the same window in a pass
+TWIN_WINDOWS = {"web": 4, "api": 3}
+TWIN_SCENARIO = {**LONG_SCENARIO, "alarms": [
+    alarm if alarm["action"] == "notify" else {**alarm, "window": TWIN_WINDOWS[alarm["target"]]}
+    for alarm in LONG_SCENARIO["alarms"]]}
+
 DIGESTS = {
     "autonomic_scenario": (
         "101400baec5e3d60dc36819277b005c6645e7904148e15f17036af1c053c0e9c",
@@ -95,6 +103,10 @@ DIGESTS = {
     "long_scenario": (
         "16a5c51574c813064b5721ec61ca7d896322bd2c940a5fc08f44f7c6c55827fd",
         "a28a3fd8e3395703d486da663826c7afcb600c705f311d1962611f9be80ae20c",
+    ),
+    "twin_scenario": (
+        "4eb46979da0f590e8e259d719620a4bdaf5c91eaac66467f319528df69241113",
+        "23b0889df94a4d218b4f07138b56b7ee87213c1df73dd46226e26cc16fa0a948",
     ),
 }
 
@@ -108,9 +120,8 @@ def digests(world):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_scenario_digests(name):
-    if name == "long_scenario":
-        scenario = LONG_SCENARIO
-    else:
+    scenario = {"long_scenario": LONG_SCENARIO, "twin_scenario": TWIN_SCENARIO}.get(name)
+    if scenario is None:
         scenario = load_scenario(str(DATA / f"{name}.json"))
     assert digests(run_scenario(scenario)) == DIGESTS[name]
 

@@ -15,9 +15,9 @@ from minimano import cli, engine, identity, nfvi, telemetry
 from minimano.codec import check, fields
 from minimano.engine import ResourceRecord, SignalPayload, Stack, WaitCondition, WaitHandle
 from minimano.errors import ConflictError, MiniManoError
-from minimano.identity import IdentityState
-from minimano.nfvi import (Flavor, Host, Instance, ProviderState, Router, SecurityGroupRule,
-                           Volume)
+from minimano.identity import IdentityState, Tenant
+from minimano.nfvi import (Flavor, Host, Instance, KeyPair, ProviderState, Router,
+                           SecurityGroupRule, Volume)
 from minimano.scenario import build_world
 from minimano.statefile import load_world
 from minimano.telemetry import (AlarmDef, HealerConfig, LoadGenerator, MetricSample,
@@ -116,6 +116,8 @@ CASES = {
                        flavor(ram_mib=-1)),
     "flavor-disk_gib": (Flavor, "disk_gib", {"disk_gib": 0}, "must be a positive integer, got 0",
                         flavor(disk_gib=0)),
+    "keypair-name": (KeyPair, "name", {"name": ""}, "must not be empty",
+                     lambda env: env["world"].provider.create_keypair(env["tenant"], "")),
     "rule-direction": (SecurityGroupRule, "direction", {"direction": "sideways"},
                        "must be one of ingress, egress, got 'sideways'",
                        add_security_group_rule(direction="sideways")),
@@ -197,6 +199,8 @@ CASES = {
     "condition-outcome": (WaitCondition, "outcome", {"outcome": "BOGUS"},
                           "must be one of PENDING, SUCCESS, TIMEOUT, FAILURE_SIGNALED, "
                           "got 'BOGUS'", None),
+    "tenant-name": (Tenant, "name", {"name": ""}, "must not be empty",
+                    lambda env: env["world"].identity.create_tenant("", env["token"])),
     "identity-assignments": (IdentityState, "assignments", {"assignments": [[1, 2]]},
                              "must each be [user id, tenant id, role], got [1, 2]", None),
 }

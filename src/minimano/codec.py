@@ -20,13 +20,14 @@ fields of a new or loaded record onto the service. The kinds:
 - `listed(cls)`: a list of rows, stored as a table;
 - `PLAIN`: JSON data, stored as it is.
 
-A table is ``{"fields": [...], "rows": [[...], ...]}``. `fields` names
-the record's fields in declaration order, taken from `fields(cls)`, and
-each row lists one object's values in that order. A nested table, the
-value of a field with a `keyed` or `listed` codec, sits in its row's
-column. Loading checks that `fields` is exactly the declared list and
-that every row is a list of that many values: a dict or a string row of
-the right length would otherwise load.
+A table is ``{"fields": [...], "columns": [[...], ...]}``. `fields`
+names the record's fields in declaration order, taken from `fields(cls)`,
+and `columns` holds one list per field, in that order: cell ``i`` of each
+is a value of row ``i``. A nested table, the value of a field with a
+`keyed` or `listed` codec, sits in its row's cell. Loading checks that
+`fields` is exactly the declared list and that `columns` is a list of
+exactly that many lists, all of one length: a dict or a string column
+would otherwise load.
 
 A field's annotation (``str``, ``int``, ``float``, ``bool``, ``list``,
 ``dict``, or a ``|`` union of them and ``None``, also as text) is the JSON
@@ -38,32 +39,33 @@ of a value of the kind that gives its refusal or None (`rule`, `positive`,
 `one_of`, `each`), ``record(rule=...)`` one of a row as a dict: a load and
 `check` apply them after the kinds. A nested table is checked by its own codec.
 
-A table column declared ``field(ref=True)`` holds an id, the row's own
-or one it refers to. A save interns its strings in one `Ids` table,
-which the snapshot stores once as its top-level ``ids`` list, and writes
-each cell as the string's index there (None stays null). The table is
-passed explicitly: every codec dumps as ``dump(value, ids)`` and loads
-as ``load(data, ids)``. Within a table, nested tables are dumped first,
-in row order, then each ref column, left to right and top to bottom, so
-the same world always gives the same ``ids``. A load resolves each index
-through `id_index` before it checks the column's kind: a cell that is
-no integer, or that names no entry (a negative index among them), is
-refused.
+A table column declared ``field(ref=True)`` holds a string rows repeat:
+an id, the row's own or one it refers to, or a name from a small set (a
+metric, an event kind, a state). A save interns its strings in one `Ids`
+table, which the snapshot stores once as its top-level ``ids`` list, and
+writes each cell as the string's index there (None stays null). The
+table is passed explicitly: every codec dumps as ``dump(value, ids)``
+and loads as ``load(data, ids)``. Within a table, nested tables are
+dumped first, in row order, then each ref column, left to right and top
+to bottom, so the same world always gives the same ``ids``. A load
+resolves each index through `id_index` before it checks the column's
+kind: a cell that is no integer, or that names no entry (a negative
+index among them), is refused.
 
 Every table, `keyed`, `listed` and `layout` alike, is read and written
 by one table codec, column by column; `keyed` and `listed` build objects
-from its rows and `layout` builds dicts. A dump is for `json.dumps` (or a
-load) only: its rows are tuples, and it shares the lists and dicts
-inside the objects, so serialise it at once, before the world changes
-again. A table codec names its record class as `row`.
+from its columns and `layout` builds dicts. A dump is for `json.dumps`
+(or a load) only: it shares the lists and dicts inside the objects, so
+serialise it at once, before the world changes again. A table codec
+names its record class as `row`.
 
 The codec knows only the current snapshot format. The layouts of older
-snapshots, and the chain that upgrades them on load, live in `world`;
-`layout` reads and writes their tables.
+snapshots, which stored a table as one list per row, and the chain that
+upgrades them on load, live in `world`; `layout` reads and writes their
+tables once `world` has turned them into columns.
 """
 
 from collections import namedtuple
-from itertools import starmap
 from operator import attrgetter, itemgetter
 
 # `row` is a table's record class
@@ -304,42 +306,40 @@ def _resolved(ids, column, label, name) -> list:
     raise ValueError(f"{label} {name} must be an index into ids, got {bad!r}")
 
 
-def _checked_rows(label, names, data) -> list:
-    """The rows of a table, checked against the header `names`."""
-    rows, width = exact_object(f"{label} table", ["fields", "rows"], data)["rows"], len(names)
+def _checked_columns(label, names, data) -> list:
+    """The columns of a table, checked against the header `names`."""
+    columns = exact_object(f"{label} table", ["fields", "columns"], data)["columns"]
     if data["fields"] != names:
         raise ValueError(f"{label} table fields {data['fields']!r} are not {names!r}")
-    if type(rows) is not list or not set(map(type, rows)) <= {list, tuple}:
-        raise ValueError(f"{label} table rows must be a list of lists")
-    if not set(map(len, rows)) <= {width}:
-        raise ValueError(f"{label} table rows must each hold {width} values")
-    return rows
+    if (type(columns) is not list or len(columns) != len(names)
+            or not set(map(type, columns)) <= {list}):
+        raise ValueError(f"{label} table columns must be a list of {len(names)} lists")
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"{label} table columns must each hold one value per row")
+    return columns
 
 
 def _table(cls, names, get, nested=()) -> Codec:
     """The one table codec: rows of `cls` under the header `names`, read
     and written column by column. `dump` reads each column from the rows
     through `get(name)`, dumps each nested table, (column, codec) in
-    `nested`, then interns each ref column in `ids`; `load` gives the rows
-    as tuples, each ref cell resolved through `ids`, each column checked
-    by its field's kind and rule, each nested table loaded, each row by the
+    `nested`, then interns each ref column in `ids`; `load` gives the
+    columns, each ref cell resolved through `ids`, each column checked by
+    its field's kind and rule, each nested table loaded, each row by the
     record's rule. Without `ids` the ref columns hold the strings themselves."""
     refs, getters, row_rule = _refs(cls, names), list(map(get, names)), cls.__record_rule__
 
     def dump(objs, ids=None):
-        columns = [map(getter, objs) for getter in getters]
+        columns = [list(map(getter, objs)) for getter in getters]
         for i, codec in nested:
             columns[i] = [codec.dump(value, ids) for value in columns[i]]
         if ids is not None:
             for i in refs:
                 columns[i] = list(map(ids.__getitem__, columns[i]))
-        return {"fields": list(names), "rows": list(zip(*columns))}
+        return {"fields": list(names), "columns": columns}
 
     def load(data, ids=None):
-        rows = _checked_rows(cls.__name__, names, data)
-        if not rows:
-            return rows
-        columns = list(zip(*rows))
+        columns = list(_checked_columns(cls.__name__, names, data))
         if ids is not None:
             for i in refs:
                 columns[i] = _resolved(ids, columns[i], cls.__name__, names[i])
@@ -347,11 +347,10 @@ def _table(cls, names, get, nested=()) -> Codec:
             check_column(cls, name, column, cls.__name__)
         for i, codec in nested:
             columns[i] = [codec.load(value, ids) for value in columns[i]]
-        rows = list(zip(*columns))
-        for row in rows if row_rule else ():
+        for row in zip(*columns) if row_rule else ():
             if message := row_rule(dict(zip(names, row))):
                 raise ValueError(f"{cls.__name__} {message}")
-        return rows
+        return columns
 
     return Codec(dump, load, cls)
 
@@ -372,22 +371,21 @@ def layout(cls, names) -> Codec:
     ref columns hold indices into it; without, the strings. Nested tables
     stay JSON."""
     table = _table(cls, names, itemgetter)
-    return Codec(table.dump,
-                 lambda data, ids=None: [dict(zip(names, row)) for row in table.load(data, ids)])
+    return Codec(table.dump, lambda data, ids=None: [
+        dict(zip(names, row)) for row in zip(*table.load(data, ids))])
 
 
 def keyed(cls, key) -> Codec:
     table = _objects(cls)
-    key_of = itemgetter([f.name for f in fields(cls)].index(key))
+    at = [f.name for f in fields(cls)].index(key)
 
     def load(data, ids):
-        rows = table.load(data, ids)
-        return dict(zip(map(key_of, rows), starmap(cls, rows)))
+        columns = table.load(data, ids)
+        return dict(zip(columns[at], map(cls, *columns)))
 
     return Codec(lambda rows, ids: table.dump(rows.values(), ids), load, cls)
 
 
 def listed(cls) -> Codec:
     table = _objects(cls)
-    return Codec(table.dump, lambda data, ids: list(starmap(cls, table.load(data, ids))), cls)
-
+    return Codec(table.dump, lambda data, ids: list(map(cls, *table.load(data, ids))), cls)

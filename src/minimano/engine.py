@@ -64,8 +64,9 @@ _BLOCKED = object()
 class ResourceRecord:
     name: str
     uuid: str = field(ref=True)
-    type: str
-    state: str = field(rule=one_of(("IN_PROGRESS", "COMPLETE", "FAILED", "DELETED")))
+    type: str = field(ref=True)
+    state: str = field(rule=one_of(("IN_PROGRESS", "COMPLETE", "FAILED", "DELETED")),
+                       ref=True)
     attributes: dict = field(default_factory=dict)
     physical_id: str | None = field(default=None, ref=True)
     failure: str | None = None

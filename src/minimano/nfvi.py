@@ -113,11 +113,11 @@ class Instance:
     tenant_id: str = field(ref=True)
     name: str
     image_id: str = field(ref=True)
-    flavor_name: str
+    flavor_name: str = field(ref=True)
     host_id: str = field(ref=True)
-    state: str = field(rule=one_of(("BUILD", "ACTIVE", "FAILED", "DELETED")))
+    state: str = field(rule=one_of(("BUILD", "ACTIVE", "FAILED", "DELETED")), ref=True)
     fixed_ips: dict  # network name -> address
-    key_name: str | None
+    key_name: str | None = field(ref=True)
     security_groups: list
     user_data: str | None
     authorized_keys: list = field(default_factory=list)
@@ -411,6 +411,8 @@ class CloudProvider:
     ) -> SecurityGroupRule:
         group = self._named(self.secgroups, tenant_id, group_name, "security group")
         remote_cidr, remote_group = (None, remote) if _network_or_null(remote) else (remote, None)
+        if remote_group is not None:  # a remote that is no network must name a group
+            self._named(self.secgroups, tenant_id, remote_group, "security group")
         rule = SecurityGroupRule(**check(SecurityGroupRule, {
             "direction": direction, "protocol": protocol, "port_min": port_min,
             "port_max": port_max, "remote_cidr": remote_cidr, "remote_group": remote_group,
@@ -911,4 +913,11 @@ class CloudProvider:
 
     def load_dict(self, data, ids):
         set_fields(self, _STATE.load(data, ids))
+        names = {(group.tenant_id, group.name) for group in self.secgroups.values()}
+        for group in self.secgroups.values():
+            for rule in group.rules:
+                if rule.remote_group is not None and (group.tenant_id,
+                                                      rule.remote_group) not in names:
+                    raise ValueError(f"security group {group.id!r} has a rule whose remote "
+                                     f"group {rule.remote_group!r} names no group of its tenant")
         self._forget_derived()

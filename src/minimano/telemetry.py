@@ -36,7 +36,7 @@ class MetricSample:
     """One recorded value, never mutated once recorded."""
 
     resource_id: str = field(ref=True)
-    metric: str
+    metric: str = field(ref=True)
     value: float = field(rule=_FINITE)
     tick: int
 

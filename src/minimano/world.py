@@ -20,15 +20,16 @@ from functools import cache
 from operator import itemgetter
 
 from .codec import (Ids, check, check_column, entries, exact_object, field, fields, id_index,
-                    layout, listed, record)
-from .engine import EngineState, Stack, StackEngine, StackRun, WaitCondition, WaitHandle
+                    layout, record)
+from .engine import (EngineState, ResourceRecord, Stack, StackEngine, StackRun, WaitCondition,
+                     WaitHandle)
 from .errors import ConflictError
 from .identity import IdentityService, IdentityState, Token
 from .nfvi import CloudProvider, Instance, ProviderState
-from .telemetry import (ScalingGroup, ScheduledFault, ScheduledMetric, TelemetryService,
-                        TelemetryState)
+from .telemetry import (MetricSample, ScalingGroup, ScheduledFault, ScheduledMetric,
+                        TelemetryService, TelemetryState)
 
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 
 def _names(cls) -> list:
@@ -39,7 +40,7 @@ def _names(cls) -> list:
 class Event:
     """One entry of the event log, kept in memory as a dict of its fields."""
     tick: int
-    kind: str
+    kind: str = field(ref=True)
     subject: str = field(ref=True)
     detail: dict
 
@@ -197,18 +198,51 @@ _V5_SCHEDULES = {"scheduled_metrics": (ScheduledMetric, ("tick", "metric", "valu
                  "scheduled_faults": (ScheduledFault, ("tick",))}
 
 
+# the columns v7 began to intern, which v5 and v6 stored as strings
+_V7_REFS = {MetricSample: {"metric"}, Event: {"kind"}, ResourceRecord: {"type", "state"},
+            Instance: {"flavor_name", "key_name", "state"}}
+
+
 @cache
 def _layout(cls, *names):
     """The layout of a `cls` table under the header `names`, built once."""
     return layout(cls, list(names))
 
 
-def _tables(data, upgrade) -> dict:
-    """The four sections of a v2 to v4 snapshot, each of their tables
-    turned by `upgrade(row class, table)`."""
+def _columns(cls, names, data) -> list:
+    """The columns of a `cls` table as v3 to v6 stored it, one list per
+    row under the header `names`, checked as v6 checked it."""
+    label = f"{cls.__name__} table"
+    rows = exact_object(label, ["fields", "rows"], data)["rows"]
+    if data["fields"] != names:
+        raise ValueError(f"{label} fields {data['fields']!r} are not {names!r}")
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise ValueError(f"{label} rows must be a list of lists")
+    if not set(map(len, rows)) <= {len(names)}:
+        raise ValueError(f"{label} rows must each hold {len(names)} values")
+    return list(map(list, zip(*rows))) or [[] for _ in names]
+
+
+def _read(cls, names, data) -> list:
+    """The rows of a `cls` table as v3 to v6 stored it, as dicts."""
+    table = {"fields": list(names), "columns": _columns(cls, names, data)}
+    return _layout(cls, *names).load(table)
+
+
+def _written(cls, rows) -> dict:
+    """`rows`, dicts of the fields of `cls`, as v4 to v6 stored a table:
+    one list per row."""
+    table = _layout(cls, *_names(cls)).dump(rows)
+    return {"fields": table["fields"], "rows": list(map(list, zip(*table["columns"])))}
+
+
+def _tables(data, upgrade, skip=_V5_SCHEDULES) -> dict:
+    """The four sections of a snapshot, each of their tables but those
+    `skip` names (the schedules, objects before v6) turned by
+    `upgrade(row class, table)`."""
     return {name: {**data[name], **{f.name: upgrade(f.codec.row, data[name][f.name])
                                     for f in fields(cls)
-                                    if f.codec.row is not None and f.name not in _V5_SCHEDULES}}
+                                    if f.codec.row is not None and f.name not in skip}}
             for name, cls in _SECTIONS.items()}
 
 
@@ -238,8 +272,8 @@ def _upgrade_v3(data: dict) -> dict:
     """A v3 snapshot in v4 form: v4 keeps a stack's template `source` in
     the row of its pending run, and drops it where the run has ended."""
     engine = data["engine"]
-    stacks = _layout(Stack, *_V3_HEADERS[Stack]).load(engine["stacks"])
-    runs = _layout(StackRun, *_V3_HEADERS[StackRun]).load(engine["runs"])
+    stacks = _read(Stack, _V3_HEADERS[Stack], engine["stacks"])
+    runs = _read(StackRun, _V3_HEADERS[StackRun], engine["runs"])
     sources = {stack["id"]: stack.pop("source") for stack in stacks}
     check_column(StackRun, "source", sources.values(), "v3 stack")
     for run in runs:
@@ -248,22 +282,27 @@ def _upgrade_v3(data: dict) -> dict:
         run["source"] = sources[run["stack_id"]]
     return {**data, "v": 4, "engine": {
         **engine,
-        "stacks": _layout(Stack, *_names(Stack)).dump(stacks),
-        "runs": _layout(StackRun, *_names(StackRun)).dump(runs),
+        "stacks": _written(Stack, stacks),
+        "runs": _written(StackRun, runs),
     }}
 
 
 def _v5_table(cls, data, ids) -> dict:
     """A v4 table of `cls` rows in v5 form: without the fields v5 dropped,
-    each nested table in v5 form first, then each ref cell interned in
-    `ids`, in the order a save interns them."""
+    each nested table in v5 form first, then each cell of a ref column
+    that v5 had (not those of `_V7_REFS`) interned in `ids`, in the order
+    a save interns them."""
     names = _names(cls)
-    rows = _layout(cls, *_V4_HEADERS.get(cls, names)).load(data)
+    rows = _read(cls, _V4_HEADERS.get(cls, names), data)
     for f in fields(cls):
         if f.codec.row is not None:
             for row in rows:
                 row[f.name] = _v5_table(f.codec.row, row[f.name], ids)
-    return _layout(cls, *names).dump(rows, ids)
+    for f in fields(cls):
+        if f.ref and f.name not in _V7_REFS.get(cls, ()):
+            for row in rows:
+                row[f.name] = ids[row[f.name]]
+    return _written(cls, rows)
 
 
 def _upgrade_v4(data: dict) -> dict:
@@ -295,12 +334,49 @@ def _upgrade_v5(data: dict) -> dict:
             if row.resource is not None:
                 ids.append(row.resource)
                 row.resource = len(ids) - 1
-        tables[name] = listed(cls).dump(rows)
+        tables[name] = _written(cls, list(map(vars, rows)))
     return {**data, "v": 6, "telemetry": {**telemetry, **tables}, "ids": ids}
 
 
+def _v7_table(cls, data, intern) -> dict:
+    """A v6 table of `cls` rows in v7 form: one list per column, each
+    nested table in v7 form first, then each column of `_V7_REFS`, of
+    its field's kind, interned by `intern`."""
+    names, refs = _names(cls), _V7_REFS.get(cls, ())
+    columns = _columns(cls, names, data)
+    for i, f in enumerate(fields(cls)):
+        if f.codec.row is not None:
+            columns[i] = [_v7_table(f.codec.row, table, intern) for table in columns[i]]
+    for i, name in enumerate(names):
+        if name in refs:
+            check_column(cls, name, columns[i], f"v6 {cls.__name__}")
+            columns[i] = list(map(intern, columns[i]))
+    return {"fields": names, "columns": columns}
+
+
+def _upgrade_v6(data: dict) -> dict:
+    """A v6 snapshot in v7 form: v7 stores each table as one list per
+    column, and interns the names of `_V7_REFS` too. The tables are found
+    by their declarations, never by their keys, since a plain column may
+    hold user data that looks like a table; each new name is appended to
+    `ids` in the order a save interns it."""
+    ids, names = data["ids"], Ids()
+    id_index(ids)
+
+    def intern(name):
+        return None if name is None else len(ids) + names[name]
+
+    return {
+        **data, "v": 7,
+        **_tables(data, lambda cls, table: _v7_table(cls, table, intern), skip=()),
+        "events": _v7_table(Event, data["events"], intern),
+        "ids": [*ids, *names],
+    }
+
+
 # each older snapshot version -> the step that takes it one version on
-_UPGRADES = {1: _upgrade_v1, 2: _upgrade_v2, 3: _upgrade_v3, 4: _upgrade_v4, 5: _upgrade_v5}
+_UPGRADES = {1: _upgrade_v1, 2: _upgrade_v2, 3: _upgrade_v3, 4: _upgrade_v4, 5: _upgrade_v5,
+             6: _upgrade_v6}
 
 
 @record

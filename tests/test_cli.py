@@ -264,6 +264,35 @@ def test_a_rule_whose_port_range_matches_nothing_is_refused(runner, low, high):
         assert code == 0, err
 
 
+@pytest.mark.parametrize("remote", ["nosuchgroup", "300.1.1.1/99", ""])
+def test_a_rule_whose_remote_names_nothing_is_refused(runner, remote):
+    """A remote that is no network is a group's name: one that names no
+    group of the tenant was stored, and never matched any source."""
+    before = runner._state.read_bytes()
+    code, _, err = runner("secgroup-rule-add", "default", "--protocol", "tcp", "--remote", remote)
+    assert code == 6 and err == f"error: security group {remote!r} not found\n", err
+    assert runner._state.read_bytes() == before
+    assert runner("secgroup-create", "web")[0] == 0
+    code, _, err = runner("secgroup-rule-add", "default", "--protocol", "tcp", "--remote", "web")
+    assert code == 0, err
+
+
+def test_a_stored_rule_whose_remote_group_names_no_group_is_malformed_state(runner):
+    assert runner("secgroup-create", "web")[0] == 0
+    assert runner("secgroup-rule-add", "default", "--protocol", "tcp", "--remote", "web")[0] == 0
+    assert runner("stack-list")[0] == 0
+    state = json.loads(runner._state.read_text())
+    groups = state["provider"]["secgroups"]
+    names = groups["columns"][groups["fields"].index("name")]
+    names[names.index("web")] = "gone"
+    runner._state.write_text(json.dumps(state))
+    code, out, err = runner("stack-list")
+    assert code == 5 and out == "" and err.count("\n") == 1, err
+    assert err.startswith(f"error: state file {str(runner._state)!r} is malformed: security "
+                          "group "), err
+    assert err.endswith("has a rule whose remote group 'web' names no group of its tenant\n")
+
+
 def test_private_key_shown_exactly_once(runner):
     code, out, _ = runner("keypair-create", "my_key2")
     assert out.count("SIMULATED PRIVATE KEY") == 2  # BEGIN and END of one block
@@ -471,7 +500,7 @@ def test_a_scenario_creates_its_keypairs(tmp_path, capsys):
     assert cli.main(["scenario-run", str(path), "--snapshot-out", str(snapshot)]) == 0, (
         capsys.readouterr().err)
     keypairs = json.loads(snapshot.read_text())["provider"]["keypairs"]
-    assert [row[keypairs["fields"].index("name")] for row in keypairs["rows"]] == ["k1", "k2"]
+    assert keypairs["columns"][keypairs["fields"].index("name")] == ["k1", "k2"]
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -529,9 +558,15 @@ def _instances(state):
 
 
 def _as_dict(table):
-    """The table's first row as an object of as many keys: `cls(*row)`
+    """The table's columns as an object of as many keys: `map(cls, *columns)`
     would take its keys as the values."""
-    table["rows"][0] = dict(zip(table["fields"], table["rows"][0]))
+    table["columns"] = dict(zip(table["fields"], table["columns"]))
+
+
+def _rules(state):
+    """The rules table of the first security group."""
+    groups = state["provider"]["secgroups"]
+    return groups["columns"][groups["fields"].index("rules")][0]
 
 
 @pytest.mark.parametrize("state", [
@@ -550,12 +585,12 @@ def _as_dict(table):
     _state_v3(lambda s: _instances(s)["fields"].reverse()),
     _state_v3(lambda s: _instances(s)["fields"].__setitem__(-1, "unknown")),
     _state_v3(lambda s: _instances(s)["fields"].pop()),
-    _state_v3(lambda s: _instances(s)["rows"][0].pop()),
-    _state_v3(lambda s: _instances(s)["rows"][0].append(0)),
-    _state_v3(lambda s: s["provider"]["secgroups"]["rows"][0][3]["rows"][0].pop()),
-    _state_v3(lambda s: _instances(s).update(rows={})),
+    _state_v3(lambda s: _instances(s)["columns"][0].pop()),
+    _state_v3(lambda s: _instances(s)["columns"].append([0])),
+    _state_v3(lambda s: _rules(s)["columns"][0].pop()),
+    _state_v3(lambda s: _instances(s).update(columns={})),
     _state_v3(lambda s: _as_dict(s["telemetry"]["generators"])),
-    _state_v3(lambda s: s["provider"]["secgroups"]["rows"][0][3]["rows"].__setitem__(0, "ingres")),
+    _state_v3(lambda s: _rules(s)["columns"].__setitem__(0, "in")),
     _state_v3(lambda s: s["identity"].pop("policy")),
     _state_v3(lambda s: s["identity"].pop("catalog")),
     _state_v3(lambda s: s["identity"].pop("assignments")),
@@ -613,7 +648,7 @@ def test_identity_without_policy_is_malformed_not_unauthorized(tmp_path, monkeyp
     path = tmp_path / "state.json"
     monkeypatch.setenv(cli.STATE_ENV, str(path))
     state = _state_v3(lambda s: None)
-    monkeypatch.setenv(cli.TOKEN_ENV, state["ids"][state["identity"]["tokens"]["rows"][0][0]])
+    monkeypatch.setenv(cli.TOKEN_ENV, state["ids"][state["identity"]["tokens"]["columns"][0][0]])
     path.write_text(json.dumps(state))
     assert cli.main(["stack-list"]) == 0
     del state["identity"]["policy"]
@@ -632,9 +667,9 @@ def test_instance_with_an_unknown_flavor_is_malformed_state(runner):
     assert runner("group-create", "web", *args)[0] == 0
     state = json.loads(runner._state.read_text())
     table = _instances(state)
-    column = table["fields"].index("flavor_name")
-    for row in table["rows"]:
-        row[column] = "gone"
+    column = table["columns"][table["fields"].index("flavor_name")]
+    state["ids"].append("gone")  # an interned name: its index into `ids`
+    column[:] = [len(state["ids"]) - 1] * len(column)
     runner._state.write_text(json.dumps(state))
     assert runner("events-tail")[0] == 0  # a read verb does not check flavors
     code, out, err = runner("group-create", "db", *args)
@@ -676,12 +711,12 @@ def test_a_reference_no_verb_can_leave_is_malformed_state(runner, table, column,
     if column is None:  # a plain object of base64 text
         rows.update(dict.fromkeys(rows, "!!!x"))
     else:  # a list column gets one name of nothing, an id column the index of one
-        row, at = rows["rows"][0], rows["fields"].index(column)
+        cells = rows["columns"][rows["fields"].index(column)]
         if column.endswith("_id"):
             state["ids"].append("x")
-            row[at] = len(state["ids"]) - 1
+            cells[0] = len(state["ids"]) - 1
         else:
-            row[at] = ["x"] if type(row[at]) is list else "x"
+            cells[0] = ["x"] if type(cells[0]) is list else "x"
     runner._state.write_text(json.dumps(state))
     argv = {"group-create": ("group-create", "db", *group),
             "net-create": ("net-create", "n2", "--cidr", "10.9.0.0/24"),
@@ -746,7 +781,7 @@ def test_a_stored_member_spec_of_the_wrong_kind_is_a_state_error(runner, change)
     assert code == 0, err
     state = json.loads(runner._state.read_text())
     groups = state["telemetry"]["groups"]
-    spec = groups["rows"][0][groups["fields"].index("member_spec")]
+    spec = groups["columns"][groups["fields"].index("member_spec")][0]
     spec.update(change)
     runner._state.write_text(json.dumps(state))
     code, out, err = runner("stack-list")
@@ -926,9 +961,10 @@ def test_corrupt_source_fails_only_the_verb_that_resumes_it(runner, tmp_path, te
     stack_id, url = _blocked_wait_stack(runner, tmp_path, template)
     state = json.loads(runner._state.read_text())
     runs = state["engine"]["runs"]
-    id_col, source_col = runs["fields"].index("stack_id"), runs["fields"].index("source")
-    (stored,) = [row for row in runs["rows"] if state["ids"][row[id_col]] == stack_id]
-    stored[source_col] = "resources: ["
+    stack_ids, sources = (runs["columns"][runs["fields"].index(name)]
+                          for name in ("stack_id", "source"))
+    (row,) = [row for row, cell in enumerate(stack_ids) if state["ids"][cell] == stack_id]
+    sources[row] = "resources: ["
     runner._state.write_text(json.dumps(state, separators=(",", ":")))
     before = runner._state.read_bytes()
 
@@ -952,8 +988,9 @@ def _stored_sources(runner) -> dict:
     state = json.loads(runner._state.read_text())
     assert "source" not in state["engine"]["stacks"]["fields"]
     runs = state["engine"]["runs"]
-    stack_col, source_col = runs["fields"].index("stack_id"), runs["fields"].index("source")
-    return {state["ids"][row[stack_col]]: row[source_col] for row in runs["rows"]}
+    stack_ids, sources = (runs["columns"][runs["fields"].index(name)]
+                          for name in ("stack_id", "source"))
+    return {state["ids"][cell]: source for cell, source in zip(stack_ids, sources)}
 
 
 def _status(runner, stack_id) -> str:

@@ -4,12 +4,14 @@ For worlds with empty registries, nested tables inside tables, fields
 left at and moved off their defaults, pending runs whose parsed template
 is cached, and seeded random operation walks: loading a world's JSON
 snapshot and dumping it again gives the same text, and every table's
-`fields` header is its record's field names in order. A `record` class
+`fields` header is its record's field names in order, over one column
+per field, all of one length. A `record` class
 takes its fields, as a dataclass would, and compares by identity.
 """
 
 import json
 import random
+import re
 
 import pytest
 
@@ -43,21 +45,21 @@ def round_trip(world) -> dict:
     return json.loads(text)
 
 
+def assert_table(table, cls, nested):
+    assert table["fields"] == names(cls), cls
+    assert len(table["columns"]) == len(names(cls)), cls
+    assert len(set(map(len, table["columns"]))) == 1, cls
+    for column, row_cls in nested.items():
+        for inner in table["columns"][names(cls).index(column)]:
+            assert_table(inner, row_cls, {})
+
+
 def assert_headers(snapshot):
     for section, registries in REGISTRIES.items():
         for name, (cls, nested) in registries.items():
-            table = snapshot[section][name]
-            assert table["fields"] == names(cls), (section, name)
-            for column, row_cls in nested.items():
-                i = names(cls).index(column)
-                for row in table["rows"]:
-                    assert row[i]["fields"] == names(row_cls), (section, name, column)
-                    assert all(len(inner) == len(names(row_cls)) for inner in row[i]["rows"])
-            assert all(len(row) == len(names(cls)) for row in table["rows"])
+            assert_table(snapshot[section][name], cls, nested)
     for name, cls in SCHEDULES.items():
-        table = snapshot["telemetry"][name]
-        assert table["fields"] == names(cls), name
-        assert all(len(row) == len(names(cls)) for row in table["rows"])
+        assert_table(snapshot["telemetry"][name], cls, {})
 
 
 def empty_world():
@@ -143,9 +145,10 @@ def test_world_snapshot_round_trips_with_declared_headers(name):
 
 def test_empty_world_has_empty_tables():
     snapshot = round_trip(empty_world())
-    assert snapshot["engine"]["stacks"] == {"fields": names(REGISTRIES["engine"]["stacks"][0]),
-                                            "rows": []}
-    assert snapshot["telemetry"]["samples"]["rows"] == []
+    stack_fields = names(REGISTRIES["engine"]["stacks"][0])
+    assert snapshot["engine"]["stacks"] == {"fields": stack_fields,
+                                            "columns": [[] for _ in stack_fields]}
+    assert snapshot["telemetry"]["samples"]["columns"] == [[], [], [], []]
 
 
 def test_random_walks_reach_every_kind_of_row():
@@ -186,10 +189,12 @@ def test_codec_nests_tables_and_keeps_one_field_rows():
         "b": Node("b"),
     }
     text = json.dumps(NODES.dump(nodes, Ids()))
-    assert json.loads(text) == {"fields": ["id", "leaves", "tags", "note"], "rows": [
-        ["a", {"fields": ["name", "size"], "rows": [["x", 3], ["y", 0]]},
-         {"fields": ["label"], "rows": [["t1"], ["t2"]]}, "note"],
-        ["b", {"fields": ["name", "size"], "rows": []}, {"fields": ["label"], "rows": []}, "-"],
+    assert json.loads(text) == {"fields": ["id", "leaves", "tags", "note"], "columns": [
+        ["a", "b"],
+        [{"fields": ["name", "size"], "columns": [["x", "y"], [3, 0]]},
+         {"fields": ["name", "size"], "columns": [[], []]}],
+        [{"fields": ["label"], "columns": [["t1", "t2"]]}, {"fields": ["label"], "columns": [[]]}],
+        ["note", "-"],
     ]}
     loaded = NODES.load(json.loads(text), {})
     assert list(loaded) == ["a", "b"]
@@ -198,17 +203,30 @@ def test_codec_nests_tables_and_keeps_one_field_rows():
     assert json.dumps(NODES.dump(loaded, Ids())) == text
 
 
-@pytest.mark.parametrize("table", [
-    {"fields": ["name"], "rows": [["x", 3]]},
-    {"fields": ["name", "size"], "rows": [["x"]]},
-    {"fields": ["size", "name"], "rows": [[3, "x"]]},
-    {"fields": ["name", "size"], "rows": [{"name": "x", "size": 3}]},
-    {"fields": ["name", "size"], "rows": ["xy"]},
-    {"fields": ["name", "size"], "rows": {"x": 3}},
-], ids=["fields-missing", "row-too-short", "fields-reordered", "row-an-object",
-        "row-a-string", "rows-not-a-list"])
-def test_a_table_that_is_not_the_declared_one_is_refused(table):
-    with pytest.raises(ValueError):
+ROWS = "exactly the fields ['fields', 'columns']"
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"fields": ["name"], "columns": [["x"], [3]]}, "fields ['name'] are not"),
+    ({"fields": ["size", "name"], "columns": [[3], ["x"]]}, "fields ['size', 'name'] are not"),
+    ({"fields": ["name", "size"], "columns": [["x"]]}, "must be a list of 2 lists"),
+    ({"fields": ["name", "size"], "columns": [["x"], [3], [4]]}, "must be a list of 2 lists"),
+    ({"fields": ["name", "size"], "columns": [["x", "y"], [3]]}, "one value per row"),
+    ({"fields": ["name", "size"], "columns": [["x"], {"0": 3}]}, "must be a list of 2 lists"),
+    ({"fields": ["name", "size"], "columns": ["x", [3]]}, "must be a list of 2 lists"),
+    ({"fields": ["name", "size"], "columns": {"name": ["x"], "size": [3]}},
+     "must be a list of 2 lists"),
+    # a table of rows, as v6 and older stored one, of any shape
+    ({"fields": ["name", "size"], "rows": [["x"]]}, ROWS),
+    ({"fields": ["name", "size"], "rows": [{"name": "x", "size": 3}]}, ROWS),
+    ({"fields": ["name", "size"], "rows": ["xy"]}, ROWS),
+    ({"fields": ["name", "size"], "rows": {"x": 3}}, ROWS),
+    ({"fields": ["name", "size"], "rows": [["x", 3]]}, ROWS),
+], ids=["fields-missing", "fields-reordered", "columns-too-few", "columns-too-many",
+        "columns-unequal", "column-an-object", "column-a-string", "columns-not-a-list",
+        "row-too-short", "row-an-object", "row-a-string", "rows-not-a-list", "rows-table"])
+def test_a_table_that_is_not_the_declared_one_is_refused(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         listed(Leaf).load(table, {})
 
 
@@ -293,9 +311,10 @@ def test_ref_columns_store_each_string_once_nested_tables_first():
     # the nested tables in row order, each column by column, then the
     # `id` column; a null is no id
     assert list(ids) == ["p", "q", "a", "b"]
-    assert table == {"fields": ["name", "id", "parts"], "rows": [
-        ["w1", 2, {"fields": ["id", "owner"], "rows": [[0, 2], [1, None]]}],
-        ["w2", 3, {"fields": ["id", "owner"], "rows": [[0, 3]]}],
+    assert table == {"fields": ["name", "id", "parts"], "columns": [
+        ["w1", "w2"], [2, 3],
+        [{"fields": ["id", "owner"], "columns": [[0, 1], [2, None]]},
+         {"fields": ["id", "owner"], "columns": [[0], [3]]}],
     ]}
     loaded = WHOLES.load(table, id_index(list(ids)))
     assert [(w.name, w.id, [(p.id, p.owner) for p in w.parts]) for w in loaded] == [
@@ -306,8 +325,8 @@ def test_ref_columns_store_each_string_once_nested_tables_first():
                          ids=["negative", "past-the-end", "bool", "float", "text", "null",
                               "list"])
 def test_a_ref_cell_that_names_no_entry_is_refused(cell):
-    table = {"fields": ["name", "id", "parts"], "rows": [["w", cell, {"fields": ["id", "owner"],
-                                                                     "rows": []}]]}
+    table = {"fields": ["name", "id", "parts"],
+             "columns": [["w"], [cell], [{"fields": ["id", "owner"], "columns": [[], []]}]]}
     with pytest.raises(ValueError, match="Whole id must be"):
         WHOLES.load(table, id_index(["p", "a", "q", "b"]))
 
@@ -316,3 +335,56 @@ def test_a_ref_cell_that_names_no_entry_is_refused(cell):
 def test_an_ids_table_of_anything_but_strings_is_refused(ids):
     with pytest.raises(ValueError, match="ids must be a list of strings"):
         id_index(ids)
+
+
+def _current(edit) -> dict:
+    """The fixture world's snapshot, edited by `edit(snapshot)`."""
+    snapshot = json.loads(json.dumps(build_fixture_world().to_snapshot()))
+    edit(snapshot)
+    return snapshot
+
+
+def _rows(table):
+    """A table of columns turned back into the rows v6 stored."""
+    table["rows"] = [list(row) for row in zip(*table.pop("columns"))]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: _rows(s["events"]), "Event table must be an object of exactly the fields "
+                                   "['fields', 'columns']"),
+    (lambda s: _rows(s["telemetry"]["samples"]), "MetricSample table must be an object"),
+], ids=["events-as-rows", "samples-as-rows"])
+def test_a_table_of_rows_in_a_current_snapshot_is_refused(edit, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        World.from_snapshot(_current(edit))
+
+
+# an interned name column of each of the four records that hold one
+NAME_COLUMNS = [("telemetry", "samples", "metric", "MetricSample"),
+                ("events", None, "kind", "Event"),
+                ("provider", "instances", "flavor_name", "Instance"),
+                ("provider", "instances", "state", "Instance")]
+
+
+@pytest.mark.parametrize("cell", ["cpu_util", -1, "past-the-end", 1.0, True],
+                         ids=["the-name-itself", "negative", "past-the-end", "float", "bool"])
+@pytest.mark.parametrize("section, table, column, record", NAME_COLUMNS,
+                         ids=[f"{record}.{column}" for *_, column, record in NAME_COLUMNS])
+def test_an_interned_name_cell_that_is_no_index_into_ids_is_refused(section, table, column,
+                                                                    record, cell):
+    def edit(snapshot):
+        rows = snapshot[section] if table is None else snapshot[section][table]
+        rows["columns"][rows["fields"].index(column)][0] = (
+            len(snapshot["ids"]) if cell == "past-the-end" else cell)
+
+    with pytest.raises(ValueError, match=f"{record} {column} must be an index into ids"):
+        World.from_snapshot(_current(edit))
+
+
+def test_the_interned_names_are_stored_once():
+    snapshot = build_fixture_world().to_snapshot()
+    ids = snapshot["ids"]
+    assert len(set(ids)) == len(ids)
+    samples = snapshot["telemetry"]["samples"]
+    metrics = samples["columns"][samples["fields"].index("metric")]
+    assert len(metrics) > 1 and {ids[cell] for cell in metrics} == {"cpu_util"}

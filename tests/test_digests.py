@@ -1,13 +1,15 @@
 """Behaviour digests: the sha256 of the event log and of the snapshot of
 whole scenario runs. The event-log digests were pinned from the package
 before its telemetry index existed, and the twin scenario's digests
-before an alarm pass read a window shared by two alarms once. The snapshot digests are of the v6
-snapshot: the v5 snapshot of the same run passed through
-`world._upgrade_v5`, which stores each schedule as a table of its
-record. The v5 digests were of the v4 snapshot passed through
-`world._upgrade_v4`, which drops six unread fields, stores the events as
-a table and each id once, in the `ids` table the id columns index into.
-The v4 digests were of the v3 snapshot passed through
+before an alarm pass read a window shared by two alarms once. The
+snapshot digests are of the v7 snapshot: the v6 snapshot of the same run
+passed through `world._upgrade_v6`, which stores each table as one list
+per column and interns seven name columns, and saved again. The v6
+digests were of the v5 snapshot passed through `world._upgrade_v5`,
+which stores each schedule as a table of its record. The v5 digests
+were of the v4 snapshot passed through `world._upgrade_v4`, which drops
+six unread fields, stores the events as a table and each id once, in
+the `ids` table the id columns index into. The v4 digests were of the v3 snapshot passed through
 `world._upgrade_v3`, which moves the `source` column from the stacks
 table to the runs table (these runs create no stack, so only the two
 headers move). The v3 digests were of the v2 snapshot passed through
@@ -16,9 +18,10 @@ the v2 digests of the v1 snapshot with `v` set to 2 and the three fields
 v2 dropped removed. The engine digest is of one seeded run of stacks
 whose wait conditions and nested stacks end in every way, pinned before
 the deployment walk settled each blocked resource in one step; its
-snapshot digest too is of the v5 snapshot passed through
-`world._upgrade_v5`. A change
-that alters what a run does, or what it saves, moves a digest.
+snapshot digest too is of the v6 snapshot passed through
+`world._upgrade_v6` and saved again, as the v6 one was of the v5
+snapshot passed through `world._upgrade_v5`. A change that alters what a
+run does, or what it saves, moves a digest.
 """
 
 import hashlib
@@ -98,15 +101,15 @@ TWIN_SCENARIO = {**LONG_SCENARIO, "alarms": [
 DIGESTS = {
     "autonomic_scenario": (
         "101400baec5e3d60dc36819277b005c6645e7904148e15f17036af1c053c0e9c",
-        "813f966ff6df1f508586be37fe994dbd57a7364de677c9104364ce1d756c01b6",
+        "5f3c054210d8bbd5b4f30738ca64e974f54dec82bdb4dfb4aabfb7367a3f00e9",
     ),
     "long_scenario": (
         "16a5c51574c813064b5721ec61ca7d896322bd2c940a5fc08f44f7c6c55827fd",
-        "a28a3fd8e3395703d486da663826c7afcb600c705f311d1962611f9be80ae20c",
+        "2837c77f9f7e445bd1325e85086334c1f4f0b85320015b132b76dca6d992bb02",
     ),
     "twin_scenario": (
         "4eb46979da0f590e8e259d719620a4bdaf5c91eaac66467f319528df69241113",
-        "23b0889df94a4d218b4f07138b56b7ee87213c1df73dd46226e26cc16fa0a948",
+        "f529aacfb04feb63f4ef47205ed4b98c2bc48965f2d5a0cf646a579f92c9b07f",
     ),
 }
 
@@ -271,7 +274,7 @@ resources:
 
 ENGINE_DIGEST = (
     "1eadc9bc458c87be4f137d518ed748db124f690f0123e8a362051e8ece71eed4",
-    "2eef9376e433d1b48e35eaa84dd7133b08164cf859164d2a1ed65d2c9b5b6e2a",
+    "e603e01e7df032427e6991dfcf491e9899f97a17e0ae21069437df848033b803",
 )
 
 

@@ -123,11 +123,15 @@ def test_a_stored_event_that_is_not_declared_is_a_state_error(tmp_path, monkeypa
     path = tmp_path / "state.json"
     token, _ = build_state(path)
     data = json.loads(path.read_text())
-    fields, row = data["events"]["fields"], data["events"]["rows"][0]
-    event = dict(zip(fields, row))
-    assert event["kind"] == "stack.create.start"
+    ids, table = data["ids"], data["events"]
+    event = {name: column[0] for name, column in zip(table["fields"], table["columns"])}
+    assert ids[event["kind"]] == "stack.create.start"
+    event["kind"] = ids[event["kind"]]
     edit(event)
-    data["events"]["rows"][0] = [event[name] for name in fields]
+    ids.append(event["kind"])  # an interned name, as a save writes it
+    event["kind"] = len(ids) - 1
+    for name, column in zip(table["fields"], table["columns"]):
+        column[0] = event[name]
     path.write_text(json.dumps(data))
     monkeypatch.setenv(cli.TOKEN_ENV, token)
     assert cli.main(["events-tail", "--state", str(path)]) == 5

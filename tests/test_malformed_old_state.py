@@ -1,10 +1,10 @@
 """Malformed state files of older versions, generated: every leaf of each
-committed v1 to v5 fixture is set in turn to each of a few JSON values,
+committed v1 to v6 fixture is set in turn to each of a few JSON values,
 and each mutated snapshot is loaded as a CLI call loads a state file.
 `load_world` is handed the edited snapshot as `json.load` would give it,
 which keeps the test fast; the load must leave it as it was.
 
-The v1 to v5 twin of `test_malformed_state`, and the safety net of the
+The v1 to v6 twin of `test_malformed_state`, and the safety net of the
 upgrade chain that takes an older snapshot to the current one. Each
 case must load, or be refused with a state error (exit 5) of one line;
 no other exception may escape `load_world`. A refusal depends on the
@@ -43,7 +43,7 @@ def leaves(node, key, parent, index):
 
 def table(label, data, nested):
     """The leaves of a registry, keyed by `label` and their column: a
-    table of rows under `fields` (v3 to v5) or a list of row objects (v1
+    table of rows under `fields` (v3 to v6) or a list of row objects (v1
     and v2). The columns named in `nested` hold tables of their own."""
     if type(data) is dict:
         yield from leaves(data["fields"], (label, "fields"), data, "fields")
@@ -92,7 +92,7 @@ def mutations(data):
         parent[index] = original
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_every_malformed_leaf_of_an_old_state_loads_or_is_a_state_error(tmp_path, monkeypatch,
                                                                      version):
     text = (DATA / f"state_v{version}.json").read_text(encoding="utf-8")

@@ -7,11 +7,12 @@ driven through `cli.main` for a fixed list of verbs.
 A value whose JSON kind its field's annotation rules out (or a size the
 field declares positive that is not) must be refused on load by every
 verb: exit 5 and one `error: state file ... is malformed:` line. An id
-column (`REFS`) is read by its kind in the file, an index into `ids`: it
-admits an integer from 0 to the last entry, and null where the field
-admits None. An `ids` entry admits only text. Any other value may be
-accepted or refused, but only with a documented exit code and one
-`error:` line, never with an exception out of `cli.main`.
+column (`REFS`) or an interned name column (`V7_REFS`) is read by its
+kind in the file, an index into `ids`: it admits an integer from 0 to
+the last entry, and null where the field admits None. An `ids` entry
+admits only text. Any other value may be accepted or refused, but only
+with a documented exit code and one `error:` line, never with an
+exception out of `cli.main`.
 """
 
 import json
@@ -49,7 +50,7 @@ from minimano.telemetry import (
     ScheduledMetric,
 )
 from minimano.world import Event
-from test_state_v1 import REFS
+from test_state_v1 import REFS, V7_REFS
 
 VALUES = ["x", -1, 0, None, 1.5, [], {}]
 EXIT_CODES = {0, 2, 3, 4, 5, 6}  # the documented ones
@@ -88,7 +89,7 @@ def admits(cls, name, value, ids) -> bool:
     text = annotation if isinstance(annotation, str) else getattr(
         annotation, "__name__", str(annotation))
     kinds = set().union(*(KINDS[part.strip()] for part in text.split("|")))
-    if name in REFS.get(cls, ()):
+    if name in REFS.get(cls, set()) | V7_REFS.get(cls, set()):
         if value is None:
             return type(None) in kinds
         return type(value) is int and 0 <= value < len(ids)
@@ -165,16 +166,16 @@ def verbs(ids) -> list:
 
 
 def cells(data):
-    """(label, class, field, row, column) of every table cell, nested tables
-    too, and of every `ids` entry, whose class is None."""
+    """(label, class, field, container, index) of every table cell, nested
+    tables too, and of every `ids` entry, whose class is None."""
     def table(label, cls, data):
-        for row in data["rows"]:
-            for column, name in enumerate(data["fields"]):
-                nested = NESTED.get((cls, name))
+        for name, column in zip(data["fields"], data["columns"]):
+            nested = NESTED.get((cls, name))
+            for index in range(len(column)):
                 if nested is not None:
-                    yield from table(f"{label}.{name}", nested, row[column])
+                    yield from table(f"{label}.{name}", nested, column[index])
                 else:
-                    yield label, cls, name, row, column
+                    yield label, cls, name, column, index
 
     for (section, name), cls in TABLES.items():
         yield from table(f"{section}.{name}", cls, data[section][name])
@@ -192,8 +193,8 @@ def mutations(data):
     restored after the last value. A refusal depends on the field alone,
     so it is tried once per field and value."""
     tried, fields = set(), set()
-    for label, cls, name, row, column in cells(data):
-        original = row[column]
+    for label, cls, name, container, index in cells(data):
+        original = container[index]
         for value in VALUES:
             refused = not admits(cls, name, value, data["ids"])
             key = (label, name, json.dumps(value))
@@ -203,9 +204,9 @@ def mutations(data):
             if refused:
                 tried.add(key)
                 fields.add((label, name))
-            row[column] = value
+            container[index] = value
             yield f"{label}.{name} = {value!r}", refused, first
-        row[column] = original
+        container[index] = original
 
 
 def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
@@ -246,8 +247,8 @@ def test_every_malformed_cell_exits_cleanly(tmp_path, monkeypatch, capsys):
 def entries(data):
     """(label, container, key) of each entry of a list cell and each value
     of a dict cell of every table, nested tables too."""
-    for label, cls, name, row, column in cells(data):
-        value = row[column]
+    for label, cls, name, container, index in cells(data):
+        value = container[index]
         if cls is not None and type(value) in (list, dict):
             for key in (value if type(value) is dict else range(len(value))):
                 yield f"{label}.{name}[{key!r}]", value, key
@@ -325,9 +326,9 @@ def test_a_malformed_schedule_entry_is_refused_on_load(tmp_path, monkeypatch, ca
     token, _ = build_state(path)
     data = json.loads(path.read_text())
     cls = SCHEDULE_ROWS[schedule][0]
-    text = json.dumps(rows).replace('"T+1"', str(data["tick"] + 1))
-    data["telemetry"][schedule] = {"fields": [f.name for f in fields(cls)],
-                                   "rows": json.loads(text)}
+    rows = json.loads(json.dumps(rows).replace('"T+1"', str(data["tick"] + 1)))
+    data["telemetry"][schedule] = {"fields": [f.name for f in fields(cls)], "columns": list(
+        map(list, zip(*rows))) if type(rows) is list else rows}
     path.write_text(json.dumps(data))
     monkeypatch.setenv(cli.TOKEN_ENV, token)
     code = cli.main(["clock-advance", "2", "--state", str(path), "--tick-ms", "0"])
@@ -346,8 +347,10 @@ def test_a_rule_whose_port_range_matches_no_port_is_refused_on_load(tmp_path, mo
     token, ids = build_state(path)
     data = json.loads(path.read_text())
     secgroups = data["provider"]["secgroups"]
-    rules = secgroups["rows"][0][secgroups["fields"].index("rules")]
-    rules["rows"].append(["ingress", "tcp", port_min, port_max, "0.0.0.0/0", None])
+    rules = secgroups["columns"][secgroups["fields"].index("rules")][0]
+    for column, value in zip(rules["columns"],
+                             ["ingress", "tcp", port_min, port_max, "0.0.0.0/0", None]):
+        column.append(value)
     assert rules["fields"] == [f.name for f in fields(SecurityGroupRule)]
     path.write_text(json.dumps(data))
     monkeypatch.setenv(cli.TOKEN_ENV, token)

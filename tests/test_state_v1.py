@@ -17,9 +17,10 @@ pending run's row, and drops it from a stack whose run has ended. Its v5
 form drops six fields that nothing read, stores the events as one table,
 and writes each id column's cell as an index into one `ids` list (see
 `v5_text`). Its v6 form stores each schedule as a table of its record
-(see `v6_text`). Every registry value and nested row must load as its
-record class (a decoder that left rows as dicts would still round-trip
-the bytes).
+(see `v6_text`). Its v7 form stores each table as one list per column,
+and interns seven name columns too (see `v7_text`). Every registry value
+and nested row must load as its record class (a decoder that left rows
+as dicts would still round-trip the bytes).
 """
 
 import copy
@@ -100,6 +101,10 @@ REFS = {
     LoadGenerator: set(), Event: {"subject"},
     ScheduledMetric: {"resource"}, ScheduledFault: {"resource"},
 }
+# the columns v7 stores as indices into `ids` besides `REFS`: the names
+# that rows repeat
+V7_REFS = {MetricSample: {"metric"}, Event: {"kind"}, ResourceRecord: {"type", "state"},
+           Instance: {"flavor_name", "key_name", "state"}}
 # the fields that v5 dropped, as v2 to v4 held them: the field each followed
 V4_DROPPED = {
     Token: {"user_id": "id"},
@@ -129,10 +134,9 @@ def assert_same_snapshot(text, expected):
     tables, docs = [], []
     for data in map(json.loads, (text, expected)):
         runs = data["engine"]["runs"]
-        column = runs["fields"].index("source")
-        docs.append([parsed_fields(row[column]) for row in runs["rows"]])
-        for row in runs["rows"]:
-            row[column] = None
+        sources = runs["columns"][runs["fields"].index("source")]
+        docs.append([parsed_fields(source) for source in sources])
+        sources[:] = [None] * len(sources)
         tables.append(json.dumps(data, separators=(",", ":")))
     assert docs[0] == docs[1]
     assert tables[0] == tables[1]
@@ -310,19 +314,52 @@ def v6_text(v5) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
+def v7_text(v6) -> str:
+    """A v6 snapshot's text as v7 writes it. Each table holds one list per
+    column in place of one per row, and each `V7_REFS` cell becomes an
+    index into `ids` as each `REFS` cell is. The `ids` list is then
+    listed afresh, in the order `v5_text` lists it."""
+    data = json.loads(v6)
+    data["v"] = 7
+    stored, ids = data["ids"], {}
+
+    def table(data, cls, nested):
+        names = [f.name for f in fields(cls)]
+        columns = [list(column) for column in zip(*data["rows"])] or [[] for _ in names]
+        for i, name in enumerate(names):
+            if name in nested:
+                columns[i] = [table(inner, nested[name], {}) for inner in columns[i]]
+        for i, name in enumerate(names):
+            if name in REFS[cls] | V7_REFS.get(cls, set()):
+                columns[i] = [None if value is None else ids.setdefault(
+                    stored[value] if name in REFS[cls] else value, len(ids))
+                    for value in columns[i]]
+        return {"fields": names, "columns": columns}
+
+    for section, registries in REGISTRIES.items():
+        for name, (cls, nested) in registries.items():
+            data[section][name] = table(data[section][name], cls, nested)
+    for name, cls in SCHEDULES.items():
+        data["telemetry"][name] = table(data["telemetry"][name], cls, {})
+    data["events"] = table(data["events"], Event, {})
+    data["ids"] = list(ids)
+    return json.dumps(data, separators=(",", ":"))
+
+
 def current_text(v4) -> str:
     """A v4 snapshot's text as the package now writes it."""
-    return v6_text(v5_text(v4))
+    return v7_text(v6_text(v5_text(v4)))
 
 
 def fixture_texts() -> tuple:
-    """The v1 fixture, the v2 fixture, and the v3, v4, v5 and v6 forms of
-    both."""
+    """The v1 fixture, the v2 fixture, and the v3, v4, v5, v6 and v7 forms
+    of both."""
     v1, v2 = FIXTURE.read_text(encoding="utf-8"), FIXTURE_V2.read_text(encoding="utf-8")
     v3 = v3_text(v2)
     v4 = v4_text(v3)
     v5 = v5_text(v4)
-    return v1, v2, v3, v4, v5, v6_text(v5)
+    v6 = v6_text(v5)
+    return v1, v2, v3, v4, v5, v6, v7_text(v6)
 
 
 def test_fixture_upgrades_to_v3_on_load():
@@ -333,12 +370,12 @@ def test_fixture_upgrades_to_v3_on_load():
 
 
 def test_fixture_upgrades_to_v4_on_load():
-    """On its way to v6: `state_v4`'s and `state_v5`'s tests take it from
-    there."""
-    v1, _, _, v4, _, v6 = fixture_texts()
+    """On its way to v7: the tests of `state_v4` to `state_v6` take it
+    from there."""
+    v1, _, _, v4, *_, v7 = fixture_texts()
     upgraded = _upgrade_v3(_upgrade_v2(_upgrade_v1(json.loads(v1))))
     assert json.dumps(upgraded, separators=(",", ":")) == v4
-    assert dump(World.from_snapshot(json.loads(v1))) == v6
+    assert dump(World.from_snapshot(json.loads(v1))) == v7
     data = json.loads(v4)["engine"]
     assert "source" not in data["stacks"]["fields"]
     assert len(data["runs"]["rows"]) == 1  # the stack parked on its wait condition

@@ -166,7 +166,7 @@ def test_stacks_resumed_from_a_v3_file_parse_the_source_their_run_row_holds(
     outer = next(s for s in world.engine.stacks.values() if s.name == "outer")
     assert outer.outputs == {"opened": '{"1": "up"}'}
     saved = json.loads(state.read_text())["engine"]
-    assert saved["runs"]["rows"] == [] and "source" not in saved["stacks"]["fields"]
+    assert not any(saved["runs"]["columns"]) and "source" not in saved["stacks"]["fields"]
 
 
 def _stack_column(name, value, row=0):
@@ -213,7 +213,8 @@ def test_a_v4_run_without_its_stack_or_source_text_is_a_state_error(
     if column == "stack_id":  # an id column holds an index into `ids`
         data["ids"].append(value)
         value = len(data["ids"]) - 1
-    _run_column(column, value)(data["engine"])
+    runs = data["engine"]["runs"]
+    runs["columns"][runs["fields"].index(column)][0] = value
     state.write_text(json.dumps(data, separators=(",", ":")), encoding="utf-8")
     monkeypatch.setenv(cli.TOKEN_ENV, next(iter(world.identity.tokens)))
     assert _cli(state, "stack-list") == 5

@@ -74,8 +74,8 @@ def test_v5_stores_each_id_once_and_drops_the_unread_fields():
     ids = data["ids"]
     assert len(set(ids)) == len(ids)
     instances = data["provider"]["instances"]
-    column = instances["fields"].index("id")
-    assert [ids[row[column]] for row in instances["rows"]] == list(
+    column = instances["columns"][instances["fields"].index("id")]
+    assert [ids[cell] for cell in column] == list(
         World.from_snapshot(data).provider.instances)
     for (section, name), dropped in DROPPED.items():
         assert not set(dropped) & set(data[section][name]["fields"]), (section, name)
@@ -98,7 +98,8 @@ def _state(tmp_path, edit, version="current"):
 def _cell(section, name, column, value):
     def edit(data):
         table = data[section][name]
-        table["rows"][0][table["fields"].index(column)] = value(data) if callable(value) else value
+        table["columns"][table["fields"].index(column)][0] = (
+            value(data) if callable(value) else value)
     return edit
 
 
@@ -134,12 +135,18 @@ def test_a_ref_cell_or_ids_entry_that_names_nothing_is_a_state_error(
     ([5], 4),
     ([{"tick": 0, "kind": "k", "subject": "s"}], 4),
     ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", 0]]}, "current"),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", 0, 5]]}, "current"),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [["x", "k", 0, {}]]}, "current"),
-    ({"fields": ["tick", "kind", "subject", "detail"], "rows": [[0, "k", -1, {}]]}, "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "columns": [[0], [0], [0]]}, "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "columns": [[0], [0], [0], [5]]},
+     "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "columns": [["x"], [0], [0], [{}]]},
+     "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "columns": [[0], [0], [-1], [{}]]},
+     "current"),
+    ({"fields": ["tick", "kind", "subject", "detail"], "columns": [[0], [-1], [0], [{}]]},
+     "current"),
     ([5], "current"),
-], ids=["v4-event-a-number", "v4-event-lacks-detail", "row-too-short", "detail-a-number",
-        "tick-text", "subject-negative", "v5-events-a-list"])
+], ids=["v4-event-a-number", "v4-event-lacks-detail", "row-too-short", "column-missing",
+        "detail-a-number", "tick-text", "subject-negative", "kind-negative", "v5-events-a-list"])
 def test_a_malformed_event_is_a_state_error(tmp_path, monkeypatch, capsys, events, version):
     """`events: [5]` made `events-tail` end in a TypeError."""
     path, token = _state(tmp_path, lambda data: data.update(events=events), version)

@@ -25,7 +25,7 @@ from minimano import cli, world
 from minimano.telemetry import ScheduledFault, ScheduledMetric
 from minimano.world import World, _upgrade_v5
 from test_state_v1 import (FIXTURE, assert_same_snapshot, build_fixture_world, dump, fixture_texts,
-                           saved_back, v6_text)
+                           saved_back, v6_text, v7_text)
 
 FIXTURE_V5 = Path(__file__).resolve().parent / "data" / "state_v5.json"
 
@@ -49,8 +49,8 @@ def test_upgrade_v5_gives_what_the_package_writes_and_leaves_its_input_as_it_was
     v6 = json.dumps(_upgrade_v5(data), separators=(",", ":"))
     assert data == before
     assert v6 == v6_text(fixture_text())
-    assert_same_snapshot(dump(build_fixture_world()), v6)
-    assert dump(World.from_snapshot(json.loads(fixture_text()))) == v6
+    assert_same_snapshot(dump(build_fixture_world()), v7_text(v6))
+    assert dump(World.from_snapshot(json.loads(fixture_text()))) == v7_text(v6)
 
 
 def test_a_v5_state_file_is_saved_back_at_the_current_version(tmp_path):

@@ -24,6 +24,7 @@ from minimano.telemetry import (AlarmDef, HealerConfig, LoadGenerator, MetricSam
                                 ScalingGroup, ScheduledFault, ScheduledMetric)
 from minimano.world import World
 from test_malformed_state import NESTED, TABLES, build_state
+from test_state_v1 import V7_REFS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCENARIO = json.loads((Path(__file__).resolve().parent / "data" / "autonomic_scenario.json")
@@ -218,7 +219,7 @@ def table_of(data, cls):
     for (parent, column), nested in NESTED.items():
         if nested is cls:
             table = table_of(data, parent)
-            return table["rows"][0][table["fields"].index(column)]
+            return table["columns"][table["fields"].index(column)][0]
     raise LookupError(cls)
 
 
@@ -232,10 +233,14 @@ def store(data, cls, change):
         store(data, WaitHandle, change)
     else:
         table = table_of(data, cls)
-        if not table["rows"]:  # no generator runs in the seeded state
-            table["rows"].append(["g", "cpu_util", 0.5, 0.3, 20, 0.05, 0])
+        if not table["columns"][0]:  # no generator runs in the seeded state
+            for column, value in zip(table["columns"], ["g", "cpu_util", 0.5, 0.3, 20, 0.05, 0]):
+                column.append(value)
         for name, value in change.items():
-            table["rows"][0][table["fields"].index(name)] = value
+            if name in V7_REFS.get(cls, ()):  # an interned name: its index into `ids`
+                data["ids"].append(value)
+                value = len(data["ids"]) - 1
+            table["columns"][table["fields"].index(name)][0] = value
 
 
 def test_every_declared_rule_has_a_case():

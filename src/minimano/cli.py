@@ -432,10 +432,10 @@ def cmd_group_create(world, args, out, claims):
 
 def cmd_metric_push(world, args, out, claims):
     check(MetricSample, {"value": args.value}, "sample", TemplateError)
-    sample = world.telemetry.record_metric(args.resource, args.metric, args.value)
-    out.line(f"recorded {args.metric}={args.value} at tick {sample.tick}",
+    world.telemetry.record_metric(args.resource, args.metric, args.value)
+    out.line(f"recorded {args.metric}={args.value} at tick {world.tick}",
              {"resource": args.resource, "metric": args.metric,
-              "value": sample.value, "tick": sample.tick})
+              "value": args.value, "tick": world.tick})
     return 0
 
 

@@ -18,6 +18,9 @@ fields of a new or loaded record onto the service. The kinds:
 - `keyed(cls, key)`: a registry dict, stored as a table of its rows in
   insertion order and rebuilt keyed by the row field `key`;
 - `listed(cls)`: a list of rows, stored as a table;
+- `columnar(cls)`: rows held by column, as `Columns` (one list per field,
+  no object per row), stored as a table: a load keeps the checked
+  columns and a dump writes them as they are;
 - `PLAIN`: JSON data, stored as it is.
 
 A table is ``{"fields": [...], "columns": [[...], ...]}``. `fields`
@@ -38,6 +41,9 @@ takes an int, a bool is no number, and ``field(rule=...)`` names a function
 of a value of the kind that gives its refusal or None (`rule`, `positive`,
 `one_of`, `each`), ``record(rule=...)`` one of a row as a dict: a load and
 `check` apply them after the kinds. A nested table is checked by its own codec.
+A `rule` may also carry a test of a whole column at once, which a load
+tries first; only where that test fails is the rule called a value at
+a time, to decide and word the refusal.
 
 A table column declared ``field(ref=True)`` holds a string rows repeat:
 an id, the row's own or one it refers to, or a name from a small set (a
@@ -52,11 +58,13 @@ resolves each index through `id_index` before it checks the column's
 kind: a cell that is no integer, or that names no entry (a negative
 index among them), is refused.
 
-Every table, `keyed`, `listed` and `layout` alike, is read and written
-by one table codec, column by column; `keyed` and `listed` build objects
-from its columns and `layout` builds dicts. A dump is for `json.dumps`
-(or a load) only: it shares the lists and dicts inside the objects, so
-serialise it at once, before the world changes again. A table codec
+Every table, `keyed`, `listed`, `columnar` and `layout` alike, is read
+and written by one table codec, column by column; `keyed` and `listed`
+build objects from its columns, `layout` builds dicts, and `columnar`
+keeps the columns themselves. A dump is for `json.dumps` only: it shares
+the lists and dicts inside the objects, and a `columnar` dump each of
+its columns that is no ref column, so serialise it at once, before the
+world changes again; a load of it would share them too. A table codec
 names its record class as `row`.
 
 The codec knows only the current snapshot format. The layouts of older
@@ -91,10 +99,17 @@ def field(*, default=_MISSING, default_factory=None, codec=PLAIN, rule=None,
     return Field("", default, default_factory, codec, rule, ref)
 
 
-def rule(holds, message):
+def rule(holds, message, column=None):
     """The rule refusing what `holds` does not take with `message`, which
-    formats the value (``{!r}``, or ``{0[key]}`` of a row)."""
-    return lambda value: None if holds(value) else message.format(value)
+    formats the value (``{!r}``, or ``{0[key]}`` of a row). `column`, if
+    given, tests a whole column at once and is true only if `holds` takes
+    each value: `check_column` then calls `holds` a value at a time only
+    where `column` is false, to decide and word the refusal."""
+    def refuse(value):
+        return None if holds(value) else message.format(value)
+
+    refuse.column = column
+    return refuse
 
 
 def positive(message="must be a positive integer, got {!r}"):
@@ -183,10 +198,13 @@ def _kinds(cls) -> dict:
     if "__record_kinds__" not in cls.__dict__:
         cls.__record_kinds__ = {}
         for f in fields(cls):
+            if f.codec is not PLAIN:
+                cls.__record_kinds__[f.name] = None
+                continue
             text = cls.__annotations__[f.name]
             text = text if type(text) is str else getattr(text, "__name__", None) or str(text)
             types = frozenset().union(*(_TYPES[name.strip()] for name in text.split("|")))
-            cls.__record_kinds__[f.name] = None if f.codec is not PLAIN else (types, text, f.rule)
+            cls.__record_kinds__[f.name] = (types, text, f.rule)
     return cls.__record_kinds__
 
 
@@ -198,11 +216,18 @@ def _refused(kind, name, value) -> str | None:
     return message and f"{name} {message}"
 
 
+def _kept(refuse, values) -> bool:
+    """Whether the rule `refuse` takes each of `values`: at once by its
+    column test where that holds, else a value at a time."""
+    column = getattr(refuse, "column", None)
+    return column is not None and column(values) or not any(map(refuse, values))
+
+
 def check_column(cls, name, values, label):
     """Raise `ValueError`, naming `label`, the field and a value, unless each
     of `values` keeps the kind and rule of field `name` of `cls`, if plain."""
     kind = _kinds(cls).get(name)
-    if kind and (not set(map(type, values)) <= kind[0] or kind[2] and any(map(kind[2], values))):
+    if kind and (not set(map(type, values)) <= kind[0] or kind[2] and not _kept(kind[2], values)):
         raise ValueError(f"{label} {next(filter(None, (_refused(kind, name, v) for v in values)))}")
 
 
@@ -319,18 +344,18 @@ def _checked_columns(label, names, data) -> list:
     return columns
 
 
-def _table(cls, names, get, nested=()) -> Codec:
-    """The one table codec: rows of `cls` under the header `names`, read
-    and written column by column. `dump` reads each column from the rows
-    through `get(name)`, dumps each nested table, (column, codec) in
-    `nested`, then interns each ref column in `ids`; `load` gives the
-    columns, each ref cell resolved through `ids`, each column checked by
-    its field's kind and rule, each nested table loaded, each row by the
-    record's rule. Without `ids` the ref columns hold the strings themselves."""
-    refs, getters, row_rule = _refs(cls, names), list(map(get, names)), cls.__record_rule__
+def _table(cls, names, nested=()) -> Codec:
+    """The one table codec: rows of `cls` under the header `names`, held
+    by column. `dump` takes one list per name, dumps each nested table,
+    (column, codec) in `nested`, then interns each ref column in `ids`,
+    and shares every other column; `load` gives the columns, each ref
+    cell resolved through `ids`, each column checked by its field's kind
+    and rule, each nested table loaded, each row by the record's rule.
+    Without `ids` the ref columns hold the strings themselves."""
+    refs, row_rule = _refs(cls, names), cls.__record_rule__
 
-    def dump(objs, ids=None):
-        columns = [list(map(getter, objs)) for getter in getters]
+    def dump(columns, ids=None):
+        columns = list(columns)
         for i, codec in nested:
             columns[i] = [codec.dump(value, ids) for value in columns[i]]
         if ids is not None:
@@ -355,12 +380,20 @@ def _table(cls, names, get, nested=()) -> Codec:
     return Codec(dump, load, cls)
 
 
+def _by_column(getters, rows) -> list:
+    """One list per getter, of its value in each of `rows`."""
+    return [list(map(getter, rows)) for getter in getters]
+
+
 def _objects(cls) -> Codec:
     """The table of `cls` objects under its declared fields, each nested
     table by its field's codec."""
     specs = _specs(cls)
     nested = [(i, codec) for i, (_, codec) in enumerate(specs) if codec is not PLAIN]
-    return _table(cls, [name for name, _ in specs], attrgetter, nested)
+    table = _table(cls, [name for name, _ in specs], nested)
+    getters = [attrgetter(name) for name, _ in specs]
+    return Codec(lambda objs, ids=None: table.dump(_by_column(getters, objs), ids), table.load,
+                 cls)
 
 
 def layout(cls, names) -> Codec:
@@ -370,9 +403,10 @@ def layout(cls, names) -> Codec:
     dicts, and `dump` takes such dicts back to a table. Given `ids`, the
     ref columns hold indices into it; without, the strings. Nested tables
     stay JSON."""
-    table = _table(cls, names, itemgetter)
-    return Codec(table.dump, lambda data, ids=None: [
-        dict(zip(names, row)) for row in zip(*table.load(data, ids))])
+    table, getters = _table(cls, names), list(map(itemgetter, names))
+    return Codec(lambda rows, ids=None: table.dump(_by_column(getters, rows), ids),
+                 lambda data, ids=None: [
+                     dict(zip(names, row)) for row in zip(*table.load(data, ids))])
 
 
 def keyed(cls, key) -> Codec:
@@ -389,3 +423,26 @@ def keyed(cls, key) -> Codec:
 def listed(cls) -> Codec:
     table = _objects(cls)
     return Codec(table.dump, lambda data, ids: list(map(cls, *table.load(data, ids))), cls)
+
+
+class Columns:
+    """Rows of a `record` class held by column, with no object per row:
+    each field's column is a list, the attribute of the field's name, and
+    each is as long as the rows are many, which is the object's `len`."""
+
+    def __init__(self, cls, columns=None):
+        for f, column in zip(fields(cls), columns or [[] for _ in fields(cls)]):
+            setattr(self, f.name, column)
+
+    def __len__(self):
+        return len(next(iter(vars(self).values())))
+
+
+def columnar(cls) -> Codec:
+    """The rows of `cls`, a record with no nested table, as `Columns`:
+    loaded as the table's checked columns and dumped as they are, each
+    ref column interned, so neither builds an object per row, and a dump
+    shares each column that is not a ref."""
+    table = _table(cls, [f.name for f in fields(cls)])
+    return Codec(lambda rows, ids: table.dump(vars(rows).values(), ids),
+                 lambda data, ids: Columns(cls, table.load(data, ids)), cls)

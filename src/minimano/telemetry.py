@@ -16,8 +16,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 
-from .codec import (check, field, keyed, listed, one, one_of, positive, record, rule,
-                    set_fields, strings)
+from .codec import (Columns, check, columnar, field, keyed, listed, one, one_of, positive, record,
+                    rule, set_fields, strings)
 from .errors import CapacityError, ConflictError, NotFoundError
 from .nfvi import launch_spec_refusal
 
@@ -27,13 +27,29 @@ COMPARISONS = {"gt": lambda a, b: a > b, "lt": lambda a, b: a < b,
                "ge": lambda a, b: a >= b, "le": lambda a, b: a <= b}
 ACTIONS = ("scale_out", "scale_in", "notify")
 FAULT_KINDS = ("instance_crash",)
+
+
+def _all_finite(column) -> bool:
+    """Whether each number of `column` is finite, by one sum of their
+    magnitudes: a NaN or an infinity carries through it, and an int past
+    the float range takes it past that range or overflows it. Finite
+    values whose sum is past the range read false too."""
+    try:
+        return sum(map(abs, column)) <= sys.float_info.max
+    except OverflowError:
+        return False
+
+
 # a number a float holds: not NaN, not infinite, no int beyond the float range
-_FINITE = rule(lambda value: abs(value) <= sys.float_info.max, "must be a finite number, got {!r}")
+_FINITE = rule(lambda value: abs(value) <= sys.float_info.max, "must be a finite number, got {!r}",
+               column=_all_finite)
 
 
 @record
 class MetricSample:
-    """One recorded value, never mutated once recorded."""
+    """The columns of the recorded samples, which `TelemetryService.samples`
+    holds as `Columns`, one list per field in record order: no object is
+    built per sample, and a sample is never changed once recorded."""
 
     resource_id: str = field(ref=True)
     metric: str = field(ref=True)
@@ -131,7 +147,8 @@ class ScheduledFault:
 class TelemetryState:
     """The telemetry registries, in snapshot order."""
     # kept for the world's lifetime, in record order
-    samples: list = field(default_factory=list, codec=listed(MetricSample))
+    samples: Columns = field(default_factory=lambda: Columns(MetricSample),
+                             codec=columnar(MetricSample))
     alarms: dict = field(default_factory=dict, codec=keyed(AlarmDef, "name"))
     groups: dict = field(default_factory=dict, codec=keyed(ScalingGroup, "name"))
     healer: dict = field(default_factory=HealerConfig, codec=one(HealerConfig, "telemetry healer"))
@@ -155,53 +172,56 @@ class TelemetryService:
         instance = self.provider.instances.get(resource_id)
         if instance is None or instance.state == "DELETED":
             raise NotFoundError(f"unknown resource {resource_id!r}")
-        return self._append(MetricSample(resource_id, metric, float(value),
-                                         self.core.tick if tick is None else tick))
+        self._extend([resource_id], metric, [float(value)], self.core.tick if tick is None else tick)
 
-    def _append(self, sample):
-        self.samples.append(sample)
-        if "_series" in self.__dict__:  # once built, the index is kept a sample at a time
-            self._index(self._series, sample, len(self.samples) - 1)
-        return sample
+    def _extend(self, resource_ids, metric, values, tick):
+        """Record `values` of `metric` at `tick`, one per resource of
+        `resource_ids`; once built, the index takes them as they come."""
+        if not values:
+            return
+        samples, count = self.samples, len(values)
+        start = len(samples.tick)
+        samples.resource_id.extend(resource_ids)
+        samples.metric.extend([metric] * count)
+        samples.value.extend(values)
+        samples.tick.extend([tick] * count)
+        if "_series" not in self.__dict__:
+            return
+        entry = self._series.get(metric)
+        if entry is None:
+            entry = self._series[metric] = (array("q"), array("q"))
+        ticks, positions = entry
+        at = len(ticks)
+        if at and tick < ticks[-1]:  # a tick before the latest: after every equal one
+            at = bisect_right(ticks, tick)
+        ticks[at:at] = array("q", [tick] * count)
+        positions[at:at] = array("q", range(start, start + count))
 
     @cached_property
     def _series(self) -> dict:
         """metric -> (ticks, positions): indexes into `samples`, sorted by (tick,
         position), so a window is two bisections; built when first read."""
+        positions = {}
+        for position, metric in enumerate(self.samples.metric):
+            positions.setdefault(metric, []).append(position)
+        ticks = self.samples.tick
         series = {}
-        for position, sample in enumerate(self.samples):
-            self._index(series, sample, position)
+        for metric, at in positions.items():
+            at.sort(key=ticks.__getitem__)  # stable: equal ticks stay in record order
+            series[metric] = (array("q", map(ticks.__getitem__, at)), array("q", at))
         return series
 
-    @staticmethod
-    def _index(series, sample, position):
-        entry = series.get(sample.metric)
-        if entry is None:
-            entry = series[sample.metric] = (array("q"), array("q"))
-        ticks, positions = entry
-        if not ticks or sample.tick >= ticks[-1]:  # the usual case: a sample of the latest tick
-            ticks.append(sample.tick)
-            positions.append(position)
-            return
-        # `position` is the largest so far, so it goes after every equal tick
-        at = bisect_right(ticks, sample.tick)
-        ticks.insert(at, sample.tick)
-        positions.insert(at, position)
-
     def window_samples(self, resource_ids, metric, tick, window):
-        """Samples of `metric` from `resource_ids` in ticks
-        [tick - window + 1, tick], in record order."""
+        """The positions in `samples` of the samples of `metric` from
+        `resource_ids` in ticks [tick - window + 1, tick], in record order."""
         series = self._series.get(metric)
         if series is None:
             return []
         ticks, positions = series
         lo = bisect_left(ticks, tick - window + 1)
         hi = bisect_right(ticks, tick)
-        samples, resource_ids = self.samples, set(resource_ids)
-        return [
-            s for s in map(samples.__getitem__, sorted(positions[lo:hi]))
-            if s.resource_id in resource_ids
-        ]
+        owners, resource_ids = self.samples.resource_id, set(resource_ids)
+        return [p for p in sorted(positions[lo:hi]) if owners[p] in resource_ids]
 
     # -- alarms ----------------------------------------------------------------
 
@@ -218,25 +238,20 @@ class TelemetryService:
         self.alarms[name] = alarm
         return alarm
 
-    def _alarm_targets(self, alarm):
-        group = self.groups.get(alarm.target)
-        if group is not None:
-            return group.members, group
-        return (alarm.target,), None
-
     def evaluate_alarms(self, tick):
         """One evaluation pass; returns the alarms that fired. No sample is
         recorded during a pass, so alarms reading one metric over one
         window of the same members (a group's scale-out and scale-in
         alarms) read it once; a scaling action changes the members."""
-        fired, windows = [], {}
+        fired, windows, recorded = [], {}, self.samples.value
         for alarm in self.alarms.values():
-            targets, group = self._alarm_targets(alarm)
+            group = self.groups.get(alarm.target)
+            targets = (alarm.target,) if group is None else group.members
             key = (alarm.metric, alarm.window, *targets)
             values = windows.get(key)
             if values is None:
-                values = windows[key] = [
-                    s.value for s in self.window_samples(targets, alarm.metric, tick, alarm.window)]
+                values = windows[key] = [recorded[p] for p in self.window_samples(
+                    targets, alarm.metric, tick, alarm.window)]
             if not values:
                 alarm.state = "insufficient_data"
                 continue
@@ -372,11 +387,14 @@ class TelemetryService:
             phase = 2 * math.pi * (tick % gen.period) / gen.period
             wave = gen.base + gen.amplitude * math.sin(phase)
             # each member was just found ACTIVE, so record_metric's check is skipped
-            for member_id in self._active_members(self.groups[gen.group_name]):
-                digest = sha256(f"{gen.seed}:{member_id}:{tick}".encode()).digest()
+            members, values = self._active_members(self.groups[gen.group_name]), []
+            # each member's hash input is f"{gen.seed}:{member_id}:{tick}", its ends made once
+            head, tail, noise = f"{gen.seed}:", f":{tick}", gen.noise
+            for member_id in members:
+                digest = sha256((head + member_id + tail).encode()).digest()
                 noise_bits = int.from_bytes(digest[:4], "big") % 1000 / 1000 - 0.5
-                value = round(wave + gen.noise * noise_bits, 6)
-                self._append(MetricSample(member_id, gen.metric, value, tick))
+                values.append(round(wave + noise * noise_bits, 6))
+            self._extend(members, gen.metric, values, tick)
 
     def _schedule_targets(self, entry):
         if entry.group is None:

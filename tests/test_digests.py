@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from minimano.hot import parse_template
-from minimano.scenario import event_log_lines, load_scenario, run_scenario
+from minimano.scenario import build_world, event_log_lines, load_scenario, run_scenario
 from minimano.world import World
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -127,6 +127,20 @@ def test_scenario_digests(name):
     if scenario is None:
         scenario = load_scenario(str(DATA / f"{name}.json"))
     assert digests(run_scenario(scenario)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, scenario", [("long_scenario", LONG_SCENARIO),
+                                            ("twin_scenario", TWIN_SCENARIO)])
+def test_a_reload_every_seven_ticks_changes_no_digest(name, scenario):
+    """Saved and loaded every 7 ticks, a run ends as it does in one
+    world: the window index rebuilt from the loaded columns, and the
+    generators appending to them, read what the samples in memory give."""
+    world = build_world(scenario)
+    while world.tick < scenario["ticks"]:
+        world.advance_clock(min(7, scenario["ticks"] - world.tick))
+        world = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
+    assert world.tick == scenario["ticks"]
+    assert digests(world) == DIGESTS[name]
 
 
 # -- the engine digest: every way a blocked wait condition or nested stack

@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from minimano import cli
-from minimano.codec import fields
+from minimano.codec import Columns, fields
 from minimano.engine import ResourceRecord, Stack, StackRun, WaitCondition, WaitHandle
 from minimano.hot import TemplateDoc, parse_template
 from minimano.identity import Tenant, Token, User
@@ -439,7 +439,9 @@ def test_fixture_rows_load_as_dataclasses():
         assert e.stacks[parent_id].records[rname].physical_id == child.id
 
     t = world.telemetry
-    assert t.samples and all(type(s) is MetricSample for s in t.samples)
+    assert type(t.samples) is Columns and len(t.samples)
+    assert {name: (type(column), len(column)) for name, column in vars(t.samples).items()} == \
+        {f.name: (list, len(t.samples)) for f in fields(MetricSample)}
     _assert_rows(t.alarms, AlarmDef, "name")
     _assert_rows(t.groups, ScalingGroup, "name")
     assert type(t.healer) is HealerConfig and t.healer.enabled

@@ -50,15 +50,22 @@ def test_window_query_matches_replay_oracle():
         for window in (1, 3, 7):
             got = world.telemetry.window_samples({instance.id}, "cpu_util", tick, window)
             expected = [v for (t, v) in samples if tick - window + 1 <= t <= tick]
-            assert [s.value for s in got] == expected
+            assert [world.telemetry.samples.value[p] for p in got] == expected
+
+
+def sample_rows(samples, positions=None):
+    """The samples at `positions`, each of them by default, as
+    (resource_id, metric, value, tick) rows read from the columns."""
+    rows = list(zip(samples.resource_id, samples.metric, samples.value, samples.tick))
+    return rows if positions is None else [rows[p] for p in positions]
 
 
 def brute_force_window(samples, resource_ids, metric, tick, window):
-    """The oracle: every sample ever recorded, filtered in record order."""
+    """The oracle: the position of every sample ever recorded, scanned in
+    record order through the columns."""
     return [
-        (s.resource_id, s.metric, s.value, s.tick) for s in samples
-        if s.metric == metric and tick - window + 1 <= s.tick <= tick
-        and s.resource_id in resource_ids
+        position for position, (resource_id, name, _, at) in enumerate(sample_rows(samples))
+        if name == metric and tick - window + 1 <= at <= tick and resource_id in resource_ids
     ]
 
 
@@ -74,7 +81,7 @@ def test_window_index_matches_brute_force_scan(seed):
         tick = None if rng.random() < 0.7 else world.tick + rng.randrange(-10, 6)
         world.telemetry.record_metric(rng.choice(resources), rng.choice(("cpu_util", "mem_util")),
                                       round(rng.random(), 3), tick)
-    ticks = [s.tick for s in world.telemetry.samples]
+    ticks = world.telemetry.samples.tick
     history = max(ticks) - min(ticks)
     restored = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
     queries = [
@@ -87,8 +94,8 @@ def test_window_index_matches_brute_force_scan(seed):
             for window in (1, 3, history + 5):
                 for ids, metric in queries:
                     got = w.telemetry.window_samples(ids, metric, tick, window)
-                    assert [(s.resource_id, s.metric, s.value, s.tick) for s in got] == \
-                        brute_force_window(samples, ids, metric, tick, window)
+                    assert sample_rows(w.telemetry.samples, got) == sample_rows(
+                        samples, brute_force_window(samples, ids, metric, tick, window))
 
 
 def test_loaded_index_is_the_one_built_a_sample_at_a_time():
@@ -116,7 +123,8 @@ def test_late_alarm_with_long_window_sees_full_history():
     world.telemetry.create_alarm("cpu-max", "cpu_util", "max", "gt", 0.5, 200, "web", "notify")
     fired = world.telemetry.evaluate_alarms(200)
     assert [a.name for a in fired] == ["cpu-max"]
-    values = [s.value for s in world.telemetry.window_samples({member}, "cpu_util", 200, 200)]
+    values = [world.telemetry.samples.value[p]
+              for p in world.telemetry.window_samples({member}, "cpu_util", 200, 200)]
     assert len(values) == 200 and values[:10] == [0.9] * 10
 
 
@@ -340,7 +348,7 @@ def test_synthetic_load_generator_is_deterministic():
                           noise=0.05, seed=11)
         )
         world.advance_clock(15)
-        return [(s.resource_id, s.metric, s.value, s.tick) for s in world.telemetry.samples]
+        return sample_rows(world.telemetry.samples)
 
     first = run()
     assert first == run()
@@ -439,7 +447,7 @@ def test_a_scheduled_entry_on_a_gone_resource_or_a_missing_member_is_skipped():
         (1, {"target": "web", "reason": "group 'web' has no member 3"}),
         (2, {"target": "web", "reason": "group 'web' has no member 1"}),
         (2, {"target": "no-such-instance", "reason": "instance 'no-such-instance' not found"})]
-    assert world.telemetry.samples == []
+    assert list(map(len, vars(world.telemetry.samples).values())) == [0, 0, 0, 0]
     World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))  # the events load
 
 

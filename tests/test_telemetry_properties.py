@@ -1,14 +1,14 @@
-"""The telemetry window index, against a brute-force scan, and the alarm
-pass, against one that reads each alarm's window alone, under generated
-samples and alarms."""
+"""The telemetry window index, against a brute-force scan of the sample
+columns, and the alarm pass, against one that reads each alarm's window
+alone, under generated samples and alarms."""
 
 import json
 
 import pytest
 
-from minimano.telemetry import AGGREGATES, COMPARISONS
+from minimano.telemetry import AGGREGATES, COMPARISONS, LoadGenerator
 from minimano.world import World
-from test_telemetry import MEMBER, autoscale_world, brute_force_window
+from test_telemetry import MEMBER, autoscale_world, brute_force_window, sample_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,8 +35,77 @@ def test_the_index_replayed_after_a_load_matches_a_brute_force_scan(recorded, ti
         for ids in ({members[0]}, set(members[1:]), set(members)):
             for metric in ("cpu_util", "mem"):
                 got = loaded.telemetry.window_samples(ids, metric, tick, window)
-                assert [(s.resource_id, s.metric, s.value, s.tick) for s in got] == \
-                    brute_force_window(samples, ids, metric, tick, window)
+                assert got == brute_force_window(samples, ids, metric, tick, window)
+
+
+def generator_world():
+    """A world whose group "web" of two members runs a cpu_util generator,
+    with one more instance outside the group; and the three ids."""
+    world, tenant = autoscale_world()
+    group = world.telemetry.create_group("web", tenant, MEMBER, 2, 2, 2)
+    world.telemetry.generators.append(LoadGenerator(group_name="web", period=5, seed=3))
+    return world, [*group.members, world.provider.launch_instance(tenant, MEMBER).id]
+
+
+def assert_windows_match(telemetry, members, ticks, windows):
+    for ids in ({members[0]}, set(members[1:]), set(members)):
+        for metric in ("cpu_util", "mem"):
+            for tick in ticks:
+                for window in windows:
+                    assert telemetry.window_samples(ids, metric, tick, window) == \
+                        brute_force_window(telemetry.samples, ids, metric, tick, window)
+
+
+# a step: record a sample on a member, of a metric, at a tick that may be
+# before, at or after the current one; or advance the clock one tick
+STEPS = st.lists(st.one_of(
+    st.tuples(st.integers(0, 2), st.sampled_from(["cpu_util", "mem"]), st.integers(-3, 12)),
+    st.none()), max_size=40)
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.given(steps=STEPS)
+def test_the_index_kept_as_samples_come_matches_a_brute_force_scan(steps):
+    """Once built, the index takes each sample as it comes: one recorded
+    at a tick before the latest indexed (the insert path), at a later one,
+    and a generator's, whose tick falls before the latest once a sample
+    was recorded ahead of the clock."""
+    world, members = generator_world()
+    telemetry = world.telemetry
+    telemetry.window_samples(members, "cpu_util", 0, 1)  # builds the index
+    for step in steps:
+        if step is None:
+            world.advance_clock(1)
+        else:
+            member, metric, at = step
+            telemetry.record_metric(members[member], metric, len(telemetry.samples), at)
+    assert "_series" in telemetry.__dict__
+    assert_windows_match(telemetry, members, range(-4, max(world.tick, 12) + 2), (1, 3, 20))
+
+
+@hypothesis.settings(derandomize=True, max_examples=30, deadline=None)
+@hypothesis.given(before=st.integers(1, 12), after=st.integers(1, 12),
+                  recorded=st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 15)),
+                                    max_size=8))
+def test_a_window_across_a_save_and_load_equals_the_one_in_memory(before, after, recorded):
+    """A world saved and loaded after `before` ticks, then run on with the
+    one that stayed in memory, reads each window as that one does, those
+    that reach back across the load included."""
+    world, members = generator_world()
+    world.advance_clock(before)
+    for member, at in recorded:
+        world.telemetry.record_metric(members[member], "cpu_util", 0.5, at)
+    world.telemetry.window_samples(members, "cpu_util", 0, 1)  # builds the index in memory
+    loaded = World.from_snapshot(json.loads(json.dumps(world.to_snapshot())))
+    for w in (world, loaded):
+        w.advance_clock(after)
+    assert sample_rows(loaded.telemetry.samples) == sample_rows(world.telemetry.samples)
+    for ids in ({members[0]}, set(members[1:]), set(members)):
+        for tick in range(-4, world.tick + 2):
+            for window in (1, after + 1, after + 2, world.tick + 5):
+                got = loaded.telemetry.window_samples(ids, "cpu_util", tick, window)
+                assert got == world.telemetry.window_samples(ids, "cpu_util", tick, window)
+    assert_windows_match(loaded.telemetry, members, range(-4, world.tick + 2), (1, after + 2))
 
 
 def brute_force_pass(telemetry, tick):
@@ -46,7 +115,7 @@ def brute_force_pass(telemetry, tick):
     for alarm in telemetry.alarms.values():
         group = telemetry.groups.get(alarm.target)
         ids = set(group.members) if group is not None else {alarm.target}
-        values = [value for _, _, value, _ in
+        values = [telemetry.samples.value[p] for p in
                   brute_force_window(telemetry.samples, ids, alarm.metric, tick, alarm.window)]
         if not values:
             alarm.state = "insufficient_data"

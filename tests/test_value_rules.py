@@ -140,6 +140,15 @@ CASES = {
                          "must hold only strings, got 5", None),
     "sample-value": (MetricSample, "value", {"value": math.nan},
                      "must be a finite number, got nan", metric_push(math.nan)),
+    # a load tests the value column by one sum, which an infinity carries
+    # and an int past the float range overflows
+    "sample-value-infinity": (MetricSample, "value", {"value": math.inf},
+                              "must be a finite number, got inf", metric_push(math.inf)),
+    "sample-value-minus-infinity": (MetricSample, "value", {"value": -math.inf},
+                                    "must be a finite number, got -inf", metric_push(-math.inf)),
+    "sample-value-past-float": (MetricSample, "value", {"value": 10 ** 400},
+                                f"must be a finite number, got {10 ** 400}",
+                                metric_push(10 ** 400)),
     "alarm-aggregate": (AlarmDef, "aggregate", {"aggregate": "median"},
                         "must be one of avg, max, min, got 'median'",
                         create_alarm(aggregate="median")),
@@ -275,6 +284,21 @@ def test_a_rule_refuses_on_load_and_at_its_input(tmp_path, monkeypatch, capsys, 
     assert info.value.exit_code == 2
     # `signal` takes one payload, which the rule of each stored one checks
     assert info.value.message.endswith(refusal if cls is WaitHandle else said)
+
+
+def test_finite_sample_values_whose_sum_overflows_load(tmp_path, monkeypatch):
+    """Two values of 1e308 sum past the float range, but each is finite."""
+    path = tmp_path / "state.json"
+    token, _ = build_state(path)
+    data = json.loads(path.read_text())
+    table = data["telemetry"]["samples"]
+    for column in table["columns"]:
+        column.append(column[0])
+    table["columns"][table["fields"].index("value")][:] = [1e308, 1e308]
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv(cli.TOKEN_ENV, token)
+    assert cli.main(["stack-list", "--state", str(path)]) == 0
+    assert load_world(str(path)).telemetry.samples.value == [1e308, 1e308]
 
 
 def test_the_readme_table_matches_the_declarations():
